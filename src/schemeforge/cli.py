@@ -9,7 +9,8 @@ import argparse
 import random
 import sys
 
-from .geometry import (GQ, NotFound, build_hermitian_gq, find_hemisystem,
+from .errors import SchemeforgeError
+from .geometry import (NotFound, build_hermitian_gq, find_hemisystem,
                        verify_gq, verify_hemisystem)
 from .reconstruct import (all_cliques, recover_hemisystem, reconstruct_gq,
                           verify_dual_hemisystem)
@@ -17,14 +18,14 @@ from .relation_scheme import scheme_from_hemisystem, verify_scheme
 from .scheme_params import (BadParameter, KreinArray, closed_form_parameters,
                             derive_parameters, hemisystem_krein_array,
                             match_family_t, validate)
-from .serialize import (dump_json, gq_from_dict, gq_to_dict, hemi_from_dict,
-                        hemi_to_dict, load_json, params_markdown,
-                        params_to_dict, parse_rat, reconstruction_to_dict,
-                        scheme_from_dict, scheme_to_dict, triple_to_dict)
-from .triples import (TripleConfig, VacuousConfig, boundary_violations,
+from .serialize import (BadInput, dump_json, gq_from_dict, gq_to_dict,
+                        hemi_from_dict, hemi_to_dict, load_json,
+                        params_markdown, params_to_dict, parse_rat,
+                        reconstruction_to_dict, scheme_from_dict,
+                        scheme_to_dict, triple_to_dict)
+from .triples import (VacuousConfig, boundary_violations,
                       direct_triple_counts, forced_triple_values,
-                      integer_residual_checker, triple_pattern,
-                      widened_system)
+                      pattern_checkers, triple_pattern)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -35,7 +36,7 @@ class UsageError(Exception):
     pass
 
 
-class MathFailure(Exception):
+class MathFailure(SchemeforgeError):
     pass
 
 
@@ -55,7 +56,7 @@ def parse_krein(text: str) -> KreinArray:
         raise UsageError(f"cannot parse Krein array {text!r}: {exc}")
     try:
         return KreinArray.make(bs, cs)
-    except (BadParameter, ValueError) as exc:
+    except BadParameter as exc:
         raise UsageError(str(exc))
 
 
@@ -189,8 +190,7 @@ def _triple_spot_checks(sch, exhaustive: bool) -> int:
     exhaustive path walks every ordered triple of distinct elements.
     Raises MathFailure at the first inconsistent triple.
     """
-    params = closed_form_parameters(3)
-    checkers = {}
+    checkers = pattern_checkers(closed_form_parameters(3))
 
     def check(x, y, u) -> None:
         abc = triple_pattern(sch, x, y, u)
@@ -198,10 +198,7 @@ def _triple_spot_checks(sch, exhaustive: bool) -> int:
         bad = boundary_violations(abc, tensor)
         if bad:
             raise MathFailure(f"triple {(x, y, u)}: boundary: {bad[0]}")
-        if abc not in checkers:
-            sys_ = widened_system(TripleConfig(params, abc))
-            checkers[abc] = (sys_, integer_residual_checker(sys_))
-        sys_, checker = checkers[abc]
+        sys_, checker = checkers(abc)
         bad_row = checker(tensor)
         if bad_row is not None:
             raise MathFailure(f"triple {(x, y, u)} pattern {abc}: "
@@ -277,14 +274,13 @@ def cmd_pipeline(args) -> int:
                 int(x) for x in params.valencies):
             raise MathFailure(f"valencies {counted.valencies} != "
                               f"{params.valencies}")
-        d = params.d
-        for k in range(d + 1):
-            for i in range(d + 1):
-                for j in range(d + 1):
-                    if counted.p[k][i][j] != params.p[k][i][j]:
-                        raise MathFailure(
-                            f"p^{k}_{i}{j}: counted {counted.p[k][i][j]}, "
-                            f"table {params.p[k][i][j]}")
+        if counted.p != params.p:
+            k, i, j = next((k, i, j) for k, plane in enumerate(params.p)
+                           for i, row in enumerate(plane)
+                           for j, v in enumerate(row)
+                           if counted.p[k][i][j] != v)
+            raise MathFailure(f"p^{k}_{i}{j}: counted {counted.p[k][i][j]}, "
+                              f"table {params.p[k][i][j]}")
         return "counted p matches the exact tables"
 
     def stage_triples():
@@ -324,7 +320,7 @@ def cmd_pipeline(args) -> int:
     for name, fn in stages:
         try:
             note = fn()
-        except Exception as exc:
+        except SchemeforgeError as exc:
             print(f"{name}: FAIL ({exc})")
             print(f"pipeline failed at stage {name}", file=sys.stderr)
             return EXIT_MATH
@@ -394,15 +390,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except UsageError as exc:
+    except (UsageError, BadInput, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (MathFailure, ValueError) as exc:
+    except SchemeforgeError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_MATH
-    except (OSError, KeyError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

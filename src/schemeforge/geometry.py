@@ -17,11 +17,16 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+from .errors import SchemeforgeError
 from .scheme_params import ValidationReport
 
 
-class NotFound(RuntimeError):
+class NotFound(SchemeforgeError, RuntimeError):
     """Exhaustive search ended without a hemisystem."""
+
+
+class EvenOrder(SchemeforgeError, ValueError):
+    """Hemisystems exist only in quadrangles of odd order t."""
 
 
 # ----------------------------------------------------------------- GF(9)
@@ -45,17 +50,12 @@ def _build_tables():
         inv[a] = next(b for b in range(1, 9) if mul[a][b] == 1)
     # norm a^4 = a * a^3 = (a0^2 + a1^2) mod 3, always in GF(3)
     fourth = [((a % 3) ** 2 + (a // 3) ** 2) % 3 for a in range(9)]
-    frob = [enc(a % 3, (-(a // 3)) % 3) for a in range(9)]
     to_t = tuple
     return (to_t(to_t(r) for r in add), to_t(to_t(r) for r in mul),
-            to_t(neg), to_t(inv), to_t(fourth), to_t(frob))
+            to_t(neg), to_t(inv), to_t(fourth))
 
 
-ADD, MUL, NEG, INV, FOURTH, FROBENIUS = _build_tables()
-
-
-def field_elements() -> tuple:
-    return tuple(range(9))
+ADD, MUL, NEG, INV, FOURTH = _build_tables()
 
 
 # ------------------------------------------------------------- PG(3, 9)
@@ -94,14 +94,6 @@ def normalize(vec) -> tuple:
         return tuple(vec)
     s = INV[lead]
     return tuple(MUL[s][x] for x in vec)
-
-
-def line_through(p, q) -> tuple:
-    """The 10 projective points on the line spanned by p and q."""
-    pts = [tuple(p), tuple(q)]
-    for lam in range(1, 9):
-        pts.append(normalize([ADD[a][MUL[lam][b]] for a, b in zip(p, q)]))
-    return tuple(sorted(set(pts)))
 
 
 # ------------------------------------------------------------------- GQ
@@ -264,7 +256,7 @@ def find_hemisystem(gq: GQ, seed: int | None = None) -> Hemisystem:
     deterministic.
     """
     if gq.t % 2 == 0:
-        raise ValueError("hemisystems need odd t")
+        raise EvenOrder(f"hemisystems need odd t, got t = {gq.t}")
     quota = (gq.t + 1) // 2
     nlines = len(gq.lines)
     order = list(range(nlines))

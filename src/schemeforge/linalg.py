@@ -13,18 +13,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .errors import SchemeforgeError
+
 Rat = Fraction
 
 
-class NotSquare(ValueError):
+class NotSquare(SchemeforgeError, ValueError):
     """A square-only operation was handed a rectangular matrix."""
 
 
-class Singular(ValueError):
+class Singular(SchemeforgeError, ValueError):
     """Inversion was attempted on a singular matrix."""
 
 
-class Inconsistent(ValueError):
+class Inconsistent(SchemeforgeError, ValueError):
     """The linear system admits no solution."""
 
 
@@ -215,21 +217,6 @@ def _rref_rows(rows: list) -> tuple:
     return tuple(pivots)
 
 
-def rref(m: RatMatrix) -> RatMatrix:
-    """Reduced row echelon form (first-nonzero pivoting)."""
-    rows = m.to_rows()
-    if rows:
-        _rref_rows(rows)
-    return RatMatrix.from_rows(rows) if rows else m
-
-
-def rank(m: RatMatrix) -> int:
-    rows = m.to_rows()
-    if not rows:
-        return 0
-    return len(_rref_rows(rows))
-
-
 def solve_linear(a: RatMatrix, b: Sequence,
                  names: Sequence | None = None) -> AffineSolutionSpace:
     """Solve a x = b exactly, returning the full affine solution space.
@@ -303,10 +290,31 @@ def char_poly(m: RatMatrix) -> RatPolynomial:
 
 
 def _int_divisors(n: int) -> list:
-    # sympy only for divisor enumeration; imported lazily to keep module
-    # import light.
-    from sympy import divisors
-    return list(divisors(n))
+    """All positive divisors of n >= 1, ascending.
+
+    Trial division strips 2, then odd p while p * p <= the cofactor, and the
+    prime powers are expanded into the divisor list. The loop runs up to the
+    larger of the second-largest prime factor and the square root of the
+    largest, so it is quick on the family's coefficients (no prime factor
+    above 1301 for t <= 51) and slow only when n has two large ones.
+    """
+    divs = [1]
+
+    def expand(p, e):
+        divs.extend([d * p ** k for k in range(1, e + 1) for d in divs])
+
+    p = 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            expand(p, e)
+        p += 1 if p == 2 else 2
+    if n > 1:
+        expand(n, 1)
+    return sorted(divs)
 
 
 def rational_roots(p: RatPolynomial) -> tuple:
@@ -347,8 +355,9 @@ def rational_roots(p: RatPolynomial) -> tuple:
     e1 = sum(ints)
     em1 = sum(c if i % 2 == 0 else -c for i, c in enumerate(ints))
     found = []
+    nums = _int_divisors(abs(ints[0]))
     for den in _int_divisors(abs(ints[-1])):
-        for num in _int_divisors(abs(ints[0])):
+        for num in nums:
             if math.gcd(num, den) != 1:
                 continue
             for nn in (num, -num):

@@ -11,21 +11,26 @@ characterization is reported with a witness, never smoothed over.
 
 from dataclasses import dataclass
 
+from .errors import SchemeforgeError
 from .geometry import GQ, verify_gq
 from .relation_scheme import RelationScheme, neighbors, pair_set
 from .scheme_params import ValidationReport
 
 
-class StructureViolation(ValueError):
+class StructureViolation(SchemeforgeError, ValueError):
     """A candidate clique fails its pairwise relation pattern."""
 
 
-class AxiomFailure(ValueError):
+class AxiomFailure(SchemeforgeError, ValueError):
     """The assembled incidence structure is not a generalized quadrangle."""
 
 
-class NotWellDefined(ValueError):
+class NotWellDefined(SchemeforgeError, ValueError):
     """The recovered half-partition depends on the base element."""
+
+
+class NotFamilySize(SchemeforgeError, ValueError):
+    """The element count is not (t^3 + 1)(t + 1) for any t."""
 
 
 def order_from_size(size: int) -> int:
@@ -34,7 +39,7 @@ def order_from_size(size: int) -> int:
     while (t ** 3 + 1) * (t + 1) < size:
         t += 1
     if (t ** 3 + 1) * (t + 1) != size:
-        raise ValueError(f"{size} elements does not fit (t^3+1)(t+1)")
+        raise NotFamilySize(f"{size} elements does not fit (t^3+1)(t+1)")
     return t
 
 
@@ -185,11 +190,6 @@ class ReconstructedGQ:
     dual_order: tuple
     primal_order: tuple
     report: ValidationReport
-
-    def as_incidence(self) -> GQ:
-        return GQ(s=self.dual_order[0], t=self.dual_order[1],
-                  points=self.points,
-                  lines=tuple(c.elements for c in self.lines))
 
 
 def reconstruct_gq(sch: RelationScheme, cliques=None) -> ReconstructedGQ:

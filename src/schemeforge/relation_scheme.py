@@ -15,11 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SchemeforgeError
 from .geometry import GQ, Hemisystem, verify_hemisystem
 
 
-class NotHemisystem(ValueError):
+class NotHemisystem(SchemeforgeError, ValueError):
     """The candidate line set does not meet every point's quota."""
+
+
+class ShapeMismatch(SchemeforgeError, ValueError):
+    """The relation table is not size x size."""
 
 
 def _quota_witness(gq: GQ, hemi: Hemisystem) -> str:
@@ -43,7 +48,8 @@ class RelationScheme:
 
     def __post_init__(self):
         if self.rel.shape != (self.size, self.size):
-            raise ValueError("relation table shape mismatch")
+            raise ShapeMismatch(f"relation table has shape {self.rel.shape}, "
+                                f"expected ({self.size}, {self.size})")
 
 
 def scheme_from_hemisystem(gq: GQ, hemi: Hemisystem) -> RelationScheme:

@@ -14,33 +14,33 @@ Tensors are nested tuples indexed [k][i][j].
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import SchemeforgeError
 from .linalg import RatMatrix, char_poly, invert, rational_roots
 
 Rat = Fraction
 
 
-class BadParameter(ValueError):
+class BadParameter(SchemeforgeError, ValueError):
     """Parameter outside the family's domain (t must be odd and >= 3)."""
 
 
-class IrrationalEigenvalue(ValueError):
+class IrrationalEigenvalue(SchemeforgeError, ValueError):
     """The dual intersection matrix has eigenvalues outside Q."""
 
 
-class DegenerateSpectrum(ValueError):
+class DegenerateSpectrum(SchemeforgeError, ValueError):
     """The dual eigenvalues are not simple (or no multiplicity row exists)."""
 
 
-class NonIntegral(ValueError):
+class NonIntegral(SchemeforgeError, ValueError):
     """A quantity that must be a nonnegative integer is not."""
 
 
-class NegativeKrein(ValueError):
+class NegativeKrein(SchemeforgeError, ValueError):
     """A Krein parameter came out negative."""
 
 
@@ -392,36 +392,6 @@ def derive_parameters(k: KreinArray, t: int | None = None) -> SchemeParameters:
     return SchemeParameters(d=k.d, order=order, t=t, s=s, bcoef=bcoef,
                             valencies=valencies, multiplicities=mults,
                             P=p_mat, Q=q_mat, p=p, q=q)
-
-
-def candidate_orderings(k: KreinArray) -> list:
-    """All relation orderings of the pipeline output that stay feasible.
-
-    Permutes the non-multiplicity rows of Q, keeping permutations whose
-    intersection tensor is nonnegative-integral and whose Krein tensor is
-    nonnegative. Any valid ordering's relabelling is again valid, so for a
-    feasible array this reports all of them.
-    """
-    q_mat, mults, order = dual_eigenmatrix(k)
-    out = []
-    base = [q_mat.row(i) for i in range(k.d + 1)]
-    for perm in itertools.permutations(range(1, k.d + 1)):
-        rows = [base[0]] + [base[i] for i in perm]
-        qm = RatMatrix.from_rows(rows)
-        try:
-            pm = first_eigenmatrix(qm, order)
-            valencies = pm.row(0)
-            if any(v.denominator != 1 or v <= 0 for v in valencies):
-                continue
-            p = intersection_numbers(pm, valencies, mults, order)
-            q = krein_numbers(qm, valencies, mults, order)
-        except (NonIntegral, NegativeKrein):
-            continue
-        out.append(SchemeParameters(
-            d=k.d, order=order, t=None, s=None, bcoef=None,
-            valencies=valencies, multiplicities=mults,
-            P=pm, Q=qm, p=p, q=q))
-    return out
 
 
 def validate(params: SchemeParameters,

@@ -1,13 +1,16 @@
 """JSON and markdown emitters for the pipeline's file formats.
 
 Rationals travel as exact "p/q" strings, shortened to "p" when the
-denominator is 1; nothing in this module rounds.  Loaders accept both
-spellings plus plain JSON integers.
+denominator is 1; nothing in this module rounds.  The artifact loaders
+check keys, types (JSON integers only), shape and range before building
+anything, and raise BadInput on the first violation.
 """
 
 import json
+import math
 from fractions import Fraction
 
+from .errors import SchemeforgeError
 from .geometry import GQ, Hemisystem
 from .reconstruct import ReconstructedGQ
 from .relation_scheme import RelationScheme
@@ -15,6 +18,42 @@ from .scheme_params import SchemeParameters
 from .triples import TripleSolution
 
 import numpy as np
+
+
+class BadInput(SchemeforgeError, ValueError):
+    """A loaded document lacks a key or holds a value of the wrong type,
+    shape or range."""
+
+
+def _field(data, key):
+    if not isinstance(data, dict):
+        raise BadInput(f"expected a JSON object, got {type(data).__name__}")
+    if key not in data:
+        raise BadInput(f"missing key {key!r}")
+    return data[key]
+
+
+def _bad_int(x, lo, hi) -> bool:
+    """Not an int in [lo, hi); bools and floats are refused."""
+    return type(x) is not int or not lo <= x < hi
+
+
+def _int(data, key, lo=0, hi=math.inf) -> int:
+    x = _field(data, key)
+    if _bad_int(x, lo, hi):
+        raise BadInput(f"{key} = {x!r} is not an integer in [{lo}, {hi})")
+    return x
+
+
+def _ints(value, what, lo=0, hi=math.inf) -> list:
+    """value itself, once it is known to be a list of ints in [lo, hi)."""
+    if not isinstance(value, list):
+        raise BadInput(f"{what} must be a list, got {type(value).__name__}")
+    for i, x in enumerate(value):
+        if _bad_int(x, lo, hi):
+            raise BadInput(f"{what}[{i}] = {x!r} is not an integer in "
+                           f"[{lo}, {hi})")
+    return value
 
 
 def rat_str(x) -> str:
@@ -108,10 +147,21 @@ def gq_to_dict(gq: GQ) -> dict:
 
 
 def gq_from_dict(data: dict) -> GQ:
-    return GQ(s=int(data["s"]), t=int(data["t"]),
-              points=tuple(range(int(data["points"]))),
-              lines=tuple(tuple(int(p) for p in line)
-                          for line in data["lines"]))
+    """Lines are strictly increasing point ids, and every point is on one."""
+    s, t = _int(data, "s", 1), _int(data, "t", 1)
+    n_points = _int(data, "points")
+    lines = _field(data, "lines")
+    if not isinstance(lines, list):
+        raise BadInput(f"lines must be a list, got {type(lines).__name__}")
+    for li, line in enumerate(lines):
+        _ints(line, f"lines[{li}]", 0, n_points)
+        if any(a >= b for a, b in zip(line, line[1:])):
+            raise BadInput(f"lines[{li}] is not strictly increasing")
+    covered = len({p for line in lines for p in line})
+    if covered != n_points:
+        raise BadInput(f"lines cover {covered} of {n_points} points")
+    return GQ(s=s, t=t, points=tuple(range(n_points)),
+              lines=tuple(tuple(line) for line in lines))
 
 
 def hemi_to_dict(hemi: Hemisystem) -> dict:
@@ -119,7 +169,10 @@ def hemi_to_dict(hemi: Hemisystem) -> dict:
 
 
 def hemi_from_dict(data: dict) -> Hemisystem:
-    return Hemisystem(tuple(int(x) for x in data["lines"]))
+    lines = _ints(_field(data, "lines"), "lines")
+    if len(set(lines)) != len(lines):
+        raise BadInput("lines repeats a line id")
+    return Hemisystem(tuple(lines))
 
 
 # ------------------------------------------------------------ scheme
@@ -130,9 +183,17 @@ def scheme_to_dict(sch: RelationScheme) -> dict:
 
 
 def scheme_from_dict(data: dict) -> RelationScheme:
-    rel = np.array(data["rel"], dtype=np.int8)
-    return RelationScheme(size=int(data["size"]),
-                          classes=int(data["classes"]), rel=rel)
+    """rel is size x size with labels in 0..classes-1, stored as int8."""
+    size = _int(data, "size", 1)
+    classes = _int(data, "classes", 1, 129)
+    rel = _field(data, "rel")
+    if not isinstance(rel, list) or len(rel) != size:
+        raise BadInput(f"rel must be a list of {size} rows")
+    for x, row in enumerate(rel):
+        if len(_ints(row, f"rel[{x}]", 0, classes)) != size:
+            raise BadInput(f"rel[{x}] has {len(row)} entries, expected {size}")
+    return RelationScheme(size=size, classes=classes,
+                          rel=np.array(rel, dtype=np.int8))
 
 
 # ------------------------------------------------------------ triples
@@ -171,4 +232,7 @@ def dump_json(data: dict, path=None) -> str:
 
 def load_json(path) -> dict:
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise BadInput(f"{path}: not a JSON document: {exc}")

@@ -17,26 +17,29 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
+from .errors import SchemeforgeError
 from .linalg import AffineSolutionSpace, Inconsistent, RatMatrix, solve_linear
-from .scheme_params import SchemeParameters, closed_form_parameters
+from .scheme_params import SchemeParameters
 
 Rat = Fraction
 
+# Sweeps of nonneg_force over the equations before it gives up on a fixpoint.
+MAX_FORCE_ROUNDS = 60
 
-class VacuousConfig(ValueError):
+
+class VacuousConfig(SchemeforgeError, ValueError):
     """No triple realizes the requested relation pattern (p^A_CB = 0)."""
 
 
-class NotVanishing(ValueError):
+class NotVanishing(SchemeforgeError, ValueError):
     """A Krein-vanishing equation was requested for a nonzero parameter."""
 
 
-class Infeasible(ValueError):
+class Infeasible(SchemeforgeError, ValueError):
     """Nonnegativity contradicts the linear system."""
 
 
@@ -184,11 +187,8 @@ def _slot_permutations(abc) -> list:
     return swaps
 
 
-def add_symmetry(sys_: TripleSystem, cfg: TripleConfig | None = None
-                 ) -> TripleSystem:
+def add_symmetry(sys_: TripleSystem) -> TripleSystem:
     """Widen with [l m n] = [sigma(l m n)] for each valid slot swap."""
-    if cfg is not None and cfg != sys_.config:
-        raise ValueError("config does not match the system")
     perms = _slot_permutations(sys_.config.abc)
     if not perms:
         return sys_
@@ -221,7 +221,6 @@ def vanishing_tuples(params: SchemeParameters) -> tuple:
 
 
 def add_krein_vanishing(sys_: TripleSystem,
-                        cfg: TripleConfig | None = None,
                         tuples: Iterable | None = None) -> TripleSystem:
     """One equation per vanishing Krein parameter q^t_rs = 0.
 
@@ -231,8 +230,6 @@ def add_krein_vanishing(sys_: TripleSystem,
     to all their index permutations; by default every ordered tuple with
     q^t_rs = 0 is used.
     """
-    if cfg is not None and cfg != sys_.config:
-        raise ValueError("config does not match the system")
     cfg = sys_.config
     params = cfg.params
     if tuples is None:
@@ -278,8 +275,7 @@ def solve(sys_: TripleSystem) -> TripleSolution:
     return TripleSolution(sys_.config, space, forced, residual)
 
 
-def nonneg_force(sys_: TripleSystem, sol: TripleSolution,
-                 max_rounds: int = 60) -> TripleSolution:
+def nonneg_force(sys_: TripleSystem, sol: TripleSolution) -> TripleSolution:
     """Pin unknowns by exact interval propagation under x >= 0.
 
     Every equation a.x = rhs bounds each participating unknown once the
@@ -306,7 +302,7 @@ def nonneg_force(sys_: TripleSystem, sol: TripleSolution,
         eqs.append((tuple(row), space.particular[v]))
     supports = [[(v, c) for v, c in enumerate(row) if c != 0] for row, _ in eqs]
 
-    for _ in range(max_rounds):
+    for _ in range(MAX_FORCE_ROUNDS):
         changed = False
         for (row, rhs), supp in zip(eqs, supports):
             # extremes of sum a_v x_v over current boxes
@@ -378,30 +374,6 @@ def forced_triple_values(params: SchemeParameters, abc,
     return nonneg_force(sys_, solve(sys_))
 
 
-def worker_count() -> int:
-    """Parallelism cap taken from SCHEME_FORGE_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("SCHEME_FORGE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def forced_values_sweep(ts: Sequence, abc,
-                        max_workers: int | None = None) -> dict:
-    """forced_triple_values over many t; threads capped by the env var."""
-    if max_workers is None:
-        max_workers = worker_count()
-
-    def run(t):
-        return t, forced_triple_values(closed_form_parameters(t), abc)
-
-    if max_workers == 1:
-        return dict(run(t) for t in ts)
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return dict(pool.map(run, ts))
-
-
 def triple_pattern(sch, x: int, y: int, u: int) -> tuple:
     """(A, B, C) for the relations (x,y), (y,u), (u,x)."""
     rel = sch.rel
@@ -456,6 +428,19 @@ def integer_residual_checker(sys_: TripleSystem):
         return int(bad[0]) if bad.size else None
 
     return check
+
+
+def pattern_checkers(params: SchemeParameters):
+    """abc -> (widened system, integer residual checker), built once each."""
+    cache = {}
+
+    def get(abc):
+        if abc not in cache:
+            sys_ = widened_system(TripleConfig(params, abc))
+            cache[abc] = (sys_, integer_residual_checker(sys_))
+        return cache[abc]
+
+    return get
 
 
 def count_residuals(sys_: TripleSystem, tensor) -> list:

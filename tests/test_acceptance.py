@@ -27,10 +27,8 @@ from schemeforge.relation_scheme import (NotHemisystem, RelationScheme,
 from schemeforge.scheme_params import (closed_form_parameters,
                                        derive_parameters,
                                        hemisystem_krein_array, validate)
-from schemeforge.triples import (TripleConfig, direct_triple_counts,
-                                 forced_triple_values,
-                                 integer_residual_checker, triple_pattern,
-                                 widened_system)
+from schemeforge.triples import (direct_triple_counts, forced_triple_values,
+                                 pattern_checkers, triple_pattern)
 
 ODD_T = tuple(range(3, 20, 2))
 
@@ -121,23 +119,11 @@ def test_criterion_5_scheme_oracle(hermitian_gq, hemisystem, params_t3):
         assert elapsed < 30.0, f"scheme verification took {elapsed:.2f} s"
 
 
-def _pattern_checkers(params):
-    cache = {}
-
-    def get(abc):
-        if abc not in cache:
-            sys_ = widened_system(TripleConfig(params, abc))
-            cache[abc] = (sys_, integer_residual_checker(sys_))
-        return cache[abc]
-
-    return get
-
-
 @pytest.mark.parametrize("sample_size", [10 ** 4])
 def test_criterion_6_triple_oracle_consistency(scheme_t3, params_t3,
                                                sample_size):
     with report(6):
-        get = _pattern_checkers(params_t3)
+        get = pattern_checkers(params_t3)
         rng = Random(12345)
         n = scheme_t3.size
         for _ in range(sample_size):

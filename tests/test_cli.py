@@ -5,6 +5,7 @@ import json
 import pytest
 
 from schemeforge.cli import main
+from schemeforge.serialize import gq_to_dict, scheme_to_dict
 
 
 def run(argv, capsys):
@@ -141,3 +142,43 @@ def test_pipeline_rejects_other_t(capsys):
 
 def test_unknown_command(capsys):
     assert run(["frobnicate"], capsys)[0] == 1
+
+
+def test_internal_errors_surface_as_tracebacks(monkeypatch):
+    import schemeforge.cli as cli
+
+    def broken(*args):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(cli, "closed_form_parameters", broken)
+    monkeypatch.setattr(cli, "build_hermitian_gq", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["triple", "--t", "7", "--abc", "2,2,2"])
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["pipeline", "--t", "3"])
+
+
+@pytest.mark.parametrize("entry", [1.9, 260])
+def test_reconstruct_rejects_malformed_relation_entries(tmp_path, capsys,
+                                                        scheme_t3, entry):
+    data = scheme_to_dict(scheme_t3)
+    data["rel"][0][1] = entry
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(["reconstruct", "--in", str(path)], capsys)
+    assert code == 1
+    assert "rel[0][1]" in err
+
+
+def test_loaders_reject_bad_files(tmp_path, capsys, hermitian_gq):
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text("{not json")
+    assert run(["reconstruct", "--in", str(garbled)], capsys)[0] == 1
+
+    data = gq_to_dict(hermitian_gq)
+    data["lines"][-1][-1] = 280
+    gq = tmp_path / "gq.json"
+    gq.write_text(json.dumps(data))
+    code, _, err = run(["hemisystem", "--in", str(gq)], capsys)
+    assert code == 1
+    assert "lines[111][9]" in err

@@ -2,19 +2,17 @@
 
 import pytest
 
-from schemeforge.geometry import (ADD, FROBENIUS, FOURTH, GQ, INV, MUL, NEG,
-                                  Hemisystem, NotFound, build_hermitian_gq,
-                                  field_elements, find_hemisystem,
-                                  hermitian_coordinates, hermitian_value,
-                                  line_through, normalize, proj_points,
-                                  verify_gq, verify_hemisystem)
+from schemeforge.geometry import (ADD, FOURTH, GQ, INV, MUL, NEG, Hemisystem,
+                                  NotFound, build_hermitian_gq,
+                                  find_hemisystem, hermitian_coordinates,
+                                  hermitian_value, proj_points, verify_gq,
+                                  verify_hemisystem)
 
 
 # ------------------------------------------------------------ field
 
 def test_field_axioms_exhaustively():
-    els = field_elements()
-    assert len(els) == 9
+    els = range(9)
     for a in els:
         assert ADD[a][0] == a
         assert MUL[a][1] == a
@@ -30,19 +28,8 @@ def test_field_axioms_exhaustively():
                 assert MUL[a][ADD[b][c]] == ADD[MUL[a][b]][MUL[a][c]]
 
 
-def test_frobenius_is_an_automorphism_fixing_the_prime_field():
-    els = field_elements()
-    for a in els:
-        assert FROBENIUS[FROBENIUS[a]] == a
-        for b in els:
-            assert FROBENIUS[ADD[a][b]] == ADD[FROBENIUS[a]][FROBENIUS[b]]
-            assert FROBENIUS[MUL[a][b]] == MUL[FROBENIUS[a]][FROBENIUS[b]]
-    fixed = [a for a in els if FROBENIUS[a] == a]
-    assert sorted(fixed) == [0, 1, 2]
-
-
 def test_fourth_power_is_the_norm_map():
-    for a in field_elements():
+    for a in range(9):
         x2 = MUL[a][a]
         assert FOURTH[a] == MUL[x2][x2]
         assert FOURTH[a] in (0, 1, 2)
@@ -63,13 +50,6 @@ def test_surface_membership_examples():
     coords = hermitian_coordinates()
     assert len(coords) == 280
     assert all(hermitian_value(p) == 0 for p in coords)
-
-
-def test_line_through_two_points():
-    p, q = (1, 0, 0, 0), (0, 1, 0, 0)
-    pts = line_through(p, q)
-    assert len(pts) == 10
-    assert normalize(list(p)) in pts and normalize(list(q)) in pts
 
 
 # ------------------------------------------------------------ quadrangle

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schemeforge import linalg
 from schemeforge.linalg import (Inconsistent, RatMatrix, RatPolynomial,
-                                Singular, char_poly, invert, rank,
-                                rational_roots, rref, solve_linear)
+                                Singular, _int_divisors, char_poly, invert,
+                                rational_roots, solve_linear)
+from schemeforge.scheme_params import build_L1star, hemisystem_krein_array
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
@@ -20,19 +22,12 @@ def square_matrices(n):
 
 @settings(max_examples=60, deadline=None)
 @given(square_matrices(3))
-def test_rref_is_idempotent(m):
-    reduced = rref(m)
-    assert rref(reduced) == reduced
-    assert rank(m) <= 3
-
-
-@settings(max_examples=60, deadline=None)
-@given(square_matrices(3))
 def test_inversion_or_rank_defect(m):
     try:
         inv = invert(m)
     except Singular:
-        assert rank(m) < 3
+        # singular exactly when det(m) = 0, the constant term of det(xI - m)
+        assert char_poly(m).coefficients[0] == 0
         return
     assert m @ inv == RatMatrix.identity(3)
     assert inv @ m == RatMatrix.identity(3)
@@ -82,3 +77,32 @@ def test_rational_roots_skips_irrationals():
     # x^2 - 2 has no rational root
     poly = RatPolynomial.make([-2, 0, 1])
     assert rational_roots(poly) == ()
+
+
+def test_divisors_match_brute_force():
+    for n in range(1, 2001):
+        assert _int_divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+
+
+def test_divisors_of_the_family_coefficients(monkeypatch):
+    """Every number rational_roots factors for odd t <= 51 (up to 5.5e18)."""
+    seen = set()
+    monkeypatch.setattr(linalg, "_int_divisors",
+                        lambda n: seen.add(n) or _int_divisors(n))
+    for t in range(3, 52, 2):
+        rational_roots(char_poly(build_L1star(hemisystem_krein_array(t))))
+    assert len(seen) == 50 and max(seen) > 10 ** 18
+    for n in seen:
+        divs = _int_divisors(n)
+        assert divs == sorted(set(divs))
+        assert all(n % d == 0 for d in divs)
+        # divisor count from the prime powers; no prime factor exceeds 1301
+        count, rest = 1, n
+        for p in range(2, 1302):
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            count *= e + 1
+        assert rest == 1
+        assert len(divs) == count

@@ -7,7 +7,6 @@ import pytest
 
 from schemeforge.linalg import char_poly, rational_roots
 from schemeforge.scheme_params import (BadParameter, build_L1star,
-                                       candidate_orderings,
                                        closed_form_parameters,
                                        derive_parameters, dual_eigenmatrix,
                                        first_eigenmatrix,
@@ -153,14 +152,6 @@ def test_vanishing_krein_set(params_t3):
             assert q[kk][i][j] == 0
 
 
-def test_candidate_orderings_contain_the_family():
-    k = hemisystem_krein_array(3)
-    table = closed_form_parameters(3)
-    found = [c for c in candidate_orderings(k)
-             if c.valencies == table.valencies and c.p == table.p]
-    assert found
-
-
 def test_validate_passes_on_tables(params_t3):
     report = validate(params_t3, hemisystem_krein_array(3))
     assert report.overall
@@ -178,3 +169,11 @@ def test_validate_names_a_corrupted_entry(params_t3):
     name, _, witness = report.failed()[0]
     assert name
     assert witness
+
+
+@pytest.mark.parametrize("t", range(21, 52, 2))
+def test_pipeline_equals_closed_form_for_large_t(t):
+    generic = derive_parameters(hemisystem_krein_array(t), t)
+    table = closed_form_parameters(t)
+    for field in ("order", "valencies", "multiplicities", "P", "Q", "p", "q"):
+        assert getattr(generic, field) == getattr(table, field), field

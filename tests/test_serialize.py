@@ -1,16 +1,18 @@
-"""Exact JSON round trips and the markdown table emitter."""
+"""Exact JSON round trips, the markdown table emitter and checked loaders."""
 
+import copy
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schemeforge.reconstruct import all_cliques, reconstruct_gq, \
     recover_hemisystem
-from schemeforge.serialize import (dump_json, gq_from_dict, gq_to_dict,
-                                   hemi_from_dict, hemi_to_dict, load_json,
-                                   params_markdown, params_to_dict,
-                                   parse_rat, rat_str,
+from schemeforge.serialize import (BadInput, dump_json, gq_from_dict,
+                                   gq_to_dict, hemi_from_dict, hemi_to_dict,
+                                   load_json, params_markdown,
+                                   params_to_dict, parse_rat, rat_str,
                                    reconstruction_to_dict, scheme_from_dict,
                                    scheme_to_dict, triple_to_dict)
 from schemeforge.triples import forced_triple_values
@@ -99,3 +101,90 @@ def test_json_file_round_trip(tmp_path, hemisystem):
     path = tmp_path / "hemi.json"
     dump_json(hemi_to_dict(hemisystem), path)
     assert load_json(path) == hemi_to_dict(hemisystem)
+
+
+# ------------------------------------------------------------ loader checks
+
+GRID_GQ = {"s": 2, "t": 1, "points": 9,
+           "lines": [[0, 1, 2], [3, 4, 5], [6, 7, 8],
+                     [0, 3, 6], [1, 4, 7], [2, 5, 8]]}
+HEMI = {"lines": [0, 2, 4]}
+SCHEME = {"size": 3, "classes": 2, "rel": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}
+LOADERS = ((gq_from_dict, GRID_GQ), (hemi_from_dict, HEMI),
+           (scheme_from_dict, SCHEME))
+
+
+def test_small_documents_load():
+    assert len(gq_from_dict(GRID_GQ).lines) == 6
+    assert hemi_from_dict(HEMI).lines == (0, 2, 4)
+    assert scheme_from_dict(SCHEME).rel.tolist() == SCHEME["rel"]
+
+
+@pytest.mark.parametrize("entry", [1.9, 1.0, True, 2, 260, -1, None, "1"])
+def test_relation_entries_must_be_labels(entry):
+    data = copy.deepcopy(SCHEME)
+    data["rel"][0][1] = entry
+    with pytest.raises(BadInput, match=r"rel\[0\]\[1\]"):
+        scheme_from_dict(data)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d["lines"][0].__setitem__(2, 9),      # no such point
+    lambda d: d["lines"][0].reverse(),              # not increasing
+    lambda d: d.__setitem__("points", 10 ** 12),    # points on no line
+    lambda d: d.__delitem__("s"),
+])
+def test_gq_loader_checks_shape_and_range(mutate):
+    data = copy.deepcopy(GRID_GQ)
+    mutate(data)
+    with pytest.raises(BadInput):
+        gq_from_dict(data)
+
+
+def test_hemisystem_loader_rejects_repeats():
+    with pytest.raises(BadInput):
+        hemi_from_dict({"lines": [0, 2, 2]})
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=10)
+
+
+def mutated(draw, doc):
+    """doc with one entry somewhere inside it deleted or replaced."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(json_values)
+    doc = copy.deepcopy(doc)
+    node = doc
+    while True:
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        if not keys:
+            return doc
+        key = draw(st.sampled_from(keys))
+        child = node[key]
+        if isinstance(child, (dict, list)) and draw(st.booleans()):
+            node = child
+            continue
+        if draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = draw(json_values)
+        return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(LOADERS), st.integers(1, 3), st.data())
+def test_mutated_documents_load_or_raise_bad_input(loader_doc, rounds, data):
+    loader, doc = loader_doc
+    for _ in range(rounds):
+        doc = mutated(data.draw, doc)
+        if not isinstance(doc, (dict, list)):
+            break
+    try:
+        loader(doc)
+    except BadInput:
+        pass

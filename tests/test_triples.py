@@ -13,8 +13,7 @@ from schemeforge.triples import (Infeasible, NotVanishing, TripleConfig,
                                  forced_triple_values,
                                  integer_residual_checker, nonneg_force,
                                  solve, triple_pattern, vanishing_tuples,
-                                 widened_system, worker_count,
-                                 forced_values_sweep)
+                                 widened_system)
 
 PROOF_TUPLES = ((1, 1, 3), (1, 1, 4), (1, 4, 2), (1, 4, 4))
 
@@ -195,15 +194,6 @@ def test_forcing_reports_infeasible_on_a_poisoned_system():
     poisoned = sys_.extended([tuple(pin)], [Fraction(-1)], "sum")
     with pytest.raises(Infeasible):
         nonneg_force(poisoned, solve(poisoned))
-
-
-def test_sweep_matches_individual_runs(monkeypatch):
-    single = forced_values_sweep([5, 7], (2, 2, 2))
-    monkeypatch.setenv("SCHEME_FORGE_THREADS", "2")
-    assert worker_count() == 2
-    threaded = forced_values_sweep([5, 7], (2, 2, 2))
-    assert {t: s.forced for t, s in single.items()} \
-        == {t: s.forced for t, s in threaded.items()}
 
 
 # ------------------------------------------------------------ counting oracle
