@@ -129,6 +129,19 @@ def test_reconstruct_rejects_corrupt_scheme(tmp_path, capsys):
     assert err.strip()
 
 
+def test_scheme_rejects_an_out_of_range_hemisystem_line(tmp_path, capsys):
+    gq = tmp_path / "gq.json"
+    hemi = tmp_path / "hemi.json"
+    run(["build-gq", "--out", str(gq)], capsys)
+    run(["hemisystem", "--in", str(gq), "--out", str(hemi)], capsys)
+    data = json.loads(hemi.read_text())
+    data["lines"][0] = 112
+    hemi.write_text(json.dumps(data))
+    code, _, err = run(["scheme", "--in", str(gq), str(hemi)], capsys)
+    assert code == 2
+    assert "point 0 lies on 1 chosen lines, quota 2" in err
+
+
 def test_pipeline_all_stages_pass(capsys):
     code, out, _ = run(["pipeline", "--t", "3"], capsys)
     assert code == 0

@@ -90,6 +90,31 @@ def test_deleting_a_line_is_detected(hermitian_gq):
     assert witness
 
 
+def check_of(report, name):
+    return next(c for c in report.checks if c[0] == name)
+
+
+def test_witnesses_without_line_zero(hermitian_gq):
+    report = verify_gq(GQ(s=9, t=3, points=hermitian_gq.points,
+                          lines=hermitian_gq.lines[1:]))
+    assert check_of(report, "size_formulas") == (
+        "size_formulas", False, "280 points (want 280), 111 lines (want 112)")
+    assert check_of(report, "lines_per_point") == (
+        "lines_per_point", False, "point 0")
+    assert check_of(report, "one_connector") == (
+        "one_connector", False, "point 0, line 3: 0 connectors")
+
+
+def test_witnesses_of_a_doubled_joining_line():
+    grid = grid_gq()
+    report = verify_gq(GQ(s=2, t=1, points=grid.points,
+                          lines=tuple(sorted(grid.lines + ((0, 1, 5),)))))
+    assert check_of(report, "unique_joining_line") == (
+        "unique_joining_line", False, "points 0,1 on lines 0,1")
+    assert check_of(report, "one_connector") == (
+        "one_connector", False, "point 0, line 4: 2 connectors")
+
+
 def test_common_line(hermitian_gq):
     line = hermitian_gq.lines[0]
     assert hermitian_gq.common_line(line[0], line[1]) == 0

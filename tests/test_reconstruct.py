@@ -169,5 +169,7 @@ def test_ill_defined_recovery_is_reported(scheme_t3):
     b = int(np.flatnonzero(rel[a] == 2)[0])
     rel[a][b] = rel[b][a] = 3   # even to odd: b leaves the half of a
     broken = RelationScheme(size=112, classes=5, rel=rel)
-    with pytest.raises(NotWellDefined):
+    with pytest.raises(NotWellDefined) as err:
         recover_hemisystem(broken, a)
+    assert str(err.value) == ("base 0 gives a 55-set but base 4 inside it "
+                              "gives a different 56-set")

@@ -93,6 +93,25 @@ def test_symmetric_flip_breaks_constancy(scheme_t3):
     assert counted.witness
 
 
+def test_one_sided_entry_witness(scheme_t3):
+    rel = scheme_t3.rel.copy()
+    rel[0][2] = 2
+    counted = verify_scheme(RelationScheme(size=112, classes=5, rel=rel))
+    assert not counted.consistency
+    assert counted.witness == "rel(0,2)=2 != rel(2,0)=1"
+
+
+def test_constancy_witness_with_valencies_kept(scheme_t3):
+    rel = scheme_t3.rel.copy()
+    rel[0, 2] = rel[2, 0] = rel[4, 6] = rel[6, 4] = 3
+    rel[0, 6] = rel[6, 0] = rel[4, 2] = rel[2, 4] = 1
+    counted = verify_scheme(RelationScheme(size=112, classes=5, rel=rel))
+    assert not counted.consistency
+    assert counted.valencies == (1, 20, 10, 36, 45)
+    assert counted.witness == ("pair (0,4) class 2: count at (1,1) is 2, "
+                               "expected 1")
+
+
 def test_complete_graph_single_class_scheme():
     n = 6
     rel = np.ones((n, n), dtype=np.int8) - np.eye(n, dtype=np.int8)
