@@ -26,7 +26,7 @@ print("hemisystem:", len(hemi.lines), "lines;",
 print("complement too:", verify_hemisystem(gq, hemi.complement(gq)))
 
 # Classify line pairs by met/missed and same/opposite half. That is
-# the whole 4-class scheme, built by brute force from the incidence.
+# the whole 4-class scheme, built from the incidence product N^T N.
 sch = scheme_from_hemisystem(gq, hemi)
 counted = verify_scheme(sch)
 print("scheme on", sch.size, "elements,", sch.classes, "classes")

@@ -2,7 +2,7 @@
 
 Parameter derivation from a Krein array, triple intersection number
 systems, a concrete generalized quadrangle of order (9, 3) carrying a
-hemisystem, the induced relation scheme as a brute-force oracle, and the
+hemisystem, the induced relation scheme as a counting oracle, and the
 reconstruction of the quadrangle and hemisystem back from the scheme.
 """
 

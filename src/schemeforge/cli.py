@@ -169,6 +169,9 @@ def cmd_scheme(args) -> int:
 def cmd_reconstruct(args) -> int:
     if args.infile:
         sch = scheme_from_dict(load_json(args.infile[0]))
+        counted = verify_scheme(sch)
+        if not counted.consistency:
+            raise MathFailure(f"scheme inconsistency: {counted.witness}")
     else:
         gq = build_hermitian_gq()
         sch = scheme_from_hemisystem(gq, find_hemisystem(gq, args.seed))

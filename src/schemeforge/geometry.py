@@ -17,6 +17,8 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+import numpy as np
+
 from .errors import SchemeforgeError
 from .scheme_params import ValidationReport
 
@@ -116,19 +118,23 @@ class GQ:
         return tuple(tuple(per[p]) for p in self.points)
 
     @cached_property
-    def _pair_line(self) -> dict:
-        seen = {}
-        for li, line in enumerate(self.lines):
-            for i, a in enumerate(line):
-                for b in line[i + 1:]:
-                    seen[(a, b)] = li
-        return seen
+    def incidence(self) -> np.ndarray:
+        """Integer point x line matrix N, N[p, L] = 1 iff p lies on L."""
+        return incidence_matrix(len(self.points), self.lines)
 
-    def common_line(self, x: int, y: int):
-        """Line id joining two collinear points, else None."""
-        if x == y:
-            raise ValueError("points must differ")
-        return self._pair_line.get((min(x, y), max(x, y)))
+
+def incidence_matrix(n_points: int, blocks) -> np.ndarray:
+    """0/1 int64 matrix with a column per block of point ids 0..n_points-1."""
+    inc = np.zeros((n_points, len(blocks)), dtype=np.int64)
+    for col, block in enumerate(blocks):
+        inc[list(block), col] = 1
+    return inc
+
+
+def first_true(mask: np.ndarray):
+    """Index tuple of the first True entry in row-major order, else None."""
+    hits = np.argwhere(mask)
+    return tuple(int(i) for i in hits[0]) if hits.size else None
 
 
 def build_hermitian_gq() -> GQ:
@@ -163,10 +169,17 @@ def build_hermitian_gq() -> GQ:
 
 
 def verify_gq(gq: GQ) -> ValidationReport:
-    """Check the defining axioms by exhaustive counting."""
-    checks = []
+    """Check the defining axioms as integer products of the incidence N.
 
-    n_pts, n_lines = len(gq.points), len(gq.lines)
+    K = N N^T (diagonal zeroed) counts the lines joining two points, so a
+    unique joining line is K <= 1, and (K > 0) N counts, for a point and a
+    line, the points of the line collinear with it: the quadrangle axiom
+    asks for exactly one wherever the point is off the line.
+    """
+    checks = []
+    inc = gq.incidence
+
+    n_pts, n_lines = inc.shape
     want_pts = (gq.s + 1) * (gq.s * gq.t + 1)
     want_lines = (gq.t + 1) * (gq.s * gq.t + 1)
     checks.append(("size_formulas",
@@ -174,46 +187,28 @@ def verify_gq(gq: GQ) -> ValidationReport:
                    f"{n_pts} points (want {want_pts}), "
                    f"{n_lines} lines (want {want_lines})"))
 
-    bad = next((li for li, line in enumerate(gq.lines)
-                if len(line) != gq.s + 1), None)
+    bad = first_true(inc.sum(axis=0) != gq.s + 1)
     checks.append(("points_per_line", bad is None,
-                   None if bad is None else f"line {bad}"))
+                   None if bad is None else f"line {bad[0]}"))
 
-    bad = next((p for p in gq.points
-                if len(gq.lines_through[p]) != gq.t + 1), None)
+    bad = first_true(inc.sum(axis=1) != gq.t + 1)
     checks.append(("lines_per_point", bad is None,
-                   None if bad is None else f"point {bad}"))
+                   None if bad is None else f"point {bad[0]}"))
 
-    # at most one line through two points
-    seen = {}
+    joins = inc @ inc.T
+    np.fill_diagonal(joins, 0)
+    bad = first_true(joins > 1)
     witness = None
-    for li, line in enumerate(gq.lines):
-        for i, a in enumerate(line):
-            for b in line[i + 1:]:
-                if (a, b) in seen:
-                    witness = f"points {a},{b} on lines {seen[(a, b)]},{li}"
-                    break
-                seen[(a, b)] = li
-            if witness:
-                break
-        if witness:
-            break
+    if bad:
+        a, b = bad
+        first, second = np.flatnonzero(inc[a] & inc[b])[:2]
+        witness = f"points {a},{b} on lines {first},{second}"
     checks.append(("unique_joining_line", witness is None, witness))
 
-    # the quadrangle axiom: one connector per non-incident point-line pair
-    witness = None
-    for p in gq.points:
-        on_p = set(gq.lines_through[p])
-        for li, line in enumerate(gq.lines):
-            if li in on_p:
-                continue
-            connectors = sum(1 for y in line
-                             if y != p and gq.common_line(p, y) is not None)
-            if connectors != 1:
-                witness = f"point {p}, line {li}: {connectors} connectors"
-                break
-        if witness:
-            break
+    connectors = np.minimum(joins, 1, out=joins) @ inc
+    bad = first_true((connectors != 1) & (inc == 0))
+    witness = None if bad is None else (
+        f"point {bad[0]}, line {bad[1]}: {connectors[bad]} connectors")
     checks.append(("one_connector", witness is None, witness))
 
     return ValidationReport.from_checks(checks)
@@ -236,14 +231,27 @@ class Hemisystem:
                                 if li not in mine))
 
 
-def verify_hemisystem(gq: GQ, candidate) -> bool:
-    lines = set(candidate.lines if isinstance(candidate, Hemisystem)
-                else candidate)
+def quota_witness(gq: GQ, hemi: Hemisystem) -> str | None:
+    """Why the line set is not a hemisystem, or None if it is one.
+
+    Each point's count of chosen lines is a row sum over the chosen
+    columns of N; an id that names no line of gq counts for no point.
+    """
+    lines = set(hemi.lines)
     if 2 * len(lines) != len(gq.lines):
-        return False
+        return (f"{len(lines)} lines chosen, expected "
+                f"{len(gq.lines) // 2}")
     quota = (gq.t + 1) // 2
-    return all(sum(1 for li in gq.lines_through[p] if li in lines) == quota
-               for p in gq.points)
+    cols = sorted(li for li in lines if 0 <= li < len(gq.lines))
+    got = gq.incidence[:, cols].sum(axis=1)
+    bad = first_true(got != quota)
+    if bad:
+        return f"point {bad[0]} lies on {got[bad]} chosen lines, quota {quota}"
+    return None
+
+
+def verify_hemisystem(gq: GQ, hemi: Hemisystem) -> bool:
+    return quota_witness(gq, hemi) is None
 
 
 def find_hemisystem(gq: GQ, seed: int | None = None) -> Hemisystem:

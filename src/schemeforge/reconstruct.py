@@ -11,8 +11,10 @@ characterization is reported with a witness, never smoothed over.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import SchemeforgeError
-from .geometry import GQ, verify_gq
+from .geometry import GQ, first_true, incidence_matrix, verify_gq
 from .relation_scheme import RelationScheme, neighbors, pair_set
 from .scheme_params import ValidationReport
 
@@ -132,8 +134,9 @@ def all_cliques(sch: RelationScheme) -> tuple:
     """Every maximal {0,1,2}-clique, deduplicated and sorted.
 
     Built from every 2-related and every 1-related pair, then cross
-    checked: each such pair must lie in exactly one clique, which also
-    means two cliques never share more than one element.
+    checked with the element x clique incidence M: off the diagonal,
+    M M^T must be the indicator of relations {1, 2}, so each such pair
+    lies in exactly one clique and two cliques share at most one element.
     """
     by_key = {}
 
@@ -152,25 +155,25 @@ def all_cliques(sch: RelationScheme) -> tuple:
             if x < u:
                 record(clique_from_r1_pair(sch, x, u))
 
-    owner = {}
-    for key, clq in by_key.items():
-        members = clq.elements
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                before = owner.setdefault((a, b), key)
-                if before != key:
-                    raise StructureViolation(
-                        f"pair ({a}, {b}) lies in two cliques: "
-                        f"{before} and {key}")
-    want = sum(1 for x in range(sch.size)
-               for y in range(x + 1, sch.size)
-               if int(sch.rel[x][y]) in (1, 2))
-    if len(owner) != want:
+    keys = sorted(by_key)
+    inc = incidence_matrix(sch.size, keys)
+    shared = inc @ inc.T
+    np.fill_diagonal(shared, 0)
+    low = (sch.rel == 1) | (sch.rel == 2)
+    np.fill_diagonal(low, False)
+    if not np.array_equal(shared, low):
+        bad = first_true(shared > 1)
+        if bad:
+            a, b = bad
+            first, second = np.flatnonzero(inc[a] & inc[b])[:2]
+            raise StructureViolation(
+                f"pair ({a}, {b}) lies in two cliques: {keys[first]} and "
+                f"{keys[second]}")
         raise StructureViolation(
-            f"cliques cover {len(owner)} low-relation pairs, "
-            f"expected {want}")
+            f"cliques cover {np.count_nonzero(np.triu(shared))} "
+            f"low-relation pairs, expected {np.count_nonzero(np.triu(low))}")
 
-    return tuple(by_key[key] for key in sorted(by_key))
+    return tuple(by_key[key] for key in keys)
 
 
 # ------------------------------------------------------------ dual GQ
@@ -211,11 +214,6 @@ def reconstruct_gq(sch: RelationScheme, cliques=None) -> ReconstructedGQ:
 
 # ------------------------------------------------------------ half-partition
 
-def _half_from(sch: RelationScheme, x: int) -> tuple:
-    """The base element with its even-relation neighborhoods, sorted."""
-    return tuple(sorted((x,) + neighbors(sch, x, 2) + neighbors(sch, x, 4)))
-
-
 def recover_hemisystem(sch: RelationScheme, x: int) -> tuple:
     """The half-partition part containing x, checked for independence.
 
@@ -223,14 +221,16 @@ def recover_hemisystem(sch: RelationScheme, x: int) -> tuple:
     used as the base; otherwise the characterization fails for this
     scheme and the offending base is reported.
     """
-    part = _half_from(sch, x)
-    for y in part:
-        other = _half_from(sch, y)
-        if other != part:
-            raise NotWellDefined(
-                f"base {x} gives a {len(part)}-set but base {y} inside "
-                f"it gives a different {len(other)}-set")
-    return part
+    even = (sch.rel == 2) | (sch.rel == 4)
+    np.fill_diagonal(even, True)
+    part = np.flatnonzero(even[x])
+    bad = first_true(np.any(even[part] != even[x], axis=1))
+    if bad:
+        y = int(part[bad[0]])
+        raise NotWellDefined(
+            f"base {x} gives a {len(part)}-set but base {y} inside "
+            f"it gives a different {int(even[y].sum())}-set")
+    return tuple(part.tolist())
 
 
 def verify_dual_hemisystem(sch: RelationScheme, cliques, part) -> bool:

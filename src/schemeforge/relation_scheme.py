@@ -5,8 +5,9 @@ construction of interest takes the 112 lines of the order-(9,3) quadrangle
 with a hemisystem and classifies ordered pairs of distinct lines: class 1
 for intersecting lines in different halves, 2 for intersecting in the same
 half, 3 for disjoint in different halves, 4 for disjoint in the same half.
-verify_scheme is the brute-force oracle: it recounts every intersection
-number over every pair and reports the first inconsistency.
+verify_scheme is the counting oracle: one integer product of class
+indicators counts every intersection number at every pair, and the first
+pair whose counts differ from its class's is reported.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SchemeforgeError
-from .geometry import GQ, Hemisystem, verify_hemisystem
+from .geometry import GQ, Hemisystem, first_true, quota_witness
 
 
 class NotHemisystem(SchemeforgeError, ValueError):
@@ -25,19 +26,6 @@ class NotHemisystem(SchemeforgeError, ValueError):
 
 class ShapeMismatch(SchemeforgeError, ValueError):
     """The relation table is not size x size."""
-
-
-def _quota_witness(gq: GQ, hemi: Hemisystem) -> str:
-    chosen = set(hemi.lines)
-    if 2 * len(chosen) != len(gq.lines):
-        return (f"{len(chosen)} lines chosen, expected "
-                f"{len(gq.lines) // 2}")
-    quota = (gq.t + 1) // 2
-    for p in gq.points:
-        got = sum(1 for li in gq.lines_through[p] if li in chosen)
-        if got != quota:
-            return f"point {p} lies on {got} chosen lines, quota {quota}"
-    return "quota check failed"
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,18 +41,13 @@ class RelationScheme:
 
 
 def scheme_from_hemisystem(gq: GQ, hemi: Hemisystem) -> RelationScheme:
-    if not verify_hemisystem(gq, hemi):
-        raise NotHemisystem(_quota_witness(gq, hemi))
+    witness = quota_witness(gq, hemi)
+    if witness is not None:
+        raise NotHemisystem(witness)
     n = len(gq.lines)
     half = np.zeros(n, dtype=bool)
     half[list(hemi.lines)] = True
-    meets = np.zeros((n, n), dtype=bool)
-    for p in gq.points:
-        through = gq.lines_through[p]
-        for a in range(len(through)):
-            for b in range(a + 1, len(through)):
-                meets[through[a], through[b]] = True
-                meets[through[b], through[a]] = True
+    meets = gq.incidence.T @ gq.incidence > 0
     same = half[:, None] == half[None, :]
     rel = np.where(meets, np.where(same, 2, 1), np.where(same, 4, 3))
     np.fill_diagonal(rel, 0)
@@ -73,7 +56,7 @@ def scheme_from_hemisystem(gq: GQ, hemi: Hemisystem) -> RelationScheme:
 
 @dataclass(frozen=True)
 class CountedParameters:
-    """Brute-force valencies and intersection numbers, with a verdict."""
+    """Counted valencies and intersection numbers, with a verdict."""
 
     valencies: tuple
     p: tuple          # (d+1)^3 nested tuple of counts
@@ -82,11 +65,14 @@ class CountedParameters:
 
 
 def verify_scheme(sch: RelationScheme) -> CountedParameters:
-    """Recount p^k_ij over every ordered pair and check full constancy.
+    """Count p^k_ij at every pair by products and check full constancy.
 
-    Structural defects (asymmetry, a stray 0 off the diagonal, a nonzero
-    diagonal) are reported the same way, as consistency=false with a
-    witness.
+    With A_i the 0/1 indicator of class i, the product A_i A_j holds at
+    (x, y) the number of z with x ~i z ~j y, so p^k_ij is read at the
+    first pair of class k, and the scheme is consistent iff A_i A_j equals
+    p^k_ij at every pair of every class k.  Structural defects (asymmetry,
+    a stray 0 off the diagonal, a nonzero diagonal) are reported the same
+    way, as consistency=false with a witness.
     """
     rel = sch.rel
     n, c = sch.size, sch.classes
@@ -94,48 +80,46 @@ def verify_scheme(sch: RelationScheme) -> CountedParameters:
     def fail(msg):
         return CountedParameters((), (), False, msg)
 
-    bad = np.argwhere(rel != rel.T)
-    if bad.size:
-        x, y = map(int, bad[0])
+    bad = first_true(rel != rel.T)
+    if bad:
+        x, y = bad
         return fail(f"rel({x},{y})={int(rel[x, y])} != rel({y},{x})="
                     f"{int(rel[y, x])}")
-    if np.any(np.diag(rel) != 0):
-        x = int(np.argwhere(np.diag(rel) != 0)[0][0])
-        return fail(f"rel({x},{x}) nonzero")
-    off = rel.copy()
-    np.fill_diagonal(off, 1)
-    if np.any(off == 0):
-        x, y = map(int, np.argwhere(off == 0)[0])
-        return fail(f"rel({x},{y})=0 off the diagonal")
+    bad = first_true(np.diag(rel) != 0)
+    if bad:
+        return fail(f"rel({bad[0]},{bad[0]}) nonzero")
+    bad = first_true((rel == 0) & ~np.eye(n, dtype=bool))
+    if bad:
+        return fail(f"rel({bad[0]},{bad[1]})=0 off the diagonal")
     if np.any(rel >= c) or np.any(rel < 0):
         return fail("class label out of range")
 
-    counts = np.stack([np.bincount(rel[x], minlength=c) for x in range(n)])
-    if np.any(counts != counts[0]):
-        x = int(np.argwhere(np.any(counts != counts[0], axis=1))[0][0])
-        return fail(f"valency row of {x} differs from row of 0")
+    adj = (rel == np.arange(c)[:, None, None]).astype(np.int64)
+    counts = adj.sum(axis=2).T
+    bad = first_true(np.any(counts != counts[0], axis=1))
+    if bad:
+        return fail(f"valency row of {bad[0]} differs from row of 0")
     valencies = tuple(int(v) for v in counts[0])
 
-    # representative p per class, then exhaustive constancy
-    rel16 = rel.astype(np.int16)
-    reference = [None] * c
+    firsts = [first_true(rel == k) for k in range(c)]
     p_rep = np.zeros((c, c, c), dtype=np.int64)
-    for x in range(n):
-        codes_x = rel16[x] * c
-        for y in range(n):
-            k = int(rel[x, y])
-            pair = np.bincount(codes_x + rel16[y], minlength=c * c)
-            if reference[k] is None:
-                reference[k] = pair
-                p_rep[k] = pair.reshape(c, c)
-            elif not np.array_equal(reference[k], pair):
-                i, j = map(int, divmod(int(np.argwhere(
-                    reference[k] != pair)[0][0]), c))
-                return CountedParameters(
-                    valencies, (), False,
-                    f"pair ({x},{y}) class {k}: count at ({i},{j}) is "
-                    f"{int(pair[i * c + j])}, expected "
-                    f"{int(reference[k][i * c + j])}")
+    differs = np.zeros((n, n), dtype=bool)
+    for i, j in np.ndindex(c, c):
+        prod = adj[i] @ adj[j]
+        for k, hit in enumerate(firsts):
+            if hit:
+                p_rep[k, i, j] = prod[hit]
+        differs |= prod != p_rep[rel, i, j]
+    bad = first_true(differs)
+    if bad:
+        x, y = bad
+        k = int(rel[x, y])
+        got = adj[:, x] @ adj[:, :, y].T
+        i, j = first_true(got != p_rep[k])
+        return CountedParameters(
+            valencies, (), False,
+            f"pair ({x},{y}) class {k}: count at ({i},{j}) is "
+            f"{int(got[i, j])}, expected {int(p_rep[k, i, j])}")
     p = tuple(tuple(tuple(int(v) for v in row) for row in plane)
               for plane in p_rep)
     return CountedParameters(valencies, p, True, None)

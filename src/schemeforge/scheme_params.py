@@ -123,15 +123,17 @@ def hemisystem_krein_array(t: int) -> KreinArray:
 
 
 def match_family_t(k: KreinArray) -> int | None:
-    """Recover t if the array is exactly the family array, else None."""
+    """Recover t if the array is exactly the family array, else None.
+
+    In the family b*_1 = s^2/t with s = t^2 - t + 1 prime to t, so t is
+    the denominator of b*_1 in lowest terms.
+    """
     if k.d != 4:
         return None
-    t = 3
-    while Fraction((t - 1) * (t * t + 1)) <= k.bstar[0]:
-        if hemisystem_krein_array(t) == k:
-            return t
-        t += 2
-    return None
+    t = Fraction(k.bstar[1]).denominator
+    if t < 3 or t % 2 == 0 or hemisystem_krein_array(t) != k:
+        return None
+    return t
 
 
 def build_L1star(k: KreinArray) -> RatMatrix:

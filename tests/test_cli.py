@@ -171,6 +171,17 @@ def test_internal_errors_surface_as_tracebacks(monkeypatch):
         main(["pipeline", "--t", "3"])
 
 
+def test_reconstruct_verifies_the_loaded_table(tmp_path, capsys, scheme_t3):
+    data = scheme_to_dict(scheme_t3)
+    assert data["rel"][77][60] == data["rel"][60][77] == 4
+    data["rel"][77][60] = 3
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(["reconstruct", "--in", str(path)], capsys)
+    assert code == 2
+    assert "rel(60,77)=4 != rel(77,60)=3" in err
+
+
 @pytest.mark.parametrize("entry", [1.9, 260])
 def test_reconstruct_rejects_malformed_relation_entries(tmp_path, capsys,
                                                         scheme_t3, entry):

@@ -1,5 +1,8 @@
 """GF(9), the quartic surface, GQ axioms, and the hemisystem search."""
 
+import itertools
+
+import numpy as np
 import pytest
 
 from schemeforge.geometry import (ADD, FOURTH, GQ, INV, MUL, NEG, Hemisystem,
@@ -115,11 +118,16 @@ def test_witnesses_of_a_doubled_joining_line():
         "one_connector", False, "point 0, line 4: 2 connectors")
 
 
-def test_common_line(hermitian_gq):
-    line = hermitian_gq.lines[0]
-    assert hermitian_gq.common_line(line[0], line[1]) == 0
-    with pytest.raises(ValueError):
-        hermitian_gq.common_line(5, 5)
+def test_incidence_products_mark_collinear_pairs(hermitian_gq):
+    inc = hermitian_gq.incidence
+    joins = inc @ inc.T
+    collinear = np.zeros_like(joins)
+    for line in hermitian_gq.lines:
+        for a, b in itertools.permutations(line, 2):
+            collinear[a, b] = 1
+    assert (np.diag(joins) == 4).all()
+    np.fill_diagonal(joins, 0)
+    assert (joins == collinear).all()
 
 
 # ------------------------------------------------------------ hemisystem

@@ -173,3 +173,31 @@ def test_ill_defined_recovery_is_reported(scheme_t3):
         recover_hemisystem(broken, a)
     assert str(err.value) == ("base 0 gives a 55-set but base 4 inside it "
                               "gives a different 56-set")
+
+
+def test_stray_zero_is_not_an_even_relation(scheme_t3):
+    rel = scheme_t3.rel.copy()
+    b = int(np.flatnonzero(rel[0] == 4)[0])
+    rel[0][b] = rel[b][0] = 0
+    broken = RelationScheme(size=112, classes=5, rel=rel)
+    with pytest.raises(NotWellDefined) as err:
+        recover_hemisystem(broken, 0)
+    assert str(err.value) == ("base 0 gives a 55-set but base 1 inside it "
+                              "gives a different 56-set")
+
+
+def test_overlapping_cliques_are_rejected(scheme_t3, monkeypatch):
+    import schemeforge.reconstruct as rc
+    real = rc.clique_from_r1_pair
+    x, u = 0, neighbors(scheme_t3, 0, 1)[0]
+    true = real(scheme_t3, x, u)
+    stranger = next(z for z in range(112) if z not in true.elements)
+
+    def skewed(sch, a, b):
+        if (a, b) != (x, u):
+            return real(sch, a, b)
+        return rc.Clique(true.half_C, (u, stranger))
+
+    monkeypatch.setattr(rc, "clique_from_r1_pair", skewed)
+    with pytest.raises(StructureViolation, match="lies in two cliques"):
+        all_cliques(scheme_t3)

@@ -1,4 +1,4 @@
-"""The concrete 4-class scheme as a brute-force counting oracle."""
+"""The concrete 4-class scheme as a counting oracle."""
 
 import numpy as np
 import pytest

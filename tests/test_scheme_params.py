@@ -1,13 +1,14 @@
 """Parameter derivation from the Krein array against the exact tables."""
 
+import time
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from schemeforge.linalg import char_poly, rational_roots
-from schemeforge.scheme_params import (BadParameter, build_L1star,
-                                       closed_form_parameters,
+from schemeforge.scheme_params import (BadParameter, KreinArray,
+                                       build_L1star, closed_form_parameters,
                                        derive_parameters, dual_eigenmatrix,
                                        first_eigenmatrix,
                                        hemisystem_krein_array,
@@ -40,8 +41,18 @@ def test_family_arrays_are_antipodal(t):
 
 
 def test_family_recognition():
-    assert match_family_t(hemisystem_krein_array(3)) == 3
-    assert match_family_t(hemisystem_krein_array(11)) == 11
+    for t in range(3, 52, 2):
+        assert match_family_t(hemisystem_krein_array(t)) == t
+    near = hemisystem_krein_array(5)
+    assert match_family_t(replace(near, bstar=(F(105),) + near.bstar[1:])) \
+        is None
+
+
+def test_family_recognition_of_a_huge_b0_is_immediate():
+    k = KreinArray.make((10 ** 30, 1, 1, 1), (1, 1, 1, 1))
+    start = time.perf_counter()
+    assert match_family_t(k) is None
+    assert time.perf_counter() - start < 0.5
 
 
 def test_tridiagonal_rows_sum_to_b0():
