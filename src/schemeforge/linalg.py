@@ -73,12 +73,6 @@ class RatMatrix:
     def to_rows(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(self.cols, self.rows,
-                         tuple(self.at(i, j)
-                               for j in range(self.cols)
-                               for i in range(self.rows)))
-
     def is_square(self) -> bool:
         return self.rows == self.cols
 
@@ -172,7 +166,6 @@ class AffineSolutionSpace:
     free_indices[f] so the parameter IS the value of that variable.
     """
 
-    variable_names: tuple
     particular: tuple
     basis: tuple
     free_indices: tuple
@@ -180,9 +173,6 @@ class AffineSolutionSpace:
     @property
     def dimension(self) -> int:
         return len(self.free_indices)
-
-    def is_unique(self) -> bool:
-        return not self.free_indices
 
 
 def _rref_rows(rows: list) -> tuple:
@@ -217,8 +207,7 @@ def _rref_rows(rows: list) -> tuple:
     return tuple(pivots)
 
 
-def solve_linear(a: RatMatrix, b: Sequence,
-                 names: Sequence | None = None) -> AffineSolutionSpace:
+def solve_linear(a: RatMatrix, b: Sequence) -> AffineSolutionSpace:
     """Solve a x = b exactly, returning the full affine solution space.
 
     Raises Inconsistent when no solution exists. Free variables are the
@@ -236,12 +225,6 @@ def solve_linear(a: RatMatrix, b: Sequence,
         pivots = _rref_rows(aug)
     if pivots and pivots[-1] == n:
         raise Inconsistent("system has no solution")
-    if names is None:
-        names = tuple(f"x{i}" for i in range(n))
-    else:
-        names = tuple(names)
-        if len(names) != n:
-            raise ValueError("one name per variable required")
     free = tuple(j for j in range(n) if j not in set(pivots))
     particular = [Fraction(0)] * n
     for r, pc in enumerate(pivots):
@@ -253,7 +236,7 @@ def solve_linear(a: RatMatrix, b: Sequence,
         for r, pc in enumerate(pivots):
             vec[pc] = -aug[r][f]
         basis.append(tuple(vec))
-    return AffineSolutionSpace(names, tuple(particular), tuple(basis), free)
+    return AffineSolutionSpace(tuple(particular), tuple(basis), free)
 
 
 def invert(m: RatMatrix) -> RatMatrix:

@@ -14,6 +14,7 @@ Tensors are nested tuples indexed [k][i][j].
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -209,6 +210,17 @@ def first_eigenmatrix(q: RatMatrix, order: Rat) -> RatMatrix:
     return invert(q).scale(order)
 
 
+def _spectral_tensor(mat: RatMatrix, weights: Sequence, norms: Sequence,
+                     order: Rat) -> tuple:
+    """Tensor [k][i][j] = sum_r w_r M_ri M_rj M_rk / (order * norms_k)."""
+    rng = range(mat.cols)
+    cols = [[mat.at(r, j) for r in rng] for j in rng]
+    return tuple(tuple(tuple(
+        sum(w * cols[i][r] * cols[j][r] * cols[kk][r]
+            for r, w in enumerate(weights)) / (order * norms[kk])
+        for j in rng) for i in rng) for kk in rng)
+
+
 def intersection_numbers(p_mat: RatMatrix, valencies: Sequence,
                          multiplicities: Sequence, order: Rat) -> tuple:
     """Tensor p[k][i][j] via the spectral triple-product identity.
@@ -216,24 +228,13 @@ def intersection_numbers(p_mat: RatMatrix, valencies: Sequence,
     p^k_ij * n_k * order = sum_r m_r P_ri P_rj P_rk. Every entry must be a
     nonnegative integer; NonIntegral carries the first offending index.
     """
-    d = p_mat.cols - 1
-    cols = [[p_mat.at(r, j) for r in range(d + 1)] for j in range(d + 1)]
-    out = []
-    for kk in range(d + 1):
-        plane = []
-        for i in range(d + 1):
-            row = []
-            for j in range(d + 1):
-                tot = sum(m * cols[i][r] * cols[j][r] * cols[kk][r]
-                          for r, m in enumerate(multiplicities))
-                val = tot / (order * valencies[kk])
-                if val.denominator != 1 or val < 0:
-                    raise NonIntegral(
-                        f"p^{kk}_{i}{j} = {val} is not a nonnegative integer")
-                row.append(val)
-            plane.append(tuple(row))
-        out.append(tuple(plane))
-    return tuple(out)
+    p = _spectral_tensor(p_mat, multiplicities, valencies, order)
+    for kk, i, j in itertools.product(range(len(p)), repeat=3):
+        val = p[kk][i][j]
+        if val.denominator != 1 or val < 0:
+            raise NonIntegral(
+                f"p^{kk}_{i}{j} = {val} is not a nonnegative integer")
+    return p
 
 
 def krein_numbers(q_mat: RatMatrix, valencies: Sequence,
@@ -243,23 +244,11 @@ def krein_numbers(q_mat: RatMatrix, valencies: Sequence,
     q^k_ij * m_k * order = sum_r n_r Q_ri Q_rj Q_rk. Entries must be
     nonnegative rationals (integrality is not required).
     """
-    d = q_mat.cols - 1
-    cols = [[q_mat.at(r, j) for r in range(d + 1)] for j in range(d + 1)]
-    out = []
-    for kk in range(d + 1):
-        plane = []
-        for i in range(d + 1):
-            row = []
-            for j in range(d + 1):
-                tot = sum(n * cols[i][r] * cols[j][r] * cols[kk][r]
-                          for r, n in enumerate(valencies))
-                val = tot / (order * multiplicities[kk])
-                if val < 0:
-                    raise NegativeKrein(f"q^{kk}_{i}{j} = {val} is negative")
-                row.append(val)
-            plane.append(tuple(row))
-        out.append(tuple(plane))
-    return tuple(out)
+    q = _spectral_tensor(q_mat, valencies, multiplicities, order)
+    for kk, i, j in itertools.product(range(len(q)), repeat=3):
+        if q[kk][i][j] < 0:
+            raise NegativeKrein(f"q^{kk}_{i}{j} = {q[kk][i][j]} is negative")
+    return q
 
 
 def closed_form_parameters(t: int) -> SchemeParameters:

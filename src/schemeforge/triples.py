@@ -9,8 +9,10 @@ symmetry identities when some of A, B, C coincide and by one linear
 equation per vanishing Krein parameter, and nonnegativity of the symbols
 then pins many of them to exact values.
 
-Unknowns are ordered lexicographically by (l, m, n). Solving is exact; the
-forcing step is interval propagation over the rationals, not an LP.
+Unknowns are ordered lexicographically by (l, m, n). Solving is exact, and
+so is forcing: every system of the family for odd t <= 51 has at most one
+free parameter, and nonnegativity bounds it by a ratio test over the
+solution line. A larger solution space raises HighNullity.
 """
 
 from __future__ import annotations
@@ -27,10 +29,6 @@ from .scheme_params import SchemeParameters
 
 Rat = Fraction
 
-# Sweeps of nonneg_force over the equations before it gives up on a fixpoint.
-MAX_FORCE_ROUNDS = 60
-
-
 class VacuousConfig(SchemeforgeError, ValueError):
     """No triple realizes the requested relation pattern (p^A_CB = 0)."""
 
@@ -41,6 +39,10 @@ class NotVanishing(SchemeforgeError, ValueError):
 
 class Infeasible(SchemeforgeError, ValueError):
     """Nonnegativity contradicts the linear system."""
+
+
+class HighNullity(SchemeforgeError, NotImplementedError):
+    """The solution space has more than one free parameter."""
 
 
 @dataclass(frozen=True)
@@ -264,8 +266,7 @@ def widened_system(cfg: TripleConfig,
 def solve(sys_: TripleSystem) -> TripleSolution:
     """Exact solution space; `forced` holds what linear algebra alone pins."""
     mat = RatMatrix.from_rows(sys_.rows)
-    space = solve_linear(mat, sys_.rhs,
-                         names=[f"[{l},{m},{n}]" for l, m, n in sys_.names])
+    space = solve_linear(mat, sys_.rhs)
     forced = {}
     nvar = len(sys_.names)
     for v in range(nvar):
@@ -276,101 +277,49 @@ def solve(sys_: TripleSystem) -> TripleSolution:
 
 
 def nonneg_force(sys_: TripleSystem, sol: TripleSolution) -> TripleSolution:
-    """Pin unknowns by exact interval propagation under x >= 0.
+    """Pin unknowns by the exact range of the free parameter under x >= 0.
 
-    Every equation a.x = rhs bounds each participating unknown once the
-    others are boxed; iterating to a fixpoint shrinks the boxes, and any
-    unknown whose box collapses to a point is forced. This is a syntactic
-    fixpoint over the rationals; no optimization is involved. Raises
-    Infeasible when a box empties, which would falsify nonnegativity.
+    With nullity 1 every solution is p + lam * b, where b carries a 1 at
+    the free unknown, so lam is its value. Each unknown v bounds lam from
+    below (b_v > 0) or above (b_v < 0) by -p_v / b_v; lam >= 0 is the
+    free unknown's own bound. A range that is one point forces every
+    unknown. This is the exact set of nonnegative solutions, not a
+    relaxation. Raises Infeasible when the range is empty or a pinned
+    value is negative, and HighNullity above nullity 1.
     """
-    n = len(sys_.names)
-    lo = [Fraction(0)] * n
-    hi: list = [None] * n
-    # equation list: original rows plus the solved basic-variable rows,
-    # which tie basic unknowns to the free ones directly.
-    eqs = [(row, r) for row, r in zip(sys_.rows, sys_.rhs)]
     space = sol.space
-    free = set(space.free_indices)
-    for v in range(n):
-        if v in free:
-            continue
-        row = [Fraction(0)] * n
-        row[v] = Fraction(1)
-        for fi, f in enumerate(space.free_indices):
-            row[f] = -space.basis[fi][v]
-        eqs.append((tuple(row), space.particular[v]))
-    supports = [[(v, c) for v, c in enumerate(row) if c != 0] for row, _ in eqs]
-
-    for _ in range(MAX_FORCE_ROUNDS):
-        changed = False
-        for (row, rhs), supp in zip(eqs, supports):
-            # extremes of sum a_v x_v over current boxes
-            smin: Fraction | None = Fraction(0)
-            smax: Fraction | None = Fraction(0)
-            for v, c in supp:
-                if c > 0:
-                    if smin is not None:
-                        smin += c * lo[v]
-                    if smax is not None:
-                        smax = None if hi[v] is None else smax + c * hi[v]
-                else:
-                    if smax is not None:
-                        smax += c * lo[v]
-                    if smin is not None:
-                        smin = None if hi[v] is None else smin + c * hi[v]
-            for v, c in supp:
-                # bounds on x_v from rhs = a_v x_v + (rest)
-                if c > 0:
-                    rest_max = None if (smax is None or hi[v] is None) \
-                        else smax - c * hi[v]
-                    rest_min = None if smin is None else smin - c * lo[v]
-                else:
-                    rest_max = None if smax is None else smax - c * lo[v]
-                    rest_min = None if (smin is None or hi[v] is None) \
-                        else smin - c * hi[v]
-                cand_lo = cand_hi = None
-                if c > 0:
-                    if rest_max is not None:
-                        cand_lo = (rhs - rest_max) / c
-                    if rest_min is not None:
-                        cand_hi = (rhs - rest_min) / c
-                else:
-                    if rest_max is not None:
-                        cand_hi = (rhs - rest_max) / c
-                    if rest_min is not None:
-                        cand_lo = (rhs - rest_min) / c
-                if cand_lo is not None and cand_lo > lo[v]:
-                    lo[v] = cand_lo
-                    changed = True
-                if cand_hi is not None and (hi[v] is None or cand_hi < hi[v]):
-                    hi[v] = cand_hi
-                    changed = True
-                if hi[v] is not None and lo[v] > hi[v]:
-                    raise Infeasible(
-                        f"{sys_.names[v]} boxed to [{lo[v]}, {hi[v]}]")
-        if not changed:
-            break
-
-    forced = dict(sol.forced)
-    residual = []
-    for v in range(n):
-        if hi[v] is not None and lo[v] == hi[v]:
-            forced[sys_.names[v]] = lo[v]
-        elif v in free:
-            residual.append(sys_.names[v])
+    names = sys_.names
+    if space.dimension > 1:
+        raise HighNullity(f"solution space has dimension {space.dimension}; "
+                          "forcing handles at most 1")
+    forced, residual = sol.forced, sol.residual_free
+    if space.dimension == 1:
+        (b,) = space.basis
+        lo = hi = None   # (bound on lam, index of the unknown that sets it)
+        for v, (pv, bv) in enumerate(zip(space.particular, b)):
+            if bv > 0 and (lo is None or -pv / bv > lo[0]):
+                lo = (-pv / bv, v)
+            elif bv < 0 and (hi is None or -pv / bv < hi[0]):
+                hi = (-pv / bv, v)
+        if hi is not None and lo[0] > hi[0]:
+            free = names[space.free_indices[0]]
+            raise Infeasible(
+                f"{names[lo[1]]} >= 0 needs {free} >= {lo[0]} but "
+                f"{names[hi[1]]} >= 0 needs {free} <= {hi[0]}")
+        if hi is not None and lo[0] == hi[0]:
+            forced = {nm: pv + lo[0] * bv
+                      for nm, pv, bv in zip(names, space.particular, b)}
+            residual = ()
     for nm, val in forced.items():
         if val < 0:
             raise Infeasible(f"{nm} forced to {val} < 0")
-    return TripleSolution(sys_.config, space, forced, tuple(residual))
+    return TripleSolution(sys_.config, space, dict(forced), residual)
 
 
-def forced_triple_values(params: SchemeParameters, abc,
-                         krein_tuples: Iterable | None = None
-                         ) -> TripleSolution:
+def forced_triple_values(params: SchemeParameters, abc) -> TripleSolution:
     """Build, widen, solve and force the system for one pattern."""
     cfg = TripleConfig(params, tuple(abc))
-    sys_ = widened_system(cfg, krein_tuples)
+    sys_ = widened_system(cfg)
     return nonneg_force(sys_, solve(sys_))
 
 

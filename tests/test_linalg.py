@@ -57,7 +57,6 @@ def test_underdetermined_space_has_free_parameters():
     m = RatMatrix.from_rows([[1, 1, 1]])
     space = solve_linear(m, [1])
     assert space.dimension == 2
-    assert not space.is_unique()
 
 
 def test_diagonal_spectrum_recovered():

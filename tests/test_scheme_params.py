@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from schemeforge.linalg import char_poly, rational_roots
+from schemeforge.linalg import RatMatrix, char_poly, rational_roots
 from schemeforge.scheme_params import (BadParameter, KreinArray,
+                                       NegativeKrein, NonIntegral,
                                        build_L1star, closed_form_parameters,
                                        derive_parameters, dual_eigenmatrix,
                                        first_eigenmatrix,
                                        hemisystem_krein_array,
+                                       intersection_numbers, krein_numbers,
                                        match_family_t, validate)
 
 F = Fraction
@@ -125,6 +127,25 @@ def test_krein_numbers_t3(params_t3):
     assert q[3][1][1] == 0
     assert q[4][1][1] == 0
     assert q[2][2][4] == 1
+
+
+def test_doctored_p_gives_a_non_integral_intersection_number(params_t3):
+    rows = params_t3.P.to_rows()
+    rows[2][2] += 1
+    with pytest.raises(NonIntegral) as exc:
+        intersection_numbers(RatMatrix.from_rows(rows), params_t3.valencies,
+                             params_t3.multiplicities, params_t3.order)
+    assert str(exc.value) == "p^0_02 = 5/8 is not a nonnegative integer"
+
+
+def test_doctored_q_gives_a_negative_krein_parameter(params_t3):
+    rows = params_t3.Q.to_rows()
+    for row in rows:
+        row[1] = -row[1]
+    with pytest.raises(NegativeKrein) as exc:
+        krein_numbers(RatMatrix.from_rows(rows), params_t3.valencies,
+                      params_t3.multiplicities, params_t3.order)
+    assert str(exc.value) == "q^1_11 = -8/3 is negative"
 
 
 def test_krein_round_trip(params_t3):

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from schemeforge.scheme_params import closed_form_parameters
-from schemeforge.triples import (Infeasible, NotVanishing, TripleConfig,
-                                 VacuousConfig, add_krein_vanishing,
+from schemeforge.triples import (HighNullity, Infeasible, NotVanishing,
+                                 TripleConfig, TripleSystem, VacuousConfig,
+                                 add_krein_vanishing,
                                  boundary_violations, build_base_system,
                                  count_residuals, direct_triple_counts,
                                  forced_triple_values,
@@ -194,6 +195,59 @@ def test_forcing_reports_infeasible_on_a_poisoned_system():
     poisoned = sys_.extended([tuple(pin)], [Fraction(-1)], "sum")
     with pytest.raises(Infeasible):
         nonneg_force(poisoned, solve(poisoned))
+
+
+def test_forcing_rejects_more_than_one_free_parameter():
+    sys_ = proof_system(7, (2, 2, 2))
+    with pytest.raises(HighNullity, match="dimension 6"):
+        nonneg_force(sys_, solve(sys_))
+
+
+def test_crossed_bounds_name_both_binding_unknowns():
+    """[1 1 1] + [1 1 2] = -1 with every other unknown 0: the free [1 1 2]
+    must be >= 0 for itself and <= -1 for [1 1 1]."""
+    base = build_base_system(TripleConfig(closed_form_parameters(5),
+                                          (2, 2, 2)))
+    names = base.names
+    rows = [tuple(Fraction(int(nm in ((1, 1, 1), (1, 1, 2)))) for nm in names)]
+    rows += [tuple(Fraction(int(nm == other)) for nm in names)
+             for other in names[2:]]
+    sys_ = TripleSystem(base.config, names, tuple(rows),
+                        (Fraction(-1),) + (Fraction(0),) * 62,
+                        ("sum",) * 63)
+    sol = solve(sys_)
+    assert sol.space.dimension == 1
+    with pytest.raises(Infeasible, match=r"\(1, 1, 2\).*\(1, 1, 1\)"):
+        nonneg_force(sys_, sol)
+
+
+def tensor_from(forced):
+    """A [l][m][n] tensor over classes 0..4 with the inner entries forced."""
+    return [[[forced.get((l, m, n), 0) for n in range(5)] for m in range(5)]
+            for l in range(5)]
+
+
+@pytest.mark.parametrize("abc,nullity", [((2, 2, 2), 0), ((2, 1, 1), 1)],
+                         ids=["nullity0", "collapsed"])
+def test_forcing_pins_every_unknown_t5(abc, nullity):
+    sys_ = widened_system(TripleConfig(closed_form_parameters(5), abc))
+    sol = solve(sys_)
+    assert sol.space.dimension == nullity
+    forced = nonneg_force(sys_, sol)
+    assert set(forced.forced) == set(sys_.names)
+    assert forced.residual_free == ()
+    assert all(v >= 0 for v in forced.forced.values())
+    assert count_residuals(sys_, tensor_from(forced.forced)) == []
+
+
+def test_forcing_leaves_an_open_range_free_t5():
+    sys_ = widened_system(TripleConfig(closed_form_parameters(5), (4, 4, 4)))
+    sol = solve(sys_)
+    assert sol.space.dimension == 1
+    forced = nonneg_force(sys_, sol)
+    assert forced.forced == sol.forced
+    assert len(forced.forced) == 48
+    assert forced.residual_free == (sys_.names[sol.space.free_indices[0]],)
 
 
 # ------------------------------------------------------------ counting oracle
