@@ -2,13 +2,12 @@
 
 Dense matrices with Fraction entries, reduced row echelon form with a fixed
 first-nonzero pivoting rule, parametric solution spaces for underdetermined
-systems, characteristic polynomials, and rational root extraction. All
-operations are pure and exact; no floating point is used anywhere.
+systems, and inversion. All operations are pure and exact; no floating
+point is used anywhere.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -76,11 +75,6 @@ class RatMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def trace(self) -> Rat:
-        if not self.is_square():
-            raise NotSquare("trace of a non-square matrix")
-        return sum((self.at(i, i) for i in range(self.rows)), Fraction(0))
-
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in product")
@@ -102,60 +96,6 @@ class RatMatrix:
         c = _rat(c)
         return RatMatrix(self.rows, self.cols,
                          tuple(c * x for x in self.entries))
-
-    def __str__(self) -> str:
-        rows = self.to_rows()
-        widths = [max(len(str(rows[i][j])) for i in range(self.rows))
-                  for j in range(self.cols)] if self.rows else []
-        return "\n".join(
-            "[" + "  ".join(str(x).rjust(w) for x, w in zip(row, widths)) + "]"
-            for row in rows)
-
-
-@dataclass(frozen=True)
-class RatPolynomial:
-    """Polynomial with Fraction coefficients, lowest degree first.
-
-    The zero polynomial is the empty coefficient tuple; otherwise the
-    leading coefficient is nonzero.
-    """
-
-    coefficients: tuple
-
-    @classmethod
-    def make(cls, coeffs: Iterable) -> "RatPolynomial":
-        cs = [_rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return cls(tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-    def __call__(self, x) -> Rat:
-        x = _rat(x)
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-    def deflate(self, root) -> "RatPolynomial":
-        """Divide by (x - root); the remainder must vanish."""
-        root = _rat(root)
-        cs = self.coefficients
-        out = [Fraction(0)] * (len(cs) - 1)
-        carry = Fraction(0)
-        for k in range(len(cs) - 1, 0, -1):
-            carry = cs[k] + root * carry
-            out[k - 1] = carry
-        if cs[0] + root * carry != 0:
-            raise ValueError(f"{root} is not a root")
-        return RatPolynomial.make(out)
-
 
 @dataclass(frozen=True)
 class AffineSolutionSpace:
@@ -250,112 +190,3 @@ def invert(m: RatMatrix) -> RatMatrix:
     if len(pivots) < n or any(p >= n for p in pivots):
         raise Singular("matrix is singular")
     return RatMatrix.from_rows([row[n:] for row in aug])
-
-
-def char_poly(m: RatMatrix) -> RatPolynomial:
-    """Characteristic polynomial det(xI - m), monic, by Faddeev-LeVerrier."""
-    if not m.is_square():
-        raise NotSquare("characteristic polynomial of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return RatPolynomial.make([1])
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    ident = RatMatrix.identity(n)
-    acc = m
-    for k in range(1, n + 1):
-        ck = -acc.trace() / k
-        coeffs[n - k] = ck
-        if k < n:
-            acc = m @ RatMatrix(n, n, tuple(
-                a + ck * e for a, e in zip(acc.entries, ident.entries)))
-    return RatPolynomial.make(coeffs)
-
-
-def _int_divisors(n: int) -> list:
-    """All positive divisors of n >= 1, ascending.
-
-    Trial division strips 2, then odd p while p * p <= the cofactor, and the
-    prime powers are expanded into the divisor list. The loop runs up to the
-    larger of the second-largest prime factor and the square root of the
-    largest, so it is quick on the family's coefficients (no prime factor
-    above 1301 for t <= 51) and slow only when n has two large ones.
-    """
-    divs = [1]
-
-    def expand(p, e):
-        divs.extend([d * p ** k for k in range(1, e + 1) for d in divs])
-
-    p = 2
-    while p * p <= n:
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e:
-            expand(p, e)
-        p += 1 if p == 2 else 2
-    if n > 1:
-        expand(n, 1)
-    return sorted(divs)
-
-
-def rational_roots(p: RatPolynomial) -> tuple:
-    """All rational roots of p, with multiplicity, sorted ascending.
-
-    Clears denominators to a primitive integer polynomial, enumerates
-    candidate roots num/den over divisors of the trailing and leading
-    coefficients, and verifies each candidate by exact evaluation.
-    """
-    if p.is_zero():
-        raise ValueError("the zero polynomial has every root")
-    roots = []
-    cs = list(p.coefficients)
-    # factor out x^k
-    k0 = next(i for i, c in enumerate(cs) if c != 0)
-    roots.extend([Fraction(0)] * k0)
-    cs = cs[k0:]
-    if len(cs) == 1:
-        return tuple(sorted(roots))
-    denlcm = math.lcm(*(c.denominator for c in cs))
-    ints = [int(c * denlcm) for c in cs]
-    content = math.gcd(*ints)
-    ints = [c // content for c in ints]
-
-    def eval_scaled(num: int, den: int) -> int:
-        # ints evaluated at num/den, times den^deg: exact integer Horner.
-        acc = ints[-1]
-        dpow = 1
-        for c in reversed(ints[:-1]):
-            dpow *= den
-            acc = acc * num + c * dpow
-        return acc
-
-    # For a primitive integer polynomial, a rational root num/den in lowest
-    # terms has num | trailing and den | leading coefficient, and (x - r) | p
-    # forces (den - num) | p(1) and (den + num) | p(-1): cheap filters before
-    # the exact evaluation.
-    e1 = sum(ints)
-    em1 = sum(c if i % 2 == 0 else -c for i, c in enumerate(ints))
-    found = []
-    nums = _int_divisors(abs(ints[0]))
-    for den in _int_divisors(abs(ints[-1])):
-        for num in nums:
-            if math.gcd(num, den) != 1:
-                continue
-            for nn in (num, -num):
-                d1 = den - nn
-                if d1 != 0 and e1 % d1 != 0:
-                    continue
-                dm1 = den + nn
-                if dm1 != 0 and em1 % dm1 != 0:
-                    continue
-                if eval_scaled(nn, den) == 0:
-                    found.append(Fraction(nn, den))
-    # multiplicities by deflation
-    q = RatPolynomial.make(cs)
-    for r in sorted(set(found)):
-        while not q.is_zero() and q.degree >= 1 and q(r) == 0:
-            roots.append(r)
-            q = q.deflate(r)
-    return tuple(sorted(roots))

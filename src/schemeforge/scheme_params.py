@@ -1,11 +1,12 @@
 """Association scheme parameters from a Krein array.
 
-The generic pipeline runs Krein array -> dual intersection matrix L1* ->
-second eigenmatrix Q (rows generated by the three-term dual recurrence) ->
-first eigenmatrix P = order * Q^(-1) -> intersection and Krein number
-tensors. For the hemisystem family (one cometric Q-antipodal 4-class scheme
-for each odd t >= 3) the same data is also available in closed form; the two
-routes are independent and cross-check each other.
+The generic pipeline runs Krein array -> eigenvalues of the tridiagonal
+dual intersection matrix L1* (integer Sturm bisection, no characteristic
+polynomial) -> second eigenmatrix Q (rows generated by the three-term dual
+recurrence) -> first eigenmatrix P = order * Q^(-1) -> intersection and
+Krein number tensors. For the hemisystem family (one cometric Q-antipodal
+4-class scheme for each odd t >= 3) the same data is also available in
+closed form; the two routes are independent and cross-check each other.
 
 Conventions: P rows are indexed by eigenspaces and columns by relations,
 Q rows by relations and columns by eigenspaces, so that P Q = order * I.
@@ -15,12 +16,13 @@ Tensors are nested tuples indexed [k][i][j].
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import SchemeforgeError
-from .linalg import RatMatrix, char_poly, invert, rational_roots
+from .linalg import RatMatrix, invert
 
 Rat = Fraction
 
@@ -34,7 +36,7 @@ class IrrationalEigenvalue(SchemeforgeError, ValueError):
 
 
 class DegenerateSpectrum(SchemeforgeError, ValueError):
-    """The dual eigenvalues are not simple (or no multiplicity row exists)."""
+    """The dual recurrence does not close, or no unique multiplicity row."""
 
 
 class NonIntegral(SchemeforgeError, ValueError):
@@ -137,33 +139,69 @@ def match_family_t(k: KreinArray) -> int | None:
     return t
 
 
-def build_L1star(k: KreinArray) -> RatMatrix:
-    """Dual intersection matrix (q^k_{1j})_{k,j}, tridiagonal.
+def _three_term(k: KreinArray) -> tuple:
+    """(a*, b*, c*) of L1* = (q^j_{1i})_{j,i}, with b*_d = c*_0 = 0.
 
-    Row j carries c*_j below the diagonal, a*_j = b*_0 - b*_j - c*_j on it
-    and b*_j above it (with b*_d = 0, c*_0 = 0), so every row sums to b*_0.
+    Row j of the tridiagonal L1* carries c*_j below the diagonal,
+    a*_j = b*_0 - b*_j - c*_j on it and b*_j above it, so every row sums
+    to b*_0.
     """
+    b = k.bstar + (Fraction(0),)
+    c = (Fraction(0),) + k.cstar
+    return tuple(k.bstar[0] - b[j] - c[j] for j in range(k.d + 1)), b, c
+
+
+def dual_eigenvalues(k: KreinArray) -> tuple:
+    """The rational eigenvalues of L1*, ascending, by integer Sturm bisection.
+
+    With D the lcm of the denominators of a*, b*, c*, the matrix D L1* is
+    integral with a monic integer characteristic polynomial, so a rational
+    eigenvalue is x / D for an integer x. Its leading principal minors
+    p_{j+1}(x) = (x - D a*_j) p_j - D^2 b*_{j-1} c*_j p_{j-1} form a Sturm
+    sequence, since every b*_{j-1} c*_j > 0: the d + 1 eigenvalues are real
+    and simple, and the sign changes of p_0(x)..p_{d+1}(x) count those
+    above x. For each i the bisection finds the least integer x with at
+    most d - i eigenvalues above it, the ceiling of the i-th smallest; it
+    is that eigenvalue exactly when p_{d+1}(x) = 0 and exactly d - i lie
+    above x (otherwise a rational eigenvalue i + 1 within 1 of an
+    irrational eigenvalue i would be found twice).
+    """
+    a, b, c = _three_term(k)
     d = k.d
-    b = list(k.bstar) + [Fraction(0)]
-    c = [Fraction(0)] + list(k.cstar)
-    rows = []
-    for j in range(d + 1):
-        row = [Fraction(0)] * (d + 1)
-        if j > 0:
-            row[j - 1] = c[j]
-        row[j] = k.bstar[0] - b[j] - c[j]
-        if j < d:
-            row[j + 1] = b[j]
-        rows.append(row)
-    return RatMatrix.from_rows(rows)
+    den = math.lcm(*(x.denominator for x in a + b + c))
+    diag, up, low = ([int(x * den) for x in xs] for xs in (a, b, c))
+    coupling = [0] + [up[j - 1] * low[j] for j in range(1, d + 1)]
+    radius = max(abs(diag[j]) + up[j] + low[j] for j in range(d + 1))
+
+    def above(x):
+        # (sign changes of p_0(x)..p_{d+1}(x), zeros dropped; p_{d+1}(x))
+        changes, positive, prev, cur = 0, True, 0, 1
+        for j in range(d + 1):
+            prev, cur = cur, (x - diag[j]) * cur - coupling[j] * prev
+            if cur:
+                changes += (cur > 0) != positive
+                positive = cur > 0
+        return changes, cur
+
+    roots = []
+    for i in range(d + 1):
+        # Gershgorin: all d + 1 eigenvalues lie above lo, none above hi
+        lo, hi = -radius - 1, radius
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if above(mid)[0] <= d - i:
+                hi = mid
+            else:
+                lo = mid
+        if above(hi) == (d - i, 0):
+            roots.append(Fraction(hi, den))
+    return tuple(roots)
 
 
 def _dual_row(k: KreinArray, theta: Rat) -> tuple:
     """One row of Q from the three-term recurrence at dual eigenvalue theta."""
     d = k.d
-    b = list(k.bstar) + [Fraction(0)]
-    c = [Fraction(0)] + list(k.cstar)
-    a = [k.bstar[0] - b[j] - c[j] for j in range(d + 1)]
+    a, b, c = _three_term(k)
     row = [Fraction(1), theta / c[1]]
     for j in range(1, d):
         nxt = ((theta - a[j]) * row[j] - b[j - 1] * row[j - 1]) / c[j + 1]
@@ -180,16 +218,15 @@ def dual_eigenmatrix(k: KreinArray) -> tuple:
 
     Q's first row is the multiplicity row (the unique all-positive one);
     the remaining rows are sorted by dual eigenvalue, descending. Callers
-    that know the family reorder them against the closed form.
+    that know the family reorder them against the closed form. No
+    eigenvalue repeats: b*, c* > 0 make the spectrum of L1* simple (see
+    dual_eigenvalues).
     """
     d = k.d
-    cp = char_poly(build_L1star(k))
-    roots = rational_roots(cp)
+    roots = dual_eigenvalues(k)
     if len(roots) < d + 1:
         raise IrrationalEigenvalue(
             f"only {len(roots)} of {d + 1} dual eigenvalues are rational")
-    if len(set(roots)) < d + 1:
-        raise DegenerateSpectrum("repeated dual eigenvalue")
     rows = {theta: _dual_row(k, theta) for theta in roots}
     positive = [theta for theta, row in rows.items()
                 if all(x > 0 for x in row)]
@@ -387,79 +424,58 @@ def derive_parameters(k: KreinArray, t: int | None = None) -> SchemeParameters:
 
 def validate(params: SchemeParameters,
              krein: KreinArray | None = None) -> ValidationReport:
-    """Structural sanity of a parameter set, reported check by check."""
+    """Structural sanity of a parameter set, reported check by check.
+
+    A failed check's witness names its first failure in index order.
+    """
     d = params.d
+    n, p, q = params.valencies, params.p, params.q
+    pairs = list(itertools.product(range(d + 1), repeat=2))
+    triples = list(itertools.product(range(d + 1), repeat=3))
     checks = []
 
     def check(name, ok, witness=""):
         checks.append((name, bool(ok), "" if ok else witness))
 
+    def check_each(name, witnesses):
+        # fail with the first witness the generator yields, if any
+        wit = next(witnesses, "")
+        check(name, not wit, wit)
+
     prod = params.P @ params.Q
     ident = RatMatrix.identity(d + 1).scale(params.order)
     check("eigenmatrix_inverse_pair", prod == ident,
           "P Q != order * I")
-
-    ok, wit = True, ""
-    for kk in range(d + 1):
-        for i in range(d + 1):
-            tot = sum(params.p[kk][i][j] for j in range(d + 1))
-            if tot != params.valencies[i]:
-                ok, wit = False, f"sum_j p^{kk}_{i}j = {tot} != n_{i}"
-                break
-        if not ok:
-            break
-    check("intersection_row_sums", ok, wit)
-
-    ok, wit = True, ""
-    for kk in range(d + 1):
-        for i in range(d + 1):
-            for j in range(d + 1):
-                lhs = params.valencies[kk] * params.p[kk][i][j]
-                rhs = params.valencies[i] * params.p[i][kk][j]
-                if lhs != rhs:
-                    ok, wit = False, f"n_k p^k_ij != n_i p^i_kj at {kk},{i},{j}"
-    check("valency_weighted_symmetry", ok, wit)
-
-    ok, wit = True, ""
-    for kk in range(d + 1):
-        for i in range(d + 1):
-            want = Fraction(1) if i == kk else Fraction(0)
-            if params.p[kk][i][0] != want:
-                ok, wit = False, f"p^{kk}_{i}0 != delta"
-    check("intersection_boundary", ok, wit)
-
-    bad = [(kk, i, j) for kk in range(d + 1) for i in range(d + 1)
-           for j in range(d + 1)
-           if params.p[kk][i][j].denominator != 1 or params.p[kk][i][j] < 0]
-    check("intersection_integrality", not bad,
-          f"p^{bad[0][0]}_{bad[0][1]}{bad[0][2]}" if bad else "")
-
-    badq = [(kk, i, j) for kk in range(d + 1) for i in range(d + 1)
-            for j in range(d + 1) if params.q[kk][i][j] < 0]
-    check("krein_nonnegativity", not badq,
-          f"q^{badq[0][0]}_{badq[0][1]}{badq[0][2]}" if badq else "")
+    check_each("intersection_row_sums", (
+        f"sum_j p^{kk}_{i}j = {sum(p[kk][i])} != n_{i}"
+        for kk, i in pairs if sum(p[kk][i]) != n[i]))
+    check_each("valency_weighted_symmetry", (
+        f"n_k p^k_ij != n_i p^i_kj at {kk},{i},{j}"
+        for kk, i, j in triples if n[kk] * p[kk][i][j] != n[i] * p[i][kk][j]))
+    check_each("intersection_boundary", (
+        f"p^{kk}_{i}0 != delta"
+        for kk, i in pairs if p[kk][i][0] != (1 if i == kk else 0)))
+    check_each("intersection_integrality", (
+        f"p^{kk}_{i}{j}" for kk, i, j in triples
+        if p[kk][i][j].denominator != 1 or p[kk][i][j] < 0))
+    check_each("krein_nonnegativity", (
+        f"q^{kk}_{i}{j}" for kk, i, j in triples if q[kk][i][j] < 0))
 
     if krein is None and params.t is not None:
         krein = hemisystem_krein_array(params.t)
     if krein is not None:
-        ok, wit = True, ""
-        for i in range(d):
-            if params.q[i][1][i + 1] != krein.bstar[i]:
-                ok, wit = False, f"q^{i}_1,{i + 1} != b*_{i}"
-        for i in range(1, d + 1):
-            if params.q[i][1][i - 1] != krein.cstar[i - 1]:
-                ok, wit = False, f"q^{i}_1,{i - 1} != c*_{i}"
-        check("krein_array_round_trip", ok, wit)
+        check_each("krein_array_round_trip", itertools.chain(
+            (f"q^{i}_1,{i + 1} != b*_{i}" for i in range(d)
+             if q[i][1][i + 1] != krein.bstar[i]),
+            (f"q^{i}_1,{i - 1} != c*_{i}" for i in range(1, d + 1)
+             if q[i][1][i - 1] != krein.cstar[i - 1])))
         check("antipodality", krein.is_antipodal(), "b*_i != c*_{d-i}")
 
-    ok, wit = True, ""
-    for kk in range(d + 1):
-        for j in range(d + 1):
-            if abs(kk - j) > 1 and params.q[kk][1][j] != 0:
-                ok, wit = False, f"q^{kk}_1{j} != 0 breaks the cometric band"
-    check("cometric_band", ok, wit)
+    check_each("cometric_band", (
+        f"q^{kk}_1{j} != 0 breaks the cometric band"
+        for kk, j in pairs if abs(kk - j) > 1 and q[kk][1][j] != 0))
 
-    sn = sum(params.valencies, Fraction(0))
+    sn = sum(n, Fraction(0))
     sm = sum(params.multiplicities, Fraction(0))
     check("size_sums", sn == params.order == sm,
           f"sum n = {sn}, sum m = {sm}, order = {params.order}")

@@ -1,6 +1,7 @@
 """Exercising the command line front end in process through main()."""
 
 import json
+import time
 
 import pytest
 
@@ -46,6 +47,23 @@ def test_params_from_krein_matches_t(tmp_path, capsys):
                       "--format", "json", "--out", str(by_k)], capsys)
     assert code == 0
     assert json.loads(by_t.read_text()) == json.loads(by_k.read_text())
+
+
+@pytest.mark.parametrize("array, witness", [
+    # a 10^12-sized d = 1 array, once stalled in factoring its coefficients
+    ("1000000000039;1000000000061",
+     "order 2000000000100/1000000000061 is not a positive integer"),
+    # an irrational eigenvalue within 1 of the rational eigenvalue b*_0
+    ("1000000000000000000000000000000,1,1,1;1,1,1,1",
+     "only 1 of 5 dual eigenvalues are rational"),
+    ("3,2;1,2", "only 1 of 3 dual eigenvalues are rational"),
+])
+def test_params_rejects_an_infeasible_array_at_once(array, witness, capsys):
+    start = time.perf_counter()
+    code, _, err = run(["params", "--krein", array], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert witness in err
 
 
 def test_params_needs_exactly_one_source(capsys):

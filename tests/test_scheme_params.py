@@ -1,17 +1,21 @@
 """Parameter derivation from the Krein array against the exact tables."""
 
+import math
 import time
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from schemeforge.linalg import RatMatrix, char_poly, rational_roots
+from schemeforge.linalg import RatMatrix, solve_linear
 from schemeforge.scheme_params import (BadParameter, KreinArray,
                                        NegativeKrein, NonIntegral,
-                                       build_L1star, closed_form_parameters,
+                                       _three_term, closed_form_parameters,
                                        derive_parameters, dual_eigenmatrix,
-                                       first_eigenmatrix,
+                                       dual_eigenvalues, first_eigenmatrix,
                                        hemisystem_krein_array,
                                        intersection_numbers, krein_numbers,
                                        match_family_t, validate)
@@ -58,23 +62,65 @@ def test_family_recognition_of_a_huge_b0_is_immediate():
 
 
 def test_tridiagonal_rows_sum_to_b0():
-    k = hemisystem_krein_array(3)
-    m = build_L1star(k)
-    for i in range(5):
-        assert sum(m.at(i, j) for j in range(5)) == F(20)
+    a, b, c = _three_term(hemisystem_krein_array(3))
+    assert all(a[j] + b[j] + c[j] == 20 for j in range(5))
+    assert b[4] == c[0] == 0
 
 
 def test_tridiagonal_diagonal_t3():
-    m = build_L1star(hemisystem_krein_array(3))
-    diag = tuple(m.at(i, i) for i in range(5))
-    assert diag == (0, 20 - F(49, 3) - 1, 20 - F(14, 3) - F(14, 3),
-                    20 - 1 - F(49, 3), 0)
+    a, _, _ = _three_term(hemisystem_krein_array(3))
+    assert a == (0, 20 - F(49, 3) - 1, 20 - F(14, 3) - F(14, 3),
+                 20 - 1 - F(49, 3), 0)
 
 
 def test_tridiagonal_spectrum_t3():
-    m = build_L1star(hemisystem_krein_array(3))
-    roots = set(rational_roots(char_poly(m)))
-    assert roots == {F(20), F(6), F(-8), F(-10, 3), F(4, 3)}
+    assert dual_eigenvalues(hemisystem_krein_array(3)) == \
+        (F(-8), F(-10, 3), F(4, 3), F(6), F(20))
+
+
+def test_dual_eigenvalues_are_the_closed_form_q_column():
+    for t in range(3, 52, 2):
+        column = sorted(closed_form_parameters(t).Q.at(i, 1)
+                        for i in range(5))
+        assert dual_eigenvalues(hemisystem_krein_array(t)) == tuple(column)
+
+
+def l1star(k):
+    """L1* as row lists: c*_j below, a*_j on and b*_j above the diagonal."""
+    a, b, c = _three_term(k)
+    return [[{j - 1: c[j], j: a[j], j + 1: b[j]}.get(i, F(0))
+             for i in range(k.d + 1)] for j in range(k.d + 1)]
+
+
+def reference_dual_eigenvalues(k):
+    """Float eigenvalues rounded to the 1/D grid, each confirmed exactly.
+
+    Every rational eigenvalue of L1* lies on the grid, and a candidate
+    theta is kept only if L1* - theta I has a nonzero null vector.
+    """
+    rows = l1star(k)
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    found = set()
+    for lam in np.linalg.eigvals(np.array(rows, dtype=float)):
+        theta = F(round(lam.real * den), den)
+        shifted = RatMatrix.from_rows(
+            [[x - theta if i == j else x for i, x in enumerate(row)]
+             for j, row in enumerate(rows)])
+        if solve_linear(shifted, [0] * (k.d + 1)).dimension > 0:
+            found.add(theta)
+    return tuple(sorted(found))
+
+
+krein_entries = st.builds(F, st.integers(1, 12), st.sampled_from((1, 2, 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+    st.lists(krein_entries, min_size=d, max_size=d),
+    st.lists(krein_entries, min_size=d, max_size=d))))
+def test_dual_eigenvalues_match_a_float_reference(array):
+    k = KreinArray.make(*array)
+    assert dual_eigenvalues(k) == reference_dual_eigenvalues(k)
 
 
 def test_dual_eigenmatrix_t3():
@@ -190,17 +236,33 @@ def test_validate_passes_on_tables(params_t3):
     assert not report.failed()
 
 
+def bumped(tensor, *indices):
+    """A copy of a [k][i][j] tensor with 1 added at each (k, i, j)."""
+    out = [[list(row) for row in plane] for plane in tensor]
+    for kk, i, j in indices:
+        out[kk][i][j] += 1
+    return tuple(tuple(tuple(row) for row in plane) for plane in out)
+
+
 def test_validate_names_a_corrupted_entry(params_t3):
-    bad_p = [[list(row) for row in plane] for plane in params_t3.p]
-    bad_p[2][3][3] += 1
-    corrupted = replace(params_t3,
-                        p=tuple(tuple(tuple(r) for r in pl)
-                                for pl in bad_p))
+    corrupted = replace(params_t3, p=bumped(params_t3.p, (2, 3, 3)))
     report = validate(corrupted, hemisystem_krein_array(3))
     assert not report.overall
     name, _, witness = report.failed()[0]
     assert name
     assert witness
+    # the first failing (k, i, j) in index order
+    assert dict((n, w) for n, _, w in report.failed())[
+        "valency_weighted_symmetry"] == "n_k p^k_ij != n_i p^i_kj at 2,3,3"
+
+
+def test_validate_names_the_first_band_breach(params_t3):
+    corrupted = replace(params_t3,
+                        q=bumped(params_t3.q, (1, 1, 4), (4, 1, 1)))
+    report = validate(corrupted, hemisystem_krein_array(3))
+    assert not report.overall
+    assert dict((n, w) for n, _, w in report.failed())["cometric_band"] == \
+        "q^1_14 != 0 breaks the cometric band"
 
 
 @pytest.mark.parametrize("t", range(21, 52, 2))
