@@ -9,8 +9,12 @@ symmetry identities when some of A, B, C coincide and by one linear
 equation per vanishing Krein parameter, and nonnegativity of the symbols
 then pins many of them to exact values.
 
-Unknowns are ordered lexicographically by (l, m, n). Solving is exact, and
-so is forcing: every system of the family for odd t <= 51 has at most one
+Unknowns are ordered lexicographically by (l, m, n). Solving is exact and
+runs on symmetry classes: the zero rows kill unknowns, the symmetry rows
+merge them, and elimination sees one column per surviving class (6 to 16
+for odd t <= 51, against d^3 = 64 names) and the distinct rows that remain
+(12 to 51). The solution space is then expanded back to the names. Forcing
+is exact too: every system of the family for odd t <= 51 has at most one
 free parameter, and nonnegativity bounds it by a ratio test over the
 solution line. A larger solution space raises HighNullity.
 """
@@ -242,17 +246,19 @@ def add_krein_vanishing(sys_: TripleSystem,
     A, B, C = cfg.abc
     Q = params.Q
     d = params.d
+    rng = range(1, d + 1)
+    cols = [[Q.at(i, j) for i in range(d + 1)] for j in range(d + 1)]
     rows, rhs = [], []
     for (r, s, t) in tuples:
         if params.q[t][r][s] != 0:
             raise NotVanishing(f"q^{t}_{r}{s} = {params.q[t][r][s]} != 0")
-        row = [Fraction(0)] * len(sys_.names)
-        for (l, m, n) in sys_.names:
-            row[sys_.index((l, m, n))] = Q.at(l, r) * Q.at(m, s) * Q.at(n, t)
-        rows.append(tuple(row))
-        rhs.append(-(Q.at(0, r) * Q.at(A, s) * Q.at(C, t)
-                     + Q.at(A, r) * Q.at(0, s) * Q.at(B, t)
-                     + Q.at(C, r) * Q.at(B, s) * Q.at(0, t)))
+        qr, qs, qt = cols[r], cols[s], cols[t]
+        # entries in `names` order: l, then m, then n
+        lm = [qr[l] * qs[m] for l in rng for m in rng]
+        rows.append(tuple(x * qt[n] for x in lm for n in rng))
+        rhs.append(-(qr[0] * qs[A] * qt[C]
+                     + qr[A] * qs[0] * qt[B]
+                     + qr[C] * qs[B] * qt[0]))
     return sys_.extended(rows, rhs, "krein")
 
 
@@ -263,12 +269,90 @@ def widened_system(cfg: TripleConfig,
                                tuples=krein_tuples)
 
 
+def _classes(sys_: TripleSystem) -> tuple:
+    """Symmetry classes of the unknowns, and the rows left to eliminate.
+
+    A row with one nonzero coefficient and right-hand side 0 kills its
+    unknown; a row c e_i - c e_j = 0 merges i and j. Returns the classes
+    that hold no killed unknown, each a sorted member list, ordered by
+    their largest member, and (row, rhs, support) for the rows that did
+    neither.
+    """
+    parent = list(range(len(sys_.names)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    killed, rest = [], []
+    for row, rhs in zip(sys_.rows, sys_.rhs):
+        support = [v for v, c in enumerate(row) if c]
+        if rhs == 0 and len(support) == 1:
+            killed.append(support[0])
+        elif (rhs == 0 and len(support) == 2
+              and row[support[0]] == -row[support[1]]):
+            parent[find(support[0])] = find(support[1])
+        else:
+            rest.append((row, rhs, support))
+    dead = {find(v) for v in killed}
+    members = {}
+    for v in range(len(parent)):
+        root = find(v)
+        if root not in dead:
+            members.setdefault(root, []).append(v)
+    return sorted(members.values(), key=lambda cls: cls[-1]), rest
+
+
 def solve(sys_: TripleSystem) -> TripleSolution:
-    """Exact solution space; `forced` holds what linear algebra alone pins."""
-    mat = RatMatrix.from_rows(sys_.rows)
-    space = solve_linear(mat, sys_.rhs)
-    forced = {}
+    """Exact solution space; `forced` holds what linear algebra alone pins.
+
+    Elimination runs on the symmetry classes of `_classes`, not on the
+    d^3 names: every other row is summed over each class, rows that
+    become 0 = 0 or repeat an earlier row are dropped, and 0 = b with
+    b != 0 raises Inconsistent. The reduced space is expanded back to the
+    names, with each free index the largest member of its free class.
+    Every null vector is constant on a class and zero on killed unknowns,
+    and in an RREF free columns are the largest indices in the supports
+    of null vectors, so the result equals elimination on all d^3 columns,
+    field for field.
+    """
+    classes, rest = _classes(sys_)
+    col = {v: j for j, cls in enumerate(classes) for v in cls}
+    rows, rhs, seen = [], [], set()
+    for row, b, support in rest:
+        red = [Fraction(0)] * len(classes)
+        for v in support:
+            if v in col:
+                red[col[v]] += row[v]
+        key = (tuple(red), b)
+        if not any(red):
+            if b != 0:
+                raise Inconsistent("system has no solution")
+        elif key not in seen:
+            seen.add(key)
+            rows.append(key[0])
+            rhs.append(b)
+    # built directly, so that a system with no rows left keeps its columns
+    reduced = solve_linear(
+        RatMatrix(len(rows), len(classes), tuple(x for r in rows for x in r)),
+        rhs)
+
     nvar = len(sys_.names)
+
+    def expand(vec):
+        out = [Fraction(0)] * nvar
+        for cls, x in zip(classes, vec):
+            for v in cls:
+                out[v] = x
+        return tuple(out)
+
+    space = AffineSolutionSpace(
+        expand(reduced.particular),
+        tuple(expand(vec) for vec in reduced.basis),
+        tuple(classes[j][-1] for j in reduced.free_indices))
+    forced = {}
     for v in range(nvar):
         if all(vec[v] == 0 for vec in space.basis):
             forced[sys_.names[v]] = space.particular[v]

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from schemeforge.linalg import Inconsistent, RatMatrix, solve_linear
 from schemeforge.scheme_params import closed_form_parameters
 from schemeforge.triples import (HighNullity, Infeasible, NotVanishing,
                                  TripleConfig, TripleSystem, VacuousConfig,
@@ -148,6 +149,98 @@ def test_dependency_identity(t):
     assert functional(space.particular) == 0
     for vec in space.basis:
         assert functional(vec) == 0
+
+
+def reference_solve(sys_):
+    """Elimination on all 64 columns: (space, forced, free names)."""
+    space = solve_linear(RatMatrix.from_rows(sys_.rows), sys_.rhs)
+    forced = {nm: space.particular[v] for v, nm in enumerate(sys_.names)
+              if all(vec[v] == 0 for vec in space.basis)}
+    return space, forced, tuple(sys_.names[f] for f in space.free_indices)
+
+
+def assert_matches_reference(sys_):
+    sol = solve(sys_)
+    space, forced, free = reference_solve(sys_)
+    assert sol.space == space
+    assert sol.forced == forced
+    assert sol.residual_free == free
+    return sol
+
+
+def differential_system(t, abc, form):
+    if form == "widened":
+        return widened_system(TripleConfig(closed_form_parameters(t), abc))
+    sys_ = proof_system(t, abc)
+    return sys_ if form == "proof" else sys_.select(("symmetry",))
+
+
+@pytest.mark.parametrize("t,abc,form,dimension", [
+    (3, (2, 1, 1), "widened", 0), (3, (1, 2, 3), "widened", 0),
+    (3, (4, 4, 4), "widened", 1), (5, (2, 2, 2), "widened", 0),
+    (5, (2, 1, 1), "widened", 1), (5, (4, 4, 4), "widened", 1),
+    (7, (2, 2, 2), "proof", 6), (7, (2, 1, 1), "proof", 9),
+    (7, (2, 2, 2), "symmetry", 20)])
+def test_solve_matches_64_column_elimination(t, abc, form, dimension):
+    """Elimination on symmetry classes gives the 64-column result, field
+    for field; the many-free-column systems pin the free index order."""
+    sys_ = differential_system(t, abc, form)
+    sol = assert_matches_reference(sys_)
+    assert sol.space.dimension == dimension
+
+
+def hand_system(rows):
+    """A t = 5 system from ({index: coefficient}, rhs) pairs, with every
+    unknown from 32 on killed by a zero row."""
+    base = build_base_system(TripleConfig(closed_form_parameters(5),
+                                          (2, 2, 2)))
+    rows = list(rows) + [({v: 1}, 0) for v in range(32, 64)]
+    return TripleSystem(
+        base.config, base.names,
+        tuple(tuple(Fraction(row.get(v, 0)) for v in range(64))
+              for row, _ in rows),
+        tuple(Fraction(b) for _, b in rows), ("sum",) * len(rows))
+
+
+def test_a_class_with_a_killed_unknown_is_all_zero():
+    """[3] = [9] and [3] = 0, so [3] + [5] = 2 leaves [5] = 2."""
+    sys_ = hand_system([({3: 1, 9: -1}, 0), ({3: 1}, 0),
+                        ({3: 1, 5: 1}, 2)])
+    sol = assert_matches_reference(sys_)
+    names = sys_.names
+    assert sol.forced[names[3]] == sol.forced[names[9]] == 0
+    assert sol.forced[names[5]] == 2
+
+
+@pytest.mark.parametrize("rows", [
+    [({4: 2, 7: -2}, 0), ({4: 1, 7: -1}, 1)],
+    [({4: 1}, 0), ({4: 3}, 6)]], ids=["merged", "killed"])
+def test_a_row_that_becomes_zero_equals_b_is_inconsistent(rows):
+    sys_ = hand_system(rows)
+    with pytest.raises(Inconsistent, match="system has no solution"):
+        reference_solve(sys_)
+    with pytest.raises(Inconsistent, match="system has no solution"):
+        solve(sys_)
+
+
+def test_a_free_class_reports_its_largest_member():
+    """{20, 25, 26, 30} is merged in an order that roots it inside, not at
+    30; with [20] + [28] = 1 the class holding 30 is the free one."""
+    sys_ = hand_system([({20: 1, 30: -1}, 0), ({25: 1, 26: -1}, 0),
+                        ({20: 1, 25: -1}, 0), ({20: 1, 28: 1}, 1)]
+                       + [({v: 1}, 0) for v in range(32)
+                          if v not in (20, 25, 26, 28, 30)])
+    sol = assert_matches_reference(sys_)
+    assert sol.space.free_indices == (30,)
+
+
+def test_a_system_whose_rows_all_reduce_away_is_solved():
+    sys_ = hand_system([({0: 1, 1: -1}, 0), ({3: 1, 2: -1}, 0),
+                        ({0: 1, 1: -1, 2: 2, 3: -2}, 0), ({1: 1, 0: -1}, 0)]
+                       + [({v: 1}, 0) for v in range(4, 32)])
+    sol = assert_matches_reference(sys_)
+    assert sol.space.free_indices == (1, 3)
+    assert not any(sol.space.particular)
 
 
 # ------------------------------------------------------------ forcing
