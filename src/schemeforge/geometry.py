@@ -58,6 +58,7 @@ def _build_tables():
 
 
 ADD, MUL, NEG, INV, FOURTH = _build_tables()
+CONJ = tuple(MUL[a][MUL[a][a]] for a in range(9))   # a^3, conjugate over GF(3)
 
 
 # ------------------------------------------------------------- PG(3, 9)
@@ -144,9 +145,17 @@ def build_hermitian_gq() -> GQ:
     on_surface = set(coords)
     lines = set()
     covered = set()
+    conj = [tuple(CONJ[x] for x in c) for c in coords]
     for i, p in enumerate(coords):
         for j in range(i + 1, len(coords)):
             if (i, j) in covered:
+                continue
+            # two surface points span a surface line iff they are
+            # orthogonal under the Hermitian form sum p_i q_i^3
+            form = 0
+            for a, b in zip(p, conj[j]):
+                form = ADD[form][MUL[a][b]]
+            if form != 0:
                 continue
             q = coords[j]
             full = []

@@ -9,6 +9,7 @@ element.  Every operation here both constructs and checks: a failed
 characterization is reported with a witness, never smoothed over.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,31 +132,33 @@ def clique_from_r1_pair(sch: RelationScheme, x: int, u: int) -> Clique:
 
 
 def all_cliques(sch: RelationScheme) -> tuple:
-    """Every maximal {0,1,2}-clique, deduplicated and sorted.
+    """Every maximal {0,1,2}-clique, each built once, sorted.
 
-    Built from every 2-related and every 1-related pair, then cross
-    checked with the element x clique incidence M: off the diagonal,
-    M M^T must be the indicator of relations {1, 2}, so each such pair
-    lies in exactly one clique and two cliques share at most one element.
+    Pairs are taken in order, 1-related before 2-related for each x, and
+    a pair is skipped when a clique already built holds it; the cliques
+    are then cross checked with the element x clique incidence M: off
+    the diagonal, M M^T must be the indicator of relations {1, 2}, so
+    each such pair lies in exactly one clique and two cliques share at
+    most one element.
     """
-    by_key = {}
+    built, covered = [], set()
 
-    def record(clq: Clique) -> None:
-        prev = by_key.setdefault(clq.elements, clq)
-        if prev.halves != clq.halves:
-            raise StructureViolation(
-                f"clique {clq.elements} arose with two different half "
-                f"splits: {sorted(prev.halves)} and {sorted(clq.halves)}")
+    def build(make, x: int, y: int) -> None:
+        if (x, y) not in covered:
+            clq = make(sch, x, y)
+            built.append(clq)
+            covered.update(itertools.combinations(clq.elements, 2))
 
     for x in range(sch.size):
-        for y in neighbors(sch, x, 2):
-            if x < y:
-                record(clique_from_r2_pair(sch, x, y))
         for u in neighbors(sch, x, 1):
             if x < u:
-                record(clique_from_r1_pair(sch, x, u))
+                build(clique_from_r1_pair, x, u)
+        for y in neighbors(sch, x, 2):
+            if x < y:
+                build(clique_from_r2_pair, x, y)
 
-    keys = sorted(by_key)
+    built.sort(key=lambda clq: clq.elements)
+    keys = [clq.elements for clq in built]
     inc = incidence_matrix(sch.size, keys)
     shared = inc @ inc.T
     np.fill_diagonal(shared, 0)
@@ -173,7 +176,7 @@ def all_cliques(sch: RelationScheme) -> tuple:
             f"cliques cover {np.count_nonzero(np.triu(shared))} "
             f"low-relation pairs, expected {np.count_nonzero(np.triu(low))}")
 
-    return tuple(by_key[key] for key in keys)
+    return tuple(built)
 
 
 # ------------------------------------------------------------ dual GQ

@@ -49,6 +49,10 @@ class HighNullity(SchemeforgeError, NotImplementedError):
     """The solution space has more than one free parameter."""
 
 
+class CheckerOverflow(SchemeforgeError, OverflowError):
+    """A scaled row could overflow int64 in the residual checker."""
+
+
 @dataclass(frozen=True)
 class TripleConfig:
     """A relation pattern (A, B, C) over a fixed parameter set."""
@@ -235,6 +239,11 @@ def add_krein_vanishing(sys_: TripleSystem,
     moved to the right-hand side. Explicitly requested tuples are expanded
     to all their index permutations; by default every ordered tuple with
     q^t_rs = 0 is used.
+
+    The coefficient products are formed once per orbit, for the sorted
+    tuple k. A tuple (k[p0], k[p1], k[p2]) puts the same factors in the
+    slots p, so its row is the orbit's row read at the names with their
+    slots moved by p. The right-hand sides are formed per tuple.
     """
     cfg = sys_.config
     params = cfg.params
@@ -248,14 +257,26 @@ def add_krein_vanishing(sys_: TripleSystem,
     d = params.d
     rng = range(1, d + 1)
     cols = [[Q.at(i, j) for i in range(d + 1)] for j in range(d + 1)]
+    # moved[p][v]: index of the name whose slot p[i] holds names[v][i]
+    moved = {p: [sys_.index(tuple(nm[p.index(j)] for j in range(3)))
+                 for nm in sys_.names]
+             for p in itertools.permutations(range(3))}
+    orbit_rows = {}
     rows, rhs = [], []
-    for (r, s, t) in tuples:
+    for tup in tuples:
+        r, s, t = tup
         if params.q[t][r][s] != 0:
             raise NotVanishing(f"q^{t}_{r}{s} = {params.q[t][r][s]} != 0")
+        key = tuple(sorted(tup))
+        if key not in orbit_rows:
+            qr, qs, qt = (cols[k] for k in key)
+            # entries in `names` order: l, then m, then n
+            lm = [qr[l] * qs[m] for l in rng for m in rng]
+            orbit_rows[key] = tuple(x * qt[n] for x in lm for n in rng)
+        base = orbit_rows[key]
+        perm = next(p for p in moved if tuple(key[i] for i in p) == tup)
+        rows.append(tuple(base[v] for v in moved[perm]))
         qr, qs, qt = cols[r], cols[s], cols[t]
-        # entries in `names` order: l, then m, then n
-        lm = [qr[l] * qs[m] for l in rng for m in rng]
-        rows.append(tuple(x * qt[n] for x in lm for n in rng))
         rhs.append(-(qr[0] * qs[A] * qt[C]
                      + qr[A] * qs[0] * qt[B]
                      + qr[C] * qs[B] * qt[0]))
@@ -433,25 +454,46 @@ def direct_triple_counts(sch, x: int, y: int, u: int) -> tuple:
                  for l in range(c))
 
 
+def scaled_integer_rows(sys_: TripleSystem) -> tuple:
+    """The rows and right-hand sides as int64 arrays, each row scaled.
+
+    A row and its right-hand side are multiplied by the lcm D of their
+    denominators; an entry c becomes c.numerator * (D // c.denominator),
+    the integer c * D, with no Fraction arithmetic. Raises
+    CheckerOverflow, naming the row, when the int64 product of a row with
+    a count tensor could wrap.
+    """
+    import numpy as np
+    order = int(sys_.config.params.order)
+    scaled_rows = []
+    scaled_rhs = []
+    for i, (row, rhs) in enumerate(zip(sys_.rows, sys_.rhs)):
+        denom = math.lcm(rhs.denominator, *(c.denominator for c in row))
+        ints = [c.numerator * (denom // c.denominator) for c in row]
+        b = rhs.numerator * (denom // rhs.denominator)
+        # A count is at most `order`, so every partial sum of row . counts
+        # and the residual row . counts - b lie within
+        # sum |a_ij| * order + |b_i|; below 2^63, int64 cannot wrap.
+        if sum(map(abs, ints)) * order + abs(b) >= 2 ** 63:
+            raise CheckerOverflow(
+                f"{sys_.kinds[i]} row {i}, scaled by {denom}, can overflow "
+                f"int64 on counts up to {order}")
+        scaled_rows.append(ints)
+        scaled_rhs.append(b)
+    return (np.array(scaled_rows, dtype=np.int64),
+            np.array(scaled_rhs, dtype=np.int64))
+
+
 def integer_residual_checker(sys_: TripleSystem):
     """Precompiled exact residual test for direct-count tensors.
 
-    Every row is scaled by the least common denominator into integers
-    once, so the per-tensor check is a single integer matrix product.
-    Returns a function mapping a tensor to the index of the first
-    violated row, or None when every equation is satisfied.
+    The rows are scaled into integers once (`scaled_integer_rows`), so
+    the per-tensor check is a single int64 matrix product. Returns a
+    function mapping a tensor to the index of the first violated row, or
+    None when every equation is satisfied.
     """
     import numpy as np
-    scaled_rows = []
-    scaled_rhs = []
-    for row, rhs in zip(sys_.rows, sys_.rhs):
-        denom = rhs.denominator
-        for c in row:
-            denom = denom * c.denominator // math.gcd(denom, c.denominator)
-        scaled_rows.append([int(c * denom) for c in row])
-        scaled_rhs.append(int(rhs * denom))
-    mat = np.array(scaled_rows, dtype=np.int64)
-    vec_rhs = np.array(scaled_rhs, dtype=np.int64)
+    mat, vec_rhs = scaled_integer_rows(sys_)
     names = sys_.names
 
     def check(tensor):

@@ -5,8 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from schemeforge.geometry import (ADD, FOURTH, GQ, INV, MUL, NEG, Hemisystem,
-                                  NotFound, build_hermitian_gq,
+from schemeforge.geometry import (ADD, CONJ, FOURTH, GQ, INV, MUL, NEG,
+                                  Hemisystem, NotFound, build_hermitian_gq,
                                   find_hemisystem, hermitian_coordinates,
                                   hermitian_value, proj_points, verify_gq,
                                   verify_hemisystem)
@@ -36,6 +36,16 @@ def test_fourth_power_is_the_norm_map():
         x2 = MUL[a][a]
         assert FOURTH[a] == MUL[x2][x2]
         assert FOURTH[a] in (0, 1, 2)
+
+
+def test_cube_is_the_conjugation():
+    for a in range(9):
+        assert CONJ[CONJ[a]] == a
+        assert MUL[a][CONJ[a]] == FOURTH[a]
+        for b in range(9):
+            assert CONJ[MUL[a][b]] == MUL[CONJ[a]][CONJ[b]]
+            assert CONJ[ADD[a][b]] == ADD[CONJ[a]][CONJ[b]]
+    assert [a for a in range(9) if CONJ[a] == a] == [0, 1, 2]
 
 
 # ------------------------------------------------------------ projective space
@@ -128,6 +138,17 @@ def test_incidence_products_mark_collinear_pairs(hermitian_gq):
     assert (np.diag(joins) == 4).all()
     np.fill_diagonal(joins, 0)
     assert (joins == collinear).all()
+
+
+def test_collinear_means_orthogonal(hermitian_gq):
+    """Two surface points share a line iff sum p_i q_i^3 = 0."""
+    coords = hermitian_coordinates()
+    joins = (hermitian_gq.incidence @ hermitian_gq.incidence.T).tolist()
+    for i, j in itertools.combinations(range(len(coords)), 2):
+        form = 0
+        for a, b in zip(coords[i], coords[j]):
+            form = ADD[form][MUL[a][CONJ[b]]]
+        assert (form == 0) == (joins[i][j] == 1)
 
 
 # ------------------------------------------------------------ hemisystem

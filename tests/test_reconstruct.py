@@ -186,6 +186,18 @@ def test_stray_zero_is_not_an_even_relation(scheme_t3):
                               "gives a different 56-set")
 
 
+def test_each_clique_is_built_once(scheme_t3, monkeypatch):
+    import schemeforge.reconstruct as rc
+    pairs = []
+    for name in ("clique_from_r1_pair", "clique_from_r2_pair"):
+        def counted(sch, a, b, real=getattr(rc, name)):
+            pairs.append((a, b))
+            return real(sch, a, b)
+        monkeypatch.setattr(rc, name, counted)
+    assert len(all_cliques(scheme_t3)) == 280
+    assert len(pairs) == 280
+
+
 def test_overlapping_cliques_are_rejected(scheme_t3, monkeypatch):
     import schemeforge.reconstruct as rc
     real = rc.clique_from_r1_pair

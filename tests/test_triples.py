@@ -1,23 +1,32 @@
 """Triple intersection systems: widening, solving, forcing, counting."""
 
 import itertools
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from schemeforge.linalg import Inconsistent, RatMatrix, solve_linear
 from schemeforge.scheme_params import closed_form_parameters
-from schemeforge.triples import (HighNullity, Infeasible, NotVanishing,
-                                 TripleConfig, TripleSystem, VacuousConfig,
-                                 add_krein_vanishing,
+from schemeforge.triples import (CheckerOverflow, HighNullity, Infeasible,
+                                 NotVanishing, TripleConfig, TripleSystem,
+                                 VacuousConfig, add_krein_vanishing,
                                  boundary_violations, build_base_system,
                                  count_residuals, direct_triple_counts,
                                  forced_triple_values,
                                  integer_residual_checker, nonneg_force,
-                                 solve, triple_pattern, vanishing_tuples,
-                                 widened_system)
+                                 scaled_integer_rows, solve, triple_pattern,
+                                 vanishing_tuples, widened_system)
 
 PROOF_TUPLES = ((1, 1, 3), (1, 1, 4), (1, 4, 2), (1, 4, 4))
+
+
+def patterns(params):
+    """Every non-vacuous (A, B, C) of the scheme."""
+    rng = range(1, params.d + 1)
+    return [abc for abc in itertools.product(rng, repeat=3)
+            if not TripleConfig(params, abc).is_vacuous]
 
 
 def proof_system(t, abc):
@@ -114,6 +123,40 @@ def test_vanishing_tuple_accepted():
     sys_ = build_base_system(cfg)
     widened = add_krein_vanishing(sys_, tuples=((1, 1, 3),))
     assert any(k == "krein" for k in widened.kinds)
+
+
+def direct_krein_rows(sys_, tuples):
+    """Krein rows and right-hand sides, each entry its own product."""
+    Q = sys_.config.params.Q
+    A, B, C = sys_.config.abc
+    rows = tuple(tuple(Q.at(l, r) * Q.at(m, s) * Q.at(n, t)
+                       for l, m, n in sys_.names)
+                 for r, s, t in tuples)
+    rhs = tuple(-(Q.at(0, r) * Q.at(A, s) * Q.at(C, t)
+                  + Q.at(A, r) * Q.at(0, s) * Q.at(B, t)
+                  + Q.at(C, r) * Q.at(B, s) * Q.at(0, t))
+                for r, s, t in tuples)
+    return rows, rhs
+
+
+@pytest.mark.parametrize("t", [3, 5, 7])
+def test_krein_rows_equal_the_direct_products(t):
+    params = closed_form_parameters(t)
+    tuples = vanishing_tuples(params)
+    for abc in patterns(params):
+        krein = widened_system(TripleConfig(params, abc)).select(("krein",))
+        assert (krein.rows, krein.rhs) == direct_krein_rows(krein, tuples)
+
+
+@pytest.mark.parametrize("requested", [PROOF_TUPLES, ((1, 1, 3),)])
+def test_requested_krein_rows_equal_the_direct_products(requested):
+    tuples = sorted({p for tup in requested
+                     for p in itertools.permutations(tup)})
+    for abc in ((2, 2, 2), (2, 1, 1), (1, 2, 3)):
+        sys_ = build_base_system(TripleConfig(closed_form_parameters(7), abc))
+        krein = add_krein_vanishing(sys_, tuples=requested).select(("krein",))
+        assert krein.kinds == ("krein",) * len(tuples)
+        assert (krein.rows, krein.rhs) == direct_krein_rows(krein, tuples)
 
 
 # ------------------------------------------------------------ solving
@@ -406,6 +449,81 @@ def test_integer_checker_agrees_with_exact_residuals(scheme_t3, params_t3):
     broken = [[list(r) for r in plane] for plane in tensor]
     broken[1][1][2] += 1
     assert checker(broken) is not None
+
+
+def reference_integer_rows(sys_):
+    """Each row and its right-hand side times their lcm, via Fraction."""
+    rows, rhs = [], []
+    for row, b in zip(sys_.rows, sys_.rhs):
+        denom = 1
+        for c in row + (b,):
+            denom = denom * c.denominator // math.gcd(denom, c.denominator)
+        rows.append([int(c * denom) for c in row])
+        rhs.append(int(b * denom))
+    return rows, rhs
+
+
+def reference_first_bad_row(sys_, tensor):
+    rows, rhs = reference_integer_rows(sys_)
+    vec = [tensor[l][m][n] for l, m, n in sys_.names]
+    return next((i for i, (row, b) in enumerate(zip(rows, rhs))
+                 if sum(a * x for a, x in zip(row, vec)) != b), None)
+
+
+def test_scaled_rows_equal_the_fraction_reference(params_t3):
+    for abc in patterns(params_t3):
+        sys_ = widened_system(TripleConfig(params_t3, abc))
+        mat, rhs = scaled_integer_rows(sys_)
+        rows, b = reference_integer_rows(sys_)
+        assert mat.dtype == rhs.dtype == np.int64
+        assert mat.tolist() == rows
+        assert rhs.tolist() == b
+
+
+def live_cube(sys_):
+    """+-1 on the corners of a 2x2x2 cube of unknowns that no zero row
+    kills. Every line sum stays, so the sum rows cannot notice."""
+    dead = {nm for row, kind in zip(sys_.rows, sys_.kinds) if kind == "zero"
+            for nm, c in zip(sys_.names, row) if c}
+    pairs = list(itertools.combinations(range(1, sys_.config.params.d + 1),
+                                        2))
+    lmn = next(lmn for lmn in itertools.product(pairs, repeat=3)
+               if dead.isdisjoint(itertools.product(*lmn)))
+    return {tuple(pair[i] for pair, i in zip(lmn, ijk)): (-1) ** sum(ijk)
+            for ijk in itertools.product((0, 1), repeat=3)}
+
+
+def test_checker_finds_the_reference_first_bad_row(scheme_t3, params_t3):
+    kinds = set()
+    for abc in patterns(params_t3):
+        sys_ = widened_system(TripleConfig(params_t3, abc))
+        checker = integer_residual_checker(sys_)
+        tensor = direct_triple_counts(scheme_t3, *find_triple(scheme_t3, abc))
+        assert checker(tensor) is None
+        for change in ({(3, 1, 2): 1}, live_cube(sys_)):
+            broken = [[list(r) for r in plane] for plane in tensor]
+            for (l, m, n), delta in change.items():
+                broken[l][m][n] += delta
+            bad = checker(broken)
+            assert bad is not None
+            assert bad == reference_first_bad_row(sys_, broken)
+            kinds.add(sys_.kinds[bad])
+    assert kinds == {"sum", "krein"}
+
+
+@pytest.mark.parametrize("t", [3, 5])
+def test_checkers_fit_int64_for_small_t(t):
+    params = closed_form_parameters(t)
+    for abc in patterns(params):
+        integer_residual_checker(widened_system(TripleConfig(params, abc)))
+
+
+def test_checker_refuses_rows_that_can_overflow_int64():
+    """Every count is at most the scheme's order; at t = 51 a scaled
+    Krein row times counts of that size can pass 2^63."""
+    sys_ = widened_system(TripleConfig(closed_form_parameters(51), (1, 1, 2)))
+    with pytest.raises(CheckerOverflow, match="krein row 120"):
+        integer_residual_checker(sys_)
 
 
 def test_distinct_elements_required(scheme_t3):
