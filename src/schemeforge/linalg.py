@@ -35,7 +35,11 @@ def _rat(x) -> Rat:
 
 @dataclass(frozen=True)
 class RatMatrix:
-    """Immutable row-major matrix of Fractions."""
+    """Immutable row-major matrix of Fractions.
+
+    Entries are coerced to Fraction on construction, so elimination on a
+    matrix built from ints stays exact and returns Fractions.
+    """
 
     rows: int
     cols: int
@@ -46,10 +50,11 @@ class RatMatrix:
             raise ValueError("negative dimension")
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entry count does not match dimensions")
+        object.__setattr__(self, "entries", tuple(map(_rat, self.entries)))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "RatMatrix":
-        data = [[_rat(x) for x in row] for row in rows]
+        data = [list(row) for row in rows]
         if not data:
             return cls(0, 0, ())
         ncols = len(data[0])

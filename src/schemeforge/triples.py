@@ -9,14 +9,17 @@ symmetry identities when some of A, B, C coincide and by one linear
 equation per vanishing Krein parameter, and nonnegativity of the symbols
 then pins many of them to exact values.
 
-Unknowns are ordered lexicographically by (l, m, n). Solving is exact and
-runs on symmetry classes: the zero rows kill unknowns, the symmetry rows
-merge them, and elimination sees one column per surviving class (6 to 16
-for odd t <= 51, against d^3 = 64 names) and the distinct rows that remain
-(12 to 51). The solution space is then expanded back to the names. Forcing
-is exact too: every system of the family for odd t <= 51 has at most one
-free parameter, and nonnegativity bounds it by a ratio test over the
-solution line. A larger solution space raises HighNullity.
+Every row and right-hand side is a Python int, so the residual checker
+reads the rows as they are built; a Krein row is its rational equation
+times the lcm of its denominators. Unknowns are ordered lexicographically
+by (l, m, n). Solving is exact and runs on symmetry classes: the zero
+rows kill unknowns, the symmetry rows merge them, and elimination sees one
+column per surviving class (6 to 16 for odd t <= 51, against d^3 = 64
+names) and the rows that remain distinct up to scale (12 to 44). Fraction
+arithmetic starts there. The solution space is then expanded back to the
+names. Forcing is exact too: every system of the family for odd t <= 51
+has at most one free parameter, and nonnegativity bounds it by a ratio
+test over the solution line. A larger solution space raises HighNullity.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .errors import SchemeforgeError
 from .linalg import AffineSolutionSpace, Inconsistent, RatMatrix, solve_linear
 from .scheme_params import SchemeParameters
 
-Rat = Fraction
 
 class VacuousConfig(SchemeforgeError, ValueError):
     """No triple realizes the requested relation pattern (p^A_CB = 0)."""
@@ -50,7 +52,7 @@ class HighNullity(SchemeforgeError, NotImplementedError):
 
 
 class CheckerOverflow(SchemeforgeError, OverflowError):
-    """A scaled row could overflow int64 in the residual checker."""
+    """A row could overflow int64 in the residual checker."""
 
 
 @dataclass(frozen=True)
@@ -76,13 +78,14 @@ class TripleConfig:
 class TripleSystem:
     """Linear equations over the d^3 inner symbols.
 
-    rows[i] is a coefficient tuple over `names`; kinds[i] tags where the
-    row came from ("sum", "zero", "symmetry", "krein").
+    rows[i] is a tuple of int coefficients over `names` and rhs[i] an int;
+    kinds[i] tags where the row came from ("sum", "zero", "symmetry",
+    "krein").
     """
 
     config: TripleConfig
     names: tuple   # of (l, m, n)
-    rows: tuple    # of coefficient tuples
+    rows: tuple    # of int coefficient tuples
     rhs: tuple
     kinds: tuple
 
@@ -96,13 +99,6 @@ class TripleSystem:
                        rows=self.rows + tuple(new_rows),
                        rhs=self.rhs + tuple(new_rhs),
                        kinds=self.kinds + (kind,) * len(new_rows))
-
-    def select(self, kinds) -> "TripleSystem":
-        keep = [i for i, k in enumerate(self.kinds) if k in kinds]
-        return replace(self,
-                       rows=tuple(self.rows[i] for i in keep),
-                       rhs=tuple(self.rhs[i] for i in keep),
-                       kinds=tuple(self.kinds[i] for i in keep))
 
 
 @dataclass(frozen=True)
@@ -142,9 +138,9 @@ def build_base_system(cfg: TripleConfig) -> TripleSystem:
     zero_rows = []
 
     def emit(members, value):
-        row = [Fraction(0)] * len(names)
+        row = [0] * len(names)
         for nm in members:
-            row[idx[nm]] = Fraction(1)
+            row[idx[nm]] = 1
         rows.append(tuple(row))
         rhs.append(value)
         kinds.append("sum")
@@ -157,23 +153,23 @@ def build_base_system(cfg: TripleConfig) -> TripleSystem:
     for m in rng:
         for n in rng:
             emit([(r, m, n) for r in rng],
-                 p[B][m][n] - (1 if (m, n) == (A, C) else 0))
+                 int(p[B][m][n]) - (1 if (m, n) == (A, C) else 0))
     for l in rng:
         for n in rng:
             emit([(l, r, n) for r in rng],
-                 p[C][l][n] - (1 if (l, n) == (A, B) else 0))
+                 int(p[C][l][n]) - (1 if (l, n) == (A, B) else 0))
     for l in rng:
         for m in rng:
             emit([(l, m, r) for r in rng],
-                 p[A][l][m] - (1 if (l, m) == (C, B) else 0))
+                 int(p[A][l][m]) - (1 if (l, m) == (C, B) else 0))
 
     sys_ = TripleSystem(cfg, names, tuple(rows), tuple(rhs), tuple(kinds))
     zrows = []
     for nm in sorted(set(zero_rows)):
-        row = [Fraction(0)] * len(names)
-        row[idx[nm]] = Fraction(1)
+        row = [0] * len(names)
+        row[idx[nm]] = 1
         zrows.append(tuple(row))
-    return sys_.extended(zrows, [Fraction(0)] * len(zrows), "zero")
+    return sys_.extended(zrows, [0] * len(zrows), "zero")
 
 
 def _slot_permutations(abc) -> list:
@@ -214,11 +210,11 @@ def add_symmetry(sys_: TripleSystem) -> TripleSystem:
             if key in seen:
                 continue
             seen.add(key)
-            row = [Fraction(0)] * n
-            row[sys_.index(nm)] = Fraction(1)
-            row[sys_.index(other)] = Fraction(-1)
+            row = [0] * n
+            row[sys_.index(nm)] = 1
+            row[sys_.index(other)] = -1
             rows.append(tuple(row))
-            rhs.append(Fraction(0))
+            rhs.append(0)
     return sys_.extended(rows, rhs, "symmetry")
 
 
@@ -240,10 +236,10 @@ def add_krein_vanishing(sys_: TripleSystem,
     to all their index permutations; by default every ordered tuple with
     q^t_rs = 0 is used.
 
-    The coefficient products are formed once per orbit, for the sorted
-    tuple k. A tuple (k[p0], k[p1], k[p2]) puts the same factors in the
-    slots p, so its row is the orbit's row read at the names with their
-    slots moved by p. The right-hand sides are formed per tuple.
+    The products are formed in integers from the columns of den * Q, den
+    the lcm of Q's denominators, so the equation comes out times den^3.
+    Dividing it by g = gcd(den^3, b, *row) leaves the rational equation
+    times the lcm of its own denominators.
     """
     cfg = sys_.config
     params = cfg.params
@@ -256,30 +252,23 @@ def add_krein_vanishing(sys_: TripleSystem,
     Q = params.Q
     d = params.d
     rng = range(1, d + 1)
-    cols = [[Q.at(i, j) for i in range(d + 1)] for j in range(d + 1)]
-    # moved[p][v]: index of the name whose slot p[i] holds names[v][i]
-    moved = {p: [sys_.index(tuple(nm[p.index(j)] for j in range(3)))
-                 for nm in sys_.names]
-             for p in itertools.permutations(range(3))}
-    orbit_rows = {}
+    den = math.lcm(*(x.denominator for x in Q.entries))
+    cols = [[Q.at(i, j).numerator * (den // Q.at(i, j).denominator)
+             for i in range(d + 1)] for j in range(d + 1)]
+    den3 = den ** 3
     rows, rhs = [], []
-    for tup in tuples:
-        r, s, t = tup
+    for r, s, t in tuples:
         if params.q[t][r][s] != 0:
             raise NotVanishing(f"q^{t}_{r}{s} = {params.q[t][r][s]} != 0")
-        key = tuple(sorted(tup))
-        if key not in orbit_rows:
-            qr, qs, qt = (cols[k] for k in key)
-            # entries in `names` order: l, then m, then n
-            lm = [qr[l] * qs[m] for l in rng for m in rng]
-            orbit_rows[key] = tuple(x * qt[n] for x in lm for n in rng)
-        base = orbit_rows[key]
-        perm = next(p for p in moved if tuple(key[i] for i in p) == tup)
-        rows.append(tuple(base[v] for v in moved[perm]))
         qr, qs, qt = cols[r], cols[s], cols[t]
-        rhs.append(-(qr[0] * qs[A] * qt[C]
-                     + qr[A] * qs[0] * qt[B]
-                     + qr[C] * qs[B] * qt[0]))
+        # entries in `names` order: l, then m, then n
+        lm = [qr[l] * qs[m] for l in rng for m in rng]
+        row = [x * qt[n] for x in lm for n in rng]
+        b = -(qr[0] * qs[A] * qt[C] + qr[A] * qs[0] * qt[B]
+              + qr[C] * qs[B] * qt[0])
+        g = math.gcd(den3, b, *row)
+        rows.append(tuple(x // g for x in row))
+        rhs.append(b // g)
     return sys_.extended(rows, rhs, "krein")
 
 
@@ -331,9 +320,11 @@ def solve(sys_: TripleSystem) -> TripleSolution:
 
     Elimination runs on the symmetry classes of `_classes`, not on the
     d^3 names: every other row is summed over each class, rows that
-    become 0 = 0 or repeat an earlier row are dropped, and 0 = b with
-    b != 0 raises Inconsistent. The reduced space is expanded back to the
-    names, with each free index the largest member of its free class.
+    become 0 = 0 or are a scalar multiple of an earlier row are dropped,
+    and 0 = b with b != 0 raises Inconsistent. Fractions enter only in
+    the elimination of the reduced rows. The reduced space is expanded
+    back to the names, with each free index the largest member of its
+    free class.
     Every null vector is constant on a class and zero on killed unknowns,
     and in an RREF free columns are the largest indices in the supports
     of null vectors, so the result equals elimination on all d^3 columns,
@@ -343,18 +334,24 @@ def solve(sys_: TripleSystem) -> TripleSolution:
     col = {v: j for j, cls in enumerate(classes) for v in cls}
     rows, rhs, seen = [], [], set()
     for row, b, support in rest:
-        red = [Fraction(0)] * len(classes)
+        red = [0] * len(classes)
         for v in support:
             if v in col:
                 red[col[v]] += row[v]
-        key = (tuple(red), b)
         if not any(red):
             if b != 0:
                 raise Inconsistent("system has no solution")
-        elif key not in seen:
+            continue
+        # divide by the gcd, first nonzero entry positive: one key per
+        # row up to scale
+        g = math.gcd(b, *red)
+        if next(x for x in red if x) < 0:
+            g = -g
+        key = (tuple(x // g for x in red), b // g)
+        if key not in seen:
             seen.add(key)
             rows.append(key[0])
-            rhs.append(b)
+            rhs.append(key[1])
     # built directly, so that a system with no rows left keeps its columns
     reduced = solve_linear(
         RatMatrix(len(rows), len(classes), tuple(x for r in rows for x in r)),
@@ -454,46 +451,27 @@ def direct_triple_counts(sch, x: int, y: int, u: int) -> tuple:
                  for l in range(c))
 
 
-def scaled_integer_rows(sys_: TripleSystem) -> tuple:
-    """The rows and right-hand sides as int64 arrays, each row scaled.
-
-    A row and its right-hand side are multiplied by the lcm D of their
-    denominators; an entry c becomes c.numerator * (D // c.denominator),
-    the integer c * D, with no Fraction arithmetic. Raises
-    CheckerOverflow, naming the row, when the int64 product of a row with
-    a count tensor could wrap.
-    """
-    import numpy as np
-    order = int(sys_.config.params.order)
-    scaled_rows = []
-    scaled_rhs = []
-    for i, (row, rhs) in enumerate(zip(sys_.rows, sys_.rhs)):
-        denom = math.lcm(rhs.denominator, *(c.denominator for c in row))
-        ints = [c.numerator * (denom // c.denominator) for c in row]
-        b = rhs.numerator * (denom // rhs.denominator)
-        # A count is at most `order`, so every partial sum of row . counts
-        # and the residual row . counts - b lie within
-        # sum |a_ij| * order + |b_i|; below 2^63, int64 cannot wrap.
-        if sum(map(abs, ints)) * order + abs(b) >= 2 ** 63:
-            raise CheckerOverflow(
-                f"{sys_.kinds[i]} row {i}, scaled by {denom}, can overflow "
-                f"int64 on counts up to {order}")
-        scaled_rows.append(ints)
-        scaled_rhs.append(b)
-    return (np.array(scaled_rows, dtype=np.int64),
-            np.array(scaled_rhs, dtype=np.int64))
-
-
 def integer_residual_checker(sys_: TripleSystem):
     """Precompiled exact residual test for direct-count tensors.
 
-    The rows are scaled into integers once (`scaled_integer_rows`), so
-    the per-tensor check is a single int64 matrix product. Returns a
-    function mapping a tensor to the index of the first violated row, or
-    None when every equation is satisfied.
+    The int rows become one int64 matrix, so the per-tensor check is a
+    single matrix product. Returns a function mapping a tensor to the
+    index of the first violated row, or None when every equation is
+    satisfied. Raises CheckerOverflow, naming the row, when the int64
+    product of a row with a count tensor could wrap.
     """
     import numpy as np
-    mat, vec_rhs = scaled_integer_rows(sys_)
+    order = int(sys_.config.params.order)
+    for i, (row, b) in enumerate(zip(sys_.rows, sys_.rhs)):
+        # A count is at most `order`, so every partial sum of row . counts
+        # and the residual row . counts - b lie within
+        # sum |a_ij| * order + |b_i|; below 2^63, int64 cannot wrap.
+        if sum(map(abs, row)) * order + abs(b) >= 2 ** 63:
+            raise CheckerOverflow(
+                f"{sys_.kinds[i]} row {i} can overflow int64 on counts up "
+                f"to {order}")
+    mat = np.array(sys_.rows, dtype=np.int64)
+    vec_rhs = np.array(sys_.rhs, dtype=np.int64)
     names = sys_.names
 
     def check(tensor):
@@ -516,24 +494,6 @@ def pattern_checkers(params: SchemeParameters):
         return cache[abc]
 
     return get
-
-
-def count_residuals(sys_: TripleSystem, tensor) -> list:
-    """Row-by-row residuals of a direct-count tensor against a system.
-
-    The tensor is indexed [l][m][n] with classes from 0; only inner entries
-    participate. Returns (kind, row_index, residual) for nonzero residuals.
-    """
-    out = []
-    for i, (row, rhs, kind) in enumerate(zip(sys_.rows, sys_.rhs, sys_.kinds)):
-        acc = -rhs
-        for v, coeff in enumerate(row):
-            if coeff:
-                l, m, n = sys_.names[v]
-                acc += coeff * tensor[l][m][n]
-        if acc != 0:
-            out.append((kind, i, acc))
-    return out
 
 
 def boundary_violations(cfg_abc, tensor) -> list:

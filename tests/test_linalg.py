@@ -1,5 +1,7 @@
 """Exact rational linear algebra: elimination and inversion."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,3 +54,40 @@ def test_underdetermined_space_has_free_parameters():
     m = RatMatrix.from_rows([[1, 1, 1]])
     space = solve_linear(m, [1])
     assert space.dimension == 2
+
+
+def only_fractions(space):
+    return all(type(x) is Fraction
+               for x in space.particular + sum(space.basis, ()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-5, 5), min_size=9, max_size=9),
+       st.lists(st.integers(-5, 5), min_size=3, max_size=3))
+def test_int_entries_solve_and_invert_exactly(entries, b):
+    """Int entries give the Fraction-entry results, in Fractions only."""
+    ints = RatMatrix(3, 3, tuple(entries))
+    fracs = RatMatrix(3, 3, tuple(map(Fraction, entries)))
+    assert ints == fracs
+    try:
+        space = solve_linear(ints, b)
+    except Inconsistent:
+        with pytest.raises(Inconsistent):
+            solve_linear(fracs, list(map(Fraction, b)))
+    else:
+        assert space == solve_linear(fracs, list(map(Fraction, b)))
+        assert only_fractions(space)
+    try:
+        inv = invert(ints)
+    except Singular:
+        with pytest.raises(Singular):
+            invert(fracs)
+    else:
+        assert inv == invert(fracs)
+        assert all(type(x) is Fraction for x in inv.entries)
+
+
+def test_an_int_pivot_divides_exactly():
+    space = solve_linear(RatMatrix(2, 2, (3, 1, 1, 1)), [1, 0])
+    assert space.particular == (Fraction(1, 2), Fraction(-1, 2))
+    assert only_fractions(space)

@@ -2,22 +2,22 @@
 
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
+from schemeforge import triples
 from schemeforge.linalg import Inconsistent, RatMatrix, solve_linear
 from schemeforge.scheme_params import closed_form_parameters
 from schemeforge.triples import (CheckerOverflow, HighNullity, Infeasible,
                                  NotVanishing, TripleConfig, TripleSystem,
                                  VacuousConfig, add_krein_vanishing,
                                  boundary_violations, build_base_system,
-                                 count_residuals, direct_triple_counts,
-                                 forced_triple_values,
+                                 direct_triple_counts, forced_triple_values,
                                  integer_residual_checker, nonneg_force,
-                                 scaled_integer_rows, solve, triple_pattern,
-                                 vanishing_tuples, widened_system)
+                                 solve, triple_pattern, vanishing_tuples,
+                                 widened_system)
 
 PROOF_TUPLES = ((1, 1, 3), (1, 1, 4), (1, 4, 2), (1, 4, 4))
 
@@ -29,11 +29,31 @@ def patterns(params):
             if not TripleConfig(params, abc).is_vacuous]
 
 
+def only(sys_, kinds):
+    """The rows of `sys_` whose kind is in `kinds`, in their order."""
+    keep = [i for i, k in enumerate(sys_.kinds) if k in kinds]
+    return TripleSystem(sys_.config, sys_.names,
+                        tuple(sys_.rows[i] for i in keep),
+                        tuple(sys_.rhs[i] for i in keep),
+                        tuple(sys_.kinds[i] for i in keep))
+
+
+def residuals(sys_, tensor):
+    """(kind, row index, residual) of each row a count tensor violates."""
+    vec = [tensor[l][m][n] for l, m, n in sys_.names]
+    out = []
+    for i, (row, b, kind) in enumerate(zip(sys_.rows, sys_.rhs, sys_.kinds)):
+        res = sum(a * x for a, x in zip(row, vec)) - b
+        if res:
+            out.append((kind, i, res))
+    return out
+
+
 def proof_system(t, abc):
     """Sum, symmetry and four-orbit vanishing rows, nothing else."""
     cfg = TripleConfig(closed_form_parameters(t), abc)
     wide = widened_system(cfg, krein_tuples=PROOF_TUPLES)
-    return wide.select(("sum", "symmetry", "krein"))
+    return only(wide, ("sum", "symmetry", "krein"))
 
 
 # ------------------------------------------------------------ construction
@@ -76,7 +96,7 @@ def test_pattern_class_range_enforced(params_t3):
 
 def test_two_equal_classes_transpose_unknowns():
     cfg = TripleConfig(closed_form_parameters(5), (2, 1, 1))
-    sys_ = widened_system(cfg).select(("symmetry",))
+    sys_ = only(widened_system(cfg), ("symmetry",))
     i121 = sys_.index((1, 2, 1))
     i211 = sys_.index((2, 1, 1))
     matched = False
@@ -89,12 +109,12 @@ def test_two_equal_classes_transpose_unknowns():
 
 def test_all_distinct_classes_add_nothing():
     cfg = TripleConfig(closed_form_parameters(5), (1, 2, 3))
-    sys_ = widened_system(cfg).select(("symmetry",))
+    sys_ = only(widened_system(cfg), ("symmetry",))
     assert len(sys_.rows) == 0
 
 
 def test_full_symmetry_orbit_count():
-    sys_ = proof_system(7, (2, 2, 2)).select(("symmetry",))
+    sys_ = only(proof_system(7, (2, 2, 2)), ("symmetry",))
     assert solve(sys_).space.dimension == 20
 
 
@@ -139,13 +159,28 @@ def direct_krein_rows(sys_, tuples):
     return rows, rhs
 
 
+def reference_integer_rows(rows, rhs):
+    """Each row and its right-hand side times their lcm, via Fraction."""
+    out_rows, out_rhs = [], []
+    for row, b in zip(rows, rhs):
+        denom = 1
+        for c in row + (b,):
+            denom = denom * c.denominator // math.gcd(denom, c.denominator)
+        out_rows.append(tuple(int(c * denom) for c in row))
+        out_rhs.append(int(b * denom))
+    return tuple(out_rows), tuple(out_rhs)
+
+
 @pytest.mark.parametrize("t", [3, 5, 7])
 def test_krein_rows_equal_the_direct_products(t):
+    """Each Krein row is its Fraction equation times the lcm of its
+    denominators."""
     params = closed_form_parameters(t)
     tuples = vanishing_tuples(params)
     for abc in patterns(params):
-        krein = widened_system(TripleConfig(params, abc)).select(("krein",))
-        assert (krein.rows, krein.rhs) == direct_krein_rows(krein, tuples)
+        krein = only(widened_system(TripleConfig(params, abc)), ("krein",))
+        assert (krein.rows, krein.rhs) == reference_integer_rows(
+            *direct_krein_rows(krein, tuples))
 
 
 @pytest.mark.parametrize("requested", [PROOF_TUPLES, ((1, 1, 3),)])
@@ -154,9 +189,46 @@ def test_requested_krein_rows_equal_the_direct_products(requested):
                      for p in itertools.permutations(tup)})
     for abc in ((2, 2, 2), (2, 1, 1), (1, 2, 3)):
         sys_ = build_base_system(TripleConfig(closed_form_parameters(7), abc))
-        krein = add_krein_vanishing(sys_, tuples=requested).select(("krein",))
+        krein = only(add_krein_vanishing(sys_, tuples=requested),
+                     ("krein",))
         assert krein.kinds == ("krein",) * len(tuples)
-        assert (krein.rows, krein.rhs) == direct_krein_rows(krein, tuples)
+        assert (krein.rows, krein.rhs) == reference_integer_rows(
+            *direct_krein_rows(krein, tuples))
+
+
+def test_krein_scaling_clears_the_right_hand_side_denominator():
+    """With Q's first row divided by 11 only the right-hand sides gain a
+    denominator; the scale must clear it as well."""
+    params = closed_form_parameters(7)
+    q = params.Q
+    doctored = replace(params, Q=RatMatrix(
+        q.rows, q.cols,
+        tuple(x / 11 for x in q.row(0)) + q.entries[q.cols:]))
+    sys_ = build_base_system(TripleConfig(doctored, (2, 1, 1)))
+    krein = only(add_krein_vanishing(sys_), ("krein",))
+    direct = direct_krein_rows(krein, vanishing_tuples(params))
+    assert any(b.denominator % 11 == 0 for b in direct[1])
+    assert (krein.rows, krein.rhs) == reference_integer_rows(*direct)
+
+
+def assert_int_rows(sys_):
+    assert all(type(c) is int for row in sys_.rows for c in row)
+    assert all(type(b) is int for b in sys_.rhs)
+
+
+@pytest.mark.parametrize("t", [3, 5, 7])
+def test_every_row_is_built_in_ints(t):
+    """Rows and right-hand sides are ints on both Krein paths; solving
+    still returns Fractions."""
+    params = closed_form_parameters(t)
+    for abc in patterns(params):
+        cfg = TripleConfig(params, abc)
+        sys_ = widened_system(cfg)
+        assert_int_rows(sys_)
+        assert_int_rows(widened_system(cfg, krein_tuples=PROOF_TUPLES))
+        space = solve(sys_).space
+        assert all(type(x) is Fraction for x in space.particular)
+        assert all(type(x) is Fraction for vec in space.basis for x in vec)
 
 
 # ------------------------------------------------------------ solving
@@ -215,7 +287,7 @@ def differential_system(t, abc, form):
     if form == "widened":
         return widened_system(TripleConfig(closed_form_parameters(t), abc))
     sys_ = proof_system(t, abc)
-    return sys_ if form == "proof" else sys_.select(("symmetry",))
+    return sys_ if form == "proof" else only(sys_, ("symmetry",))
 
 
 @pytest.mark.parametrize("t,abc,form,dimension", [
@@ -226,7 +298,9 @@ def differential_system(t, abc, form):
     (7, (2, 2, 2), "symmetry", 20)])
 def test_solve_matches_64_column_elimination(t, abc, form, dimension):
     """Elimination on symmetry classes gives the 64-column result, field
-    for field; the many-free-column systems pin the free index order."""
+    for field; the many-free-column systems pin the free index order.
+    The widened (2,1,1) and (1,2,3) systems reduce to rows that are
+    scalar multiples of each other, which `solve` keeps once."""
     sys_ = differential_system(t, abc, form)
     sol = assert_matches_reference(sys_)
     assert sol.space.dimension == dimension
@@ -240,9 +314,42 @@ def hand_system(rows):
     rows = list(rows) + [({v: 1}, 0) for v in range(32, 64)]
     return TripleSystem(
         base.config, base.names,
-        tuple(tuple(Fraction(row.get(v, 0)) for v in range(64))
-              for row, _ in rows),
-        tuple(Fraction(b) for _, b in rows), ("sum",) * len(rows))
+        tuple(tuple(row.get(v, 0) for v in range(64)) for row, _ in rows),
+        tuple(b for _, b in rows), ("sum",) * len(rows))
+
+
+def reduced_rows(monkeypatch, sys_):
+    """How many rows `solve` hands to the elimination."""
+    shapes = []
+
+    def spy(a, b):
+        shapes.append(a.rows)
+        return solve_linear(a, b)
+
+    monkeypatch.setattr(triples, "solve_linear", spy)
+    solve(sys_)
+    return shapes[-1]
+
+
+@pytest.mark.parametrize("t,abc,rows", [
+    (3, (2, 1, 1), 24), (3, (1, 2, 3), 43), (5, (2, 1, 1), 27),
+    (5, (2, 2, 2), 12)])
+def test_solve_keeps_one_row_per_scalar_multiple(monkeypatch, t, abc, rows):
+    """The first three reduce to 28, 50 and 31 distinct rows, of which
+    4, 7 and 4 are scalar multiples of an earlier one; (2,2,2) has
+    none."""
+    sys_ = widened_system(TripleConfig(closed_form_parameters(t), abc))
+    assert reduced_rows(monkeypatch, sys_) == rows
+
+
+def test_rows_of_either_sign_reduce_to_one(monkeypatch):
+    """2 [4] + 2 [5] = 1, -4 [4] - 4 [5] = -2 and 6 [4] + 6 [5] = 3 are
+    one equation, [4] + [5] = 1/2."""
+    sys_ = hand_system([({4: 2, 5: 2}, 1), ({4: -4, 5: -4}, -2),
+                        ({4: 6, 5: 6}, 3)])
+    assert reduced_rows(monkeypatch, sys_) == 1
+    sol = assert_matches_reference(sys_)
+    assert sol.space.particular[4] == Fraction(1, 2)
 
 
 def test_a_class_with_a_killed_unknown_is_all_zero():
@@ -326,9 +433,9 @@ def test_forcing_reports_infeasible_on_a_poisoned_system():
     space = solve(sys_).space
     assert space.dimension == 1
     free = space.free_indices[0]
-    pin = [Fraction(0)] * len(sys_.names)
-    pin[free] = Fraction(1)
-    poisoned = sys_.extended([tuple(pin)], [Fraction(-1)], "sum")
+    pin = [0] * len(sys_.names)
+    pin[free] = 1
+    poisoned = sys_.extended([tuple(pin)], [-1], "sum")
     with pytest.raises(Infeasible):
         nonneg_force(poisoned, solve(poisoned))
 
@@ -345,11 +452,9 @@ def test_crossed_bounds_name_both_binding_unknowns():
     base = build_base_system(TripleConfig(closed_form_parameters(5),
                                           (2, 2, 2)))
     names = base.names
-    rows = [tuple(Fraction(int(nm in ((1, 1, 1), (1, 1, 2)))) for nm in names)]
-    rows += [tuple(Fraction(int(nm == other)) for nm in names)
-             for other in names[2:]]
-    sys_ = TripleSystem(base.config, names, tuple(rows),
-                        (Fraction(-1),) + (Fraction(0),) * 62,
+    rows = [tuple(int(nm in ((1, 1, 1), (1, 1, 2))) for nm in names)]
+    rows += [tuple(int(nm == other) for nm in names) for other in names[2:]]
+    sys_ = TripleSystem(base.config, names, tuple(rows), (-1,) + (0,) * 62,
                         ("sum",) * 63)
     sol = solve(sys_)
     assert sol.space.dimension == 1
@@ -373,7 +478,7 @@ def test_forcing_pins_every_unknown_t5(abc, nullity):
     assert set(forced.forced) == set(sys_.names)
     assert forced.residual_free == ()
     assert all(v >= 0 for v in forced.forced.values())
-    assert count_residuals(sys_, tensor_from(forced.forced)) == []
+    assert residuals(sys_, tensor_from(forced.forced)) == []
 
 
 def test_forcing_leaves_an_open_range_free_t5():
@@ -421,7 +526,7 @@ def test_counted_mixed_pattern_values(scheme_t3, params_t3):
     assert tensor[1][1][2] == 1
     assert tensor[2][2][1] == 0
     sys_ = widened_system(TripleConfig(params_t3, (2, 1, 1)))
-    assert count_residuals(sys_, tensor) == []
+    assert residuals(sys_, tensor) == []
 
 
 def test_counts_satisfy_every_widened_equation(scheme_t3, params_t3):
@@ -434,7 +539,7 @@ def test_counts_satisfy_every_widened_equation(scheme_t3, params_t3):
         if abc not in systems:
             systems[abc] = widened_system(TripleConfig(params_t3, abc))
         tensor = direct_triple_counts(scheme_t3, x, y, u)
-        assert count_residuals(systems[abc], tensor) == []
+        assert residuals(systems[abc], tensor) == []
 
 
 def test_integer_checker_agrees_with_exact_residuals(scheme_t3, params_t3):
@@ -451,33 +556,9 @@ def test_integer_checker_agrees_with_exact_residuals(scheme_t3, params_t3):
     assert checker(broken) is not None
 
 
-def reference_integer_rows(sys_):
-    """Each row and its right-hand side times their lcm, via Fraction."""
-    rows, rhs = [], []
-    for row, b in zip(sys_.rows, sys_.rhs):
-        denom = 1
-        for c in row + (b,):
-            denom = denom * c.denominator // math.gcd(denom, c.denominator)
-        rows.append([int(c * denom) for c in row])
-        rhs.append(int(b * denom))
-    return rows, rhs
-
-
 def reference_first_bad_row(sys_, tensor):
-    rows, rhs = reference_integer_rows(sys_)
-    vec = [tensor[l][m][n] for l, m, n in sys_.names]
-    return next((i for i, (row, b) in enumerate(zip(rows, rhs))
-                 if sum(a * x for a, x in zip(row, vec)) != b), None)
-
-
-def test_scaled_rows_equal_the_fraction_reference(params_t3):
-    for abc in patterns(params_t3):
-        sys_ = widened_system(TripleConfig(params_t3, abc))
-        mat, rhs = scaled_integer_rows(sys_)
-        rows, b = reference_integer_rows(sys_)
-        assert mat.dtype == rhs.dtype == np.int64
-        assert mat.tolist() == rows
-        assert rhs.tolist() == b
+    bad = residuals(sys_, tensor)
+    return bad[0][1] if bad else None
 
 
 def live_cube(sys_):
