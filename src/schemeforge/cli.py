@@ -31,6 +31,12 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MATH = 2
 
+# A Krein-array entry whose numerator or denominator has more bits than
+# this is refused: the dual-eigenvalue bisection runs over a range as wide
+# as the entries, so a short entry such as 1e4000 would stall it. Family
+# entries for odd t <= 51 have at most 23 bits.
+MAX_ENTRY_BITS = 256
+
 
 class UsageError(Exception):
     pass
@@ -54,6 +60,11 @@ def parse_krein(text: str) -> KreinArray:
         cs = tuple(parse_rat(x) for x in cs_text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot parse Krein array {text!r}: {exc}")
+    for i, x in enumerate(bs + cs, 1):
+        if max(x.numerator.bit_length(),
+               x.denominator.bit_length()) > MAX_ENTRY_BITS:
+            raise UsageError(f"Krein array entry {i} has more than "
+                             f"{MAX_ENTRY_BITS} bits")
     try:
         return KreinArray.make(bs, cs)
     except BadParameter as exc:

@@ -2,12 +2,15 @@
 
 Dense matrices with Fraction entries, reduced row echelon form with a fixed
 first-nonzero pivoting rule, parametric solution spaces for underdetermined
-systems, and inversion. All operations are pure and exact; no floating
-point is used anywhere.
+systems, and inversion. Elimination runs on integer rows, each row cleared
+of denominators once, and Fractions appear only when each pivot row is
+divided by its pivot at the end. All operations are pure and exact; no
+floating point is used anywhere.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -120,8 +123,22 @@ class AffineSolutionSpace:
         return len(self.free_indices)
 
 
+def _primitive(row: list) -> list:
+    """The int row divided by the gcd of its entries."""
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 def _rref_rows(rows: list) -> tuple:
     """In-place RREF of a list of row lists; returns pivot column tuple.
+
+    Elimination runs in Python ints: each row is multiplied once by the
+    lcm of its entries' denominators, an update
+    (pv/g) * row - (f/g) * pivot_row with g = gcd(pv, f) keeps it
+    integral, and every row is kept primitive. Fractions appear only at
+    the end, when each pivot row is divided by its pivot. Scaling a row by
+    a nonzero int keeps its zero pattern, so the pivots, and as the RREF
+    is unique the result, are those of elimination over the rationals.
 
     Pivoting rule: for each column left to right, the first row at or below
     the current one with a nonzero entry. Free columns are therefore
@@ -129,6 +146,10 @@ def _rref_rows(rows: list) -> tuple:
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
+    for i, row in enumerate(rows):
+        den = math.lcm(*(x.denominator for x in row))
+        rows[i] = _primitive([x.numerator * (den // x.denominator)
+                              for x in row])
     pivots = []
     r = 0
     for c in range(ncols):
@@ -138,17 +159,21 @@ def _rref_rows(rows: list) -> tuple:
         if sel is None:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            inv = 1 / pv
-            rows[r] = [x * inv for x in rows[r]]
         prow = rows[r]
+        pv = prow[c]
         for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
+            f = rows[i][c]
+            if i != r and f:
+                g = math.gcd(pv, f)
+                a, b = pv // g, f // g
+                rows[i] = _primitive([a * x - b * y
+                                      for x, y in zip(rows[i], prow)])
         pivots.append(c)
         r += 1
+    zero = Fraction(0)
+    for i, row in enumerate(rows):
+        pv = row[pivots[i]] if i < r else 1   # rows past the rank are 0
+        rows[i] = [Fraction(x, pv) if x else zero for x in row]
     return tuple(pivots)
 
 

@@ -15,8 +15,9 @@ times the lcm of its denominators. Unknowns are ordered lexicographically
 by (l, m, n). Solving is exact and runs on symmetry classes: the zero
 rows kill unknowns, the symmetry rows merge them, and elimination sees one
 column per surviving class (6 to 16 for odd t <= 51, against d^3 = 64
-names) and the rows that remain distinct up to scale (12 to 44). Fraction
-arithmetic starts there. The solution space is then expanded back to the
+names) and the rows that remain distinct up to scale (12 to 44). They
+are eliminated in integers, and a Fraction first appears when a pivot row
+is divided by its pivot. The solution space is then expanded back to the
 names. Forcing is exact too: every system of the family for odd t <= 51
 has at most one free parameter, and nonnegativity bounds it by a ratio
 test over the solution line. A larger solution space raises HighNullity.
@@ -321,8 +322,9 @@ def solve(sys_: TripleSystem) -> TripleSolution:
     Elimination runs on the symmetry classes of `_classes`, not on the
     d^3 names: every other row is summed over each class, rows that
     become 0 = 0 or are a scalar multiple of an earlier row are dropped,
-    and 0 = b with b != 0 raises Inconsistent. Fractions enter only in
-    the elimination of the reduced rows. The reduced space is expanded
+    and 0 = b with b != 0 raises Inconsistent. The reduced rows are
+    eliminated in integers; Fractions enter only at the division by each
+    pivot. The reduced space is expanded
     back to the names, with each free index the largest member of its
     free class.
     Every null vector is constant on a class and zero on killed unknowns,

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from schemeforge.cli import main
+from schemeforge.cli import MAX_ENTRY_BITS, main
 from schemeforge.serialize import gq_to_dict, scheme_to_dict
 
 
@@ -64,6 +64,18 @@ def test_params_rejects_an_infeasible_array_at_once(array, witness, capsys):
     assert time.perf_counter() - start < 1
     assert code == 2
     assert witness in err
+
+
+@pytest.mark.parametrize("array, position", [
+    ("1e20000,1;1,1", 1), ("1,1;1,1e-4000", 4), ("1,1e78;1,1", 2)])
+def test_params_refuses_an_entry_with_too_many_bits_at_once(array, position,
+                                                            capsys):
+    """A short entry with a huge exponent once stalled the bisection."""
+    start = time.perf_counter()
+    code, _, err = run(["params", "--krein", array], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert f"entry {position} has more than {MAX_ENTRY_BITS} bits" in err
 
 
 def test_params_needs_exactly_one_source(capsys):

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_oracle as oracle
 from schemeforge.linalg import (Inconsistent, RatMatrix, Singular, invert,
                                 solve_linear)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+entries = st.one_of(st.integers(-5, 5), rationals)
 
 
 def square_matrices(n):
@@ -91,3 +93,61 @@ def test_an_int_pivot_divides_exactly():
     space = solve_linear(RatMatrix(2, 2, (3, 1, 1, 1)), [1, 0])
     assert space.particular == (Fraction(1, 2), Fraction(-1, 2))
     assert only_fractions(space)
+
+
+@st.composite
+def systems(draw, square=False):
+    """(matrix, rhs) of up to 6 x 6, wide, tall or square, with int and
+    Fraction entries. Some rows are repeats or combinations of the freely
+    drawn ones, and their right-hand side may be shifted off the
+    combination, which makes the system inconsistent."""
+    ncols = draw(st.integers(0, 6))
+    nrows = ncols if square else draw(st.integers(0, 6))
+    nfree = nrows - draw(st.just(0) | st.integers(0, nrows))
+    rows = [draw(st.lists(entries, min_size=ncols, max_size=ncols))
+            for _ in range(nfree)]
+    rhs = [draw(entries) for _ in range(nfree)]
+    for _ in range(nrows - nfree):
+        if nfree and draw(st.booleans()):   # a repeat
+            k = draw(st.integers(0, nfree - 1))
+            coeffs = [int(j == k) for j in range(nfree)]
+        else:
+            coeffs = draw(st.lists(entries, min_size=nfree, max_size=nfree))
+        rows.append([sum(c * row[j] for c, row in zip(coeffs, rows))
+                     for j in range(ncols)])
+        shift = draw(entries) if draw(st.integers(0, 3)) == 0 else 0
+        rhs.append(sum(c * b for c, b in zip(coeffs, rhs)) + shift)
+    order = draw(st.permutations(range(nrows)))
+    matrix = RatMatrix(nrows, ncols,
+                       tuple(x for i in order for x in rows[i]))
+    return matrix, [rhs[i] for i in order]
+
+
+def outcome(fn, *args):
+    """The result, or the type of the Inconsistent or Singular raised."""
+    try:
+        return fn(*args)
+    except (Inconsistent, Singular) as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+def test_solve_linear_matches_fraction_elimination(system):
+    """Field for field, and in Fractions only, as Gauss-Jordan over
+    Fraction; inconsistent on the same inputs."""
+    m, b = system
+    got = outcome(solve_linear, m, b)
+    assert got == outcome(oracle.solve_linear, m, b)
+    if got is not Inconsistent:
+        assert only_fractions(got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems(square=True))
+def test_invert_matches_fraction_elimination(system):
+    m, _ = system
+    got = outcome(invert, m)
+    assert got == outcome(oracle.invert, m)
+    if got is not Singular:
+        assert all(type(x) is Fraction for x in got.entries)

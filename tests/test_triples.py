@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import fraction_oracle as oracle
 from schemeforge import triples
 from schemeforge.linalg import Inconsistent, RatMatrix, solve_linear
 from schemeforge.scheme_params import closed_form_parameters
@@ -267,8 +268,9 @@ def test_dependency_identity(t):
 
 
 def reference_solve(sys_):
-    """Elimination on all 64 columns: (space, forced, free names)."""
-    space = solve_linear(RatMatrix.from_rows(sys_.rows), sys_.rhs)
+    """Fraction elimination on all 64 columns: (space, forced, free
+    names)."""
+    space = oracle.solve_linear(RatMatrix.from_rows(sys_.rows), sys_.rhs)
     forced = {nm: space.particular[v] for v, nm in enumerate(sys_.names)
               if all(vec[v] == 0 for vec in space.basis)}
     return space, forced, tuple(sys_.names[f] for f in space.free_indices)
