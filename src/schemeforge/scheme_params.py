@@ -4,9 +4,12 @@ The generic pipeline runs Krein array -> eigenvalues of the tridiagonal
 dual intersection matrix L1* (integer Sturm bisection, no characteristic
 polynomial) -> second eigenmatrix Q (rows generated by the three-term dual
 recurrence) -> first eigenmatrix P = order * Q^(-1) -> intersection and
-Krein number tensors. For the hemisystem family (one cometric Q-antipodal
-4-class scheme for each odd t >= 3) the same data is also available in
-closed form; the two routes are independent and cross-check each other.
+Krein number tensors (integer numerators sum_r w_r M_ri M_rj M_rk over the
+denominator-cleared matrix, symmetric in (i, j, k) and so formed once per
+unordered triple, then one division per entry). For the hemisystem family
+(one cometric Q-antipodal 4-class scheme for each odd t >= 3) the same
+data is also available in closed form; the two routes are independent and
+cross-check each other.
 
 Conventions: P rows are indexed by eigenspaces and columns by relations,
 Q rows by relations and columns by eigenspaces, so that P Q = order * I.
@@ -249,13 +252,37 @@ def first_eigenmatrix(q: RatMatrix, order: Rat) -> RatMatrix:
 
 def _spectral_tensor(mat: RatMatrix, weights: Sequence, norms: Sequence,
                      order: Rat) -> tuple:
-    """Tensor [k][i][j] = sum_r w_r M_ri M_rj M_rk / (order * norms_k)."""
+    """Tensor [k][i][j] = sum_r w_r M_ri M_rj M_rk / (order * norms_k).
+
+    With dm the lcm of the denominators of M and dw that of the weights,
+    the numerator N_ijk = sum_r (dw w_r)(dm M_ri)(dm M_rj)(dm M_rk) is an
+    integer sum, symmetric in (i, j, k), so it is formed once per unordered
+    triple (C(d + 3, 3) of the (d + 1)^3 entries). Each entry is then one
+    division, N_ijk / (order * dw * dm^3 * norms_k), and a Fraction.
+    """
+    def cleared(xs, den):
+        return [x.numerator * (den // x.denominator) for x in xs]
+
     rng = range(mat.cols)
-    cols = [[mat.at(r, j) for r in rng] for j in rng]
-    return tuple(tuple(tuple(
-        sum(w * cols[i][r] * cols[j][r] * cols[kk][r]
-            for r, w in enumerate(weights)) / (order * norms[kk])
-        for j in rng) for i in rng) for kk in rng)
+    dm = math.lcm(*(x.denominator for x in mat.entries))
+    dw = math.lcm(*(x.denominator for x in weights))
+    cols = [cleared((mat.at(r, j) for r in rng), dm) for j in rng]
+    w = cleared(weights, dw)
+    num = [[[0] * mat.cols for _ in rng] for _ in rng]
+    for ijk in itertools.combinations_with_replacement(rng, 3):
+        i, j, kk = ijk
+        total = sum(x * y * z * u for x, y, z, u in
+                    zip(w, cols[i], cols[j], cols[kk]))
+        for a, b, c in set(itertools.permutations(ijk)):
+            num[a][b][c] = total
+    scale = order * dw * dm ** 3
+    out = []
+    for kk in rng:
+        den = scale * norms[kk]
+        top, bottom = den.denominator, den.numerator
+        out.append(tuple(tuple(Fraction(num[i][j][kk] * top, bottom)
+                               for j in rng) for i in rng))
+    return tuple(out)
 
 
 def intersection_numbers(p_mat: RatMatrix, valencies: Sequence,
@@ -268,7 +295,7 @@ def intersection_numbers(p_mat: RatMatrix, valencies: Sequence,
     p = _spectral_tensor(p_mat, multiplicities, valencies, order)
     for kk, i, j in itertools.product(range(len(p)), repeat=3):
         val = p[kk][i][j]
-        if val.denominator != 1 or val < 0:
+        if val.denominator != 1 or val.numerator < 0:
             raise NonIntegral(
                 f"p^{kk}_{i}{j} = {val} is not a nonnegative integer")
     return p
@@ -283,7 +310,7 @@ def krein_numbers(q_mat: RatMatrix, valencies: Sequence,
     """
     q = _spectral_tensor(q_mat, valencies, multiplicities, order)
     for kk, i, j in itertools.product(range(len(q)), repeat=3):
-        if q[kk][i][j] < 0:
+        if q[kk][i][j].numerator < 0:
             raise NegativeKrein(f"q^{kk}_{i}{j} = {q[kk][i][j]} is negative")
     return q
 

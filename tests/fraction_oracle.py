@@ -1,12 +1,15 @@
-"""Gauss-Jordan elimination over Fraction, as a reference for the tests.
+"""Plain Fraction arithmetic, as a reference for the tests.
 
-`schemeforge.linalg` eliminates in integers; this module keeps the plain
-rational elimination it replaced, so that tests compare the two instead
-of the code under test with itself. Results are built from the same
-`AffineSolutionSpace` and `RatMatrix` types and raise the same errors.
+`schemeforge.linalg` eliminates in integers, and
+`schemeforge.scheme_params` sums the spectral tensors in integers; this
+module keeps the rational Gauss-Jordan elimination and the rational triple
+sum they replaced, so that tests compare the two instead of the code under
+test with itself. Results are built from the same `AffineSolutionSpace`
+and `RatMatrix` types and raise the same errors.
 """
 
 from fractions import Fraction
+from typing import Sequence
 
 from schemeforge.linalg import (AffineSolutionSpace, Inconsistent, NotSquare,
                                 RatMatrix, Singular)
@@ -81,3 +84,14 @@ def invert(m: RatMatrix) -> RatMatrix:
     if len(pivots) < n or any(p >= n for p in pivots):
         raise Singular("matrix is singular")
     return RatMatrix.from_rows([row[n:] for row in aug])
+
+
+def spectral_tensor(mat: RatMatrix, weights: Sequence, norms: Sequence,
+                    order: Fraction) -> tuple:
+    """Tensor [k][i][j] = sum_r w_r M_ri M_rj M_rk / (order * norms_k)."""
+    rng = range(mat.cols)
+    cols = [[mat.at(r, j) for r in rng] for j in rng]
+    return tuple(tuple(tuple(
+        sum(w * cols[i][r] * cols[j][r] * cols[kk][r]
+            for r, w in enumerate(weights)) / (order * norms[kk])
+        for j in rng) for i in rng) for kk in rng)

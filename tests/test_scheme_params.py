@@ -1,5 +1,6 @@
 """Parameter derivation from the Krein array against the exact tables."""
 
+import itertools
 import math
 import time
 from dataclasses import replace
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_oracle as oracle
 from schemeforge.linalg import RatMatrix, solve_linear
 from schemeforge.scheme_params import (BadParameter, KreinArray,
                                        NegativeKrein, NonIntegral,
@@ -192,6 +194,101 @@ def test_doctored_q_gives_a_negative_krein_parameter(params_t3):
         krein_numbers(RatMatrix.from_rows(rows), params_t3.valencies,
                       params_t3.multiplicities, params_t3.order)
     assert str(exc.value) == "q^1_11 = -8/3 is negative"
+
+
+def entries(lo, whole):
+    """Ints in lo..9, or Fractions with such numerators over 1..6."""
+    if whole:
+        return st.integers(lo, 9)
+    return st.builds(F, st.integers(lo, 9), st.integers(1, 6))
+
+
+@st.composite
+def spectral_inputs(draw):
+    """(M, weights, norms, order) for a square M of size 1..5.
+
+    Entries are signed or nonnegative and weights positive, all ints or
+    all Fractions; norms and order are positive, or all 1, so that
+    integral and nonnegative tensors are drawn as well as failing ones.
+    """
+    n = draw(st.integers(1, 5))
+    whole = draw(st.booleans())
+    cell = entries(draw(st.sampled_from((-9, 0))), whole)
+    mat = RatMatrix.from_rows(
+        draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                      min_size=n, max_size=n)))
+    weights = draw(st.lists(entries(1, whole), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        return mat, weights, [1] * n, 1
+    norms = draw(st.lists(entries(1, whole), min_size=n, max_size=n))
+    return mat, weights, norms, draw(entries(1, whole))
+
+
+def first_breach(tensor, bad):
+    """The first (k, i, j, value) in [k][i][j] order with bad(value)."""
+    return next(((kk, i, j, tensor[kk][i][j]) for kk, i, j in
+                 itertools.product(range(len(tensor)), repeat=3)
+                 if bad(tensor[kk][i][j])), None)
+
+
+def all_fractions(tensor):
+    return all(type(x) is Fraction
+               for plane in tensor for row in plane for x in row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spectral_inputs())
+def test_intersection_numbers_match_the_fraction_oracle(inputs):
+    mat, weights, norms, order = inputs
+    expected = oracle.spectral_tensor(mat, weights, norms, order)
+    breach = first_breach(expected, lambda v: v.denominator != 1 or v < 0)
+    if breach is None:
+        got = intersection_numbers(mat, norms, weights, order)
+        assert got == expected
+        assert all_fractions(got)
+    else:
+        kk, i, j, val = breach
+        with pytest.raises(NonIntegral) as exc:
+            intersection_numbers(mat, norms, weights, order)
+        assert str(exc.value) == \
+            f"p^{kk}_{i}{j} = {val} is not a nonnegative integer"
+
+
+@settings(max_examples=300, deadline=None)
+@given(spectral_inputs())
+def test_krein_numbers_match_the_fraction_oracle(inputs):
+    mat, weights, norms, order = inputs
+    expected = oracle.spectral_tensor(mat, norms, weights, order)
+    breach = first_breach(expected, lambda v: v < 0)
+    if breach is None:
+        got = krein_numbers(mat, norms, weights, order)
+        assert got == expected
+        assert all_fractions(got)
+    else:
+        kk, i, j, val = breach
+        with pytest.raises(NegativeKrein) as exc:
+            krein_numbers(mat, norms, weights, order)
+        assert str(exc.value) == f"q^{kk}_{i}{j} = {val} is negative"
+
+
+def binom(n, r):
+    return math.comb(n, r) if 0 <= r <= n else 0
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_hypercube_off_the_family(d):
+    # H(d, 2) is self-dual with Krein array {d, d-1, ..., 1; 1, 2, ..., d}
+    params = derive_parameters(
+        KreinArray.make(range(d, 0, -1), range(1, d + 1)))
+    assert params.t is None
+    assert params.order == 2 ** d
+    assert params.p == params.q
+    for kk, i, j in itertools.product(range(d + 1), repeat=3):
+        expected = 0
+        if (i + j - kk) % 2 == 0:
+            expected = binom(kk, (i - j + kk) // 2) * \
+                binom(d - kk, (i + j - kk) // 2)
+        assert params.p[kk][i][j] == expected, (kk, i, j)
 
 
 def test_krein_round_trip(params_t3):
