@@ -8,7 +8,8 @@ fourth power is the field norm, landing in GF(3)) carries 280 points and
 112 fully-contained projective lines; points and lines form a generalized
 quadrangle of order (9,3). A hemisystem is a set of half the lines meeting
 every point exactly (t+1)/2 times; the search is depth-first over lines
-with exact per-point counters.
+with exact per-point counters. Every 0/1 matrix product goes through
+exact_product, which sums in float64 under a checked 2^53 bound.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ class NotFound(SchemeforgeError, RuntimeError):
 
 class EvenOrder(SchemeforgeError, ValueError):
     """Hemisystems exist only in quadrangles of odd order t."""
+
+
+class ProductBound(SchemeforgeError, OverflowError):
+    """An integer matrix product could leave float64's exact range."""
 
 
 # ----------------------------------------------------------------- GF(9)
@@ -132,10 +137,39 @@ def incidence_matrix(n_points: int, blocks) -> np.ndarray:
     return inc
 
 
+def exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for small integer matrices, summed in float64, as int64.
+
+    Each entry of the product is a sum of `inner` terms of size at most
+    max|a| * max|b|, so every partial sum, in whatever order BLAS adds
+    them, is an integer of size below max|a| * max|b| * inner. Below 2^53
+    every such integer is a float64, so the product is exact; at or above
+    it ProductBound is raised.
+    """
+    inner = a.shape[-1]
+    bound = (int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0))
+             * inner)
+    if bound >= 2 ** 53:
+        raise ProductBound(
+            f"{a.shape} x {b.shape} product may reach {bound} >= 2^53")
+    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+
+
 def first_true(mask: np.ndarray):
     """Index tuple of the first True entry in row-major order, else None."""
     hits = np.argwhere(mask)
     return tuple(int(i) for i in hits[0]) if hits.size else None
+
+
+def hermitian_form() -> np.ndarray:
+    """uint8 matrix of sum p_i q_i^3 over all pairs of surface points."""
+    add, mul = np.array(ADD, np.uint8), np.array(MUL, np.uint8)
+    coords = np.array(hermitian_coordinates(), np.uint8)
+    conj = np.array(CONJ, np.uint8)[coords]
+    form = np.zeros((len(coords), len(coords)), np.uint8)
+    for a, b in zip(coords.T, conj.T):
+        form = add[form, mul[a[:, None], b[None, :]]]
+    return form
 
 
 def build_hermitian_gq() -> GQ:
@@ -145,34 +179,27 @@ def build_hermitian_gq() -> GQ:
     on_surface = set(coords)
     lines = set()
     covered = set()
-    conj = [tuple(CONJ[x] for x in c) for c in coords]
-    for i, p in enumerate(coords):
-        for j in range(i + 1, len(coords)):
-            if (i, j) in covered:
-                continue
-            # two surface points span a surface line iff they are
-            # orthogonal under the Hermitian form sum p_i q_i^3
-            form = 0
-            for a, b in zip(p, conj[j]):
-                form = ADD[form][MUL[a][b]]
-            if form != 0:
-                continue
-            q = coords[j]
-            full = []
-            good = True
-            for lam in range(1, 9):
-                r = normalize([ADD[a][MUL[lam][b]] for a, b in zip(p, q)])
-                if r not in on_surface:
-                    good = False
-                    break
-                full.append(index[r])
-            if not good:
-                continue
-            ids = tuple(sorted([i, j] + full))
-            lines.add(ids)
-            for a in range(len(ids)):
-                for b in range(a + 1, len(ids)):
-                    covered.add((ids[a], ids[b]))
+    # two surface points span a surface line iff they are orthogonal
+    # under the Hermitian form
+    for i, j in np.argwhere(np.triu(hermitian_form() == 0, 1)).tolist():
+        if (i, j) in covered:
+            continue
+        p, q = coords[i], coords[j]
+        full = []
+        good = True
+        for lam in range(1, 9):
+            r = normalize([ADD[a][MUL[lam][b]] for a, b in zip(p, q)])
+            if r not in on_surface:
+                good = False
+                break
+            full.append(index[r])
+        if not good:
+            continue
+        ids = tuple(sorted([i, j] + full))
+        lines.add(ids)
+        for a in range(len(ids)):
+            for b in range(a + 1, len(ids)):
+                covered.add((ids[a], ids[b]))
     return GQ(s=9, t=3, points=tuple(range(len(coords))),
               lines=tuple(sorted(lines)))
 
@@ -183,7 +210,9 @@ def verify_gq(gq: GQ) -> ValidationReport:
     K = N N^T (diagonal zeroed) counts the lines joining two points, so a
     unique joining line is K <= 1, and (K > 0) N counts, for a point and a
     line, the points of the line collinear with it: the quadrangle axiom
-    asks for exactly one wherever the point is off the line.
+    asks for exactly one wherever the point is off the line. Both products
+    are exact_product calls on 0/1 matrices, so each sum is at most the
+    inner dimension, far below 2^53.
     """
     checks = []
     inc = gq.incidence
@@ -204,7 +233,7 @@ def verify_gq(gq: GQ) -> ValidationReport:
     checks.append(("lines_per_point", bad is None,
                    None if bad is None else f"point {bad[0]}"))
 
-    joins = inc @ inc.T
+    joins = exact_product(inc, inc.T)
     np.fill_diagonal(joins, 0)
     bad = first_true(joins > 1)
     witness = None
@@ -214,7 +243,7 @@ def verify_gq(gq: GQ) -> ValidationReport:
         witness = f"points {a},{b} on lines {first},{second}"
     checks.append(("unique_joining_line", witness is None, witness))
 
-    connectors = np.minimum(joins, 1, out=joins) @ inc
+    connectors = exact_product(np.minimum(joins, 1, out=joins), inc)
     bad = first_true((connectors != 1) & (inc == 0))
     witness = None if bad is None else (
         f"point {bad[0]}, line {bad[1]}: {connectors[bad]} connectors")

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SchemeforgeError
-from .geometry import GQ, first_true, incidence_matrix, verify_gq
+from .geometry import (GQ, exact_product, first_true, incidence_matrix,
+                       verify_gq)
 from .relation_scheme import RelationScheme, neighbors, pair_set
 from .scheme_params import ValidationReport
 
@@ -160,7 +161,7 @@ def all_cliques(sch: RelationScheme) -> tuple:
     built.sort(key=lambda clq: clq.elements)
     keys = [clq.elements for clq in built]
     inc = incidence_matrix(sch.size, keys)
-    shared = inc @ inc.T
+    shared = exact_product(inc, inc.T)
     np.fill_diagonal(shared, 0)
     low = (sch.rel == 1) | (sch.rel == 2)
     np.fill_diagonal(low, False)

@@ -5,9 +5,11 @@ construction of interest takes the 112 lines of the order-(9,3) quadrangle
 with a hemisystem and classifies ordered pairs of distinct lines: class 1
 for intersecting lines in different halves, 2 for intersecting in the same
 half, 3 for disjoint in different halves, 4 for disjoint in the same half.
-verify_scheme is the counting oracle: one integer product of class
-indicators counts every intersection number at every pair, and the first
-pair whose counts differ from its class's is reported.
+verify_scheme is the counting oracle: one exact integer product per class
+indicator, taken against all indicators side by side, counts every
+intersection number at every pair, and the first pair whose counts differ
+from its class's is reported. The products go through
+geometry.exact_product, which sums in float64 under a checked 2^53 bound.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SchemeforgeError
-from .geometry import GQ, Hemisystem, first_true, quota_witness
+from .geometry import GQ, Hemisystem, exact_product, first_true, quota_witness
 
 
 class NotHemisystem(SchemeforgeError, ValueError):
@@ -47,7 +49,7 @@ def scheme_from_hemisystem(gq: GQ, hemi: Hemisystem) -> RelationScheme:
     n = len(gq.lines)
     half = np.zeros(n, dtype=bool)
     half[list(hemi.lines)] = True
-    meets = gq.incidence.T @ gq.incidence > 0
+    meets = exact_product(gq.incidence.T, gq.incidence) > 0
     same = half[:, None] == half[None, :]
     rel = np.where(meets, np.where(same, 2, 1), np.where(same, 4, 3))
     np.fill_diagonal(rel, 0)
@@ -70,9 +72,11 @@ def verify_scheme(sch: RelationScheme) -> CountedParameters:
     With A_i the 0/1 indicator of class i, the product A_i A_j holds at
     (x, y) the number of z with x ~i z ~j y, so p^k_ij is read at the
     first pair of class k, and the scheme is consistent iff A_i A_j equals
-    p^k_ij at every pair of every class k.  Structural defects (asymmetry,
-    a stray 0 off the diagonal, a nonzero diagonal) are reported the same
-    way, as consistency=false with a witness.
+    p^k_ij at every pair of every class k.  All A_i A_j for one i come
+    from one exact_product of A_i with the n x (classes * n) row of every
+    A_j; each count is at most n, far below the 2^53 bound.  Structural
+    defects (asymmetry, a stray 0 off the diagonal, a nonzero diagonal)
+    are reported the same way, as consistency=false with a witness.
     """
     rel = sch.rel
     n, c = sch.size, sch.classes
@@ -94,7 +98,7 @@ def verify_scheme(sch: RelationScheme) -> CountedParameters:
     if np.any(rel >= c) or np.any(rel < 0):
         return fail("class label out of range")
 
-    adj = (rel == np.arange(c)[:, None, None]).astype(np.int64)
+    adj = (rel == np.arange(c)[:, None, None]).astype(np.uint8)
     counts = adj.sum(axis=2).T
     bad = first_true(np.any(counts != counts[0], axis=1))
     if bad:
@@ -104,17 +108,20 @@ def verify_scheme(sch: RelationScheme) -> CountedParameters:
     firsts = [first_true(rel == k) for k in range(c)]
     p_rep = np.zeros((c, c, c), dtype=np.int64)
     differs = np.zeros((n, n), dtype=bool)
-    for i, j in np.ndindex(c, c):
-        prod = adj[i] @ adj[j]
+    # stack[z, j*n + y] = A_j[z, y], so A_i @ stack holds every A_i A_j
+    stack = adj.transpose(1, 0, 2).reshape(n, c * n)
+    for i in range(c):
+        prods = exact_product(adj[i], stack).reshape(n, c, n)
+        prods = prods.transpose(0, 2, 1)   # prods[x, y, j] = (A_i A_j)[x, y]
         for k, hit in enumerate(firsts):
             if hit:
-                p_rep[k, i, j] = prod[hit]
-        differs |= prod != p_rep[rel, i, j]
+                p_rep[k, i] = prods[hit]
+        differs |= np.any(prods != p_rep[rel, i], axis=2)
     bad = first_true(differs)
     if bad:
         x, y = bad
         k = int(rel[x, y])
-        got = adj[:, x] @ adj[:, :, y].T
+        got = exact_product(adj[:, x], adj[:, :, y].T)
         i, j = first_true(got != p_rep[k])
         return CountedParameters(
             valencies, (), False,

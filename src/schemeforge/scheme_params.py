@@ -315,17 +315,30 @@ def krein_numbers(q_mat: RatMatrix, valencies: Sequence,
     return q
 
 
-def closed_form_parameters(t: int) -> SchemeParameters:
-    """The family's parameter set, straight from the closed-form tables."""
+def _closed_form_q(t: int) -> RatMatrix:
+    """The family's second eigenmatrix Q; row 0 is the multiplicities."""
     if not isinstance(t, int) or t < 3 or t % 2 == 0:
         raise BadParameter(f"t must be an odd integer >= 3, got {t!r}")
+    F = Fraction
+    s = t * t - t + 1
+    return RatMatrix.from_rows([
+        [1, (t - 1) * (t * t + 1), s * (s + t), (t - 1) * (t * t + 1), 1],
+        [1, s - 1, 0, 1 - s, -1],
+        [1, -s - 1, 2 * s, -s - 1, 1],
+        [1, F(-(s + t), t), 0, F(s + t, t), -1],
+        [1, F(s - t, t), F(-2 * s, t), F(s - t, t), 1],
+    ])
+
+
+def closed_form_parameters(t: int) -> SchemeParameters:
+    """The family's parameter set, straight from the closed-form tables."""
+    q_mat = _closed_form_q(t)
     F = Fraction
     s = t * t - t + 1
     b = t * (t + 1) // 2
     n = (F(1), F((t + 1) * (t * t + 1), 2), F((t - 1) * (t * t + 1), 2),
          F(t * t * (t * t - 1), 2), F(t * t * (t * t + 1), 2))
-    m = (F(1), F((t - 1) * (t * t + 1)), F(s * (s + t)),
-         F((t - 1) * (t * t + 1)), F(1))
+    m = q_mat.row(0)
     order = F((t ** 3 + 1) * (t + 1))
     p_mat = RatMatrix.from_rows([
         [1, n[1], n[2], n[3], n[4]],
@@ -333,13 +346,6 @@ def closed_form_parameters(t: int) -> SchemeParameters:
         [1, 0, F(t - 1), 0, F(-t)],
         [1, F(-b), F(-(s + 1), 2), F(b), F(s - 1, 2)],
         [1, -n[1], n[2], -n[3], n[4]],
-    ])
-    q_mat = RatMatrix.from_rows([
-        [1, m[1], m[2], m[3], m[4]],
-        [1, F(s - 1), 0, F(1 - s), -1],
-        [1, F(-s - 1), F(2 * s), F(-s - 1), 1],
-        [1, F(-(s + t), t), 0, F(s + t, t), -1],
-        [1, F(s - t, t), F(-2 * s, t), F(s - t, t), 1],
     ])
 
     def tensor(inner, boundary_weights):
@@ -423,8 +429,8 @@ def derive_parameters(k: KreinArray, t: int | None = None) -> SchemeParameters:
     if order <= 0 or order.denominator != 1:
         raise NonIntegral(f"order {order} is not a positive integer")
     if t is not None:
-        target = closed_form_parameters(t)
-        by_row = {target.Q.row(i): i for i in range(k.d + 1)}
+        target = _closed_form_q(t)
+        by_row = {target.row(i): i for i in range(k.d + 1)}
         perm = [None] * (k.d + 1)
         for i in range(k.d + 1):
             ti = by_row.get(q_mat.row(i))

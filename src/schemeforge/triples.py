@@ -446,11 +446,8 @@ def direct_triple_counts(sch, x: int, y: int, u: int) -> tuple:
     c = sch.classes
     code = rel[x].astype(np.int64) * c * c + rel[y].astype(np.int64) * c \
         + rel[u].astype(np.int64)
-    counts = np.bincount(code, minlength=c ** 3)
-    return tuple(tuple(tuple(int(counts[l * c * c + m * c + n])
-                             for n in range(c))
-                       for m in range(c))
-                 for l in range(c))
+    counts = np.bincount(code, minlength=c ** 3).reshape(c, c, c).tolist()
+    return tuple(tuple(map(tuple, plane)) for plane in counts)
 
 
 def integer_residual_checker(sys_: TripleSystem):

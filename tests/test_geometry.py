@@ -1,15 +1,19 @@
 """GF(9), the quartic surface, GQ axioms, and the hemisystem search."""
 
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from schemeforge.geometry import (ADD, CONJ, FOURTH, GQ, INV, MUL, NEG,
-                                  Hemisystem, NotFound, build_hermitian_gq,
+                                  Hemisystem, NotFound, ProductBound,
+                                  build_hermitian_gq, exact_product,
                                   find_hemisystem, hermitian_coordinates,
-                                  hermitian_value, proj_points, verify_gq,
-                                  verify_hemisystem)
+                                  hermitian_form, hermitian_value,
+                                  proj_points, verify_gq, verify_hemisystem)
 
 
 # ------------------------------------------------------------ field
@@ -141,14 +145,78 @@ def test_incidence_products_mark_collinear_pairs(hermitian_gq):
 
 
 def test_collinear_means_orthogonal(hermitian_gq):
-    """Two surface points share a line iff sum p_i q_i^3 = 0."""
+    """Two surface points share a line iff sum p_i q_i^3 = 0.
+
+    The vectorized form matrix equals the scalar table fold on every
+    ordered pair, the diagonal included.
+    """
     coords = hermitian_coordinates()
     joins = (hermitian_gq.incidence @ hermitian_gq.incidence.T).tolist()
-    for i, j in itertools.combinations(range(len(coords)), 2):
+    matrix = hermitian_form()
+    assert matrix.shape == (len(coords), len(coords))
+    matrix = matrix.tolist()
+    for i, j in itertools.product(range(len(coords)), repeat=2):
         form = 0
         for a, b in zip(coords[i], coords[j]):
             form = ADD[form][MUL[a][CONJ[b]]]
-        assert (form == 0) == (joins[i][j] == 1)
+        assert matrix[i][j] == form
+        if i < j:
+            assert (form == 0) == (joins[i][j] == 1)
+
+
+def test_hermitian_lines_are_pinned(hermitian_gq):
+    """The line list, byte for byte, as first recorded."""
+    digest = hashlib.sha256(repr(hermitian_gq.lines).encode()).hexdigest()
+    assert digest == ("c4de82078a0ef7dd39ef4df0f9623c02"
+                      "6b296fc8112177bd6c35c7a14578c845")
+
+
+# ------------------------------------------------------------ exact product
+
+def int_matrices(rows, cols):
+    entries = st.lists(st.integers(0, 2 ** 20), min_size=rows * cols,
+                       max_size=rows * cols)
+    return entries.map(
+        lambda xs: np.array(xs, dtype=np.int64).reshape(rows, cols))
+
+
+def product_pairs():
+    dims = st.integers(0, 6)
+    return st.tuples(dims, dims, dims).flatmap(
+        lambda d: st.tuples(int_matrices(d[0], d[1]),
+                            int_matrices(d[1], d[2])))
+
+
+def empty_pair(rows, inner, cols):
+    return (np.ones((rows, inner), dtype=np.int64),
+            np.ones((inner, cols), dtype=np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_pairs())
+@example(empty_pair(0, 3, 2))
+@example(empty_pair(2, 0, 3))
+@example(empty_pair(2, 3, 0))
+@example(empty_pair(0, 0, 0))
+def test_exact_product_equals_integer_matmul(pair):
+    a, b = pair
+    got = exact_product(a, b)
+    assert got.dtype == np.int64
+    assert got.shape == (a.shape[0], b.shape[1])
+    assert np.array_equal(got, a @ b)
+
+
+def test_exact_product_bound():
+    big = 2 ** 26
+    a = np.full((1, 2), big, dtype=np.int64)
+    b = np.full((2, 1), big, dtype=np.int64)
+    # 2^26 * 2^26 * 2 = 2^53: the first bound that is refused
+    with pytest.raises(ProductBound, match="2\\^53"):
+        exact_product(a, b)
+    with pytest.raises(OverflowError):
+        exact_product(a, b)
+    a -= 1
+    assert exact_product(a, b).tolist() == [[2 * (big - 1) * big]]
 
 
 # ------------------------------------------------------------ hemisystem
