@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -154,6 +155,13 @@ def _three_term(k: KreinArray) -> tuple:
     return tuple(k.bstar[0] - b[j] - c[j] for j in range(k.d + 1)), b, c
 
 
+def _scaled_three_term(k: KreinArray) -> tuple:
+    """(D, D a*, D b*, D c*), D the lcm of the denominators of a*, b*, c*."""
+    a, b, c = _three_term(k)
+    den = math.lcm(*(x.denominator for x in a + b + c))
+    return (den,) + tuple([int(x * den) for x in xs] for xs in (a, b, c))
+
+
 def dual_eigenvalues(k: KreinArray) -> tuple:
     """The rational eigenvalues of L1*, ascending, by integer Sturm bisection.
 
@@ -169,10 +177,8 @@ def dual_eigenvalues(k: KreinArray) -> tuple:
     above x (otherwise a rational eigenvalue i + 1 within 1 of an
     irrational eigenvalue i would be found twice).
     """
-    a, b, c = _three_term(k)
     d = k.d
-    den = math.lcm(*(x.denominator for x in a + b + c))
-    diag, up, low = ([int(x * den) for x in xs] for xs in (a, b, c))
+    den, diag, up, low = _scaled_three_term(k)
     coupling = [0] + [up[j - 1] * low[j] for j in range(1, d + 1)]
     radius = max(abs(diag[j]) + up[j] + low[j] for j in range(d + 1))
 
@@ -201,19 +207,25 @@ def dual_eigenvalues(k: KreinArray) -> tuple:
     return tuple(roots)
 
 
-def _dual_row(k: KreinArray, theta: Rat) -> tuple:
-    """One row of Q from the three-term recurrence at dual eigenvalue theta."""
-    d = k.d
-    a, b, c = _three_term(k)
-    row = [Fraction(1), theta / c[1]]
-    for j in range(1, d):
-        nxt = ((theta - a[j]) * row[j] - b[j - 1] * row[j - 1]) / c[j + 1]
-        row.append(nxt)
+def _dual_row(scaled: tuple, theta: Rat) -> tuple:
+    """One row of Q from the three-term recurrence at dual eigenvalue theta.
+
+    `scaled` is `_scaled_three_term(k)` and x = D theta an integer. Scaled,
+    the recurrence is that of the minors p_j(x) of `dual_eigenvalues`:
+    Q_j = p_j(x) / (D c*_1 ... D c*_j), one division per entry.
+    """
+    den, diag, up, low = scaled
+    d = len(diag) - 1
+    x = theta.numerator * (den // theta.denominator)
+    num = [1, x]
+    for j in range(1, d + 1):
+        num.append((x - diag[j]) * num[j] - up[j - 1] * low[j] * num[j - 1])
     # terminal consistency: theta must be an actual eigenvalue
-    if (theta - a[d]) * row[d] - b[d - 1] * row[d - 1] != 0:
+    if num[d + 1] != 0:
         raise DegenerateSpectrum(
             f"recurrence does not close at eigenvalue {theta}")
-    return tuple(row)
+    scale = itertools.accumulate(low[1:], operator.mul, initial=1)
+    return tuple(map(Fraction, num[:d + 1], scale))
 
 
 def dual_eigenmatrix(k: KreinArray) -> tuple:
@@ -230,7 +242,8 @@ def dual_eigenmatrix(k: KreinArray) -> tuple:
     if len(roots) < d + 1:
         raise IrrationalEigenvalue(
             f"only {len(roots)} of {d + 1} dual eigenvalues are rational")
-    rows = {theta: _dual_row(k, theta) for theta in roots}
+    scaled = _scaled_three_term(k)
+    rows = {theta: _dual_row(scaled, theta) for theta in roots}
     positive = [theta for theta, row in rows.items()
                 if all(x > 0 for x in row)]
     if len(positive) != 1:

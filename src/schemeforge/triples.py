@@ -12,8 +12,10 @@ then pins many of them to exact values.
 Every row and right-hand side is a Python int, so the residual checker
 reads the rows as they are built; a Krein row is its rational equation
 times the lcm of its denominators. Unknowns are ordered lexicographically
-by (l, m, n). Solving is exact and runs on symmetry classes: the zero
-rows kill unknowns, the symmetry rows merge them, and elimination sees one
+by (l, m, n). The sum, unit and Krein rows do not depend on the pattern
+and are formed once per d and per (Q, tuples), each cached for the last
+key only, so a sweep over t holds one parameter set's rows at a time.
+Solving is exact and runs on symmetry classes: the zero rows kill unknowns, the symmetry rows merge them, and elimination sees one
 column per surviving class (6 to 16 for odd t <= 51, against d^3 = 64
 names) and the rows that remain distinct up to scale (12 to 44). They
 are eliminated in integers, and a Fraction first appears when a pivot row
@@ -25,6 +27,7 @@ test over the solution line. A larger solution space raises HighNullity.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -119,6 +122,24 @@ def _names(d: int) -> tuple:
                  for n in range(1, d + 1))
 
 
+@functools.lru_cache(maxsize=1)
+def _sum_rows(d: int) -> tuple:
+    """Pattern-free part of every base system with d classes.
+
+    (names, the member indices of each of the 3 d^2 sum rows, the sum rows,
+    the d^3 unit rows), the sum rows in `build_base_system`'s order.
+    """
+    names, rng, step = _names(d), range(d), (d * d, d, 1)
+    members = tuple(tuple(r * step[s] + i * step[a] + j * step[b]
+                          for r in rng)
+                    for s, a, b in ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+                    for i in rng for j in rng)
+    width = range(len(names))
+    rows = tuple(tuple(int(i in mem) for i in width) for mem in members)
+    units = tuple(tuple(int(i == v) for i in width) for v in width)
+    return names, members, rows, units
+
+
 def build_base_system(cfg: TripleConfig) -> TripleSystem:
     """Sum equations over the inner symbols, plus forced zero rows.
 
@@ -126,6 +147,8 @@ def build_base_system(cfg: TripleConfig) -> TripleSystem:
     remaining index; the right-hand side subtracts the boundary symbol.
     A zero right-hand side forces every summand to zero (the symbols are
     counts), which is emitted as one extra row per unknown involved.
+    The rows depend on d alone and come from `_sum_rows`, cached for the
+    last d only; each pattern forms its right-hand sides and zero rows.
     """
     if cfg.is_vacuous:
         a, b, c = cfg.abc
@@ -133,44 +156,18 @@ def build_base_system(cfg: TripleConfig) -> TripleSystem:
     d = cfg.params.d
     A, B, C = cfg.abc
     p = cfg.params.p
-    names = _names(d)
-    idx = {nm: i for i, nm in enumerate(names)}
-    rows, rhs, kinds = [], [], []
-    zero_rows = []
-
-    def emit(members, value):
-        row = [0] * len(names)
-        for nm in members:
-            row[idx[nm]] = 1
-        rows.append(tuple(row))
-        rhs.append(value)
-        kinds.append("sum")
-        if value == 0:
-            zero_rows.extend(members)
-        elif value < 0:
-            raise Inconsistent(f"negative right-hand side {value}")
-
+    names, members, rows, units = _sum_rows(d)
     rng = range(1, d + 1)
-    for m in rng:
-        for n in rng:
-            emit([(r, m, n) for r in rng],
-                 int(p[B][m][n]) - (1 if (m, n) == (A, C) else 0))
-    for l in rng:
-        for n in rng:
-            emit([(l, r, n) for r in rng],
-                 int(p[C][l][n]) - (1 if (l, n) == (A, B) else 0))
-    for l in rng:
-        for m in rng:
-            emit([(l, m, r) for r in rng],
-                 int(p[A][l][m]) - (1 if (l, m) == (C, B) else 0))
-
-    sys_ = TripleSystem(cfg, names, tuple(rows), tuple(rhs), tuple(kinds))
-    zrows = []
-    for nm in sorted(set(zero_rows)):
-        row = [0] * len(names)
-        row[idx[nm]] = 1
-        zrows.append(tuple(row))
-    return sys_.extended(zrows, [0] * len(zrows), "zero")
+    rhs = ([int(p[B][m][n]) - ((m, n) == (A, C)) for m in rng for n in rng]
+           + [int(p[C][l][n]) - ((l, n) == (A, B)) for l in rng for n in rng]
+           + [int(p[A][l][m]) - ((l, m) == (C, B)) for l in rng for m in rng])
+    for value in rhs:
+        if value < 0:
+            raise Inconsistent(f"negative right-hand side {value}")
+    zero = sorted({v for mem, b in zip(members, rhs) if b == 0 for v in mem})
+    return TripleSystem(cfg, names, rows + tuple(units[v] for v in zero),
+                        tuple(rhs) + (0,) * len(zero),
+                        ("sum",) * len(rows) + ("zero",) * len(zero))
 
 
 def _slot_permutations(abc) -> list:
@@ -227,6 +224,30 @@ def vanishing_tuples(params: SchemeParameters) -> tuple:
                  if params.q[t][r][s] == 0)
 
 
+@functools.lru_cache(maxsize=1)
+def _krein_rows(Q, tuples: tuple) -> tuple:
+    """Pattern-free part of the Krein rows for the dual eigenmatrix Q.
+
+    (cols, rows): cols[j] is column j of den * Q; rows[i] is
+    (row, g0, row // g0), row the integers den^3 Q_lr Q_ms Q_nt for
+    tuples[i] = (r, s, t) in `names` order and g0 = gcd(den^3, *row).
+    """
+    d = Q.rows - 1
+    rng = range(1, d + 1)
+    den = math.lcm(*(x.denominator for x in Q.entries))
+    cols = tuple(tuple(Q.at(i, j).numerator * (den // Q.at(i, j).denominator)
+                       for i in range(d + 1)) for j in range(d + 1))
+    den3 = den ** 3
+    rows = []
+    for r, s, t in tuples:
+        qr, qs, qt = cols[r], cols[s], cols[t]
+        lm = [qr[l] * qs[m] for l in rng for m in rng]
+        row = tuple(x * qt[n] for x in lm for n in rng)
+        g0 = math.gcd(den3, *row)
+        rows.append((row, g0, tuple(x // g0 for x in row)))
+    return cols, tuple(rows)
+
+
 def add_krein_vanishing(sys_: TripleSystem,
                         tuples: Iterable | None = None) -> TripleSystem:
     """One equation per vanishing Krein parameter q^t_rs = 0.
@@ -240,35 +261,29 @@ def add_krein_vanishing(sys_: TripleSystem,
     The products are formed in integers from the columns of den * Q, den
     the lcm of Q's denominators, so the equation comes out times den^3.
     Dividing it by g = gcd(den^3, b, *row) leaves the rational equation
-    times the lcm of its own denominators.
+    times the lcm of its own denominators. The rows and g0 come from
+    `_krein_rows`, cached for the last (Q, tuples) only; each pattern
+    forms b and g = gcd(g0, b) and divides again only where g != g0.
     """
     cfg = sys_.config
     params = cfg.params
     if tuples is None:
         tuples = vanishing_tuples(params)
     else:
-        tuples = sorted({p for tup in tuples
-                         for p in itertools.permutations(tup)})
-    A, B, C = cfg.abc
-    Q = params.Q
-    d = params.d
-    rng = range(1, d + 1)
-    den = math.lcm(*(x.denominator for x in Q.entries))
-    cols = [[Q.at(i, j).numerator * (den // Q.at(i, j).denominator)
-             for i in range(d + 1)] for j in range(d + 1)]
-    den3 = den ** 3
-    rows, rhs = [], []
+        tuples = tuple(sorted({p for tup in tuples
+                               for p in itertools.permutations(tup)}))
     for r, s, t in tuples:
         if params.q[t][r][s] != 0:
             raise NotVanishing(f"q^{t}_{r}{s} = {params.q[t][r][s]} != 0")
+    A, B, C = cfg.abc
+    cols, krein = _krein_rows(params.Q, tuples)
+    rows, rhs = [], []
+    for (r, s, t), (row, g0, reduced) in zip(tuples, krein):
         qr, qs, qt = cols[r], cols[s], cols[t]
-        # entries in `names` order: l, then m, then n
-        lm = [qr[l] * qs[m] for l in rng for m in rng]
-        row = [x * qt[n] for x in lm for n in rng]
         b = -(qr[0] * qs[A] * qt[C] + qr[A] * qs[0] * qt[B]
               + qr[C] * qs[B] * qt[0])
-        g = math.gcd(den3, b, *row)
-        rows.append(tuple(x // g for x in row))
+        g = math.gcd(g0, b)
+        rows.append(reduced if g == g0 else tuple(x // g for x in row))
         rhs.append(b // g)
     return sys_.extended(rows, rhs, "krein")
 
@@ -458,18 +473,30 @@ def integer_residual_checker(sys_: TripleSystem):
     index of the first violated row, or None when every equation is
     satisfied. Raises CheckerOverflow, naming the row, when the int64
     product of a row with a count tensor could wrap.
+
+    A count is at most `order`, so every partial sum of row . counts - b
+    lies within sum |a_ij| * order + |b_i|; below 2^63, int64 cannot wrap. All
+    rows are bounded at once by max |a| * width * order + max |b|; only
+    when that reaches 2^63 or an entry does not fit int64 are they
+    tested one by one.
     """
     import numpy as np
     order = int(sys_.config.params.order)
-    for i, (row, b) in enumerate(zip(sys_.rows, sys_.rhs)):
-        # A count is at most `order`, so every partial sum of row . counts
-        # and the residual row . counts - b lie within
-        # sum |a_ij| * order + |b_i|; below 2^63, int64 cannot wrap.
-        if sum(map(abs, row)) * order + abs(b) >= 2 ** 63:
-            raise CheckerOverflow(
-                f"{sys_.kinds[i]} row {i} can overflow int64 on counts up "
-                f"to {order}")
-    mat = np.array(sys_.rows, dtype=np.int64)
+    rows, width = sys_.rows, len(sys_.names)
+    try:
+        mat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64,
+                          count=len(rows) * width).reshape(len(rows), width)
+    except OverflowError:
+        bound = 2 ** 63
+    else:
+        bound = (max(int(mat.max(initial=0)), -int(mat.min(initial=0)))
+                 * width * order + max(map(abs, sys_.rhs), default=0))
+    if bound >= 2 ** 63:
+        for i, (row, b) in enumerate(zip(rows, sys_.rhs)):
+            if sum(map(abs, row)) * order + abs(b) >= 2 ** 63:
+                raise CheckerOverflow(
+                    f"{sys_.kinds[i]} row {i} can overflow int64 on counts "
+                    f"up to {order}")
     vec_rhs = np.array(sys_.rhs, dtype=np.int64)
     names = sys_.names
 

@@ -1,9 +1,10 @@
 """Plain Fraction arithmetic, as a reference for the tests.
 
 `schemeforge.linalg` eliminates in integers, and
-`schemeforge.scheme_params` sums the spectral tensors in integers; this
-module keeps the rational Gauss-Jordan elimination and the rational triple
-sum they replaced, so that tests compare the two instead of the code under
+`schemeforge.scheme_params` sums the spectral tensors and runs the dual
+three-term recurrence in integers; this module keeps the rational
+Gauss-Jordan elimination, the rational triple sum and the rational
+recurrence they replaced, so that tests compare the two instead of the code under
 test with itself. Results are built from the same `AffineSolutionSpace`
 and `RatMatrix` types and raise the same errors.
 """
@@ -13,6 +14,7 @@ from typing import Sequence
 
 from schemeforge.linalg import (AffineSolutionSpace, Inconsistent, NotSquare,
                                 RatMatrix, Singular)
+from schemeforge.scheme_params import DegenerateSpectrum, _three_term
 
 
 def rref_rows(rows: list) -> tuple:
@@ -95,3 +97,18 @@ def spectral_tensor(mat: RatMatrix, weights: Sequence, norms: Sequence,
         sum(w * cols[i][r] * cols[j][r] * cols[kk][r]
             for r, w in enumerate(weights)) / (order * norms[kk])
         for j in rng) for i in rng) for kk in rng)
+
+
+def dual_row(k, theta) -> tuple:
+    """One row of Q from the three-term recurrence at dual eigenvalue theta."""
+    d = k.d
+    a, b, c = _three_term(k)
+    row = [Fraction(1), theta / c[1]]
+    for j in range(1, d):
+        nxt = ((theta - a[j]) * row[j] - b[j - 1] * row[j - 1]) / c[j + 1]
+        row.append(nxt)
+    # terminal consistency: theta must be an actual eigenvalue
+    if (theta - a[d]) * row[d] - b[d - 1] * row[d - 1] != 0:
+        raise DegenerateSpectrum(
+            f"recurrence does not close at eigenvalue {theta}")
+    return tuple(row)

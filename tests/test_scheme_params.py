@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 import fraction_oracle as oracle
 from schemeforge.linalg import RatMatrix, solve_linear
-from schemeforge.scheme_params import (BadParameter, KreinArray,
-                                       NegativeKrein, NonIntegral,
+from schemeforge.scheme_params import (BadParameter, DegenerateSpectrum,
+                                       KreinArray, NegativeKrein, NonIntegral,
+                                       _dual_row, _scaled_three_term,
                                        _three_term, closed_form_parameters,
                                        derive_parameters, dual_eigenmatrix,
                                        dual_eigenvalues, first_eigenmatrix,
@@ -123,6 +124,44 @@ krein_entries = st.builds(F, st.integers(1, 12), st.sampled_from((1, 2, 3)))
 def test_dual_eigenvalues_match_a_float_reference(array):
     k = KreinArray.make(*array)
     assert dual_eigenvalues(k) == reference_dual_eigenvalues(k)
+
+
+def dual_row_outcome(row_of, *args):
+    try:
+        return row_of(*args)
+    except DegenerateSpectrum as exc:
+        return str(exc)
+
+
+def assert_dual_rows_match_the_fraction_recurrence(k):
+    """At every rational eigenvalue, and at the grid points beside each,
+    the integer recurrence gives the Fraction recurrence's row, or the
+    same DegenerateSpectrum text."""
+    den = _scaled_three_term(k)[0]
+    roots = dual_eigenvalues(k)
+    for theta in roots + tuple(r + F(s, den) for r in roots for s in (-1, 1)):
+        got = dual_row_outcome(_dual_row, _scaled_three_term(k), theta)
+        assert got == dual_row_outcome(oracle.dual_row, k, theta)
+        if theta in roots:
+            assert all(type(x) is Fraction for x in got)
+        else:
+            assert got == f"recurrence does not close at eigenvalue {theta}"
+
+
+@pytest.mark.parametrize("k", [hemisystem_krein_array(t)
+                               for t in range(3, 52, 2)]
+                         + [KreinArray.make(range(d, 0, -1), range(1, d + 1))
+                            for d in range(1, 8)])
+def test_dual_rows_match_the_fraction_recurrence(k):
+    assert_dual_rows_match_the_fraction_recurrence(k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+    st.lists(krein_entries, min_size=d, max_size=d),
+    st.lists(krein_entries, min_size=d, max_size=d))))
+def test_dual_rows_match_the_fraction_recurrence_at_random(array):
+    assert_dual_rows_match_the_fraction_recurrence(KreinArray.make(*array))
 
 
 def test_dual_eigenmatrix_t3():

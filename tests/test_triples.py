@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import fraction_oracle as oracle
+import triple_rows_oracle as rows_oracle
 from schemeforge import triples
 from schemeforge.linalg import Inconsistent, RatMatrix, solve_linear
 from schemeforge.scheme_params import closed_form_parameters
@@ -612,3 +613,103 @@ def test_checker_refuses_rows_that_can_overflow_int64():
 def test_distinct_elements_required(scheme_t3):
     with pytest.raises(ValueError):
         direct_triple_counts(scheme_t3, 3, 3, 5)
+
+
+# ------------------------------------------- shared rows against the oracle
+
+def outcome(build, *args):
+    """What `build` returns, or the type and text of the error it raises."""
+    try:
+        return build(*args)
+    except (CheckerOverflow, Inconsistent, NotVanishing) as exc:
+        return type(exc), str(exc)
+
+
+def checker_outcome(checker_of, sys_, tensors):
+    """First bad row of each tensor, or the CheckerOverflow text."""
+    try:
+        checker = checker_of(sys_)
+    except CheckerOverflow as exc:
+        return str(exc)
+    return [checker(tensor) for tensor in tensors]
+
+
+def test_systems_and_checkers_equal_the_per_pattern_builders():
+    """All 799 non-vacuous (t, pattern) systems for odd t <= 51, in the
+    order t = 3, 51, 3, 5, ..., 49: the one-entry caches are filled,
+    evicted and filled again. Rows, right-hand sides and kinds are equal
+    field for field, on the default and the requested Krein tuples, and
+    so are the checker's answers and its overflow errors."""
+    import random
+    rng = random.Random(12)
+    seen = set()
+    for t in [3, 51, 3] + list(range(5, 51, 2)):
+        params = closed_form_parameters(t)
+        order = int(params.order)
+        for abc in patterns(params):
+            seen.add((t, abc))
+            cfg = TripleConfig(params, abc)
+            sys_ = widened_system(cfg)
+            assert sys_ == rows_oracle.widened_system(cfg)
+            assert (outcome(widened_system, cfg, PROOF_TUPLES)
+                    == outcome(rows_oracle.widened_system, cfg,
+                               PROOF_TUPLES))
+            assert (outcome(add_krein_vanishing, build_base_system(cfg),
+                            ((2, 2, 2),))
+                    == outcome(rows_oracle.add_krein_vanishing,
+                               rows_oracle.build_base_system(cfg),
+                               ((2, 2, 2),)))
+            tensors = [[[[rng.randint(0, order) for _ in range(5)]
+                         for _ in range(5)] for _ in range(5)]
+                       for _ in range(2)]
+            assert (checker_outcome(integer_residual_checker, sys_, tensors)
+                    == checker_outcome(rows_oracle.integer_residual_checker,
+                                       sys_, tensors))
+    assert len(seen) == 799
+
+
+def edge_system(params, row, b):
+    """A unit row on [1 1 1], then `row` with right-hand side b."""
+    names = triples._names(params.d)
+    unit = (1,) + (0,) * (len(names) - 1)
+    return TripleSystem(TripleConfig(params, (2, 1, 1)), names,
+                        (unit, tuple(row)), (0, b), ("sum", "krein"))
+
+
+def padded(*entries):
+    return entries + (0,) * (64 - len(entries))
+
+
+def test_checker_accepts_a_row_one_below_the_int64_bound(params_t3):
+    """sum |a| * order + |b| = 2^63 - 1 passes the exact row test, though
+    the matrix-wide bound fails."""
+    order = int(params_t3.order)
+    a, b = divmod(2 ** 63 - 1, 2 * order)
+    sys_ = edge_system(params_t3, padded(0, a, -a), -b)
+    assert 2 * a * order + b == 2 ** 63 - 1
+    checker = integer_residual_checker(sys_)
+    zeros = [[[0] * 5 for _ in range(5)] for _ in range(5)]
+    assert checker(zeros) == (1 if b else None)
+    rows_oracle.integer_residual_checker(sys_)
+
+
+@pytest.mark.parametrize("row,b", [
+    (padded(0, (2 ** 63 - 1) // 112), 2 ** 63 - (2 ** 63 - 1) // 112 * 112),
+    (padded(0, 2 ** 63), 0),
+    (padded(0, 0, -2 ** 63), 0),
+    (padded(0, -2 ** 64), 1),
+    (padded(0, 1), 2 ** 63),
+])
+def test_checker_names_the_row_at_or_past_the_int64_bound(params_t3, row, b):
+    """At exactly 2^63, and for entries that int64 cannot hold at all or
+    whose absolute value it cannot hold, CheckerOverflow names row 1
+    (never numpy's plain OverflowError), as the row-by-row test does."""
+    assert int(params_t3.order) == 112
+    sys_ = edge_system(params_t3, row, b)
+    message = "krein row 1 can overflow int64 on counts up to 112"
+    for checker_of in (integer_residual_checker,
+                       rows_oracle.integer_residual_checker):
+        with pytest.raises(CheckerOverflow) as exc:
+            checker_of(sys_)
+        assert str(exc.value) == message
+

@@ -1,0 +1,212 @@
+"""The triple-system builders as they were before the shared rows.
+
+`schemeforge.triples` forms the pattern-free sum, unit and Krein rows once
+per parameter set and builds each residual checker with array operations;
+this module keeps the per-pattern builders and the row-by-row overflow
+guard they replaced, so that tests compare the two instead of the code
+under test with itself. Systems are the same `TripleSystem` type and raise
+the same errors.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from typing import Iterable
+
+from schemeforge.linalg import Inconsistent
+from schemeforge.triples import (CheckerOverflow, NotVanishing, TripleConfig,
+                                 TripleSystem, VacuousConfig,
+                                 vanishing_tuples)
+
+
+def _names(d: int) -> tuple:
+    return tuple((l, m, n)
+                 for l in range(1, d + 1)
+                 for m in range(1, d + 1)
+                 for n in range(1, d + 1))
+
+
+def build_base_system(cfg: TripleConfig) -> TripleSystem:
+    """Sum equations over the inner symbols, plus forced zero rows.
+
+    Each of the 3 d^2 equations fixes one coordinate pair and sums over the
+    remaining index; the right-hand side subtracts the boundary symbol.
+    A zero right-hand side forces every summand to zero (the symbols are
+    counts), which is emitted as one extra row per unknown involved.
+    """
+    if cfg.is_vacuous:
+        a, b, c = cfg.abc
+        raise VacuousConfig(f"p^{a}_{c}{b} = 0: no ({a},{b},{c}) triple exists")
+    d = cfg.params.d
+    A, B, C = cfg.abc
+    p = cfg.params.p
+    names = _names(d)
+    idx = {nm: i for i, nm in enumerate(names)}
+    rows, rhs, kinds = [], [], []
+    zero_rows = []
+
+    def emit(members, value):
+        row = [0] * len(names)
+        for nm in members:
+            row[idx[nm]] = 1
+        rows.append(tuple(row))
+        rhs.append(value)
+        kinds.append("sum")
+        if value == 0:
+            zero_rows.extend(members)
+        elif value < 0:
+            raise Inconsistent(f"negative right-hand side {value}")
+
+    rng = range(1, d + 1)
+    for m in rng:
+        for n in rng:
+            emit([(r, m, n) for r in rng],
+                 int(p[B][m][n]) - (1 if (m, n) == (A, C) else 0))
+    for l in rng:
+        for n in rng:
+            emit([(l, r, n) for r in rng],
+                 int(p[C][l][n]) - (1 if (l, n) == (A, B) else 0))
+    for l in rng:
+        for m in rng:
+            emit([(l, m, r) for r in rng],
+                 int(p[A][l][m]) - (1 if (l, m) == (C, B) else 0))
+
+    sys_ = TripleSystem(cfg, names, tuple(rows), tuple(rhs), tuple(kinds))
+    zrows = []
+    for nm in sorted(set(zero_rows)):
+        row = [0] * len(names)
+        row[idx[nm]] = 1
+        zrows.append(tuple(row))
+    return sys_.extended(zrows, [0] * len(zrows), "zero")
+
+
+def _slot_permutations(abc) -> list:
+    """Index-slot permutations valid for this pattern.
+
+    Swapping two of the three base points preserves the pattern exactly
+    when the corresponding pair of A, B, C coincides; all of S3 applies
+    when the three are equal.
+    """
+    A, B, C = abc
+    swaps = []
+    if B == C:
+        swaps.append(lambda t: (t[1], t[0], t[2]))
+    if A == C:
+        swaps.append(lambda t: (t[0], t[2], t[1]))
+    if A == B:
+        swaps.append(lambda t: (t[2], t[1], t[0]))
+    if A == B == C:
+        swaps.append(lambda t: (t[1], t[2], t[0]))
+        swaps.append(lambda t: (t[2], t[0], t[1]))
+    return swaps
+
+
+def add_symmetry(sys_: TripleSystem) -> TripleSystem:
+    """Widen with [l m n] = [sigma(l m n)] for each valid slot swap."""
+    perms = _slot_permutations(sys_.config.abc)
+    if not perms:
+        return sys_
+    n = len(sys_.names)
+    seen = set()
+    rows, rhs = [], []
+    for nm in sys_.names:
+        for perm in perms:
+            other = perm(nm)
+            if other == nm:
+                continue
+            key = (min(nm, other), max(nm, other))
+            if key in seen:
+                continue
+            seen.add(key)
+            row = [0] * n
+            row[sys_.index(nm)] = 1
+            row[sys_.index(other)] = -1
+            rows.append(tuple(row))
+            rhs.append(0)
+    return sys_.extended(rows, rhs, "symmetry")
+
+
+def add_krein_vanishing(sys_: TripleSystem,
+                        tuples: Iterable | None = None) -> TripleSystem:
+    """One equation per vanishing Krein parameter q^t_rs = 0.
+
+    sum_{l,m,n} Q_lr Q_ms Q_nt [l m n] = -(Q_0r Q_As Q_Ct
+    + Q_Ar Q_0s Q_Bt + Q_Cr Q_Bs Q_0t), the boundary symbols having been
+    moved to the right-hand side. Explicitly requested tuples are expanded
+    to all their index permutations; by default every ordered tuple with
+    q^t_rs = 0 is used.
+
+    The products are formed in integers from the columns of den * Q, den
+    the lcm of Q's denominators, so the equation comes out times den^3.
+    Dividing it by g = gcd(den^3, b, *row) leaves the rational equation
+    times the lcm of its own denominators.
+    """
+    cfg = sys_.config
+    params = cfg.params
+    if tuples is None:
+        tuples = vanishing_tuples(params)
+    else:
+        tuples = sorted({p for tup in tuples
+                         for p in itertools.permutations(tup)})
+    A, B, C = cfg.abc
+    Q = params.Q
+    d = params.d
+    rng = range(1, d + 1)
+    den = math.lcm(*(x.denominator for x in Q.entries))
+    cols = [[Q.at(i, j).numerator * (den // Q.at(i, j).denominator)
+             for i in range(d + 1)] for j in range(d + 1)]
+    den3 = den ** 3
+    rows, rhs = [], []
+    for r, s, t in tuples:
+        if params.q[t][r][s] != 0:
+            raise NotVanishing(f"q^{t}_{r}{s} = {params.q[t][r][s]} != 0")
+        qr, qs, qt = cols[r], cols[s], cols[t]
+        # entries in `names` order: l, then m, then n
+        lm = [qr[l] * qs[m] for l in rng for m in rng]
+        row = [x * qt[n] for x in lm for n in rng]
+        b = -(qr[0] * qs[A] * qt[C] + qr[A] * qs[0] * qt[B]
+              + qr[C] * qs[B] * qt[0])
+        g = math.gcd(den3, b, *row)
+        rows.append(tuple(x // g for x in row))
+        rhs.append(b // g)
+    return sys_.extended(rows, rhs, "krein")
+
+
+def widened_system(cfg: TripleConfig,
+                   krein_tuples: Iterable | None = None) -> TripleSystem:
+    """Base system plus symmetry identities plus Krein-vanishing rows."""
+    return add_krein_vanishing(add_symmetry(build_base_system(cfg)),
+                               tuples=krein_tuples)
+
+
+def integer_residual_checker(sys_: TripleSystem):
+    """Precompiled exact residual test for direct-count tensors.
+
+    The int rows become one int64 matrix, so the per-tensor check is a
+    single matrix product. Returns a function mapping a tensor to the
+    index of the first violated row, or None when every equation is
+    satisfied. Raises CheckerOverflow, naming the row, when the int64
+    product of a row with a count tensor could wrap.
+    """
+    import numpy as np
+    order = int(sys_.config.params.order)
+    for i, (row, b) in enumerate(zip(sys_.rows, sys_.rhs)):
+        # A count is at most `order`, so every partial sum of row . counts
+        # and the residual row . counts - b lie within
+        # sum |a_ij| * order + |b_i|; below 2^63, int64 cannot wrap.
+        if sum(map(abs, row)) * order + abs(b) >= 2 ** 63:
+            raise CheckerOverflow(
+                f"{sys_.kinds[i]} row {i} can overflow int64 on counts up "
+                f"to {order}")
+    mat = np.array(sys_.rows, dtype=np.int64)
+    vec_rhs = np.array(sys_.rhs, dtype=np.int64)
+    names = sys_.names
+
+    def check(tensor):
+        vec = np.fromiter((tensor[l][m][n] for l, m, n in names),
+                          dtype=np.int64, count=len(names))
+        bad = np.nonzero(mat @ vec - vec_rhs)[0]
+        return int(bad[0]) if bad.size else None
+
+    return check
