@@ -4,9 +4,9 @@ Forcing triple intersection numbers
 
 For a triple of elements in pairwise relations (A, B, C), the counts
 [l m n] of elements at relations l, m, n from the three satisfy a
-linear system built from the p^k_ij, the pattern symmetries and the
-vanishing Krein parameters. Here we solve two patterns exactly and see
-how nonnegativity pins what linear algebra alone leaves open.
+linear system built from the p^k_ij and the vanishing Krein parameters.
+Here we solve two patterns exactly and see how nonnegativity pins what
+linear algebra alone leaves open.
 """
 
 from schemeforge import (TripleConfig, VacuousConfig, closed_form_parameters,

@@ -6,6 +6,7 @@ mathematical validation fails.  All output is deterministic by default;
 """
 
 import argparse
+import os
 import random
 import sys
 
@@ -403,7 +404,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()   # a closed pipe shows up here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader stopped early, which is not an error. Point stdout at
+        # devnull so that the interpreter's last flush does not fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (UsageError, BadInput, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,15 +1,19 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices with Fraction entries, reduced row echelon form with a fixed
-first-nonzero pivoting rule, parametric solution spaces for underdetermined
-systems, and inversion. Elimination runs on integer rows, each row cleared
-of denominators once, and Fractions appear only when each pivot row is
-divided by its pivot at the end. All operations are pure and exact; no
-floating point is used anywhere.
+Dense matrices with Fraction entries, parametric solution spaces for
+underdetermined systems, and inversion. There is one elimination routine,
+an integer reduced row echelon form, and one place that reads a solution
+space off its pivots (`solve_integer`). Callers with int rows, such as
+the triple solver, hand them over as they are; `solve_linear` and
+`invert` first clear each row of a Fraction matrix of its denominators.
+A Fraction appears only when an entry of the result is divided by its
+row's pivot. All operations are pure and exact; no floating point is used
+anywhere.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -129,94 +133,112 @@ def _primitive(row: list) -> list:
     return [x // g for x in row] if g > 1 else row
 
 
-def _rref_rows(rows: list) -> tuple:
-    """In-place RREF of a list of row lists; returns pivot column tuple.
+def _cleared(row) -> list:
+    """A row of ints and Fractions times the lcm of its denominators,
+    made primitive."""
+    den = math.lcm(*(x.denominator for x in row))
+    return _primitive([x.numerator * (den // x.denominator) for x in row])
 
-    Elimination runs in Python ints: each row is multiplied once by the
-    lcm of its entries' denominators, an update
-    (pv/g) * row - (f/g) * pivot_row with g = gcd(pv, f) keeps it
-    integral, and every row is kept primitive. Fractions appear only at
-    the end, when each pivot row is divided by its pivot. Scaling a row by
-    a nonzero int keeps its zero pattern, so the pivots, and as the RREF
-    is unique the result, are those of elimination over the rationals.
 
-    Pivoting rule: for each column left to right, the first row at or below
-    the current one with a nonzero entry. Free columns are therefore
-    canonical for a given column ordering.
+def _combine(row, prow, c: int) -> list:
+    """row with column c cleared by the pivot row prow, in ints.
+
+    (pv/g) * row - (f/g) * prow, pv and f their entries in column c and
+    g = gcd(pv, f).
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    for i, row in enumerate(rows):
-        den = math.lcm(*(x.denominator for x in row))
-        rows[i] = _primitive([x.numerator * (den // x.denominator)
-                              for x in row])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        sel = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        prow = rows[r]
-        pv = prow[c]
-        for i in range(nrows):
-            f = rows[i][c]
-            if i != r and f:
-                g = math.gcd(pv, f)
-                a, b = pv // g, f // g
-                rows[i] = _primitive([a * x - b * y
-                                      for x, y in zip(rows[i], prow)])
-        pivots.append(c)
-        r += 1
+    pv, f = prow[c], row[c]
+    g = math.gcd(pv, f)
+    a, b = pv // g, f // g
+    return [a * x - b * y for x, y in zip(row, prow)]
+
+
+def _rref_rows(rows) -> tuple:
+    """Integer RREF of int rows: (pivot columns, pivot rows).
+
+    The rows are inserted one at a time into an echelon form kept sorted
+    by pivot column. Each is cleared at the pivot columns so far, in
+    ascending order, made primitive, and dropped if it became zero, or
+    else inserted at its leading column. Back substitution from the last
+    pivot up then clears every pivot column above its row. Row r comes
+    out as an integer multiple of row r of the RREF: dividing it by its
+    entry in column pivots[r] gives that row. The RREF and its pivot
+    columns depend only on the row space and the column order, so they
+    are those of elimination over the rationals.
+    """
+    cols, prows = [], []
+    for row in rows:
+        for c, prow in zip(cols, prows):
+            if row[c]:
+                row = _combine(row, prow, c)
+        row = _primitive(row)
+        if any(row):
+            c = next(j for j, x in enumerate(row) if x)
+            k = bisect.bisect(cols, c)
+            cols.insert(k, c)
+            prows.insert(k, row)
+    for k in range(len(cols) - 1, 0, -1):
+        c, prow = cols[k], prows[k]
+        for j in range(k):
+            if prows[j][c]:
+                prows[j] = _primitive(_combine(prows[j], prow, c))
+    return tuple(cols), prows
+
+
+def solve_integer(rows: list, ncols: int) -> AffineSolutionSpace:
+    """Solve the int augmented rows [a | b] over ncols unknowns exactly.
+
+    Each row holds ncols + 1 ints; `_rref_rows` eliminates them. Raises
+    Inconsistent when no solution exists. Free variables are the non-pivot
+    columns, with the particular solution taking them all to zero. A
+    Fraction is formed only for a nonzero entry of the space, as a
+    quotient by its row's pivot.
+    """
+    pivots, rows = _rref_rows(rows)
+    if pivots and pivots[-1] == ncols:
+        raise Inconsistent("system has no solution")
     zero = Fraction(0)
-    for i, row in enumerate(rows):
-        pv = row[pivots[i]] if i < r else 1   # rows past the rank are 0
-        rows[i] = [Fraction(x, pv) if x else zero for x in row]
-    return tuple(pivots)
+    pivot_rows = tuple(zip(rows, pivots))
+    particular = [zero] * ncols
+    for row, pc in pivot_rows:
+        if row[ncols]:
+            particular[pc] = Fraction(row[ncols], row[pc])
+    pivot_set = set(pivots)
+    free = tuple(j for j in range(ncols) if j not in pivot_set)
+    basis = []
+    for f in free:
+        vec = [zero] * ncols
+        vec[f] = Fraction(1)
+        for row, pc in pivot_rows:
+            if row[f]:
+                vec[pc] = Fraction(-row[f], row[pc])
+        basis.append(tuple(vec))
+    return AffineSolutionSpace(tuple(particular), tuple(basis), free)
 
 
 def solve_linear(a: RatMatrix, b: Sequence) -> AffineSolutionSpace:
     """Solve a x = b exactly, returning the full affine solution space.
 
-    Raises Inconsistent when no solution exists. Free variables are the
-    non-pivot columns of the RREF, with the particular solution taking
-    them all to zero.
+    Each row of [a | b] is cleared of denominators and handed to
+    `solve_integer`, which raises Inconsistent when no solution exists.
     """
     bb = [_rat(x) for x in b]
     if len(bb) != a.rows:
         raise ValueError("right-hand side length mismatch")
-    n = a.cols
-    aug = [list(a.row(i)) + [bb[i]] for i in range(a.rows)]
-    if not aug:
-        pivots = ()
-    else:
-        pivots = _rref_rows(aug)
-    if pivots and pivots[-1] == n:
-        raise Inconsistent("system has no solution")
-    free = tuple(j for j in range(n) if j not in set(pivots))
-    particular = [Fraction(0)] * n
-    for r, pc in enumerate(pivots):
-        particular[pc] = aug[r][n]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * n
-        vec[f] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -aug[r][f]
-        basis.append(tuple(vec))
-    return AffineSolutionSpace(tuple(particular), tuple(basis), free)
+    return solve_integer([_cleared(a.row(i) + (bb[i],))
+                          for i in range(a.rows)], a.cols)
 
 
 def invert(m: RatMatrix) -> RatMatrix:
-    """Inverse via Gauss-Jordan on [m | I]."""
+    """Inverse from the integer RREF of [m | I], cleared of denominators."""
     if not m.is_square():
         raise NotSquare("only square matrices invert")
     n = m.rows
-    aug = [list(m.row(i)) + [Fraction(1) if i == j else Fraction(0)
-                             for j in range(n)] for i in range(n)]
-    pivots = _rref_rows(aug)
+    aug = [_cleared(m.row(i) + tuple(int(i == j) for j in range(n)))
+           for i in range(n)]
+    pivots, rows = _rref_rows(aug)
     if len(pivots) < n or any(p >= n for p in pivots):
         raise Singular("matrix is singular")
-    return RatMatrix.from_rows([row[n:] for row in aug])
+    zero = Fraction(0)
+    return RatMatrix.from_rows([[Fraction(x, row[i]) if x else zero
+                                 for x in row[n:]]
+                                for i, row in enumerate(rows)])

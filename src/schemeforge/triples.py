@@ -4,10 +4,9 @@ For points x, y, u with (x,y) in R_A, (y,u) in R_B, (u,x) in R_C, the
 symbol [l m n] counts points z with (x,z) in R_l, (y,z) in R_m and
 (u,z) in R_n. Boundary symbols (any index 0) are Kronecker deltas; the d^3
 inner symbols satisfy three families of sum equations whose right-hand
-sides are ordinary intersection numbers. The system can be widened by
-symmetry identities when some of A, B, C coincide and by one linear
-equation per vanishing Krein parameter, and nonnegativity of the symbols
-then pins many of them to exact values.
+sides are ordinary intersection numbers. The system is widened by one
+linear equation per vanishing Krein parameter (Coolsaet and Jurisic), and
+nonnegativity of the symbols then pins many of them to exact values.
 
 Every row and right-hand side is a Python int, so the residual checker
 reads the rows as they are built; a Krein row is its rational equation
@@ -15,14 +14,14 @@ times the lcm of its denominators. Unknowns are ordered lexicographically
 by (l, m, n). The sum, unit and Krein rows do not depend on the pattern
 and are formed once per d and per (Q, tuples), each cached for the last
 key only, so a sweep over t holds one parameter set's rows at a time.
-Solving is exact and runs on symmetry classes: the zero rows kill unknowns, the symmetry rows merge them, and elimination sees one
-column per surviving class (6 to 16 for odd t <= 51, against d^3 = 64
-names) and the rows that remain distinct up to scale (12 to 44). They
-are eliminated in integers, and a Fraction first appears when a pivot row
-is divided by its pivot. The solution space is then expanded back to the
-names. Forcing is exact too: every system of the family for odd t <= 51
-has at most one free parameter, and nonnegativity bounds it by a ratio
-test over the solution line. A larger solution space raises HighNullity.
+Solving is exact and stays in ints until the solution is read off: the
+zero rows kill unknowns, elimination sees the live columns (12 to 16 for
+odd t <= 51, against d^3 = 64 names) and the rows that remain distinct
+up to scale (38 to 44), and a Fraction first appears as an entry of the
+solution space. Forcing is exact too: every system of the family for odd
+t <= 51 has at most one free parameter, and nonnegativity bounds it by a
+ratio test over the solution line. A larger solution space raises
+HighNullity.
 """
 
 from __future__ import annotations
@@ -30,12 +29,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable
 
 from .errors import SchemeforgeError
-from .linalg import AffineSolutionSpace, Inconsistent, RatMatrix, solve_linear
+from .linalg import AffineSolutionSpace, Inconsistent, solve_integer
 from .scheme_params import SchemeParameters
 
 
@@ -83,8 +83,9 @@ class TripleSystem:
     """Linear equations over the d^3 inner symbols.
 
     rows[i] is a tuple of int coefficients over `names` and rhs[i] an int;
-    kinds[i] tags where the row came from ("sum", "zero", "symmetry",
-    "krein").
+    kinds[i] tags where the row came from: "sum" (a sum equation), "zero"
+    (an unknown that a zero sum forces to 0) or "krein" (a vanishing
+    Krein parameter).
     """
 
     config: TripleConfig
@@ -92,11 +93,6 @@ class TripleSystem:
     rows: tuple    # of int coefficient tuples
     rhs: tuple
     kinds: tuple
-
-    def index(self, lmn) -> int:
-        d = self.config.params.d
-        l, m, n = lmn
-        return (l - 1) * d * d + (m - 1) * d + (n - 1)
 
     def extended(self, new_rows, new_rhs, kind) -> "TripleSystem":
         return replace(self,
@@ -168,52 +164,6 @@ def build_base_system(cfg: TripleConfig) -> TripleSystem:
     return TripleSystem(cfg, names, rows + tuple(units[v] for v in zero),
                         tuple(rhs) + (0,) * len(zero),
                         ("sum",) * len(rows) + ("zero",) * len(zero))
-
-
-def _slot_permutations(abc) -> list:
-    """Index-slot permutations valid for this pattern.
-
-    Swapping two of the three base points preserves the pattern exactly
-    when the corresponding pair of A, B, C coincides; all of S3 applies
-    when the three are equal.
-    """
-    A, B, C = abc
-    swaps = []
-    if B == C:
-        swaps.append(lambda t: (t[1], t[0], t[2]))
-    if A == C:
-        swaps.append(lambda t: (t[0], t[2], t[1]))
-    if A == B:
-        swaps.append(lambda t: (t[2], t[1], t[0]))
-    if A == B == C:
-        swaps.append(lambda t: (t[1], t[2], t[0]))
-        swaps.append(lambda t: (t[2], t[0], t[1]))
-    return swaps
-
-
-def add_symmetry(sys_: TripleSystem) -> TripleSystem:
-    """Widen with [l m n] = [sigma(l m n)] for each valid slot swap."""
-    perms = _slot_permutations(sys_.config.abc)
-    if not perms:
-        return sys_
-    n = len(sys_.names)
-    seen = set()
-    rows, rhs = [], []
-    for nm in sys_.names:
-        for perm in perms:
-            other = perm(nm)
-            if other == nm:
-                continue
-            key = (min(nm, other), max(nm, other))
-            if key in seen:
-                continue
-            seen.add(key)
-            row = [0] * n
-            row[sys_.index(nm)] = 1
-            row[sys_.index(other)] = -1
-            rows.append(tuple(row))
-            rhs.append(0)
-    return sys_.extended(rows, rhs, "symmetry")
 
 
 def vanishing_tuples(params: SchemeParameters) -> tuple:
@@ -290,108 +240,64 @@ def add_krein_vanishing(sys_: TripleSystem,
 
 def widened_system(cfg: TripleConfig,
                    krein_tuples: Iterable | None = None) -> TripleSystem:
-    """Base system plus symmetry identities plus Krein-vanishing rows."""
-    return add_krein_vanishing(add_symmetry(build_base_system(cfg)),
-                               tuples=krein_tuples)
-
-
-def _classes(sys_: TripleSystem) -> tuple:
-    """Symmetry classes of the unknowns, and the rows left to eliminate.
-
-    A row with one nonzero coefficient and right-hand side 0 kills its
-    unknown; a row c e_i - c e_j = 0 merges i and j. Returns the classes
-    that hold no killed unknown, each a sorted member list, ordered by
-    their largest member, and (row, rhs, support) for the rows that did
-    neither.
-    """
-    parent = list(range(len(sys_.names)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    killed, rest = [], []
-    for row, rhs in zip(sys_.rows, sys_.rhs):
-        support = [v for v, c in enumerate(row) if c]
-        if rhs == 0 and len(support) == 1:
-            killed.append(support[0])
-        elif (rhs == 0 and len(support) == 2
-              and row[support[0]] == -row[support[1]]):
-            parent[find(support[0])] = find(support[1])
-        else:
-            rest.append((row, rhs, support))
-    dead = {find(v) for v in killed}
-    members = {}
-    for v in range(len(parent)):
-        root = find(v)
-        if root not in dead:
-            members.setdefault(root, []).append(v)
-    return sorted(members.values(), key=lambda cls: cls[-1]), rest
+    """Base system plus Krein-vanishing rows."""
+    return add_krein_vanishing(build_base_system(cfg), tuples=krein_tuples)
 
 
 def solve(sys_: TripleSystem) -> TripleSolution:
     """Exact solution space; `forced` holds what linear algebra alone pins.
 
-    Elimination runs on the symmetry classes of `_classes`, not on the
-    d^3 names: every other row is summed over each class, rows that
-    become 0 = 0 or are a scalar multiple of an earlier row are dropped,
-    and 0 = b with b != 0 raises Inconsistent. The reduced rows are
-    eliminated in integers; Fractions enter only at the division by each
-    pivot. The reduced space is expanded
-    back to the names, with each free index the largest member of its
-    free class.
-    Every null vector is constant on a class and zero on killed unknowns,
-    and in an RREF free columns are the largest indices in the supports
-    of null vectors, so the result equals elimination on all d^3 columns,
-    field for field.
+    A row with one nonzero coefficient and right-hand side 0 kills its
+    unknown. Every row is read at the live unknowns only: rows that become
+    0 = 0 (the killing rows among them) or are a scalar multiple of an
+    earlier row are dropped, and 0 = b with b != 0 raises Inconsistent.
+    The rest, each divided by its gcd, go to `linalg.solve_integer` as
+    int rows. In elimination on all d^3 columns a killed unknown is a
+    pivot whose unit row touches no other column, so the space on the
+    live columns, in their order and expanded back with 0 at the killed
+    unknowns, equals that elimination field for field.
     """
-    classes, rest = _classes(sys_)
-    col = {v: j for j, cls in enumerate(classes) for v in cls}
-    rows, rhs, seen = [], [], set()
-    for row, b, support in rest:
-        red = [0] * len(classes)
-        for v in support:
-            if v in col:
-                red[col[v]] += row[v]
-        if not any(red):
-            if b != 0:
+    names = sys_.names
+    nvar = len(names)
+    killed = {row.index(sum(row)) for row, b in zip(sys_.rows, sys_.rhs)
+              if not b and row.count(0) == nvar - 1}
+    live = [v for v in range(nvar) if v not in killed]
+    # itemgetter returns a bare item, not a tuple, for a single index
+    pick = (operator.itemgetter(*live) if len(live) > 1
+            else lambda row: tuple(row[v] for v in live))
+    zeros = (0,) * len(live)
+    unique = {}
+    for row, b in zip(sys_.rows, sys_.rhs):
+        red = pick(row)
+        if red == zeros:
+            if b:
                 raise Inconsistent("system has no solution")
             continue
         # divide by the gcd, first nonzero entry positive: one key per
         # row up to scale
         g = math.gcd(b, *red)
-        if next(x for x in red if x) < 0:
+        if red < zeros:
             g = -g
-        key = (tuple(x // g for x in red), b // g)
-        if key not in seen:
-            seen.add(key)
-            rows.append(key[0])
-            rhs.append(key[1])
-    # built directly, so that a system with no rows left keeps its columns
-    reduced = solve_linear(
-        RatMatrix(len(rows), len(classes), tuple(x for r in rows for x in r)),
-        rhs)
+        aug = red + (b,)
+        unique[aug if g == 1 else tuple(x // g for x in aug)] = None
+    reduced = solve_integer(list(unique), len(live))
 
-    nvar = len(sys_.names)
+    zero = Fraction(0)
 
     def expand(vec):
-        out = [Fraction(0)] * nvar
-        for cls, x in zip(classes, vec):
-            for v in cls:
-                out[v] = x
+        out = [zero] * nvar
+        for v, x in zip(live, vec):
+            out[v] = x
         return tuple(out)
 
     space = AffineSolutionSpace(
         expand(reduced.particular),
         tuple(expand(vec) for vec in reduced.basis),
-        tuple(classes[j][-1] for j in reduced.free_indices))
-    forced = {}
-    for v in range(nvar):
-        if all(vec[v] == 0 for vec in space.basis):
-            forced[sys_.names[v]] = space.particular[v]
-    residual = tuple(sys_.names[f] for f in space.free_indices)
+        tuple(live[j] for j in reduced.free_indices))
+    moving = {live[j] for vec in reduced.basis for j, x in enumerate(vec) if x}
+    forced = {nm: x for v, (nm, x) in enumerate(zip(names, space.particular))
+              if v not in moving}
+    residual = tuple(names[f] for f in space.free_indices)
     return TripleSolution(sys_.config, space, forced, residual)
 
 
@@ -414,20 +320,25 @@ def nonneg_force(sys_: TripleSystem, sol: TripleSolution) -> TripleSolution:
     forced, residual = sol.forced, sol.residual_free
     if space.dimension == 1:
         (b,) = space.basis
+        p = space.particular
+        support = [v for v, bv in enumerate(b) if bv]
         lo = hi = None   # (bound on lam, index of the unknown that sets it)
-        for v, (pv, bv) in enumerate(zip(space.particular, b)):
-            if bv > 0 and (lo is None or -pv / bv > lo[0]):
-                lo = (-pv / bv, v)
-            elif bv < 0 and (hi is None or -pv / bv < hi[0]):
-                hi = (-pv / bv, v)
+        for v in support:
+            bound = -p[v] / b[v]
+            if b[v] > 0:
+                if lo is None or bound > lo[0]:
+                    lo = (bound, v)
+            elif hi is None or bound < hi[0]:
+                hi = (bound, v)
         if hi is not None and lo[0] > hi[0]:
             free = names[space.free_indices[0]]
             raise Infeasible(
                 f"{names[lo[1]]} >= 0 needs {free} >= {lo[0]} but "
                 f"{names[hi[1]]} >= 0 needs {free} <= {hi[0]}")
         if hi is not None and lo[0] == hi[0]:
-            forced = {nm: pv + lo[0] * bv
-                      for nm, pv, bv in zip(names, space.particular, b)}
+            forced = dict(zip(names, p))
+            for v in support:
+                forced[names[v]] = p[v] + lo[0] * b[v]
             residual = ()
     for nm, val in forced.items():
         if val < 0:

@@ -1,10 +1,15 @@
-"""Exercising the command line front end in process through main()."""
+"""Exercising the command line front end in process through main(), and
+in a child process where a real pipe is needed."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import schemeforge
 from schemeforge.cli import MAX_ENTRY_BITS, main
 from schemeforge.serialize import gq_to_dict, scheme_to_dict
 
@@ -185,6 +190,25 @@ def test_pipeline_rejects_other_t(capsys):
 
 def test_unknown_command(capsys):
     assert run(["frobnicate"], capsys)[0] == 1
+
+
+def test_a_reader_that_closes_early_is_not_an_error():
+    """The read end of stdout is closed before the command writes, as in
+    `schemeforge triple ... | true`: exit 0, and nothing on stderr, not
+    even the interpreter's "Exception ignored" at exit."""
+    src = os.path.dirname(os.path.dirname(schemeforge.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "schemeforge.cli", "triple", "--t", "51",
+             "--abc", "1,1,2"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 0
 
 
 def test_internal_errors_surface_as_tracebacks(monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 import fraction_oracle as oracle
 import triple_rows_oracle as rows_oracle
 from schemeforge import triples
-from schemeforge.linalg import Inconsistent, RatMatrix, solve_linear
+from schemeforge.linalg import Inconsistent, RatMatrix, solve_integer
 from schemeforge.scheme_params import closed_form_parameters
 from schemeforge.triples import (CheckerOverflow, HighNullity, Infeasible,
                                  NotVanishing, TripleConfig, TripleSystem,
@@ -52,9 +52,15 @@ def residuals(sys_, tensor):
 
 
 def proof_system(t, abc):
-    """Sum, symmetry and four-orbit vanishing rows, nothing else."""
+    """Sum, symmetry and four-orbit vanishing rows, nothing else.
+
+    The slot-swap identities [l m n] = [sigma(l m n)] are not among the
+    triple equations, and `widened_system` does not add them; these
+    systems take them from the row oracle.
+    """
     cfg = TripleConfig(closed_form_parameters(t), abc)
-    wide = widened_system(cfg, krein_tuples=PROOF_TUPLES)
+    swapped = rows_oracle.add_symmetry(build_base_system(cfg))
+    wide = add_krein_vanishing(swapped, tuples=PROOF_TUPLES)
     return only(wide, ("sum", "symmetry", "krein"))
 
 
@@ -97,22 +103,30 @@ def test_pattern_class_range_enforced(params_t3):
 # ------------------------------------------------------------ symmetry
 
 def test_two_equal_classes_transpose_unknowns():
+    """B = C: swapping x and y keeps the pattern, and every solution of
+    the widened system has [l m n] = [m l n] without a row saying so,
+    also where the solution line moves, as at [1 3 4] = [3 1 4]."""
     cfg = TripleConfig(closed_form_parameters(5), (2, 1, 1))
-    sys_ = only(widened_system(cfg), ("symmetry",))
-    i121 = sys_.index((1, 2, 1))
-    i211 = sys_.index((2, 1, 1))
-    matched = False
-    for row in sys_.rows:
-        support = {v for v, c in enumerate(row) if c}
-        if support == {i121, i211}:
-            matched = True
-    assert matched
+    sys_ = widened_system(cfg)
+    space = solve(sys_).space
+    index = sys_.names.index
+    for vec in (space.particular,) + space.basis:
+        for l, m, n in sys_.names:
+            assert vec[index((l, m, n))] == vec[index((m, l, n))]
+    assert space.basis[0][index((3, 1, 4))] != 0
 
 
 def test_all_distinct_classes_add_nothing():
-    cfg = TripleConfig(closed_form_parameters(5), (1, 2, 3))
-    sys_ = only(widened_system(cfg), ("symmetry",))
-    assert len(sys_.rows) == 0
+    """Widening adds the Krein rows and nothing else, for (1,2,3) and
+    for every other pattern alike."""
+    params = closed_form_parameters(5)
+    for abc in patterns(params):
+        cfg = TripleConfig(params, abc)
+        base = build_base_system(cfg)
+        wide = widened_system(cfg)
+        krein = len(vanishing_tuples(params))
+        assert wide.rows[:len(base.rows)] == base.rows
+        assert wide.kinds == base.kinds + ("krein",) * krein
 
 
 def test_full_symmetry_orbit_count():
@@ -258,7 +272,7 @@ def test_dependency_identity(t):
     space = solve(sys_).space
 
     def functional(vec):
-        pick = {name: vec[sys_.index(name)]
+        pick = {name: vec[sys_.names.index(name)]
                 for name in ((1, 3, 4), (1, 1, 2), (1, 1, 4), (1, 2, 3))}
         return (pick[(1, 3, 4)] - t * pick[(1, 1, 2)]
                 - Fraction(t - 1, 2) * (pick[(1, 1, 4)] + pick[(1, 2, 3)]))
@@ -300,13 +314,43 @@ def differential_system(t, abc, form):
     (7, (2, 2, 2), "proof", 6), (7, (2, 1, 1), "proof", 9),
     (7, (2, 2, 2), "symmetry", 20)])
 def test_solve_matches_64_column_elimination(t, abc, form, dimension):
-    """Elimination on symmetry classes gives the 64-column result, field
+    """Elimination on the live columns gives the 64-column result, field
     for field; the many-free-column systems pin the free index order.
     The widened (2,1,1) and (1,2,3) systems reduce to rows that are
     scalar multiples of each other, which `solve` keeps once."""
     sys_ = differential_system(t, abc, form)
     sol = assert_matches_reference(sys_)
     assert sol.space.dimension == dimension
+
+
+def fields(sol):
+    """Every field of a solution, the forced map in its order."""
+    space = sol.space
+    return (space.particular, space.basis, space.free_indices,
+            list(sol.forced.items()), sol.residual_free)
+
+
+def test_symmetry_rows_change_no_solution():
+    """All 799 non-vacuous (t, pattern) systems for odd t <= 51: `solve`
+    and `nonneg_force` give the same results, field for field, on the
+    widened system and on the row oracle's, which adds the slot-swap
+    identities back. So every symmetry row lies in the span of the
+    triple equations."""
+    seen = swapped = 0
+    for t in range(3, 52, 2):
+        params = closed_form_parameters(t)
+        for abc in patterns(params):
+            cfg = TripleConfig(params, abc)
+            sys_ = widened_system(cfg)
+            with_symmetry = rows_oracle.widened_system(cfg)
+            swapped += "symmetry" in with_symmetry.kinds
+            sol, ref = solve(sys_), solve(with_symmetry)
+            assert fields(sol) == fields(ref)
+            assert (fields(nonneg_force(sys_, sol))
+                    == fields(nonneg_force(with_symmetry, ref)))
+            seen += 1
+    assert seen == 799
+    assert swapped > 0
 
 
 def hand_system(rows):
@@ -325,22 +369,22 @@ def reduced_rows(monkeypatch, sys_):
     """How many rows `solve` hands to the elimination."""
     shapes = []
 
-    def spy(a, b):
-        shapes.append(a.rows)
-        return solve_linear(a, b)
+    def spy(rows, ncols):
+        shapes.append(len(rows))
+        return solve_integer(rows, ncols)
 
-    monkeypatch.setattr(triples, "solve_linear", spy)
+    monkeypatch.setattr(triples, "solve_integer", spy)
     solve(sys_)
     return shapes[-1]
 
 
 @pytest.mark.parametrize("t,abc,rows", [
-    (3, (2, 1, 1), 24), (3, (1, 2, 3), 43), (5, (2, 1, 1), 27),
-    (5, (2, 2, 2), 12)])
+    (3, (2, 1, 1), 38), (3, (1, 2, 3), 43), (5, (2, 1, 1), 44),
+    (5, (2, 2, 2), 38)])
 def test_solve_keeps_one_row_per_scalar_multiple(monkeypatch, t, abc, rows):
-    """The first three reduce to 28, 50 and 31 distinct rows, of which
-    4, 7 and 4 are scalar multiples of an earlier one; (2,2,2) has
-    none."""
+    """Read at the live unknowns, the first three have 45, 50 and 51
+    distinct nonzero rows, of which 7 each are scalar multiples of an
+    earlier one; (2,2,2) has none."""
     sys_ = widened_system(TripleConfig(closed_form_parameters(t), abc))
     assert reduced_rows(monkeypatch, sys_) == rows
 
@@ -356,7 +400,8 @@ def test_rows_of_either_sign_reduce_to_one(monkeypatch):
 
 
 def test_a_class_with_a_killed_unknown_is_all_zero():
-    """[3] = [9] and [3] = 0, so [3] + [5] = 2 leaves [5] = 2."""
+    """[3] = [9] and [3] = 0, so [3] + [5] = 2 leaves [5] = 2 and
+    [9] = 0."""
     sys_ = hand_system([({3: 1, 9: -1}, 0), ({3: 1}, 0),
                         ({3: 1, 5: 1}, 2)])
     sol = assert_matches_reference(sys_)
@@ -377,14 +422,26 @@ def test_a_row_that_becomes_zero_equals_b_is_inconsistent(rows):
 
 
 def test_a_free_class_reports_its_largest_member():
-    """{20, 25, 26, 30} is merged in an order that roots it inside, not at
-    30; with [20] + [28] = 1 the class holding 30 is the free one."""
+    """[20] = [30], [25] = [26] and [20] = [25] tie {20, 25, 26, 30}
+    together; with [20] + [28] = 1 the free unknown is 30, the largest
+    index of the null vector."""
     sys_ = hand_system([({20: 1, 30: -1}, 0), ({25: 1, 26: -1}, 0),
                         ({20: 1, 25: -1}, 0), ({20: 1, 28: 1}, 1)]
                        + [({v: 1}, 0) for v in range(32)
                           if v not in (20, 25, 26, 28, 30)])
     sol = assert_matches_reference(sys_)
     assert sol.space.free_indices == (30,)
+
+
+@pytest.mark.parametrize("live", [(), (5,)], ids=["none", "one"])
+def test_a_system_with_at_most_one_live_unknown_is_solved(live):
+    """Zero rows kill every unknown but `live`; 2 [5] = 6 is then the
+    only equation left, or 0 = 0."""
+    sys_ = hand_system([({5: 2}, 6 if live else 0)]
+                       + [({v: 1}, 0) for v in range(32) if v not in live])
+    sol = assert_matches_reference(sys_)
+    assert sol.space.dimension == 0
+    assert sol.forced[sys_.names[5]] == (3 if live else 0)
 
 
 def test_a_system_whose_rows_all_reduce_away_is_solved():
@@ -606,7 +663,7 @@ def test_checker_refuses_rows_that_can_overflow_int64():
     """Every count is at most the scheme's order; at t = 51 a scaled
     Krein row times counts of that size can pass 2^63."""
     sys_ = widened_system(TripleConfig(closed_form_parameters(51), (1, 1, 2)))
-    with pytest.raises(CheckerOverflow, match="krein row 120"):
+    with pytest.raises(CheckerOverflow, match="krein row 96"):
         integer_residual_checker(sys_)
 
 
@@ -625,6 +682,11 @@ def outcome(build, *args):
         return type(exc), str(exc)
 
 
+def genuine(sys_):
+    """The system without its symmetry rows."""
+    return only(sys_, ("sum", "zero", "krein"))
+
+
 def checker_outcome(checker_of, sys_, tensors):
     """First bad row of each tensor, or the CheckerOverflow text."""
     try:
@@ -637,9 +699,10 @@ def checker_outcome(checker_of, sys_, tensors):
 def test_systems_and_checkers_equal_the_per_pattern_builders():
     """All 799 non-vacuous (t, pattern) systems for odd t <= 51, in the
     order t = 3, 51, 3, 5, ..., 49: the one-entry caches are filled,
-    evicted and filled again. Rows, right-hand sides and kinds are equal
-    field for field, on the default and the requested Krein tuples, and
-    so are the checker's answers and its overflow errors."""
+    evicted and filled again. Rows, right-hand sides and kinds equal the
+    oracle's without its symmetry rows, field for field, on the default
+    and the requested Krein tuples, and so do the checker's answers and
+    its overflow errors."""
     import random
     rng = random.Random(12)
     seen = set()
@@ -650,10 +713,11 @@ def test_systems_and_checkers_equal_the_per_pattern_builders():
             seen.add((t, abc))
             cfg = TripleConfig(params, abc)
             sys_ = widened_system(cfg)
-            assert sys_ == rows_oracle.widened_system(cfg)
+            assert sys_ == genuine(rows_oracle.widened_system(cfg))
             assert (outcome(widened_system, cfg, PROOF_TUPLES)
-                    == outcome(rows_oracle.widened_system, cfg,
-                               PROOF_TUPLES))
+                    == outcome(lambda *args: genuine(
+                        rows_oracle.widened_system(*args)),
+                               cfg, PROOF_TUPLES))
             assert (outcome(add_krein_vanishing, build_base_system(cfg),
                             ((2, 2, 2),))
                     == outcome(rows_oracle.add_krein_vanishing,

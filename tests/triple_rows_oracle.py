@@ -5,7 +5,9 @@ per parameter set and builds each residual checker with array operations;
 this module keeps the per-pattern builders and the row-by-row overflow
 guard they replaced, so that tests compare the two instead of the code
 under test with itself. Systems are the same `TripleSystem` type and raise
-the same errors.
+the same errors. `widened_system` here still adds the slot-swap symmetry
+rows that `schemeforge.triples` no longer adds, so tests can show that
+they change no solution and build the proof systems that need them.
 """
 
 from __future__ import annotations
@@ -120,8 +122,8 @@ def add_symmetry(sys_: TripleSystem) -> TripleSystem:
                 continue
             seen.add(key)
             row = [0] * n
-            row[sys_.index(nm)] = 1
-            row[sys_.index(other)] = -1
+            row[sys_.names.index(nm)] = 1
+            row[sys_.names.index(other)] = -1
             rows.append(tuple(row))
             rhs.append(0)
     return sys_.extended(rows, rhs, "symmetry")
