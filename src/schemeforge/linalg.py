@@ -69,12 +69,6 @@ class RatMatrix:
             raise ValueError("ragged rows")
         return cls(len(data), ncols, tuple(x for row in data for x in row))
 
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls(n, n, tuple(one if i == j else zero
-                               for i in range(n) for j in range(n)))
-
     def at(self, i: int, j: int) -> Rat:
         return self.entries[i * self.cols + j]
 
@@ -86,23 +80,6 @@ class RatMatrix:
 
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in product")
-        out = []
-        orows = [other.row(k) for k in range(other.rows)]
-        for i in range(self.rows):
-            srow = self.row(i)
-            acc = [Fraction(0)] * other.cols
-            for k, a in enumerate(srow):
-                if a:
-                    orow = orows[k]
-                    for j in range(other.cols):
-                        if orow[j]:
-                            acc[j] += a * orow[j]
-            out.extend(acc)
-        return RatMatrix(self.rows, other.cols, tuple(out))
 
     def scale(self, c) -> "RatMatrix":
         c = _rat(c)

@@ -9,7 +9,8 @@ denominator-cleared matrix, symmetric in (i, j, k) and so formed once per
 unordered triple, then one division per entry). For the hemisystem family
 (one cometric Q-antipodal 4-class scheme for each odd t >= 3) the same
 data is also available in closed form; the two routes are independent and
-cross-check each other.
+cross-check each other. `validate` runs its checks on whole-number entries
+as ints and checks P Q = order * I as one integer matrix product.
 
 Conventions: P rows are indexed by eigenspaces and columns by relations,
 Q rows by relations and columns by eigenspaces, so that P Q = order * I.
@@ -75,14 +76,9 @@ class KreinArray:
 
     def is_antipodal(self) -> bool:
         """b*_i = c*_{d-i} for every i except possibly i = floor(d/2)."""
-        skip = self.d // 2
-        for i in range(self.d):
-            if i == skip:
-                continue
-            # cstar is 0-indexed as c*_1..c*_d, so c*_{d-i} sits at d-i-1
-            if self.bstar[i] != self.cstar[self.d - i - 1]:
-                return False
-        return True
+        # cstar is 0-indexed as c*_1..c*_d, so c*_{d-i} sits at d-i-1
+        return all(self.bstar[i] == self.cstar[self.d - i - 1]
+                   for i in range(self.d) if i != self.d // 2)
 
 
 @dataclass(frozen=True)
@@ -263,6 +259,17 @@ def first_eigenmatrix(q: RatMatrix, order: Rat) -> RatMatrix:
     return invert(q).scale(order)
 
 
+def _cleared(xs, den: int) -> list:
+    """The ints den * x, den a common multiple of the denominators of xs."""
+    return [x.numerator * (den // x.denominator) for x in xs]
+
+
+def _cleared_rows(mat: RatMatrix) -> tuple:
+    """(D, the rows of D * mat as int lists), D the lcm of its denominators."""
+    den = math.lcm(*(x.denominator for x in mat.entries))
+    return den, [_cleared(mat.row(i), den) for i in range(mat.rows)]
+
+
 def _spectral_tensor(mat: RatMatrix, weights: Sequence, norms: Sequence,
                      order: Rat) -> tuple:
     """Tensor [k][i][j] = sum_r w_r M_ri M_rj M_rk / (order * norms_k).
@@ -273,14 +280,11 @@ def _spectral_tensor(mat: RatMatrix, weights: Sequence, norms: Sequence,
     triple (C(d + 3, 3) of the (d + 1)^3 entries). Each entry is then one
     division, N_ijk / (order * dw * dm^3 * norms_k), and a Fraction.
     """
-    def cleared(xs, den):
-        return [x.numerator * (den // x.denominator) for x in xs]
-
     rng = range(mat.cols)
-    dm = math.lcm(*(x.denominator for x in mat.entries))
+    dm, rows = _cleared_rows(mat)
     dw = math.lcm(*(x.denominator for x in weights))
-    cols = [cleared((mat.at(r, j) for r in rng), dm) for j in rng]
-    w = cleared(weights, dw)
+    cols = list(zip(*rows))
+    w = _cleared(weights, dw)
     num = [[[0] * mat.cols for _ in rng] for _ in rng]
     for ijk in itertools.combinations_with_replacement(rng, 3):
         i, j, kk = ijk
@@ -349,7 +353,8 @@ def closed_form_parameters(t: int) -> SchemeParameters:
     F = Fraction
     s = t * t - t + 1
     b = t * (t + 1) // 2
-    n = (F(1), F((t + 1) * (t * t + 1), 2), F((t - 1) * (t * t + 1), 2),
+    zero, one = F(0), F(1)
+    n = (one, F((t + 1) * (t * t + 1), 2), F((t - 1) * (t * t + 1), 2),
          F(t * t * (t * t - 1), 2), F(t * t * (t * t + 1), 2))
     m = q_mat.row(0)
     order = F((t ** 3 + 1) * (t + 1))
@@ -362,25 +367,20 @@ def closed_form_parameters(t: int) -> SchemeParameters:
     ])
 
     def tensor(inner, boundary_weights):
-        # inner: 4x4 table for indices 1..4; boundary from the scheme axioms
-        full = []
-        for kk in range(5):
-            plane = []
-            for i in range(5):
-                row = []
-                for j in range(5):
-                    if kk == 0:
-                        v = boundary_weights[i] if i == j else F(0)
-                    elif i == 0:
-                        v = F(1) if kk == j else F(0)
-                    elif j == 0:
-                        v = F(1) if kk == i else F(0)
-                    else:
-                        v = F(inner[kk - 1][i - 1][j - 1])
-                    row.append(v)
-                plane.append(tuple(row))
-            full.append(tuple(plane))
-        return tuple(full)
+        # inner: 4x4 table for indices 1..4; boundary from the scheme axioms.
+        # Fractions pass through and 0 and 1 are shared: few new Fractions
+        def entry(kk, i, j):
+            if kk == 0:
+                return boundary_weights[i] if i == j else zero
+            if i == 0 or j == 0:
+                return one if kk == i + j else zero
+            v = inner[kk - 1][i - 1][j - 1]
+            if type(v) is F:
+                return v
+            return (zero, one)[v] if v in (0, 1) else F(v)
+
+        return tuple(tuple(tuple(entry(kk, i, j) for j in range(5))
+                           for i in range(5)) for kk in range(5))
 
     half = lambda x: F(x, 2)
     p_inner = (
@@ -468,14 +468,29 @@ def derive_parameters(k: KreinArray, t: int | None = None) -> SchemeParameters:
                             P=p_mat, Q=q_mat, p=p, q=q)
 
 
+def _whole(x):
+    """x as an int if it is a Fraction with denominator 1, else x itself."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
 def validate(params: SchemeParameters,
              krein: KreinArray | None = None) -> ValidationReport:
     """Structural sanity of a parameter set, reported check by check.
 
     A failed check's witness names its first failure in index order.
+
+    Each valency and p^k_ij that is a whole-number Fraction is read as an
+    int once; the row sums, weighted symmetry, boundary, integrality and
+    size checks then run on ints. An int equals the Fraction it came from,
+    compares alike with anything and prints the same ("5" either way), so
+    no outcome or witness changes. The Krein sign is read off numerators,
+    and P Q = order * I is (D_P P)(D_Q Q) = D_P D_Q order * I, D_P and D_Q
+    the lcms of the denominators: one product of int matrices.
     """
-    d = params.d
-    n, p, q = params.valencies, params.p, params.q
+    d, q = params.d, params.q
+    n = tuple(map(_whole, params.valencies))
+    p = tuple(tuple(tuple(map(_whole, row)) for row in plane)
+              for plane in params.p)
     pairs = list(itertools.product(range(d + 1), repeat=2))
     triples = list(itertools.product(range(d + 1), repeat=3))
     checks = []
@@ -488,10 +503,13 @@ def validate(params: SchemeParameters,
         wit = next(witnesses, "")
         check(name, not wit, wit)
 
-    prod = params.P @ params.Q
-    ident = RatMatrix.identity(d + 1).scale(params.order)
-    check("eigenmatrix_inverse_pair", prod == ident,
-          "P Q != order * I")
+    dp, p_rows = _cleared_rows(params.P)
+    dq, q_rows = _cleared_rows(params.Q)
+    target = dp * dq * params.order
+    check("eigenmatrix_inverse_pair", all(
+        sum(map(operator.mul, row, col)) == (target if i == j else 0)
+        for i, row in enumerate(p_rows) for j, col in enumerate(zip(*q_rows))),
+        "P Q != order * I")
     check_each("intersection_row_sums", (
         f"sum_j p^{kk}_{i}j = {sum(p[kk][i])} != n_{i}"
         for kk, i in pairs if sum(p[kk][i]) != n[i]))
@@ -505,7 +523,8 @@ def validate(params: SchemeParameters,
         f"p^{kk}_{i}{j}" for kk, i, j in triples
         if p[kk][i][j].denominator != 1 or p[kk][i][j] < 0))
     check_each("krein_nonnegativity", (
-        f"q^{kk}_{i}{j}" for kk, i, j in triples if q[kk][i][j] < 0))
+        f"q^{kk}_{i}{j}" for kk, i, j in triples
+        if q[kk][i][j].numerator < 0))
 
     if krein is None and params.t is not None:
         krein = hemisystem_krein_array(params.t)
@@ -521,8 +540,8 @@ def validate(params: SchemeParameters,
         f"q^{kk}_1{j} != 0 breaks the cometric band"
         for kk, j in pairs if abs(kk - j) > 1 and q[kk][1][j] != 0))
 
-    sn = sum(n, Fraction(0))
-    sm = sum(params.multiplicities, Fraction(0))
+    sn = sum(n)
+    sm = sum(map(_whole, params.multiplicities))
     check("size_sums", sn == params.order == sm,
           f"sum n = {sn}, sum m = {sm}, order = {params.order}")
 

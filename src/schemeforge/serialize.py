@@ -57,8 +57,10 @@ def _ints(value, what, lo=0, hi=math.inf) -> list:
 
 
 def rat_str(x) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f}"
+    """x as "p/q" in lowest terms, or "p"; ints and Fractions read as is."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return str(x.numerator) if x.denominator == 1 else str(x)
 
 
 def parse_rat(text) -> Fraction:
@@ -106,7 +108,8 @@ def params_markdown(sp: SchemeParameters) -> str:
 
     The dual tables follow the source's mixed convention: for k in
     1..3 the displayed entries are t * q^k_ij, while the k = 4 table is
-    printed unscaled.  Both are labeled accordingly.
+    printed unscaled.  Both are labeled accordingly, and a closing note
+    says so; off the family (no t) nothing is scaled and there is no note.
     """
     d = sp.d
     idx = list(range(1, d + 1))
@@ -124,18 +127,19 @@ def params_markdown(sp: SchemeParameters) -> str:
     for k in idx:
         rows = [[sp.p[k][i][j] for j in idx] for i in idx]
         lines += _md_table(f"p^{k}_ij", rows, idx, idx)
-    scale = sp.t if sp.t is not None else None
+    scaled = sp.t is not None and d > 1
     for k in idx:
-        if k < d and scale is not None:
-            rows = [[scale * sp.q[k][i][j] for j in idx] for i in idx]
-            lines += _md_table(f"t q^{k}_ij (scaled by t = {scale})",
+        if k < d and scaled:
+            rows = [[sp.t * sp.q[k][i][j] for j in idx] for i in idx]
+            lines += _md_table(f"t q^{k}_ij (scaled by t = {sp.t})",
                                rows, idx, idx)
         else:
             rows = [[sp.q[k][i][j] for j in idx] for i in idx]
             lines += _md_table(f"q^{k}_ij (unscaled)", rows, idx, idx)
-    lines.append("Note: the dual tables mix two conventions on purpose; "
-                 "the first three are scaled by t, the last is not.")
-    lines.append("")
+    if scaled:
+        lines.append("Note: the dual tables mix two conventions on purpose; "
+                     "the first three are scaled by t, the last is not.")
+        lines.append("")
     return "\n".join(lines)
 
 

@@ -1,20 +1,26 @@
 """Plain Fraction arithmetic, as a reference for the tests.
 
 `schemeforge.linalg` eliminates in integers, and
-`schemeforge.scheme_params` sums the spectral tensors and runs the dual
-three-term recurrence in integers; this module keeps the rational
-Gauss-Jordan elimination, the rational triple sum and the rational
-recurrence they replaced, so that tests compare the two instead of the code under
-test with itself. Results are built from the same `AffineSolutionSpace`
-and `RatMatrix` types and raise the same errors.
+`schemeforge.scheme_params` sums the spectral tensors, runs the dual
+three-term recurrence and checks a parameter set in integers; this module
+keeps the rational Gauss-Jordan elimination, the rational triple sum, the
+rational recurrence, the Fraction-by-Fraction `validate`, the closed-form
+builder and `rat_str` they replaced, so that tests compare the two instead
+of the code under test with itself. Results are built from the same
+`AffineSolutionSpace`, `RatMatrix`, `SchemeParameters` and
+`ValidationReport` types and raise the same errors.
 """
 
+import itertools
 from fractions import Fraction
 from typing import Sequence
 
 from schemeforge.linalg import (AffineSolutionSpace, Inconsistent, NotSquare,
                                 RatMatrix, Singular)
-from schemeforge.scheme_params import DegenerateSpectrum, _three_term
+from schemeforge.scheme_params import (BadParameter, DegenerateSpectrum,
+                                       KreinArray, SchemeParameters,
+                                       ValidationReport, _three_term,
+                                       hemisystem_krein_array)
 
 
 def rref_rows(rows: list) -> tuple:
@@ -112,3 +118,189 @@ def dual_row(k, theta) -> tuple:
         raise DegenerateSpectrum(
             f"recurrence does not close at eigenvalue {theta}")
     return tuple(row)
+
+
+def matmul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """The product a b, one Fraction sum per entry."""
+    if a.cols != b.rows:
+        raise ValueError("dimension mismatch in product")
+    return RatMatrix.from_rows(
+        [[sum((a.at(i, k) * b.at(k, j) for k in range(a.cols)), Fraction(0))
+          for j in range(b.cols)] for i in range(a.rows)])
+
+
+def identity(n: int) -> RatMatrix:
+    return RatMatrix.from_rows([[int(i == j) for j in range(n)]
+                                for i in range(n)])
+
+
+def rat_str(x) -> str:
+    """Every input goes through a new Fraction."""
+    f = Fraction(x)
+    return str(f.numerator) if f.denominator == 1 else f"{f}"
+
+
+# The closed-form tables as built entry by entry, each entry a new Fraction.
+
+def _closed_form_q(t: int) -> RatMatrix:
+    """The family's second eigenmatrix Q; row 0 is the multiplicities."""
+    if not isinstance(t, int) or t < 3 or t % 2 == 0:
+        raise BadParameter(f"t must be an odd integer >= 3, got {t!r}")
+    F = Fraction
+    s = t * t - t + 1
+    return RatMatrix.from_rows([
+        [1, (t - 1) * (t * t + 1), s * (s + t), (t - 1) * (t * t + 1), 1],
+        [1, s - 1, 0, 1 - s, -1],
+        [1, -s - 1, 2 * s, -s - 1, 1],
+        [1, F(-(s + t), t), 0, F(s + t, t), -1],
+        [1, F(s - t, t), F(-2 * s, t), F(s - t, t), 1],
+    ])
+
+
+def closed_form_parameters(t: int) -> SchemeParameters:
+    """The family's parameter set, straight from the closed-form tables."""
+    q_mat = _closed_form_q(t)
+    F = Fraction
+    s = t * t - t + 1
+    b = t * (t + 1) // 2
+    n = (F(1), F((t + 1) * (t * t + 1), 2), F((t - 1) * (t * t + 1), 2),
+         F(t * t * (t * t - 1), 2), F(t * t * (t * t + 1), 2))
+    m = q_mat.row(0)
+    order = F((t ** 3 + 1) * (t + 1))
+    p_mat = RatMatrix.from_rows([
+        [1, n[1], n[2], n[3], n[4]],
+        [1, F(b), F(-(s + 1), 2), F(-b), F(s - 1, 2)],
+        [1, 0, F(t - 1), 0, F(-t)],
+        [1, F(-b), F(-(s + 1), 2), F(b), F(s - 1, 2)],
+        [1, -n[1], n[2], -n[3], n[4]],
+    ])
+
+    def tensor(inner, boundary_weights):
+        # inner: 4x4 table for indices 1..4; boundary from the scheme axioms
+        full = []
+        for kk in range(5):
+            plane = []
+            for i in range(5):
+                row = []
+                for j in range(5):
+                    if kk == 0:
+                        v = boundary_weights[i] if i == j else F(0)
+                    elif i == 0:
+                        v = F(1) if kk == j else F(0)
+                    elif j == 0:
+                        v = F(1) if kk == i else F(0)
+                    else:
+                        v = F(inner[kk - 1][i - 1][j - 1])
+                    row.append(v)
+                plane.append(tuple(row))
+            full.append(tuple(plane))
+        return tuple(full)
+
+    half = lambda x: F(x, 2)
+    p_inner = (
+        ((0, half(t - 1), 0, t * b),
+         (half(t - 1), 0, half(t * (s - 1)), 0),
+         (0, half(t * (s - 1)), 0, half(t * t * (s - 1))),
+         (t * b, 0, half(t * t * (s - 1)), 0)),
+        ((half(t + 1), 0, t * b, 0),
+         (0, half(t - 3), 0, half(t * (s - 1))),
+         (t * b, 0, half(t * t * (s - 3)), 0),
+         (0, half(t * (s - 1)), 0, half(t * t * (s + 1)))),
+        ((0, half(t * t + 1), 0, half(t * (t * t + 1))),
+         (half(t * t + 1), 0, half((t - 2) * (t * t + 1)), 0),
+         (0, half((t - 2) * (t * t + 1)), 0, half((s - 1) * (t * t + 1))),
+         (half(t * (t * t + 1)), 0, half((s - 1) * (t * t + 1)), 0)),
+        ((half((t + 1) ** 2), 0, b * (t - 1), 0),
+         (0, half((t - 1) ** 2), 0, half((t - 1) * (s + 1))),
+         (b * (t - 1), 0, b * (t - 1) ** 2, 0),
+         (0, half((t - 1) * (s + 1)), 0, half((s - 1) * (t * t + 3)))),
+    )
+    # q^1..q^3 are tabulated times t; q^4 is tabulated unscaled.
+    ot = lambda x: F(x, t)
+    q_inner = (
+        ((ot((t - 1) * s - 2 * t), ot(s * s), 0, 0),
+         (ot(s * s), ot((t - 1) * (s + 1) * s), ot(s * s), 0),
+         (0, ot(s * s), ot((t - 1) * s - 2 * t), 1),
+         (0, 0, 1, 0)),
+        ((ot((t - 1) * s), ot((t - 1) ** 2 * (s + 1)), ot((t - 1) * s), 0),
+         (ot((t - 1) ** 2 * (s + 1)), ot((t - 1) * (s + 3) * s),
+          ot((t - 1) ** 2 * (s + 1)), 1),
+         (ot((t - 1) * s), ot((t - 1) ** 2 * (s + 1)), ot((t - 1) * s), 0),
+         (0, 1, 0, 0)),
+        ((0, ot(s * s), ot((t - 1) * s - 2 * t), 1),
+         (ot(s * s), ot((t - 1) * (s + 1) * s), ot(s * s), 0),
+         (ot((t - 1) * s - 2 * t), ot(s * s), 0, 0),
+         (1, 0, 0, 0)),
+        ((0, 0, t * s - 1, 0),
+         (0, (s + t) * s, 0, 0),
+         (t * s - 1, 0, 0, 0),
+         (0, 0, 0, 0)),
+    )
+    return SchemeParameters(
+        d=4, order=order, t=t, s=s, bcoef=b,
+        valencies=n, multiplicities=m, P=p_mat, Q=q_mat,
+        p=tensor(p_inner, n), q=tensor(q_inner, m))
+
+
+# `validate` with every check on the Fractions as given; the product P Q is
+# `matmul` above.
+
+def validate(params: SchemeParameters,
+             krein: KreinArray | None = None) -> ValidationReport:
+    """Structural sanity of a parameter set, reported check by check.
+
+    A failed check's witness names its first failure in index order.
+    """
+    d = params.d
+    n, p, q = params.valencies, params.p, params.q
+    pairs = list(itertools.product(range(d + 1), repeat=2))
+    triples = list(itertools.product(range(d + 1), repeat=3))
+    checks = []
+
+    def check(name, ok, witness=""):
+        checks.append((name, bool(ok), "" if ok else witness))
+
+    def check_each(name, witnesses):
+        # fail with the first witness the generator yields, if any
+        wit = next(witnesses, "")
+        check(name, not wit, wit)
+
+    prod = matmul(params.P, params.Q)
+    ident = identity(d + 1).scale(params.order)
+    check("eigenmatrix_inverse_pair", prod == ident,
+          "P Q != order * I")
+    check_each("intersection_row_sums", (
+        f"sum_j p^{kk}_{i}j = {sum(p[kk][i])} != n_{i}"
+        for kk, i in pairs if sum(p[kk][i]) != n[i]))
+    check_each("valency_weighted_symmetry", (
+        f"n_k p^k_ij != n_i p^i_kj at {kk},{i},{j}"
+        for kk, i, j in triples if n[kk] * p[kk][i][j] != n[i] * p[i][kk][j]))
+    check_each("intersection_boundary", (
+        f"p^{kk}_{i}0 != delta"
+        for kk, i in pairs if p[kk][i][0] != (1 if i == kk else 0)))
+    check_each("intersection_integrality", (
+        f"p^{kk}_{i}{j}" for kk, i, j in triples
+        if p[kk][i][j].denominator != 1 or p[kk][i][j] < 0))
+    check_each("krein_nonnegativity", (
+        f"q^{kk}_{i}{j}" for kk, i, j in triples if q[kk][i][j] < 0))
+
+    if krein is None and params.t is not None:
+        krein = hemisystem_krein_array(params.t)
+    if krein is not None:
+        check_each("krein_array_round_trip", itertools.chain(
+            (f"q^{i}_1,{i + 1} != b*_{i}" for i in range(d)
+             if q[i][1][i + 1] != krein.bstar[i]),
+            (f"q^{i}_1,{i - 1} != c*_{i}" for i in range(1, d + 1)
+             if q[i][1][i - 1] != krein.cstar[i - 1])))
+        check("antipodality", krein.is_antipodal(), "b*_i != c*_{d-i}")
+
+    check_each("cometric_band", (
+        f"q^{kk}_1{j} != 0 breaks the cometric band"
+        for kk, j in pairs if abs(kk - j) > 1 and q[kk][1][j] != 0))
+
+    sn = sum(n, Fraction(0))
+    sm = sum(params.multiplicities, Fraction(0))
+    check("size_sums", sn == params.order == sm,
+          f"sum n = {sn}, sum m = {sm}, order = {params.order}")
+
+    return ValidationReport.from_checks(checks)

@@ -3,7 +3,7 @@
 import itertools
 import math
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -181,7 +181,7 @@ def test_first_eigenmatrix_t3():
     assert tuple(params.valencies) == (1, 20, 10, 36, 45)
     rows = [tuple(params.P.row(i)) for i in range(5)]
     assert (1, 6, -4, -6, 3) in rows
-    prod = params.P @ params.Q
+    prod = oracle.matmul(params.P, params.Q)
     for i in range(5):
         for j in range(5):
             assert prod.at(i, j) == (112 if i == j else 0)
@@ -407,3 +407,93 @@ def test_pipeline_equals_closed_form_for_large_t(t):
     table = closed_form_parameters(t)
     for field in ("order", "valencies", "multiplicities", "P", "Q", "p", "q"):
         assert getattr(generic, field) == getattr(table, field), field
+
+
+FAMILY_T = range(3, 52, 2)
+
+
+def hypercube_array(d):
+    return KreinArray.make(range(d, 0, -1), range(1, d + 1))
+
+
+def assert_validate_matches_the_oracle(params, krein):
+    got = validate(params, krein)
+    want = oracle.validate(params, krein)
+    assert got.checks == want.checks
+    assert got.overall == want.overall
+
+
+@pytest.mark.parametrize(
+    "k", [hemisystem_krein_array(t) for t in FAMILY_T]
+    + [hypercube_array(d) for d in range(1, 8)],
+    ids=[f"t={t}" for t in FAMILY_T] + [f"cube{d}" for d in range(1, 8)])
+def test_validate_matches_the_fraction_oracle(k):
+    assert_validate_matches_the_oracle(derive_parameters(k), k)
+
+
+@pytest.mark.parametrize("field", ["p", "q"])
+def test_validate_matches_the_fraction_oracle_on_every_bump(params_t3, field):
+    k = hemisystem_krein_array(3)
+    for index in itertools.product(range(5), repeat=3):
+        bad = bumped(getattr(params_t3, field), index)
+        assert_validate_matches_the_oracle(
+            replace(params_t3, **{field: bad}), k)
+
+
+def with_entry(tensor, index, value):
+    """A copy of a [k][i][j] tensor with value at (k, i, j)."""
+    out = [[list(row) for row in plane] for plane in tensor]
+    kk, i, j = index
+    out[kk][i][j] = value
+    return tuple(tuple(tuple(row) for row in plane) for plane in out)
+
+
+@pytest.mark.parametrize("index, value", [
+    ((2, 1, 1), F(1, 2)),       # not an integer
+    ((1, 2, 3), F(-1)),         # negative
+    ((1, 2, 3), -1),            # negative, an int
+    ((1, 0, 1), True),          # a bool of the right value
+    ((1, 0, 0), True),          # a bool breaking the boundary
+    ((3, 3, 3), F(7, 3)),       # not an integer, row sum not whole
+])
+def test_validate_matches_the_fraction_oracle_on_odd_entries(
+        params_t3, index, value):
+    bad = replace(params_t3, p=with_entry(params_t3.p, index, value))
+    assert_validate_matches_the_oracle(bad, hemisystem_krein_array(3))
+
+
+def test_validate_matches_the_fraction_oracle_on_int_tensors(params_t3):
+    ints = tuple(tuple(tuple(int(x) for x in row) for row in plane)
+                 for plane in params_t3.p)
+    assert_validate_matches_the_oracle(replace(params_t3, p=ints),
+                                       hemisystem_krein_array(3))
+
+
+def test_validate_matches_the_fraction_oracle_on_changed_sizes(params_t3):
+    k = hemisystem_krein_array(3)
+    n = list(params_t3.valencies)
+    n[2] += 1
+    assert_validate_matches_the_oracle(
+        replace(params_t3, valencies=tuple(n)), k)
+    assert_validate_matches_the_oracle(
+        replace(params_t3, order=params_t3.order + 1), k)
+    assert_validate_matches_the_oracle(
+        replace(params_t3, order=params_t3.order + F(1, 2)), k)
+
+
+def all_fraction_entries(params):
+    entries = itertools.chain(
+        params.valencies, params.multiplicities,
+        (x for tensor in (params.p, params.q)
+         for plane in tensor for row in plane for x in row))
+    return all(type(x) is Fraction for x in entries)
+
+
+@pytest.mark.parametrize("t", FAMILY_T)
+def test_closed_forms_equal_the_entry_by_entry_builder(t):
+    got = closed_form_parameters(t)
+    want = oracle.closed_form_parameters(t)
+    for field in fields(want):
+        assert getattr(got, field.name) == getattr(want, field.name), \
+            field.name
+    assert all_fraction_entries(got)

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_oracle as oracle
 from schemeforge.reconstruct import all_cliques, reconstruct_gq, \
     recover_hemisystem
+from schemeforge.scheme_params import KreinArray, derive_parameters
 from schemeforge.serialize import (BadInput, dump_json, gq_from_dict,
                                    gq_to_dict, hemi_from_dict, hemi_to_dict,
                                    load_json, params_markdown,
@@ -49,6 +51,24 @@ def test_params_markdown_conventions(params_t3):
     assert "mix two conventions" in text
     # t * q^1_12 = 3 * 49/3 = 49 must appear in the scaled table
     assert "| 49 |" in text
+    assert text.endswith("the first three are scaled by t, the last is not.\n")
+
+
+def test_params_markdown_off_the_family_has_no_scaling_note():
+    params = derive_parameters(KreinArray.make((3, 2, 1), (1, 2, 3)))
+    assert params.t is None
+    text = params_markdown(params)
+    assert "q^1_ij (unscaled)" in text
+    assert "scaled by t" not in text
+    assert "mix two conventions" not in text
+    assert text.endswith("| 3 | 0 | 0 | 0 |\n")
+
+
+@pytest.mark.parametrize("x", [0, 5, -7, True, False, Fraction(6),
+                               Fraction(-3), Fraction(-14, 3),
+                               Fraction(12, 8), "3/4", "-6/8", "2"])
+def test_rat_str_matches_the_fraction_oracle(x):
+    assert rat_str(x) == oracle.rat_str(x)
 
 
 def test_gq_round_trip(hermitian_gq):
