@@ -15,8 +15,9 @@ gq = build_hermitian_gq()
 hemi = find_hemisystem(gq)
 sch = scheme_from_hemisystem(gq, hemi)
 
-# Maximal cliques in relations {1, 2} have size 4 and split into two
-# halves of 2 along the partition. One clique per collinear line pair.
+# Maximal cliques in relations {0, 1, 2} have size 4 and split into two
+# halves of 2 along the partition. There are 280, one per quadrangle
+# point (its 4 lines), and each 1- or 2-related pair lies in exactly one.
 cliques = all_cliques(sch)
 sizes = {len(c.elements) for c in cliques}
 print(len(cliques), "cliques, sizes", sizes)

@@ -20,16 +20,12 @@ from .reconstruct import (
     Clique,
     ReconstructedGQ,
     all_cliques,
-    clique_from_r1_pair,
-    clique_from_r2_pair,
     reconstruct_gq,
     recover_hemisystem,
     verify_dual_hemisystem,
 )
 from .relation_scheme import (
     RelationScheme,
-    neighbors,
-    pair_set,
     scheme_from_hemisystem,
     verify_scheme,
 )
@@ -63,14 +59,10 @@ __all__ = [
     "Clique",
     "ReconstructedGQ",
     "all_cliques",
-    "clique_from_r1_pair",
-    "clique_from_r2_pair",
     "reconstruct_gq",
     "recover_hemisystem",
     "verify_dual_hemisystem",
     "RelationScheme",
-    "neighbors",
-    "pair_set",
     "scheme_from_hemisystem",
     "verify_scheme",
     "KreinArray",

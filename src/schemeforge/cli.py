@@ -163,8 +163,6 @@ def cmd_hemisystem(args) -> int:
 
 def cmd_scheme(args) -> int:
     if args.infile:
-        if len(args.infile) != 2:
-            raise UsageError("scheme needs --in GQ.json HEMI.json")
         gq = gq_from_dict(load_json(args.infile[0]))
         hemi = hemi_from_dict(load_json(args.infile[1]))
     else:
@@ -377,18 +375,18 @@ def build_parser() -> _Parser:
                                        "280-point quadrangle")
 
     p = add("hemisystem", cmd_hemisystem, help="search for a hemisystem")
-    p.add_argument("--in", dest="infile", nargs="*", metavar="PATH",
+    p.add_argument("--in", dest="infile", nargs=1, metavar="GQ.json",
                    default=None)
     p.add_argument("--seed", type=int, default=None)
 
     p = add("scheme", cmd_scheme, help="build the relation scheme oracle")
-    p.add_argument("--in", dest="infile", nargs="*", metavar="PATH",
-                   default=None)
+    p.add_argument("--in", dest="infile", nargs=2,
+                   metavar=("GQ.json", "HEMI.json"), default=None)
     p.add_argument("--seed", type=int, default=None)
 
     p = add("reconstruct", cmd_reconstruct,
             help="recover the quadrangle and half-partition from a scheme")
-    p.add_argument("--in", dest="infile", nargs="*", metavar="PATH",
+    p.add_argument("--in", dest="infile", nargs=1, metavar="SCHEME.json",
                    default=None)
     p.add_argument("--seed", type=int, default=None)
 

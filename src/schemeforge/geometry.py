@@ -94,16 +94,6 @@ def hermitian_coordinates() -> tuple:
     return tuple(p for p in proj_points() if hermitian_value(p) == 0)
 
 
-def normalize(vec) -> tuple:
-    lead = next((x for x in vec if x != 0), 0)
-    if lead == 0:
-        raise ValueError("zero vector has no projective image")
-    if lead == 1:
-        return tuple(vec)
-    s = INV[lead]
-    return tuple(MUL[s][x] for x in vec)
-
-
 # ------------------------------------------------------------------- GQ
 
 @dataclass(frozen=True)
@@ -172,36 +162,43 @@ def hermitian_form() -> np.ndarray:
     return form
 
 
+def row_sets(mask: np.ndarray) -> tuple:
+    """The column ids of each row's True entries, as int tuples."""
+    rows, cols = np.nonzero(mask)
+    cols = cols.tolist()
+    ends = np.searchsorted(rows, np.arange(1, len(mask) + 1)).tolist()
+    return tuple(tuple(cols[a:b]) for a, b in zip([0] + ends, ends))
+
+
+def line_sets(adj: np.ndarray) -> tuple:
+    """Each line of a quadrangle once, from its 0/1 collinearity.
+
+    adj must hold a true diagonal. A point off a line is collinear with
+    exactly one point of it, so the line through collinear points i < j is
+    adj[i] & adj[j], and it is taken only from its two smallest points:
+    with S[i, j] the number of common neighbours of i and j below j, those
+    are the collinear pairs i < j with S[i, j] = 1 (i itself). S is one
+    exact_product of 0/1 matrices with entries at most n, far below 2^53.
+    Lines come out as sorted tuples in row-major order of their two
+    smallest points, which is sorted order.
+    """
+    adj = np.asarray(adj, dtype=bool)
+    ones = adj.astype(np.uint8)
+    below = np.tril(ones, -1)   # below[j, k] = adj[j, k] for k < j, else 0
+    firsts = np.triu(adj & (exact_product(ones, below.T) == 1), 1)
+    i, j = np.nonzero(firsts)
+    return row_sets(adj[i] & adj[j])
+
+
 def build_hermitian_gq() -> GQ:
-    """The 280-point, 112-line quadrangle carried by the quartic surface."""
-    coords = hermitian_coordinates()
-    index = {c: i for i, c in enumerate(coords)}
-    on_surface = set(coords)
-    lines = set()
-    covered = set()
-    # two surface points span a surface line iff they are orthogonal
-    # under the Hermitian form
-    for i, j in np.argwhere(np.triu(hermitian_form() == 0, 1)).tolist():
-        if (i, j) in covered:
-            continue
-        p, q = coords[i], coords[j]
-        full = []
-        good = True
-        for lam in range(1, 9):
-            r = normalize([ADD[a][MUL[lam][b]] for a, b in zip(p, q)])
-            if r not in on_surface:
-                good = False
-                break
-            full.append(index[r])
-        if not good:
-            continue
-        ids = tuple(sorted([i, j] + full))
-        lines.add(ids)
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                covered.add((ids[a], ids[b]))
-    return GQ(s=9, t=3, points=tuple(range(len(coords))),
-              lines=tuple(sorted(lines)))
+    """The 280-point, 112-line quadrangle carried by the quartic surface.
+
+    Two surface points are collinear iff they are orthogonal under the
+    Hermitian form, and every point is orthogonal to itself.
+    """
+    form = hermitian_form()
+    return GQ(s=9, t=3, points=tuple(range(len(form))),
+              lines=line_sets(form == 0))
 
 
 def verify_gq(gq: GQ) -> ValidationReport:

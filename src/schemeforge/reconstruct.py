@@ -1,12 +1,13 @@
 """Recover the quadrangle and its half-partition from the scheme alone.
 
-The four-class scheme remembers where it came from.  Pairs in the first
-two relations generate maximal cliques under relations {0, 1, 2}; those
-cliques behave as the points of the dual geometry, and the incidence
-structure they form is a generalized quadrangle of order (t, t^2).  The
-half-partition reappears as the even-relation neighborhood of any single
-element.  Every operation here both constructs and checks: a failed
-characterization is reported with a witness, never smoothed over.
+The four-class scheme remembers where it came from.  The maximal cliques
+under relations {0, 1, 2} are the common neighbourhoods of their 1- or
+2-related pairs; they behave as the points of the dual geometry, and the
+incidence structure they form is a generalized quadrangle of order
+(t, t^2).  The half-partition reappears as the even-relation
+neighborhood of any single element.  Every operation here both
+constructs and checks: a failed characterization is reported with a
+witness, never smoothed over.
 """
 
 import itertools
@@ -16,8 +17,8 @@ import numpy as np
 
 from .errors import SchemeforgeError
 from .geometry import (GQ, exact_product, first_true, incidence_matrix,
-                       verify_gq)
-from .relation_scheme import RelationScheme, neighbors, pair_set
+                       line_sets, row_sets, verify_gq)
+from .relation_scheme import RelationScheme
 from .scheme_params import ValidationReport
 
 
@@ -54,9 +55,8 @@ class Clique:
     """A (t+1)-element clique under relations {0, 1, 2}, split in halves.
 
     Within each half every pair is 2-related; across the halves every
-    pair is 1-related.  Halves are kept in construction order, so the
-    starting elements stay in half_C; identity across construction
-    paths goes through ``halves`` or ``elements``.
+    pair is 1-related.  half_C holds the clique's smallest element, so
+    the split, like the element tuple, is fixed by the clique alone.
     """
 
     half_C: tuple
@@ -69,102 +69,69 @@ class Clique:
 
     @property
     def elements(self) -> tuple:
-        """All member ids, sorted; the deduplication key."""
+        """All member ids, sorted; the sort key."""
         return tuple(sorted(self.half_C + self.half_Cprime))
 
-    @property
-    def halves(self) -> frozenset:
-        """The half pair as an unordered set."""
-        return frozenset((self.half_C, self.half_Cprime))
 
-
-def _validated(sch: RelationScheme, half_C, half_Cprime) -> Clique:
-    """Check the half sizes and pairwise relation pattern, then wrap."""
-    clq = Clique(half_C, half_Cprime)
-    half = (order_from_size(sch.size) + 1) // 2
+def _clique_fault(rel: np.ndarray, half: int, clq: Clique) -> str | None:
+    """The first wrong half size or wrong pair relation of one clique."""
     for name, part in (("half_C", clq.half_C),
                        ("half_Cprime", clq.half_Cprime)):
         if len(part) != half:
-            raise StructureViolation(
-                f"{name} = {part} has {len(part)} elements, expected {half}")
-        for i, a in enumerate(part):
-            for b in part[i + 1:]:
-                got = int(sch.rel[a][b])
-                if got != 2:
-                    raise StructureViolation(
-                        f"elements {a}, {b} inside {name} are "
-                        f"{got}-related, expected 2")
-    for a in clq.half_C:
-        for b in clq.half_Cprime:
-            got = int(sch.rel[a][b])
-            if got != 1:
-                raise StructureViolation(
-                    f"cross pair {a}, {b} is {got}-related, expected 1")
-    return clq
-
-
-def clique_from_r2_pair(sch: RelationScheme, x: int, y: int) -> Clique:
-    """The unique maximal clique through a 2-related pair.
-
-    One half is {x, y} extended by the elements 2-related to both; the
-    other is the set of elements 1-related to both.  At t = 3 the first
-    extension is empty and the half is just {x, y}.
-    """
-    if int(sch.rel[x][y]) != 2:
-        raise ValueError(f"({x}, {y}) is {int(sch.rel[x][y])}-related, "
-                         f"need relation 2")
-    half_C = (x, y) + pair_set(sch, x, y, 2, 2)
-    half_Cprime = pair_set(sch, x, y, 1, 1)
-    return _validated(sch, half_C, half_Cprime)
-
-
-def clique_from_r1_pair(sch: RelationScheme, x: int, u: int) -> Clique:
-    """The unique maximal clique through a 1-related pair.
-
-    x lands in half_C, u in half_Cprime; each half is filled in from
-    the mixed pair sets.
-    """
-    if int(sch.rel[x][u]) != 1:
-        raise ValueError(f"({x}, {u}) is {int(sch.rel[x][u])}-related, "
-                         f"need relation 1")
-    half_C = (x,) + pair_set(sch, x, u, 2, 1)
-    half_Cprime = (u,) + pair_set(sch, x, u, 1, 2)
-    return _validated(sch, half_C, half_Cprime)
+            return (f"{name} = {part} has {len(part)} elements, "
+                    f"expected {half}")
+    for a, b in itertools.combinations(clq.elements, 2):
+        want = 2 if (a in clq.half_C) == (b in clq.half_C) else 1
+        if rel[a, b] != want:
+            return (f"elements {a}, {b} of clique {clq.elements} are "
+                    f"{int(rel[a, b])}-related, expected {want}")
+    return None
 
 
 def all_cliques(sch: RelationScheme) -> tuple:
-    """Every maximal {0,1,2}-clique, each built once, sorted.
+    """Every maximal {0,1,2}-clique, once, sorted by its elements.
 
-    Pairs are taken in order, 1-related before 2-related for each x, and
-    a pair is skipped when a clique already built holds it; the cliques
-    are then cross checked with the element x clique incidence M: off
-    the diagonal, M M^T must be the indicator of relations {1, 2}, so
-    each such pair lies in exactly one clique and two cliques share at
-    most one element.
+    The cliques are the lines of the collinearity "relation 1 or 2, or
+    equal" (geometry.line_sets). half_C is a clique's smallest element
+    with its 2-related members, half_Cprime the rest. With H and H' the
+    clique x element incidences of the halves and A_i the indicator of
+    relation i, (H A_2) * H summed over a row counts the 2-related
+    ordered pairs inside half_C, and likewise for half_Cprime and for
+    the 1-related cross pairs (H A_1) * H'; every clique must reach
+    h(h-1), h(h-1) and h^2 with halves of h = (t+1)/2 elements. Only the
+    first clique that does not is walked pair by pair for a witness.
+    Then, with M the element x clique incidence, the off-diagonal of
+    M M^T must be the indicator of relations {1, 2}, so each such pair
+    lies in exactly one clique and two cliques share at most one
+    element. Every product is an exact_product of 0/1 matrices with
+    sums at most |X|, far below 2^53.
     """
-    built, covered = [], set()
+    rel = sch.rel
+    half = (order_from_size(sch.size) + 1) // 2
+    eye = np.eye(sch.size, dtype=bool)
+    low = ((rel == 1) | (rel == 2)) & ~eye
+    keys = line_sets(low | eye)
 
-    def build(make, x: int, y: int) -> None:
-        if (x, y) not in covered:
-            clq = make(sch, x, y)
-            built.append(clq)
-            covered.update(itertools.combinations(clq.elements, 2))
-
-    for x in range(sch.size):
-        for u in neighbors(sch, x, 1):
-            if x < u:
-                build(clique_from_r1_pair, x, u)
-        for y in neighbors(sch, x, 2):
-            if x < y:
-                build(clique_from_r2_pair, x, y)
-
-    built.sort(key=lambda clq: clq.elements)
-    keys = [clq.elements for clq in built]
     inc = incidence_matrix(sch.size, keys)
+    heads = [key[0] for key in keys]
+    members = inc.T == 1
+    in_c = members & ((rel[heads] == 2) | eye[heads])
+    in_p = members & ~in_c
+    hc, hp = in_c.astype(np.int64), in_p.astype(np.int64)
+    twos, ones = (rel == 2).astype(np.int64), (rel == 1).astype(np.int64)
+    inner = half * (half - 1)
+    good = ((hc.sum(axis=1) == half) & (hp.sum(axis=1) == half)
+            & ((exact_product(hc, twos) * hc).sum(axis=1) == inner)
+            & ((exact_product(hp, twos) * hp).sum(axis=1) == inner)
+            & ((exact_product(hc, ones) * hp).sum(axis=1) == half * half))
+    built = tuple(Clique(c, p) for c, p in zip(row_sets(in_c),
+                                               row_sets(in_p)))
+    bad = first_true(~good)
+    if bad:
+        raise StructureViolation(_clique_fault(rel, half, built[bad[0]]))
+
     shared = exact_product(inc, inc.T)
     np.fill_diagonal(shared, 0)
-    low = (sch.rel == 1) | (sch.rel == 2)
-    np.fill_diagonal(low, False)
     if not np.array_equal(shared, low):
         bad = first_true(shared > 1)
         if bad:
@@ -177,7 +144,7 @@ def all_cliques(sch: RelationScheme) -> tuple:
             f"cliques cover {np.count_nonzero(np.triu(shared))} "
             f"low-relation pairs, expected {np.count_nonzero(np.triu(low))}")
 
-    return tuple(built)
+    return built
 
 
 # ------------------------------------------------------------ dual GQ

@@ -131,15 +131,3 @@ def verify_scheme(sch: RelationScheme) -> CountedParameters:
               for plane in p_rep)
     return CountedParameters(valencies, p, True, None)
 
-
-def neighbors(sch: RelationScheme, x: int, i: int) -> tuple:
-    """Elements at relation i from x."""
-    return tuple(int(z) for z in np.flatnonzero(sch.rel[x] == i))
-
-
-def pair_set(sch: RelationScheme, x: int, y: int, i: int, j: int) -> tuple:
-    """Elements at relation i from x and j from y."""
-    if x == y:
-        raise ValueError("x and y must differ")
-    mask = (sch.rel[x] == i) & (sch.rel[y] == j)
-    return tuple(int(z) for z in np.flatnonzero(mask))

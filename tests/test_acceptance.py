@@ -12,6 +12,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 
 from schemeforge.geometry import (Hemisystem, build_hermitian_gq,
@@ -21,7 +22,6 @@ from schemeforge.reconstruct import (all_cliques, reconstruct_gq,
                                      recover_hemisystem,
                                      verify_dual_hemisystem)
 from schemeforge.relation_scheme import (NotHemisystem, RelationScheme,
-                                         neighbors, pair_set,
                                          scheme_from_hemisystem,
                                          verify_scheme)
 from schemeforge.scheme_params import (closed_form_parameters,
@@ -138,9 +138,10 @@ def test_criterion_6_triple_oracle_consistency(scheme_t3, params_t3,
 
         # every (2,1,1) triple, exhaustively
         seen = 0
+        rel = scheme_t3.rel
         for x in range(n):
-            for y in neighbors(scheme_t3, x, 2):
-                for u in pair_set(scheme_t3, x, y, 1, 1):
+            for y in np.flatnonzero(rel[x] == 2):
+                for u in np.flatnonzero((rel[x] == 1) & (rel[y] == 1)):
                     tensor = direct_triple_counts(scheme_t3, x, y, u)
                     assert tensor[1][1][2] == 1, (x, y, u)
                     assert tensor[2][2][1] == 0, (x, y, u)

@@ -143,7 +143,25 @@ def test_file_chain(tmp_path, capsys):
 def test_scheme_needs_two_inputs(tmp_path, capsys):
     gq = tmp_path / "gq.json"
     run(["build-gq", "--out", str(gq)], capsys)
-    assert run(["scheme", "--in", str(gq)], capsys)[0] == 1
+    code, out, err = run(["scheme", "--in", str(gq)], capsys)
+    assert (code, out) == (1, "")
+    assert "expected 2 arguments" in err
+
+
+@pytest.mark.parametrize("command", ["hemisystem", "reconstruct"])
+def test_in_needs_a_path(command, capsys):
+    code, out, err = run([command, "--in"], capsys)
+    assert (code, out) == (1, "")
+    assert "expected 1 argument" in err
+
+
+@pytest.mark.parametrize("command", ["hemisystem", "reconstruct"])
+def test_in_takes_one_path(command, tmp_path, capsys):
+    gq = tmp_path / "gq.json"
+    run(["build-gq", "--out", str(gq)], capsys)
+    code, out, err = run([command, "--in", str(gq), str(gq)], capsys)
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments" in err
 
 
 def test_reconstruct_rejects_corrupt_scheme(tmp_path, capsys):

@@ -13,7 +13,8 @@ from schemeforge.geometry import (ADD, CONJ, FOURTH, GQ, INV, MUL, NEG,
                                   build_hermitian_gq, exact_product,
                                   find_hemisystem, hermitian_coordinates,
                                   hermitian_form, hermitian_value,
-                                  proj_points, verify_gq, verify_hemisystem)
+                                  line_sets, proj_points, verify_gq,
+                                  verify_hemisystem)
 
 
 # ------------------------------------------------------------ field
@@ -95,6 +96,16 @@ def grid_gq():
 def test_grid_is_a_quadrangle():
     report = verify_gq(grid_gq())
     assert report.overall, report.failed()
+
+
+def test_line_sets_of_the_grid_and_its_dual():
+    grid = grid_gq()
+    inc = grid.incidence
+    assert line_sets(inc @ inc.T > 0) == grid.lines
+    # the dual, GQ(1, 2): the 6 lines as points, a line per grid point
+    dual = line_sets(inc.T @ inc > 0)
+    assert dual == tuple(sorted(grid.lines_through))
+    assert len(dual) == 9 and all(len(line) == 2 for line in dual)
 
 
 def test_deleting_a_line_is_detected(hermitian_gq):

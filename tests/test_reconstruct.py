@@ -5,13 +5,15 @@ import itertools
 import numpy as np
 import pytest
 
+import clique_oracle as oracle
+from schemeforge.geometry import find_hemisystem
 from schemeforge.reconstruct import (AxiomFailure, NotWellDefined,
                                      StructureViolation, all_cliques,
-                                     clique_from_r1_pair,
-                                     clique_from_r2_pair, order_from_size,
-                                     reconstruct_gq, recover_hemisystem,
+                                     order_from_size, reconstruct_gq,
+                                     recover_hemisystem,
                                      verify_dual_hemisystem)
-from schemeforge.relation_scheme import RelationScheme, neighbors
+from schemeforge.relation_scheme import (RelationScheme,
+                                         scheme_from_hemisystem)
 
 
 def test_order_inversion():
@@ -23,26 +25,23 @@ def test_order_inversion():
 
 # ------------------------------------------------------------ single cliques
 
-def test_r2_pair_clique(scheme_t3):
+def clique_of(cliques, a, b):
+    return next(c for c in cliques if a in c.elements and b in c.elements)
+
+
+def test_r2_pair_clique(scheme_t3, cliques):
     x = 0
-    y = neighbors(scheme_t3, x, 2)[0]
-    clq = clique_from_r2_pair(scheme_t3, x, y)
+    y = int(np.flatnonzero(scheme_t3.rel[x] == 2)[0])
+    clq = clique_of(cliques, x, y)
     assert x in clq.half_C and y in clq.half_C
     assert len(clq.half_C) == len(clq.half_Cprime) == 2
     assert len(clq.elements) == 4
 
 
-def test_r2_pair_requires_relation_two(scheme_t3):
+def test_r1_pair_clique(scheme_t3, cliques):
     x = 0
-    u = neighbors(scheme_t3, x, 1)[0]
-    with pytest.raises(ValueError):
-        clique_from_r2_pair(scheme_t3, x, u)
-
-
-def test_r1_pair_clique(scheme_t3):
-    x = 0
-    u = neighbors(scheme_t3, x, 1)[0]
-    clq = clique_from_r1_pair(scheme_t3, x, u)
+    u = int(np.flatnonzero(scheme_t3.rel[x] == 1)[0])
+    clq = clique_of(cliques, x, u)
     assert x in clq.half_C and u in clq.half_Cprime
     assert len(clq.elements) == 4
 
@@ -51,16 +50,23 @@ def test_constructors_agree(scheme_t3, cliques):
     for clq in cliques[:25]:
         x, y = clq.half_C
         u = clq.half_Cprime[0]
-        assert clique_from_r2_pair(scheme_t3, x, y).halves == clq.halves
-        assert clique_from_r1_pair(scheme_t3, x, u).halves == clq.halves
+        assert oracle.clique_from_r2_pair(scheme_t3, x, y) == clq
+        assert oracle.clique_from_r1_pair(scheme_t3, x, u) == clq
 
 
 def test_any_inner_pair_reproduces_the_clique(scheme_t3, cliques):
     for clq in cliques[:15]:
         for half in (clq.half_C, clq.half_Cprime):
             for a, b in itertools.combinations(half, 2):
-                same = clique_from_r2_pair(scheme_t3, a, b)
-                assert same.halves == clq.halves
+                same = oracle.clique_from_r2_pair(scheme_t3, a, b)
+                assert oracle.halves(same) == oracle.halves(clq)
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 7, 63])
+def test_the_pair_walk_finds_the_same_cliques(hermitian_gq, seed):
+    sch = scheme_from_hemisystem(hermitian_gq,
+                                 find_hemisystem(hermitian_gq, seed))
+    assert all_cliques(sch) == oracle.all_cliques(sch)
 
 
 def test_half_relation_pattern(scheme_t3, cliques):
@@ -186,30 +192,42 @@ def test_stray_zero_is_not_an_even_relation(scheme_t3):
                               "gives a different 56-set")
 
 
-def test_each_clique_is_built_once(scheme_t3, monkeypatch):
-    import schemeforge.reconstruct as rc
-    pairs = []
-    for name in ("clique_from_r1_pair", "clique_from_r2_pair"):
-        def counted(sch, a, b, real=getattr(rc, name)):
-            pairs.append((a, b))
-            return real(sch, a, b)
-        monkeypatch.setattr(rc, name, counted)
-    assert len(all_cliques(scheme_t3)) == 280
-    assert len(pairs) == 280
+def test_each_clique_is_built_once(cliques):
+    keys = [c.elements for c in cliques]
+    assert len(set(keys)) == len(keys) == 280
 
 
-def test_overlapping_cliques_are_rejected(scheme_t3, monkeypatch):
-    import schemeforge.reconstruct as rc
-    real = rc.clique_from_r1_pair
-    x, u = 0, neighbors(scheme_t3, 0, 1)[0]
-    true = real(scheme_t3, x, u)
-    stranger = next(z for z in range(112) if z not in true.elements)
+# ------------------------------------------------------------ corrupted tables
 
-    def skewed(sch, a, b):
-        if (a, b) != (x, u):
-            return real(sch, a, b)
-        return rc.Clique(true.half_C, (u, stranger))
+# clique (0, 1, 2, 3) splits as half_C (0, 1), half_Cprime (2, 3)
+@pytest.mark.parametrize("entry, message", [
+    ((0, 1, 1), "half_C = (0,) has 1 elements, expected 2"),
+    ((0, 2, 3), "half_Cprime = (3,) has 1 elements, expected 2"),
+    ((1, 2, 2), "elements 1, 2 of clique (0, 1, 2, 3) are 2-related, "
+                "expected 1"),
+    ((2, 3, 1), "elements 2, 3 of clique (0, 1, 2, 3) are 1-related, "
+                "expected 2"),
+    ((0, 10, 1), "cliques cover 1656 low-relation pairs, expected 1681"),
+], ids=["half_C", "half_Cprime", "across", "inside", "uncovered"])
+def test_corrupted_cliques_are_named(scheme_t3, entry, message):
+    a, b, v = entry
+    rel = scheme_t3.rel.copy()
+    assert rel[a][b] != v
+    rel[a][b] = rel[b][a] = v
+    with pytest.raises(StructureViolation) as err:
+        all_cliques(RelationScheme(size=112, classes=5, rel=rel))
+    assert str(err.value) == message
 
-    monkeypatch.setattr(rc, "clique_from_r1_pair", skewed)
-    with pytest.raises(StructureViolation, match="lies in two cliques"):
-        all_cliques(scheme_t3)
+
+def test_overlapping_cliques_are_rejected():
+    """Two 2+2 cliques, (0, 1 | 10, 11) and (2, 3 | 10, 11), sharing a
+    pair in a table where every other pair is 3-related."""
+    rel = np.full((112, 112), 3, dtype=np.int8)
+    np.fill_diagonal(rel, 0)
+    for a, b in ((0, 1), (2, 3), (10, 11)):
+        rel[a, b] = rel[b, a] = 2
+    rel[:4, 10:12] = rel[10:12, :4] = 1
+    with pytest.raises(StructureViolation) as err:
+        all_cliques(RelationScheme(size=112, classes=5, rel=rel))
+    assert str(err.value) == ("pair (10, 11) lies in two cliques: "
+                              "(0, 1, 10, 11) and (2, 3, 10, 11)")

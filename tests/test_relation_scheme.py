@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from schemeforge.relation_scheme import (NotHemisystem, RelationScheme,
-                                         neighbors, pair_set,
                                          scheme_from_hemisystem,
                                          verify_scheme)
 from schemeforge.geometry import Hemisystem
@@ -43,34 +42,36 @@ def test_counted_tensor_matches_the_tables(scheme_t3, params_t3):
 
 
 def test_neighbor_sets_partition(scheme_t3):
+    rel = scheme_t3.rel
     for x in (0, 17, 111):
-        sets = [neighbors(scheme_t3, x, i) for i in range(5)]
-        assert sets[0] == (x,)
+        sets = [np.flatnonzero(rel[x] == i) for i in range(5)]
+        assert sets[0].tolist() == [x]
         assert sorted(z for s in sets for z in s) == list(range(112))
-    assert len(neighbors(scheme_t3, 0, 2)) == 10
-    assert len(neighbors(scheme_t3, 0, 1)) + len(
-        neighbors(scheme_t3, 0, 2)) == 30
+    assert len(np.flatnonzero(rel[0] == 2)) == 10
+    assert len(np.flatnonzero(rel[0] == 1)) + len(
+        np.flatnonzero(rel[0] == 2)) == 30
 
 
 def test_pair_sets(scheme_t3):
+    rel = scheme_t3.rel
     x = 0
-    y = neighbors(scheme_t3, x, 2)[0]
-    assert len(pair_set(scheme_t3, x, y, 1, 1)) == 2
-    assert len(pair_set(scheme_t3, x, y, 2, 2)) == 0
-    assert pair_set(scheme_t3, x, y, 1, 2) \
-        == pair_set(scheme_t3, y, x, 2, 1)
-    with pytest.raises(ValueError):
-        pair_set(scheme_t3, x, x, 1, 1)
+    y = np.flatnonzero(rel[x] == 2)[0]
+    assert len(np.flatnonzero((rel[x] == 1) & (rel[y] == 1))) == 2
+    assert len(np.flatnonzero((rel[x] == 2) & (rel[y] == 2))) == 0
+    assert np.array_equal(np.flatnonzero((rel[x] == 1) & (rel[y] == 2)),
+                          np.flatnonzero((rel[y] == 2) & (rel[x] == 1)))
 
 
 def test_pair_set_sizes_match_intersection_numbers(scheme_t3, params_t3):
     import random
+    rel = scheme_t3.rel
     rng = random.Random(1)
     for _ in range(25):
         x, y = rng.sample(range(112), 2)
-        k = int(scheme_t3.rel[x][y])
+        k = int(rel[x][y])
         i, j = rng.randrange(5), rng.randrange(5)
-        assert len(pair_set(scheme_t3, x, y, i, j)) == params_t3.p[k][i][j]
+        assert len(np.flatnonzero((rel[x] == i) & (rel[y] == j))) \
+            == params_t3.p[k][i][j]
 
 
 def test_flipped_entry_is_detected(scheme_t3):
