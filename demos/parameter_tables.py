@@ -28,7 +28,7 @@ print("multiplicities:", [str(m) for m in params.multiplicities])
 
 # The Q-antipodal signature: the last column of Q alternates, so the
 # scheme splits into two halves of 56.
-print("last Q column:", [str(params.Q.at(i, 4)) for i in range(5)])
+print("last Q column:", [str(params.Q[i][4]) for i in range(5)])
 
 # Independent derivation straight from formulas in t.
 table = closed_form_parameters(t)

@@ -1,12 +1,9 @@
-"""Exact linear algebra over the rationals.
+"""Exact solution spaces of integer linear systems.
 
-Dense matrices with Fraction entries, parametric solution spaces for
-underdetermined systems, and inversion. There is one elimination routine,
-an integer reduced row echelon form, and one place that reads a solution
-space off its pivots (`solve_integer`). Callers with int rows, such as
-the triple solver, hand them over as they are; `solve_linear` and
-`invert` first clear each row of a Fraction matrix of its denominators.
-A Fraction appears only when an entry of the result is divided by its
+There is one elimination routine, an integer reduced row echelon form
+(`_rref_rows`), and one place that reads a solution space off its pivots
+(`solve_integer`). Callers such as the triple solver hand over int rows;
+a Fraction appears only when an entry of the result is divided by its
 row's pivot. All operations are pure and exact; no floating point is used
 anywhere.
 """
@@ -17,74 +14,13 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .errors import SchemeforgeError
-
-Rat = Fraction
-
-
-class NotSquare(SchemeforgeError, ValueError):
-    """A square-only operation was handed a rectangular matrix."""
-
-
-class Singular(SchemeforgeError, ValueError):
-    """Inversion was attempted on a singular matrix."""
 
 
 class Inconsistent(SchemeforgeError, ValueError):
     """The linear system admits no solution."""
 
-
-def _rat(x) -> Rat:
-    return x if type(x) is Fraction else Fraction(x)
-
-
-@dataclass(frozen=True)
-class RatMatrix:
-    """Immutable row-major matrix of Fractions.
-
-    Entries are coerced to Fraction on construction, so elimination on a
-    matrix built from ints stays exact and returns Fractions.
-    """
-
-    rows: int
-    cols: int
-    entries: tuple
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative dimension")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match dimensions")
-        object.__setattr__(self, "entries", tuple(map(_rat, self.entries)))
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable]) -> "RatMatrix":
-        data = [list(row) for row in rows]
-        if not data:
-            return cls(0, 0, ())
-        ncols = len(data[0])
-        if any(len(row) != ncols for row in data):
-            raise ValueError("ragged rows")
-        return cls(len(data), ncols, tuple(x for row in data for x in row))
-
-    def at(self, i: int, j: int) -> Rat:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def to_rows(self) -> list:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def scale(self, c) -> "RatMatrix":
-        c = _rat(c)
-        return RatMatrix(self.rows, self.cols,
-                         tuple(c * x for x in self.entries))
 
 @dataclass(frozen=True)
 class AffineSolutionSpace:
@@ -108,13 +44,6 @@ def _primitive(row: list) -> list:
     """The int row divided by the gcd of its entries."""
     g = math.gcd(*row)
     return [x // g for x in row] if g > 1 else row
-
-
-def _cleared(row) -> list:
-    """A row of ints and Fractions times the lcm of its denominators,
-    made primitive."""
-    den = math.lcm(*(x.denominator for x in row))
-    return _primitive([x.numerator * (den // x.denominator) for x in row])
 
 
 def _combine(row, prow, c: int) -> list:
@@ -190,32 +119,3 @@ def solve_integer(rows: list, ncols: int) -> AffineSolutionSpace:
                 vec[pc] = Fraction(-row[f], row[pc])
         basis.append(tuple(vec))
     return AffineSolutionSpace(tuple(particular), tuple(basis), free)
-
-
-def solve_linear(a: RatMatrix, b: Sequence) -> AffineSolutionSpace:
-    """Solve a x = b exactly, returning the full affine solution space.
-
-    Each row of [a | b] is cleared of denominators and handed to
-    `solve_integer`, which raises Inconsistent when no solution exists.
-    """
-    bb = [_rat(x) for x in b]
-    if len(bb) != a.rows:
-        raise ValueError("right-hand side length mismatch")
-    return solve_integer([_cleared(a.row(i) + (bb[i],))
-                          for i in range(a.rows)], a.cols)
-
-
-def invert(m: RatMatrix) -> RatMatrix:
-    """Inverse from the integer RREF of [m | I], cleared of denominators."""
-    if not m.is_square():
-        raise NotSquare("only square matrices invert")
-    n = m.rows
-    aug = [_cleared(m.row(i) + tuple(int(i == j) for j in range(n)))
-           for i in range(n)]
-    pivots, rows = _rref_rows(aug)
-    if len(pivots) < n or any(p >= n for p in pivots):
-        raise Singular("matrix is singular")
-    zero = Fraction(0)
-    return RatMatrix.from_rows([[Fraction(x, row[i]) if x else zero
-                                 for x in row[n:]]
-                                for i, row in enumerate(rows)])

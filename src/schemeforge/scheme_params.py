@@ -3,18 +3,20 @@
 The generic pipeline runs Krein array -> eigenvalues of the tridiagonal
 dual intersection matrix L1* (integer Sturm bisection, no characteristic
 polynomial) -> second eigenmatrix Q (rows generated by the three-term dual
-recurrence) -> first eigenmatrix P = order * Q^(-1) -> intersection and
-Krein number tensors (integer numerators sum_r w_r M_ri M_rj M_rk over the
-denominator-cleared matrix, symmetric in (i, j, k) and so formed once per
-unordered triple, then one division per entry). For the hemisystem family
-(one cometric Q-antipodal 4-class scheme for each odd t >= 3) the same
-data is also available in closed form; the two routes are independent and
-cross-check each other. `validate` runs its checks on whole-number entries
-as ints and checks P Q = order * I as one integer matrix product.
+recurrence) -> first eigenmatrix P from the orthogonality relations, in
+integers -> intersection and Krein number tensors (integer numerators
+sum_r w_r M_ri M_rj M_rk over the denominator-cleared matrix, symmetric in
+(i, j, k) and so formed once per unordered triple, then one division per
+entry). For the hemisystem family (one cometric Q-antipodal 4-class
+scheme for each odd t >= 3) the same data is also available in closed
+form; the two routes are independent and cross-check each other.
+`validate` runs its checks on whole-number entries as ints and checks
+P Q = order * I as one integer matrix product.
 
 Conventions: P rows are indexed by eigenspaces and columns by relations,
 Q rows by relations and columns by eigenspaces, so that P Q = order * I.
-Tensors are nested tuples indexed [k][i][j].
+P and Q are tuples of row tuples, their entries ints or Fractions as
+their producer gives them. Tensors are nested tuples indexed [k][i][j].
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import SchemeforgeError
-from .linalg import RatMatrix, invert
 
 Rat = Fraction
 
@@ -92,8 +93,8 @@ class SchemeParameters:
     bcoef: int | None
     valencies: tuple
     multiplicities: tuple
-    P: RatMatrix
-    Q: RatMatrix
+    P: tuple   # first eigenmatrix, rows of ints and Fractions
+    Q: tuple   # second eigenmatrix, rows of ints and Fractions
     p: tuple   # intersection numbers, [k][i][j]
     q: tuple   # Krein parameters,     [k][i][j]
 
@@ -250,13 +251,26 @@ def dual_eigenmatrix(k: KreinArray) -> tuple:
     order = sum(mults, Fraction(0))
     rest = sorted((theta for theta in roots if theta != m_theta),
                   reverse=True)
-    q = RatMatrix.from_rows([rows[m_theta]] + [rows[t_] for t_ in rest])
+    q = (mults,) + tuple(rows[t_] for t_ in rest)
     return q, mults, order
 
 
-def first_eigenmatrix(q: RatMatrix, order: Rat) -> RatMatrix:
-    """P = order * Q^(-1); its first row lists the valencies."""
-    return invert(q).scale(order)
+def first_eigenmatrix(q: tuple, order: Rat) -> tuple:
+    """P from the orthogonality relations; its first row lists the valencies.
+
+    With m = Q[0] all positive, m_j P[j][i] = n_i Q[i][j] and the valency
+    n_i = order / sum_j Q[i][j]^2 / m_j. In integers: C = D Q, D the lcm
+    of Q's denominators, L the lcm of C[0], and
+    S_i = sum_j C[i][j]^2 (L / C[0][j]) > 0, so that
+    P[j][i] = order D L C[i][j] / (S_i C[0][j]), one Fraction per entry.
+    """
+    den, c = _cleared_rows(q)
+    lcm = math.lcm(*c[0])
+    sums = [sum(x * x * (lcm // m) for x, m in zip(row, c[0])) for row in c]
+    top = order.numerator * den * lcm
+    return tuple(tuple(Fraction(top * row[j], order.denominator * s * m)
+                       for row, s in zip(c, sums))
+                 for j, m in enumerate(c[0]))
 
 
 def _cleared(xs, den: int) -> list:
@@ -264,28 +278,29 @@ def _cleared(xs, den: int) -> list:
     return [x.numerator * (den // x.denominator) for x in xs]
 
 
-def _cleared_rows(mat: RatMatrix) -> tuple:
+def _cleared_rows(mat: tuple) -> tuple:
     """(D, the rows of D * mat as int lists), D the lcm of its denominators."""
-    den = math.lcm(*(x.denominator for x in mat.entries))
-    return den, [_cleared(mat.row(i), den) for i in range(mat.rows)]
+    den = math.lcm(*(x.denominator for row in mat for x in row))
+    return den, [_cleared(row, den) for row in mat]
 
 
-def _spectral_tensor(mat: RatMatrix, weights: Sequence, norms: Sequence,
+def _spectral_tensor(mat: tuple, weights: Sequence, norms: Sequence,
                      order: Rat) -> tuple:
     """Tensor [k][i][j] = sum_r w_r M_ri M_rj M_rk / (order * norms_k).
 
     With dm the lcm of the denominators of M and dw that of the weights,
     the numerator N_ijk = sum_r (dw w_r)(dm M_ri)(dm M_rj)(dm M_rk) is an
     integer sum, symmetric in (i, j, k), so it is formed once per unordered
-    triple (C(d + 3, 3) of the (d + 1)^3 entries). Each entry is then one
-    division, N_ijk / (order * dw * dm^3 * norms_k), and a Fraction.
+    triple (C(d + 3, 3) of the (d + 1)^3 entries). Each nonzero entry is
+    then one division, N_ijk / (order * dw * dm^3 * norms_k), and a
+    Fraction; the zero entries share one Fraction(0).
     """
-    rng = range(mat.cols)
+    rng = range(len(mat))
     dm, rows = _cleared_rows(mat)
     dw = math.lcm(*(x.denominator for x in weights))
     cols = list(zip(*rows))
     w = _cleared(weights, dw)
-    num = [[[0] * mat.cols for _ in rng] for _ in rng]
+    num = [[[0] * len(mat) for _ in rng] for _ in rng]
     for ijk in itertools.combinations_with_replacement(rng, 3):
         i, j, kk = ijk
         total = sum(x * y * z * u for x, y, z, u in
@@ -293,16 +308,18 @@ def _spectral_tensor(mat: RatMatrix, weights: Sequence, norms: Sequence,
         for a, b, c in set(itertools.permutations(ijk)):
             num[a][b][c] = total
     scale = order * dw * dm ** 3
+    zero = Fraction(0)
     out = []
     for kk in rng:
         den = scale * norms[kk]
         top, bottom = den.denominator, den.numerator
         out.append(tuple(tuple(Fraction(num[i][j][kk] * top, bottom)
+                               if num[i][j][kk] else zero
                                for j in rng) for i in rng))
     return tuple(out)
 
 
-def intersection_numbers(p_mat: RatMatrix, valencies: Sequence,
+def intersection_numbers(p_mat: tuple, valencies: Sequence,
                          multiplicities: Sequence, order: Rat) -> tuple:
     """Tensor p[k][i][j] via the spectral triple-product identity.
 
@@ -318,7 +335,7 @@ def intersection_numbers(p_mat: RatMatrix, valencies: Sequence,
     return p
 
 
-def krein_numbers(q_mat: RatMatrix, valencies: Sequence,
+def krein_numbers(q_mat: tuple, valencies: Sequence,
                   multiplicities: Sequence, order: Rat) -> tuple:
     """Tensor q[k][i][j], the dual of intersection_numbers.
 
@@ -332,19 +349,19 @@ def krein_numbers(q_mat: RatMatrix, valencies: Sequence,
     return q
 
 
-def _closed_form_q(t: int) -> RatMatrix:
+def _closed_form_q(t: int) -> tuple:
     """The family's second eigenmatrix Q; row 0 is the multiplicities."""
     if not isinstance(t, int) or t < 3 or t % 2 == 0:
         raise BadParameter(f"t must be an odd integer >= 3, got {t!r}")
     F = Fraction
     s = t * t - t + 1
-    return RatMatrix.from_rows([
-        [1, (t - 1) * (t * t + 1), s * (s + t), (t - 1) * (t * t + 1), 1],
-        [1, s - 1, 0, 1 - s, -1],
-        [1, -s - 1, 2 * s, -s - 1, 1],
-        [1, F(-(s + t), t), 0, F(s + t, t), -1],
-        [1, F(s - t, t), F(-2 * s, t), F(s - t, t), 1],
-    ])
+    return (
+        (1, (t - 1) * (t * t + 1), s * (s + t), (t - 1) * (t * t + 1), 1),
+        (1, s - 1, 0, 1 - s, -1),
+        (1, -s - 1, 2 * s, -s - 1, 1),
+        (1, F(-(s + t), t), 0, F(s + t, t), -1),
+        (1, F(s - t, t), F(-2 * s, t), F(s - t, t), 1),
+    )
 
 
 def closed_form_parameters(t: int) -> SchemeParameters:
@@ -356,15 +373,15 @@ def closed_form_parameters(t: int) -> SchemeParameters:
     zero, one = F(0), F(1)
     n = (one, F((t + 1) * (t * t + 1), 2), F((t - 1) * (t * t + 1), 2),
          F(t * t * (t * t - 1), 2), F(t * t * (t * t + 1), 2))
-    m = q_mat.row(0)
+    m = tuple(map(F, q_mat[0]))   # Fractions, as on the generic route
     order = F((t ** 3 + 1) * (t + 1))
-    p_mat = RatMatrix.from_rows([
-        [1, n[1], n[2], n[3], n[4]],
-        [1, F(b), F(-(s + 1), 2), F(-b), F(s - 1, 2)],
-        [1, 0, F(t - 1), 0, F(-t)],
-        [1, F(-b), F(-(s + 1), 2), F(b), F(s - 1, 2)],
-        [1, -n[1], n[2], -n[3], n[4]],
-    ])
+    p_mat = (
+        (1, n[1], n[2], n[3], n[4]),
+        (1, F(b), F(-(s + 1), 2), F(-b), F(s - 1, 2)),
+        (1, 0, F(t - 1), 0, F(-t)),
+        (1, F(-b), F(-(s + 1), 2), F(b), F(s - 1, 2)),
+        (1, -n[1], n[2], -n[3], n[4]),
+    )
 
     def tensor(inner, boundary_weights):
         # inner: 4x4 table for indices 1..4; boundary from the scheme axioms.
@@ -442,20 +459,18 @@ def derive_parameters(k: KreinArray, t: int | None = None) -> SchemeParameters:
     if order <= 0 or order.denominator != 1:
         raise NonIntegral(f"order {order} is not a positive integer")
     if t is not None:
-        target = _closed_form_q(t)
-        by_row = {target.row(i): i for i in range(k.d + 1)}
+        by_row = {row: i for i, row in enumerate(_closed_form_q(t))}
         perm = [None] * (k.d + 1)
-        for i in range(k.d + 1):
-            ti = by_row.get(q_mat.row(i))
+        for row in q_mat:
+            ti = by_row.get(row)
             if ti is None:
                 raise BadParameter(
                     "array is not the family array at t = %d" % t)
-            perm[ti] = i
-        q_mat = RatMatrix.from_rows([q_mat.row(perm[i])
-                                     for i in range(k.d + 1)])
-        mults = q_mat.row(0)
+            perm[ti] = row
+        q_mat = tuple(perm)
+        mults = q_mat[0]
     p_mat = first_eigenmatrix(q_mat, order)
-    valencies = p_mat.row(0)
+    valencies = p_mat[0]
     for v in valencies:
         if v.denominator != 1 or v <= 0:
             raise NonIntegral(f"valency {v} is not a positive integer")

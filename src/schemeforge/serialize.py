@@ -70,7 +70,7 @@ def parse_rat(text) -> Fraction:
 
 
 def _rat_rows(mat) -> list:
-    return [[rat_str(x) for x in row] for row in mat.to_rows()]
+    return [[rat_str(x) for x in row] for row in mat]
 
 
 def _rat_tensor(tensor) -> list:
@@ -120,9 +120,9 @@ def params_markdown(sp: SchemeParameters) -> str:
                        list(range(d + 1)))
     lines += _md_table("Multiplicities m_i", [sp.multiplicities], ["m"],
                        list(range(d + 1)))
-    lines += _md_table("First eigenmatrix P", sp.P.to_rows(),
+    lines += _md_table("First eigenmatrix P", sp.P,
                        list(range(d + 1)), list(range(d + 1)))
-    lines += _md_table("Second eigenmatrix Q", sp.Q.to_rows(),
+    lines += _md_table("Second eigenmatrix Q", sp.Q,
                        list(range(d + 1)), list(range(d + 1)))
     for k in idx:
         rows = [[sp.p[k][i][j] for j in idx] for i in idx]

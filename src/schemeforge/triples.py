@@ -36,7 +36,7 @@ from typing import Iterable
 
 from .errors import SchemeforgeError
 from .linalg import AffineSolutionSpace, Inconsistent, solve_integer
-from .scheme_params import SchemeParameters
+from .scheme_params import SchemeParameters, _cleared_rows
 
 
 class VacuousConfig(SchemeforgeError, ValueError):
@@ -182,11 +182,9 @@ def _krein_rows(Q, tuples: tuple) -> tuple:
     (row, g0, row // g0), row the integers den^3 Q_lr Q_ms Q_nt for
     tuples[i] = (r, s, t) in `names` order and g0 = gcd(den^3, *row).
     """
-    d = Q.rows - 1
-    rng = range(1, d + 1)
-    den = math.lcm(*(x.denominator for x in Q.entries))
-    cols = tuple(tuple(Q.at(i, j).numerator * (den // Q.at(i, j).denominator)
-                       for i in range(d + 1)) for j in range(d + 1))
+    rng = range(1, len(Q))
+    den, cleared = _cleared_rows(Q)
+    cols = tuple(zip(*cleared))
     den3 = den ** 3
     rows = []
     for r, s, t in tuples:

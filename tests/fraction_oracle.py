@@ -6,8 +6,9 @@ three-term recurrence and checks a parameter set in integers; this module
 keeps the rational Gauss-Jordan elimination, the rational triple sum, the
 rational recurrence, the Fraction-by-Fraction `validate`, the closed-form
 builder and `rat_str` they replaced, so that tests compare the two instead
-of the code under test with itself. Results are built from the same
-`AffineSolutionSpace`, `RatMatrix`, `SchemeParameters` and
+of the code under test with itself. Matrices are lists or tuples of rows,
+and `invert` is the reference for the first eigenmatrix. Results are
+built from the same `AffineSolutionSpace`, `SchemeParameters` and
 `ValidationReport` types and raise the same errors.
 """
 
@@ -15,8 +16,7 @@ import itertools
 from fractions import Fraction
 from typing import Sequence
 
-from schemeforge.linalg import (AffineSolutionSpace, Inconsistent, NotSquare,
-                                RatMatrix, Singular)
+from schemeforge.linalg import AffineSolutionSpace, Inconsistent
 from schemeforge.scheme_params import (BadParameter, DegenerateSpectrum,
                                        KreinArray, SchemeParameters,
                                        ValidationReport, _three_term,
@@ -54,13 +54,12 @@ def rref_rows(rows: list) -> tuple:
     return tuple(pivots)
 
 
-def solve_linear(a: RatMatrix, b) -> AffineSolutionSpace:
-    """Solve a x = b; free variables are the non-pivot columns."""
-    bb = [Fraction(x) for x in b]
-    if len(bb) != a.rows:
+def solve_linear(a, b, n: int) -> AffineSolutionSpace:
+    """Solve a x = b over n unknowns, a given as rows; free variables are
+    the non-pivot columns."""
+    if len(b) != len(a):
         raise ValueError("right-hand side length mismatch")
-    n = a.cols
-    aug = [list(a.row(i)) + [bb[i]] for i in range(a.rows)]
+    aug = [list(map(Fraction, row)) + [Fraction(x)] for row, x in zip(a, b)]
     if not aug:
         pivots = ()
     else:
@@ -81,24 +80,25 @@ def solve_linear(a: RatMatrix, b) -> AffineSolutionSpace:
     return AffineSolutionSpace(tuple(particular), tuple(basis), free)
 
 
-def invert(m: RatMatrix) -> RatMatrix:
-    """Inverse via Gauss-Jordan on [m | I]."""
-    if not m.is_square():
-        raise NotSquare("only square matrices invert")
-    n = m.rows
-    aug = [list(m.row(i)) + [Fraction(1) if i == j else Fraction(0)
-                             for j in range(n)] for i in range(n)]
+def invert(m) -> tuple:
+    """Inverse of the square matrix m, given as rows, via Gauss-Jordan on
+    [m | I]."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("only square matrices invert")
+    aug = [list(map(Fraction, row)) + list(map(Fraction, unit))
+           for row, unit in zip(m, identity(n))]
     pivots = rref_rows(aug)
     if len(pivots) < n or any(p >= n for p in pivots):
-        raise Singular("matrix is singular")
-    return RatMatrix.from_rows([row[n:] for row in aug])
+        raise ValueError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in aug)
 
 
-def spectral_tensor(mat: RatMatrix, weights: Sequence, norms: Sequence,
+def spectral_tensor(mat, weights: Sequence, norms: Sequence,
                     order: Fraction) -> tuple:
     """Tensor [k][i][j] = sum_r w_r M_ri M_rj M_rk / (order * norms_k)."""
-    rng = range(mat.cols)
-    cols = [[mat.at(r, j) for r in rng] for j in rng]
+    rng = range(len(mat))
+    cols = [[Fraction(mat[r][j]) for r in rng] for j in rng]
     return tuple(tuple(tuple(
         sum(w * cols[i][r] * cols[j][r] * cols[kk][r]
             for r, w in enumerate(weights)) / (order * norms[kk])
@@ -120,18 +120,17 @@ def dual_row(k, theta) -> tuple:
     return tuple(row)
 
 
-def matmul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    """The product a b, one Fraction sum per entry."""
-    if a.cols != b.rows:
+def matmul(a, b) -> tuple:
+    """The product a b of matrices given as rows, one Fraction sum per
+    entry."""
+    if any(len(row) != len(b) for row in a):
         raise ValueError("dimension mismatch in product")
-    return RatMatrix.from_rows(
-        [[sum((a.at(i, k) * b.at(k, j) for k in range(a.cols)), Fraction(0))
-          for j in range(b.cols)] for i in range(a.rows)])
+    return tuple(tuple(sum((x * y for x, y in zip(row, col)), Fraction(0))
+                       for col in zip(*b)) for row in a)
 
 
-def identity(n: int) -> RatMatrix:
-    return RatMatrix.from_rows([[int(i == j) for j in range(n)]
-                                for i in range(n)])
+def identity(n: int) -> tuple:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def rat_str(x) -> str:
@@ -142,13 +141,17 @@ def rat_str(x) -> str:
 
 # The closed-form tables as built entry by entry, each entry a new Fraction.
 
-def _closed_form_q(t: int) -> RatMatrix:
+def _fraction_rows(rows) -> tuple:
+    return tuple(tuple(map(Fraction, row)) for row in rows)
+
+
+def _closed_form_q(t: int) -> tuple:
     """The family's second eigenmatrix Q; row 0 is the multiplicities."""
     if not isinstance(t, int) or t < 3 or t % 2 == 0:
         raise BadParameter(f"t must be an odd integer >= 3, got {t!r}")
     F = Fraction
     s = t * t - t + 1
-    return RatMatrix.from_rows([
+    return _fraction_rows([
         [1, (t - 1) * (t * t + 1), s * (s + t), (t - 1) * (t * t + 1), 1],
         [1, s - 1, 0, 1 - s, -1],
         [1, -s - 1, 2 * s, -s - 1, 1],
@@ -165,9 +168,9 @@ def closed_form_parameters(t: int) -> SchemeParameters:
     b = t * (t + 1) // 2
     n = (F(1), F((t + 1) * (t * t + 1), 2), F((t - 1) * (t * t + 1), 2),
          F(t * t * (t * t - 1), 2), F(t * t * (t * t + 1), 2))
-    m = q_mat.row(0)
+    m = q_mat[0]
     order = F((t ** 3 + 1) * (t + 1))
-    p_mat = RatMatrix.from_rows([
+    p_mat = _fraction_rows([
         [1, n[1], n[2], n[3], n[4]],
         [1, F(b), F(-(s + 1), 2), F(-b), F(s - 1, 2)],
         [1, 0, F(t - 1), 0, F(-t)],
@@ -266,7 +269,8 @@ def validate(params: SchemeParameters,
         check(name, not wit, wit)
 
     prod = matmul(params.P, params.Q)
-    ident = identity(d + 1).scale(params.order)
+    ident = tuple(tuple(params.order * x for x in row)
+                  for row in identity(d + 1))
     check("eigenmatrix_inverse_pair", prod == ident,
           "P Q != order * I")
     check_each("intersection_row_sums", (

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from schemeforge.linalg import RatMatrix, solve_linear
 from schemeforge.scheme_params import (BadParameter, DegenerateSpectrum,
                                        KreinArray, NegativeKrein, NonIntegral,
                                        _dual_row, _scaled_three_term,
@@ -83,8 +82,7 @@ def test_tridiagonal_spectrum_t3():
 
 def test_dual_eigenvalues_are_the_closed_form_q_column():
     for t in range(3, 52, 2):
-        column = sorted(closed_form_parameters(t).Q.at(i, 1)
-                        for i in range(5))
+        column = sorted(row[1] for row in closed_form_parameters(t).Q)
         assert dual_eigenvalues(hemisystem_krein_array(t)) == tuple(column)
 
 
@@ -106,10 +104,10 @@ def reference_dual_eigenvalues(k):
     found = set()
     for lam in np.linalg.eigvals(np.array(rows, dtype=float)):
         theta = F(round(lam.real * den), den)
-        shifted = RatMatrix.from_rows(
-            [[x - theta if i == j else x for i, x in enumerate(row)]
-             for j, row in enumerate(rows)])
-        if solve_linear(shifted, [0] * (k.d + 1)).dimension > 0:
+        shifted = [[x - theta if i == j else x for i, x in enumerate(row)]
+                   for j, row in enumerate(rows)]
+        if oracle.solve_linear(shifted, [0] * (k.d + 1),
+                               k.d + 1).dimension > 0:
             found.add(theta)
     return tuple(sorted(found))
 
@@ -168,7 +166,7 @@ def test_dual_eigenmatrix_t3():
     q_mat, mults, order = dual_eigenmatrix(hemisystem_krein_array(3))
     assert order == 112
     assert tuple(mults) == (1, 20, 70, 20, 1)
-    rows = [tuple(q_mat.row(i)) for i in range(5)]
+    rows = list(q_mat)
     assert rows[0] == (1, 20, 70, 20, 1)
     assert (1, 6, 0, -6, -1) in rows
     assert all(r[0] == 1 for r in rows)
@@ -179,18 +177,17 @@ def test_first_eigenmatrix_t3():
     q_mat, mults, order = dual_eigenmatrix(k)
     params = derive_parameters(k, 3)
     assert tuple(params.valencies) == (1, 20, 10, 36, 45)
-    rows = [tuple(params.P.row(i)) for i in range(5)]
-    assert (1, 6, -4, -6, 3) in rows
+    assert (1, 6, -4, -6, 3) in params.P
     prod = oracle.matmul(params.P, params.Q)
     for i in range(5):
         for j in range(5):
-            assert prod.at(i, j) == (112 if i == j else 0)
+            assert prod[i][j] == (112 if i == j else 0)
 
 
 def test_alternating_character_column(params_t3):
     # the rank-one idempotent pairs the scheme with its half partition:
     # relations 1 and 3 cross the halves, 2 and 4 stay inside
-    col = tuple(params_t3.Q.at(j, 4) for j in range(5))
+    col = tuple(row[4] for row in params_t3.Q)
     assert col == (1, -1, 1, -1, 1)
 
 
@@ -217,20 +214,20 @@ def test_krein_numbers_t3(params_t3):
 
 
 def test_doctored_p_gives_a_non_integral_intersection_number(params_t3):
-    rows = params_t3.P.to_rows()
+    rows = [list(row) for row in params_t3.P]
     rows[2][2] += 1
     with pytest.raises(NonIntegral) as exc:
-        intersection_numbers(RatMatrix.from_rows(rows), params_t3.valencies,
+        intersection_numbers(rows, params_t3.valencies,
                              params_t3.multiplicities, params_t3.order)
     assert str(exc.value) == "p^0_02 = 5/8 is not a nonnegative integer"
 
 
 def test_doctored_q_gives_a_negative_krein_parameter(params_t3):
-    rows = params_t3.Q.to_rows()
+    rows = [list(row) for row in params_t3.Q]
     for row in rows:
         row[1] = -row[1]
     with pytest.raises(NegativeKrein) as exc:
-        krein_numbers(RatMatrix.from_rows(rows), params_t3.valencies,
+        krein_numbers(rows, params_t3.valencies,
                       params_t3.multiplicities, params_t3.order)
     assert str(exc.value) == "q^1_11 = -8/3 is negative"
 
@@ -253,9 +250,8 @@ def spectral_inputs(draw):
     n = draw(st.integers(1, 5))
     whole = draw(st.booleans())
     cell = entries(draw(st.sampled_from((-9, 0))), whole)
-    mat = RatMatrix.from_rows(
-        draw(st.lists(st.lists(cell, min_size=n, max_size=n),
-                      min_size=n, max_size=n)))
+    mat = draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                        min_size=n, max_size=n))
     weights = draw(st.lists(entries(1, whole), min_size=n, max_size=n))
     if draw(st.booleans()):
         return mat, weights, [1] * n, 1
@@ -414,6 +410,24 @@ FAMILY_T = range(3, 52, 2)
 
 def hypercube_array(d):
     return KreinArray.make(range(d, 0, -1), range(1, d + 1))
+
+
+# The real-MUB arrays of ROADMAP item 1 besides the 4-cube.
+MUB_ARRAYS = (KreinArray.make((4, 3, F(8, 3), 1), (1, F(4, 3), 3, 4)),
+              KreinArray.make((16, 15, 8, 1), (1, 8, 15, 16)))
+
+
+@pytest.mark.parametrize(
+    "k", [hemisystem_krein_array(t) for t in FAMILY_T]
+    + [hypercube_array(d) for d in range(1, 8)] + list(MUB_ARRAYS),
+    ids=[f"t={t}" for t in FAMILY_T] + [f"cube{d}" for d in range(1, 8)]
+    + [f"mub{i}" for i in range(len(MUB_ARRAYS))])
+def test_first_eigenmatrix_matches_inversion(k):
+    """P from the orthogonality relations is order * Q^(-1), the inverse
+    taken by Gauss-Jordan over Fraction."""
+    q_mat, _, order = dual_eigenmatrix(k)
+    assert first_eigenmatrix(q_mat, order) == tuple(
+        tuple(order * x for x in row) for row in oracle.invert(q_mat))
 
 
 def assert_validate_matches_the_oracle(params, krein):

@@ -10,7 +10,7 @@ import pytest
 import fraction_oracle as oracle
 import triple_rows_oracle as rows_oracle
 from schemeforge import triples
-from schemeforge.linalg import Inconsistent, RatMatrix, solve_integer
+from schemeforge.linalg import Inconsistent, solve_integer
 from schemeforge.scheme_params import closed_form_parameters
 from schemeforge.triples import (CheckerOverflow, HighNullity, Infeasible,
                                  NotVanishing, TripleConfig, TripleSystem,
@@ -165,12 +165,12 @@ def direct_krein_rows(sys_, tuples):
     """Krein rows and right-hand sides, each entry its own product."""
     Q = sys_.config.params.Q
     A, B, C = sys_.config.abc
-    rows = tuple(tuple(Q.at(l, r) * Q.at(m, s) * Q.at(n, t)
+    rows = tuple(tuple(Q[l][r] * Q[m][s] * Q[n][t]
                        for l, m, n in sys_.names)
                  for r, s, t in tuples)
-    rhs = tuple(-(Q.at(0, r) * Q.at(A, s) * Q.at(C, t)
-                  + Q.at(A, r) * Q.at(0, s) * Q.at(B, t)
-                  + Q.at(C, r) * Q.at(B, s) * Q.at(0, t))
+    rhs = tuple(-(Q[0][r] * Q[A][s] * Q[C][t]
+                  + Q[A][r] * Q[0][s] * Q[B][t]
+                  + Q[C][r] * Q[B][s] * Q[0][t])
                 for r, s, t in tuples)
     return rows, rhs
 
@@ -217,9 +217,8 @@ def test_krein_scaling_clears_the_right_hand_side_denominator():
     denominator; the scale must clear it as well."""
     params = closed_form_parameters(7)
     q = params.Q
-    doctored = replace(params, Q=RatMatrix(
-        q.rows, q.cols,
-        tuple(x / 11 for x in q.row(0)) + q.entries[q.cols:]))
+    doctored = replace(params, Q=(tuple(Fraction(x, 11) for x in q[0]),)
+                       + q[1:])
     sys_ = build_base_system(TripleConfig(doctored, (2, 1, 1)))
     krein = only(add_krein_vanishing(sys_), ("krein",))
     direct = direct_krein_rows(krein, vanishing_tuples(params))
@@ -285,7 +284,7 @@ def test_dependency_identity(t):
 def reference_solve(sys_):
     """Fraction elimination on all 64 columns: (space, forced, free
     names)."""
-    space = oracle.solve_linear(RatMatrix.from_rows(sys_.rows), sys_.rhs)
+    space = oracle.solve_linear(sys_.rows, sys_.rhs, len(sys_.names))
     forced = {nm: space.particular[v] for v, nm in enumerate(sys_.names)
               if all(vec[v] == 0 for vec in space.basis)}
     return space, forced, tuple(sys_.names[f] for f in space.free_indices)

@@ -155,8 +155,8 @@ def add_krein_vanishing(sys_: TripleSystem,
     Q = params.Q
     d = params.d
     rng = range(1, d + 1)
-    den = math.lcm(*(x.denominator for x in Q.entries))
-    cols = [[Q.at(i, j).numerator * (den // Q.at(i, j).denominator)
+    den = math.lcm(*(x.denominator for row in Q for x in row))
+    cols = [[Q[i][j].numerator * (den // Q[i][j].denominator)
              for i in range(d + 1)] for j in range(d + 1)]
     den3 = den ** 3
     rows, rhs = [], []
