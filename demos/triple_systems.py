@@ -31,7 +31,7 @@ for i in (1, 3, 4):
 # The same pattern at t = 3 is empty before any algebra happens:
 # p^2_22 = 0, no such triples exist.
 try:
-    TripleConfig(closed_form_parameters(3), (2, 2, 2))
+    forced_triple_values(closed_form_parameters(3), (2, 2, 2))
 except VacuousConfig as exc:
     print("t = 3:", exc)
 

@@ -6,6 +6,7 @@ mathematical validation fails.  All output is deterministic by default;
 """
 
 import argparse
+import itertools
 import os
 import random
 import sys
@@ -204,8 +205,13 @@ def _triple_spot_checks(sch, exhaustive: bool) -> int:
     Raises MathFailure at the first inconsistent triple.
     """
     checkers = pattern_checkers(closed_form_parameters(3))
-
-    def check(x, y, u) -> None:
+    if exhaustive:
+        triples = itertools.permutations(range(sch.size), 3)
+    else:
+        rng = random.Random(12345)
+        triples = (rng.sample(range(sch.size), 3) for _ in range(300))
+    checked = 0
+    for checked, (x, y, u) in enumerate(triples, 1):
         abc = triple_pattern(sch, x, y, u)
         tensor = direct_triple_counts(sch, x, y, u)
         bad = boundary_violations(abc, tensor)
@@ -222,25 +228,6 @@ def _triple_spot_checks(sch, exhaustive: bool) -> int:
             if v112 != 1 or v221 != 0:
                 raise MathFailure(f"triple {(x, y, u)}: [1 1 2] = {v112}, "
                                   f"[2 2 1] = {v221}, expected 1 and 0")
-
-    n = sch.size
-    checked = 0
-    if exhaustive:
-        for x in range(n):
-            for y in range(n):
-                if y == x:
-                    continue
-                for u in range(n):
-                    if u == x or u == y:
-                        continue
-                    check(x, y, u)
-                    checked += 1
-    else:
-        rng = random.Random(12345)
-        for _ in range(300):
-            x, y, u = rng.sample(range(n), 3)
-            check(x, y, u)
-            checked += 1
     return checked
 
 
@@ -250,39 +237,36 @@ def cmd_pipeline(args) -> int:
         raise UsageError("the concrete pipeline is built at t = 3; "
                          "use params/triple for other t")
 
-    state = {}
+    stage = "build-gq"
 
-    def stage_build():
+    def passed(note, next_stage):
+        nonlocal stage
+        print(f"{stage}: PASS ({note})")
+        stage = next_stage
+
+    try:
         gq = build_hermitian_gq()
-        state["gq"] = gq
         report = verify_gq(gq)
         if not report.overall:
             name, _, wit = report.failed()[0]
             raise MathFailure(f"{name}: {wit}")
-        return f"{len(gq.points)} points, {len(gq.lines)} lines"
+        passed(f"{len(gq.points)} points, {len(gq.lines)} lines",
+               "hemisystem")
 
-    def stage_hemisystem():
-        gq = state["gq"]
         hemi = find_hemisystem(gq, args.seed)
-        state["hemi"] = hemi
         if not verify_hemisystem(gq, hemi):
             raise MathFailure("quota check failed")
         if not verify_hemisystem(gq, hemi.complement(gq)):
             raise MathFailure("complement fails the quota")
-        return f"{len(hemi.lines)} lines, complement verified"
+        passed(f"{len(hemi.lines)} lines, complement verified", "scheme")
 
-    def stage_scheme():
-        sch = scheme_from_hemisystem(state["gq"], state["hemi"])
-        state["sch"] = sch
+        sch = scheme_from_hemisystem(gq, hemi)
         counted = verify_scheme(sch)
-        state["counted"] = counted
         if not counted.consistency:
             raise MathFailure(str(counted.witness))
-        return f"valencies {counted.valencies}"
+        passed(f"valencies {counted.valencies}", "parameters")
 
-    def stage_parameters():
         params = closed_form_parameters(t)
-        counted = state["counted"]
         if tuple(counted.valencies) != tuple(
                 int(x) for x in params.valencies):
             raise MathFailure(f"valencies {counted.valencies} != "
@@ -294,54 +278,35 @@ def cmd_pipeline(args) -> int:
                            if counted.p[k][i][j] != v)
             raise MathFailure(f"p^{k}_{i}{j}: counted {counted.p[k][i][j]}, "
                               f"table {params.p[k][i][j]}")
-        return "counted p matches the exact tables"
+        passed("counted p matches the exact tables", "triples")
 
-    def stage_triples():
-        checked = _triple_spot_checks(state["sch"], args.exhaustive)
-        return f"{checked} triples consistent"
+        checked = _triple_spot_checks(sch, args.exhaustive)
+        passed(f"{checked} triples consistent", "reconstruct")
 
-    def stage_reconstruct():
-        cliques = all_cliques(state["sch"])
-        state["cliques"] = cliques
-        rec = reconstruct_gq(state["sch"], cliques)
-        state["rec"] = rec
-        return f"{len(cliques)} cliques, dual order {rec.dual_order}"
+        cliques = all_cliques(sch)
+        rec = reconstruct_gq(sch, cliques)
+        passed(f"{len(cliques)} cliques, dual order {rec.dual_order}",
+               "recover")
 
-    def stage_recover():
-        sch = state["sch"]
         part = recover_hemisystem(sch, 0)
-        state["part"] = part
         if len(part) != sch.size // 2:
             raise MathFailure(f"|U| = {len(part)}, "
                               f"expected {sch.size // 2}")
-        if not verify_dual_hemisystem(sch, state["cliques"], part):
+        if not verify_dual_hemisystem(sch, cliques, part):
             raise MathFailure("a clique does not split cleanly")
         parts = {recover_hemisystem(sch, x) for x in range(sch.size)}
         if len(parts) != 2:
             raise MathFailure(f"{len(parts)} distinct parts "
                               f"from {sch.size} bases")
-        return f"|U| = {len(part)}, partition consistent from every base"
-
-    stages = [("build-gq", stage_build),
-              ("hemisystem", stage_hemisystem),
-              ("scheme", stage_scheme),
-              ("parameters", stage_parameters),
-              ("triples", stage_triples),
-              ("reconstruct", stage_reconstruct),
-              ("recover", stage_recover)]
-
-    for name, fn in stages:
-        try:
-            note = fn()
-        except SchemeforgeError as exc:
-            print(f"{name}: FAIL ({exc})")
-            print(f"pipeline failed at stage {name}", file=sys.stderr)
-            return EXIT_MATH
-        print(f"{name}: PASS ({note})")
+        passed(f"|U| = {len(part)}, partition consistent from every base",
+               None)
+    except SchemeforgeError as exc:
+        print(f"{stage}: FAIL ({exc})")
+        print(f"pipeline failed at stage {stage}", file=sys.stderr)
+        return EXIT_MATH
 
     if args.out:
-        dump_json(reconstruction_to_dict(state["rec"], state["part"]),
-                  args.out)
+        dump_json(reconstruction_to_dict(rec, part), args.out)
     return EXIT_OK
 
 

@@ -51,18 +51,14 @@ def _build_tables():
             add[a][b] = enc((a0 + b0) % 3, (a1 + b1) % 3)
             # (a0 + a1 w)(b0 + b1 w) with w^2 = -1
             mul[a][b] = enc((a0 * b0 - a1 * b1) % 3, (a0 * b1 + a1 * b0) % 3)
-    neg = [enc((-(a % 3)) % 3, (-(a // 3)) % 3) for a in range(9)]
-    inv = [0] * 9
-    for a in range(1, 9):
-        inv[a] = next(b for b in range(1, 9) if mul[a][b] == 1)
     # norm a^4 = a * a^3 = (a0^2 + a1^2) mod 3, always in GF(3)
     fourth = [((a % 3) ** 2 + (a // 3) ** 2) % 3 for a in range(9)]
     to_t = tuple
     return (to_t(to_t(r) for r in add), to_t(to_t(r) for r in mul),
-            to_t(neg), to_t(inv), to_t(fourth))
+            to_t(fourth))
 
 
-ADD, MUL, NEG, INV, FOURTH = _build_tables()
+ADD, MUL, FOURTH = _build_tables()
 CONJ = tuple(MUL[a][MUL[a][a]] for a in range(9))   # a^3, conjugate over GF(3)
 
 
@@ -116,15 +112,10 @@ class GQ:
     @cached_property
     def incidence(self) -> np.ndarray:
         """Integer point x line matrix N, N[p, L] = 1 iff p lies on L."""
-        return incidence_matrix(len(self.points), self.lines)
-
-
-def incidence_matrix(n_points: int, blocks) -> np.ndarray:
-    """0/1 int64 matrix with a column per block of point ids 0..n_points-1."""
-    inc = np.zeros((n_points, len(blocks)), dtype=np.int64)
-    for col, block in enumerate(blocks):
-        inc[list(block), col] = 1
-    return inc
+        inc = np.zeros((len(self.points), len(self.lines)), dtype=np.int64)
+        for col, line in enumerate(self.lines):
+            inc[list(line), col] = 1
+        return inc
 
 
 def exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -170,8 +161,8 @@ def row_sets(mask: np.ndarray) -> tuple:
     return tuple(tuple(cols[a:b]) for a, b in zip([0] + ends, ends))
 
 
-def line_sets(adj: np.ndarray) -> tuple:
-    """Each line of a quadrangle once, from its 0/1 collinearity.
+def line_sets(adj: np.ndarray) -> np.ndarray:
+    """The bool line x point incidence of a quadrangle, from its collinearity.
 
     adj must hold a true diagonal. A point off a line is collinear with
     exactly one point of it, so the line through collinear points i < j is
@@ -179,15 +170,15 @@ def line_sets(adj: np.ndarray) -> tuple:
     with S[i, j] the number of common neighbours of i and j below j, those
     are the collinear pairs i < j with S[i, j] = 1 (i itself). S is one
     exact_product of 0/1 matrices with entries at most n, far below 2^53.
-    Lines come out as sorted tuples in row-major order of their two
-    smallest points, which is sorted order.
+    Row L is the mask adj[i] & adj[j] of the L-th line in sorted order of
+    its two smallest points; row_sets gives the lines as sorted tuples.
     """
     adj = np.asarray(adj, dtype=bool)
     ones = adj.astype(np.uint8)
     below = np.tril(ones, -1)   # below[j, k] = adj[j, k] for k < j, else 0
     firsts = np.triu(adj & (exact_product(ones, below.T) == 1), 1)
     i, j = np.nonzero(firsts)
-    return row_sets(adj[i] & adj[j])
+    return adj[i] & adj[j]
 
 
 def build_hermitian_gq() -> GQ:
@@ -198,7 +189,7 @@ def build_hermitian_gq() -> GQ:
     """
     form = hermitian_form()
     return GQ(s=9, t=3, points=tuple(range(len(form))),
-              lines=line_sets(form == 0))
+              lines=row_sets(line_sets(form == 0)))
 
 
 def verify_gq(gq: GQ) -> ValidationReport:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SchemeforgeError
-from .geometry import (GQ, exact_product, first_true, incidence_matrix,
-                       line_sets, row_sets, verify_gq)
+from .geometry import (GQ, exact_product, first_true, line_sets, row_sets,
+                       verify_gq)
 from .relation_scheme import RelationScheme
 from .scheme_params import ValidationReport
 
@@ -73,6 +73,12 @@ class Clique:
         return tuple(sorted(self.half_C + self.half_Cprime))
 
 
+def _indicator(sch: RelationScheme, k: int) -> np.ndarray:
+    """Class k's plane of the stack; all false past the table's classes."""
+    return (sch.indicators[k] if k < sch.classes
+            else np.zeros((sch.size, sch.size), dtype=bool))
+
+
 def _clique_fault(rel: np.ndarray, half: int, clq: Clique) -> str | None:
     """The first wrong half size or wrong pair relation of one clique."""
     for name, part in (("half_C", clq.half_C),
@@ -100,46 +106,42 @@ def all_cliques(sch: RelationScheme) -> tuple:
     the 1-related cross pairs (H A_1) * H'; every clique must reach
     h(h-1), h(h-1) and h^2 with halves of h = (t+1)/2 elements. Only the
     first clique that does not is walked pair by pair for a witness.
-    Then, with M the element x clique incidence, the off-diagonal of
-    M M^T must be the indicator of relations {1, 2}, so each such pair
-    lies in exactly one clique and two cliques share at most one
-    element. Every product is an exact_product of 0/1 matrices with
-    sums at most |X|, far below 2^53.
+    Then, with M the clique x element incidence that line_sets returns,
+    the off-diagonal of M^T M must be the indicator of relations {1, 2},
+    so each such pair lies in exactly one clique and two cliques share at
+    most one element. Every product is an exact_product of 0/1 matrices
+    with sums at most |X|, far below 2^53.
     """
-    rel = sch.rel
     half = (order_from_size(sch.size) + 1) // 2
+    ones, twos = _indicator(sch, 1), _indicator(sch, 2)
     eye = np.eye(sch.size, dtype=bool)
-    low = ((rel == 1) | (rel == 2)) & ~eye
-    keys = line_sets(low | eye)
+    low = (ones | twos) & ~eye
+    M = line_sets(low | eye)
 
-    inc = incidence_matrix(sch.size, keys)
-    heads = [key[0] for key in keys]
-    members = inc.T == 1
-    in_c = members & ((rel[heads] == 2) | eye[heads])
-    in_p = members & ~in_c
-    hc, hp = in_c.astype(np.int64), in_p.astype(np.int64)
-    twos, ones = (rel == 2).astype(np.int64), (rel == 1).astype(np.int64)
+    heads = M.argmax(axis=1)
+    in_c = M & (twos[heads] | eye[heads])
+    in_p = M & ~in_c
     inner = half * (half - 1)
-    good = ((hc.sum(axis=1) == half) & (hp.sum(axis=1) == half)
-            & ((exact_product(hc, twos) * hc).sum(axis=1) == inner)
-            & ((exact_product(hp, twos) * hp).sum(axis=1) == inner)
-            & ((exact_product(hc, ones) * hp).sum(axis=1) == half * half))
+    good = ((in_c.sum(axis=1) == half) & (in_p.sum(axis=1) == half)
+            & ((exact_product(in_c, twos) * in_c).sum(axis=1) == inner)
+            & ((exact_product(in_p, twos) * in_p).sum(axis=1) == inner)
+            & ((exact_product(in_c, ones) * in_p).sum(axis=1) == half * half))
     built = tuple(Clique(c, p) for c, p in zip(row_sets(in_c),
                                                row_sets(in_p)))
     bad = first_true(~good)
     if bad:
-        raise StructureViolation(_clique_fault(rel, half, built[bad[0]]))
+        raise StructureViolation(_clique_fault(sch.rel, half, built[bad[0]]))
 
-    shared = exact_product(inc, inc.T)
+    shared = exact_product(M.T, M)
     np.fill_diagonal(shared, 0)
     if not np.array_equal(shared, low):
         bad = first_true(shared > 1)
         if bad:
             a, b = bad
-            first, second = np.flatnonzero(inc[a] & inc[b])[:2]
+            first, second = np.flatnonzero(M[:, a] & M[:, b])[:2]
             raise StructureViolation(
-                f"pair ({a}, {b}) lies in two cliques: {keys[first]} and "
-                f"{keys[second]}")
+                f"pair ({a}, {b}) lies in two cliques: "
+                f"{built[first].elements} and {built[second].elements}")
         raise StructureViolation(
             f"cliques cover {np.count_nonzero(np.triu(shared))} "
             f"low-relation pairs, expected {np.count_nonzero(np.triu(low))}")
@@ -166,10 +168,8 @@ class ReconstructedGQ:
     report: ValidationReport
 
 
-def reconstruct_gq(sch: RelationScheme, cliques=None) -> ReconstructedGQ:
+def reconstruct_gq(sch: RelationScheme, cliques) -> ReconstructedGQ:
     """Assemble the clique geometry and verify the quadrangle axioms."""
-    if cliques is None:
-        cliques = all_cliques(sch)
     t = order_from_size(sch.size)
     lines = tuple(sorted(cliques, key=lambda c: c.elements))
     gq = GQ(s=t, t=t * t, points=tuple(range(sch.size)),
@@ -192,7 +192,7 @@ def recover_hemisystem(sch: RelationScheme, x: int) -> tuple:
     used as the base; otherwise the characterization fails for this
     scheme and the offending base is reported.
     """
-    even = (sch.rel == 2) | (sch.rel == 4)
+    even = _indicator(sch, 2) | _indicator(sch, 4)
     np.fill_diagonal(even, True)
     part = np.flatnonzero(even[x])
     bad = first_true(np.any(even[part] != even[x], axis=1))

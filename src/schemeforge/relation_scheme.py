@@ -5,6 +5,8 @@ construction of interest takes the 112 lines of the order-(9,3) quadrangle
 with a hemisystem and classifies ordered pairs of distinct lines: class 1
 for intersecting lines in different halves, 2 for intersecting in the same
 half, 3 for disjoint in different halves, 4 for disjoint in the same half.
+The table is read-only, so its stack of class indicators is built once,
+cached on the scheme, and shared by every verifier that reads a class.
 verify_scheme is the counting oracle: one exact integer product per class
 indicator, taken against all indicators side by side, counts every
 intersection number at every pair, and the first pair whose counts differ
@@ -15,6 +17,7 @@ geometry.exact_product, which sums in float64 under a checked 2^53 bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +43,14 @@ class RelationScheme:
         if self.rel.shape != (self.size, self.size):
             raise ShapeMismatch(f"relation table has shape {self.rel.shape}, "
                                 f"expected ({self.size}, {self.size})")
+        self.rel.setflags(write=False)
+
+    @cached_property
+    def indicators(self) -> np.ndarray:
+        """Read-only bool stack, indicators[i] the 0/1 matrix of class i."""
+        stack = self.rel == np.arange(self.classes)[:, None, None]
+        stack.setflags(write=False)
+        return stack
 
 
 def scheme_from_hemisystem(gq: GQ, hemi: Hemisystem) -> RelationScheme:
@@ -92,20 +103,20 @@ def verify_scheme(sch: RelationScheme) -> CountedParameters:
     bad = first_true(np.diag(rel) != 0)
     if bad:
         return fail(f"rel({bad[0]},{bad[0]}) nonzero")
-    bad = first_true((rel == 0) & ~np.eye(n, dtype=bool))
+    adj = sch.indicators.view(np.uint8)
+    bad = first_true(sch.indicators[0] & ~np.eye(n, dtype=bool))
     if bad:
         return fail(f"rel({bad[0]},{bad[1]})=0 off the diagonal")
     if np.any(rel >= c) or np.any(rel < 0):
         return fail("class label out of range")
 
-    adj = (rel == np.arange(c)[:, None, None]).astype(np.uint8)
     counts = adj.sum(axis=2).T
     bad = first_true(np.any(counts != counts[0], axis=1))
     if bad:
         return fail(f"valency row of {bad[0]} differs from row of 0")
     valencies = tuple(int(v) for v in counts[0])
 
-    firsts = [first_true(rel == k) for k in range(c)]
+    firsts = [first_true(plane) for plane in adj]
     p_rep = np.zeros((c, c, c), dtype=np.int64)
     differs = np.zeros((n, n), dtype=bool)
     # stack[z, j*n + y] = A_j[z, y], so A_i @ stack holds every A_i A_j

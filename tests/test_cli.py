@@ -1,8 +1,10 @@
 """Exercising the command line front end in process through main(), and
 in a child process where a real pipe is needed."""
 
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -278,3 +280,82 @@ def test_loaders_reject_bad_files(tmp_path, capsys, hermitian_gq):
     code, _, err = run(["hemisystem", "--in", str(gq)], capsys)
     assert code == 1
     assert "lines[111][9]" in err
+
+
+PASSED_BUILD_AND_HEMISYSTEM = [
+    "build-gq: PASS (280 points, 112 lines)",
+    "hemisystem: PASS (56 lines, complement verified)",
+]
+
+
+def test_pipeline_reports_the_failing_stage(monkeypatch, capsys):
+    import schemeforge.cli as cli
+    from schemeforge.relation_scheme import CountedParameters
+
+    monkeypatch.setattr(cli, "verify_scheme", lambda sch: CountedParameters(
+        (), (), False, "planted witness"))
+    code, out, err = run(["pipeline", "--t", "3"], capsys)
+    assert code == 2
+    assert out.splitlines() == PASSED_BUILD_AND_HEMISYSTEM + [
+        "scheme: FAIL (planted witness)"]
+    assert err == "pipeline failed at stage scheme\n"
+
+
+def test_pipeline_reports_a_failing_last_stage(monkeypatch, capsys,
+                                               tmp_path):
+    import schemeforge.cli as cli
+
+    monkeypatch.setattr(cli, "verify_dual_hemisystem", lambda *args: False)
+    out_file = tmp_path / "rec.json"
+    code, out, err = run(["pipeline", "--t", "3", "--out", str(out_file)],
+                         capsys)
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[:2] == PASSED_BUILD_AND_HEMISYSTEM
+    assert [line.split(":")[0] for line in lines[2:6]] == [
+        "scheme", "parameters", "triples", "reconstruct"]
+    assert all(": PASS (" in line for line in lines[:6])
+    assert lines[6:] == ["recover: FAIL (a clique does not split cleanly)"]
+    assert err == "pipeline failed at stage recover\n"
+    assert not out_file.exists()
+
+
+class _Enough(Exception):
+    pass
+
+
+def recorded_triples(monkeypatch, scheme, exhaustive, limit=2000):
+    """The triples the spot checks visit, stopped after `limit` of them."""
+    import schemeforge.cli as cli
+
+    seen = []
+    real = cli.triple_pattern
+
+    def recording(sch, x, y, u):
+        seen.append((x, y, u))
+        if len(seen) == limit:
+            raise _Enough
+        return real(sch, x, y, u)
+
+    monkeypatch.setattr(cli, "triple_pattern", recording)
+    try:
+        checked = cli._triple_spot_checks(scheme, exhaustive)
+    except _Enough:
+        checked = None
+    return seen, checked
+
+
+def test_exhaustive_triples_run_in_lexicographic_order(monkeypatch,
+                                                       scheme_t3):
+    seen, checked = recorded_triples(monkeypatch, scheme_t3, True)
+    assert checked is None
+    assert seen == list(itertools.islice(
+        itertools.permutations(range(112), 3), 2000))
+
+
+def test_sampled_triples_come_from_the_fixed_generator(monkeypatch,
+                                                       scheme_t3):
+    seen, checked = recorded_triples(monkeypatch, scheme_t3, False)
+    rng = random.Random(12345)
+    assert checked == 300
+    assert seen == [tuple(rng.sample(range(112), 3)) for _ in range(300)]

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schemeforge.geometry import (ADD, CONJ, FOURTH, GQ, INV, MUL, NEG,
-                                  Hemisystem, NotFound, ProductBound,
+from schemeforge.geometry import (ADD, CONJ, FOURTH, GQ, MUL, Hemisystem,
+                                  NotFound, ProductBound,
                                   build_hermitian_gq, exact_product,
                                   find_hemisystem, hermitian_coordinates,
                                   hermitian_form, hermitian_value,
-                                  line_sets, proj_points, verify_gq,
-                                  verify_hemisystem)
+                                  line_sets, proj_points, row_sets,
+                                  verify_gq, verify_hemisystem)
 
 
 # ------------------------------------------------------------ field
@@ -24,9 +24,10 @@ def test_field_axioms_exhaustively():
     for a in els:
         assert ADD[a][0] == a
         assert MUL[a][1] == a
-        assert ADD[a][NEG[a]] == 0
+        # inverses exist: each a + _ and each nonzero a * _ is a bijection
+        assert sorted(ADD[a]) == list(els)
         if a != 0:
-            assert MUL[a][INV[a]] == 1
+            assert sorted(MUL[a][1:]) == list(range(1, 9))
         for b in els:
             assert ADD[a][b] == ADD[b][a]
             assert MUL[a][b] == MUL[b][a]
@@ -101,9 +102,12 @@ def test_grid_is_a_quadrangle():
 def test_line_sets_of_the_grid_and_its_dual():
     grid = grid_gq()
     inc = grid.incidence
-    assert line_sets(inc @ inc.T > 0) == grid.lines
+    mask = line_sets(inc @ inc.T > 0)
+    assert mask.dtype == bool
+    assert row_sets(mask) == grid.lines
+    assert np.array_equal(mask.T, inc > 0)
     # the dual, GQ(1, 2): the 6 lines as points, a line per grid point
-    dual = line_sets(inc.T @ inc > 0)
+    dual = row_sets(line_sets(inc.T @ inc > 0))
     assert dual == tuple(sorted(grid.lines_through))
     assert len(dual) == 9 and all(len(line) == 2 for line in dual)
 

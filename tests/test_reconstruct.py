@@ -231,3 +231,15 @@ def test_overlapping_cliques_are_rejected():
         all_cliques(RelationScheme(size=112, classes=5, rel=rel))
     assert str(err.value) == ("pair (10, 11) lies in two cliques: "
                               "(0, 1, 10, 11) and (2, 3, 10, 11)")
+
+
+def test_a_table_with_fewer_classes_fails_on_its_cliques():
+    """Two classes, every pair 1-related: the one "clique" is everything,
+    and its first half holds only element 0."""
+    rel = np.ones((112, 112), dtype=np.int8)
+    np.fill_diagonal(rel, 0)
+    sch = RelationScheme(size=112, classes=2, rel=rel)
+    with pytest.raises(StructureViolation) as err:
+        all_cliques(sch)
+    assert str(err.value) == "half_C = (0,) has 1 elements, expected 2"
+    assert recover_hemisystem(sch, 5) == (5,)

@@ -120,3 +120,16 @@ def test_complete_graph_single_class_scheme():
     counted = verify_scheme(sch)
     assert counted.consistency
     assert counted.p[1][1][1] == n - 2
+
+
+def test_indicator_stack_is_cached_and_read_only(scheme_t3):
+    stack = scheme_t3.indicators
+    want = np.array([scheme_t3.rel == i for i in range(scheme_t3.classes)])
+    assert stack.dtype == bool
+    assert np.array_equal(stack, want)
+    assert np.array_equal(stack.sum(axis=0), np.ones((112, 112)))
+    assert scheme_t3.indicators is stack
+    with pytest.raises(ValueError):
+        scheme_t3.rel[0, 1] = 3
+    with pytest.raises(ValueError):
+        stack[1, 0, 1] = False
