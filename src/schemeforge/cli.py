@@ -224,7 +224,7 @@ def _triple_spot_checks(sch, exhaustive: bool) -> int:
                               f"{sys_.kinds[bad_row]} row {bad_row} "
                               f"violated")
         if abc == (2, 1, 1):
-            v112, v221 = tensor[1][1][2], tensor[2][2][1]
+            v112, v221 = int(tensor[1, 1, 2]), int(tensor[2, 2, 1])
             if v112 != 1 or v221 != 0:
                 raise MathFailure(f"triple {(x, y, u)}: [1 1 2] = {v112}, "
                                   f"[2 2 1] = {v221}, expected 1 and 0")

@@ -188,12 +188,13 @@ def reconstruct_gq(sch: RelationScheme, cliques) -> ReconstructedGQ:
 def recover_hemisystem(sch: RelationScheme, x: int) -> tuple:
     """The half-partition part containing x, checked for independence.
 
-    Every element of the returned set must reproduce the same set when
-    used as the base; otherwise the characterization fails for this
-    scheme and the offending base is reported.
+    The part is x's row of the scheme's cached even-relation mask
+    (RelationScheme.even). Every element of the returned set must
+    reproduce the same set when used as the base; otherwise the
+    characterization fails for this scheme and the offending base is
+    reported.
     """
-    even = _indicator(sch, 2) | _indicator(sch, 4)
-    np.fill_diagonal(even, True)
+    even = sch.even
     part = np.flatnonzero(even[x])
     bad = first_true(np.any(even[part] != even[x], axis=1))
     if bad:

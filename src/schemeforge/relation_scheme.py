@@ -6,7 +6,9 @@ with a hemisystem and classifies ordered pairs of distinct lines: class 1
 for intersecting lines in different halves, 2 for intersecting in the same
 half, 3 for disjoint in different halves, 4 for disjoint in the same half.
 The table is read-only, so its stack of class indicators is built once,
-cached on the scheme, and shared by every verifier that reads a class.
+cached on the scheme, and shared by every verifier that reads a class;
+so are the even-relation mask that recover_hemisystem reads and the
+premultiplied label planes that triples.direct_triple_counts sums.
 verify_scheme is the counting oracle: one exact integer product per class
 indicator, taken against all indicators side by side, counts every
 intersection number at every pair, and the first pair whose counts differ
@@ -51,6 +53,30 @@ class RelationScheme:
         stack = self.rel == np.arange(self.classes)[:, None, None]
         stack.setflags(write=False)
         return stack
+
+    @cached_property
+    def even(self) -> np.ndarray:
+        """Read-only bool mask of relations 2 and 4, plus the diagonal.
+
+        A class past the table's classes contributes nothing.
+        """
+        mask = self.indicators[[k for k in (2, 4) if k < self.classes]]
+        mask = mask.any(axis=0)
+        np.fill_diagonal(mask, True)
+        mask.setflags(write=False)
+        return mask
+
+    @cached_property
+    def label_planes(self) -> np.ndarray:
+        """Read-only intp stack (rel * c^2, rel * c, rel), c = classes.
+
+        planes[0][x] + planes[1][y] + planes[2][u] codes each z by its
+        three labels, the code of (l, m, n) being l c^2 + m c + n.
+        """
+        planes = self.rel.astype(np.intp) * np.array(
+            [self.classes ** 2, self.classes, 1], dtype=np.intp)[:, None, None]
+        planes.setflags(write=False)
+        return planes
 
 
 def scheme_from_hemisystem(gq: GQ, hemi: Hemisystem) -> RelationScheme:

@@ -22,6 +22,13 @@ solution space. Forcing is exact too: every system of the family for odd
 t <= 51 has at most one free parameter, and nonnegativity bounds it by a
 ratio test over the solution line. A larger solution space raises
 HighNullity.
+
+Against a concrete scheme, direct_triple_counts returns the counts of one
+triple as a read-only int64 array of shape (c, c, c), c the number of
+classes, and that array goes unchanged to boundary_violations (one
+comparison with the expected boundary vector of the pattern) and to the
+residual checker (one int64 matrix-vector product over its inner d^3
+entries). The checker also takes the same entries as nested lists.
 """
 
 from __future__ import annotations
@@ -33,6 +40,8 @@ import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable
+
+import numpy as np
 
 from .errors import SchemeforgeError
 from .linalg import AffineSolutionSpace, Inconsistent, solve_integer
@@ -354,34 +363,39 @@ def forced_triple_values(params: SchemeParameters, abc) -> TripleSolution:
 def triple_pattern(sch, x: int, y: int, u: int) -> tuple:
     """(A, B, C) for the relations (x,y), (y,u), (u,x)."""
     rel = sch.rel
-    return (int(rel[x][y]), int(rel[y][u]), int(rel[u][x]))
+    return (int(rel[x, y]), int(rel[y, u]), int(rel[u, x]))
 
 
-def direct_triple_counts(sch, x: int, y: int, u: int) -> tuple:
+def direct_triple_counts(sch, x: int, y: int, u: int) -> np.ndarray:
     """Brute-force tensor [l][m][n] over all classes including 0.
 
-    Counts every z in the scheme, so summing the full tensor gives the
-    scheme's size.
+    A read-only int64 ndarray of shape (c, c, c), c the scheme's classes:
+    entry [l, m, n] counts the z with (x,z) in R_l, (y,z) in R_m and
+    (u,z) in R_n. Every z in the scheme is counted, so the entries sum to
+    the scheme's size. One bincount over the sum of the scheme's cached
+    label planes rel c^2, rel c and rel at rows x, y and u makes it.
     """
     if len({x, y, u}) != 3:
         raise ValueError("x, y, u must be three distinct elements")
-    import numpy as np
-    rel = sch.rel
     c = sch.classes
-    code = rel[x].astype(np.int64) * c * c + rel[y].astype(np.int64) * c \
-        + rel[u].astype(np.int64)
-    counts = np.bincount(code, minlength=c ** 3).reshape(c, c, c).tolist()
-    return tuple(tuple(map(tuple, plane)) for plane in counts)
+    planes = sch.label_planes
+    counts = np.bincount(planes[0, x] + planes[1, y] + planes[2, u],
+                         minlength=c ** 3).reshape(c, c, c)
+    counts.setflags(write=False)
+    return counts
 
 
 def integer_residual_checker(sys_: TripleSystem):
     """Precompiled exact residual test for direct-count tensors.
 
     The int rows become one int64 matrix, so the per-tensor check is a
-    single matrix product. Returns a function mapping a tensor to the
-    index of the first violated row, or None when every equation is
-    satisfied. Raises CheckerOverflow, naming the row, when the int64
-    product of a row with a count tensor could wrap.
+    single matrix product. Returns a function mapping a tensor (the
+    (d+1)^3 array of direct_triple_counts, or the same entries as nested
+    lists or tuples) to the index of the first violated row, or None
+    when every equation is satisfied; its inner d^3 entries, read in C
+    order, are the unknowns in `names` order. Raises CheckerOverflow,
+    naming the row, when the int64 product of a row with a count tensor
+    could wrap.
 
     A count is at most `order`, so every partial sum of row . counts - b
     lies within sum |a_ij| * order + |b_i|; below 2^63, int64 cannot wrap. All
@@ -389,7 +403,6 @@ def integer_residual_checker(sys_: TripleSystem):
     when that reaches 2^63 or an entry does not fit int64 are they
     tested one by one.
     """
-    import numpy as np
     order = int(sys_.config.params.order)
     rows, width = sys_.rows, len(sys_.names)
     try:
@@ -407,13 +420,11 @@ def integer_residual_checker(sys_: TripleSystem):
                     f"{sys_.kinds[i]} row {i} can overflow int64 on counts "
                     f"up to {order}")
     vec_rhs = np.array(sys_.rhs, dtype=np.int64)
-    names = sys_.names
 
     def check(tensor):
-        vec = np.fromiter((tensor[l][m][n] for l, m, n in names),
-                          dtype=np.int64, count=len(names))
-        bad = np.nonzero(mat @ vec - vec_rhs)[0]
-        return int(bad[0]) if bad.size else None
+        vec = np.asarray(tensor, dtype=np.int64)[1:, 1:, 1:].reshape(width)
+        bad = mat @ vec != vec_rhs
+        return int(bad.argmax()) if bad.any() else None
 
     return check
 
@@ -431,29 +442,48 @@ def pattern_checkers(params: SchemeParameters):
     return get
 
 
+@functools.lru_cache(maxsize=8)
+def _boundary_cells(c: int) -> tuple:
+    """(cells, flat indices): every (l, m, n) of a c^3 tensor with an
+    index 0, in the order boundary_violations reports them."""
+    rng, inner = range(c), range(1, c)
+    cells = tuple([(0, m, n) for m in rng for n in rng]
+                  + [(l, 0, n) for l in inner for n in rng]
+                  + [(l, m, 0) for l in inner for m in inner])
+    flat = np.array([(l * c + m) * c + n for l, m, n in cells], dtype=np.intp)
+    flat.setflags(write=False)
+    return cells, flat
+
+
+@functools.lru_cache(maxsize=128)
+def _boundary_expected(abc: tuple, c: int) -> np.ndarray:
+    """Read-only int64 vector of the boundary symbols' values for pattern
+    abc, over _boundary_cells(c). 128 entries hold every pattern of a
+    scheme with up to 5 classes."""
+    A, B, C = abc
+    want = np.array([(m, n) == (A, C) if l == 0
+                     else (l, n) == (A, B) if m == 0
+                     else (l, m) == (C, B)
+                     for l, m, n in _boundary_cells(c)[0]], dtype=np.int64)
+    want.setflags(write=False)
+    return want
+
+
 def boundary_violations(cfg_abc, tensor) -> list:
     """Check the boundary symbols of a direct-count tensor.
 
     [0 m n] = delta_mA delta_nC, [l 0 n] = delta_lA delta_nB,
     [l m 0] = delta_lC delta_mB, and [0 0 n] etc. vanish for distinct
-    base points.
+    base points. The boundary entries are compared at once with the
+    expected vector cached per (pattern, c); only on a mismatch are they
+    walked to list each ((l, m, n), count, expected), all Python ints.
     """
-    A, B, C = cfg_abc
-    d = len(tensor) - 1
-    bad = []
-    for m in range(d + 1):
-        for n in range(d + 1):
-            want = 1 if (m, n) == (A, C) else 0
-            if tensor[0][m][n] != want:
-                bad.append(((0, m, n), tensor[0][m][n], want))
-    for l in range(1, d + 1):
-        for n in range(d + 1):
-            want = 1 if (l, n) == (A, B) else 0
-            if tensor[l][0][n] != want:
-                bad.append(((l, 0, n), tensor[l][0][n], want))
-    for l in range(1, d + 1):
-        for m in range(1, d + 1):
-            want = 1 if (l, m) == (C, B) else 0
-            if tensor[l][m][0] != want:
-                bad.append(((l, m, 0), tensor[l][m][0], want))
-    return bad
+    counts = np.asarray(tensor)
+    c = len(counts)
+    cells, flat = _boundary_cells(c)
+    want = _boundary_expected(tuple(cfg_abc), c)
+    got = counts.take(flat)
+    if not (got != want).any():
+        return []
+    return [(cell, int(g), int(w))
+            for cell, g, w in zip(cells, got, want) if g != w]

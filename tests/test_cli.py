@@ -320,6 +320,30 @@ def test_pipeline_reports_a_failing_last_stage(monkeypatch, capsys,
     assert not out_file.exists()
 
 
+def test_pipeline_prints_the_boundary_witness_of_a_doctored_count(
+        monkeypatch, capsys):
+    """Two boundary entries of every count are off; the FAIL line names
+    the first in the order [0 m n], [l 0 n], [l m 0], in Python ints."""
+    import schemeforge.cli as cli
+
+    real = cli.direct_triple_counts
+
+    def doctored(sch, x, y, u):
+        counts = real(sch, x, y, u).copy()
+        counts[0, 0, 1] += 2
+        counts[1, 0, 0] += 1
+        return counts
+
+    monkeypatch.setattr(cli, "direct_triple_counts", doctored)
+    code, out, err = run(["pipeline", "--t", "3"], capsys)
+    assert code == 2
+    assert out.splitlines() == PASSED_BUILD_AND_HEMISYSTEM + [
+        "scheme: PASS (valencies (1, 20, 10, 36, 45))",
+        "parameters: PASS (counted p matches the exact tables)",
+        "triples: FAIL (triple (53, 93, 1): boundary: ((0, 0, 1), 2, 0))"]
+    assert err == "pipeline failed at stage triples\n"
+
+
 class _Enough(Exception):
     pass
 

@@ -133,3 +133,27 @@ def test_indicator_stack_is_cached_and_read_only(scheme_t3):
         scheme_t3.rel[0, 1] = 3
     with pytest.raises(ValueError):
         stack[1, 0, 1] = False
+
+
+def test_even_mask_and_label_planes_are_cached_and_read_only(scheme_t3):
+    rel = scheme_t3.rel
+    even = scheme_t3.even
+    eye = np.eye(112, dtype=bool)
+    assert np.array_equal(even, (rel == 2) | (rel == 4) | eye)
+    planes = scheme_t3.label_planes
+    assert planes.shape == (3, 112, 112)
+    assert np.array_equal(planes, [25 * rel, 5 * rel, rel])
+    for cached, name in ((even, "even"), (planes, "label_planes")):
+        assert getattr(scheme_t3, name) is cached
+        with pytest.raises(ValueError):
+            cached[0, 1] = 0
+
+
+def test_even_mask_reads_missing_classes_as_false():
+    rel = np.full((6, 6), 4, dtype=np.int8)
+    rel[:3, :3] = 2
+    np.fill_diagonal(rel, 0)
+    eye = np.eye(6, dtype=bool)
+    assert np.array_equal(RelationScheme(6, 5, rel).even, (rel > 0) | eye)
+    assert np.array_equal(RelationScheme(6, 3, rel).even, (rel == 2) | eye)
+    assert np.array_equal(RelationScheme(6, 2, rel).even, eye)

@@ -5,6 +5,7 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import fraction_oracle as oracle
@@ -669,6 +670,71 @@ def test_checker_refuses_rows_that_can_overflow_int64():
 def test_distinct_elements_required(scheme_t3):
     with pytest.raises(ValueError):
         direct_triple_counts(scheme_t3, 3, 3, 5)
+
+
+def test_counts_are_a_read_only_int64_array(scheme_t3):
+    tensor = direct_triple_counts(scheme_t3, 0, 1, 2)
+    assert isinstance(tensor, np.ndarray)
+    assert tensor.dtype == np.int64
+    assert tensor.shape == (5, 5, 5)
+    assert not tensor.flags.writeable
+    with pytest.raises(ValueError):
+        tensor[0, 0, 0] = 1
+
+
+def test_checker_reads_lists_tuples_and_arrays_alike(scheme_t3, params_t3):
+    """The same entries as an array, nested lists and nested tuples give
+    the same answer, on the counted tensor and on broken ones."""
+    for abc in patterns(params_t3):
+        sys_ = widened_system(TripleConfig(params_t3, abc))
+        checker = integer_residual_checker(sys_)
+        tensor = direct_triple_counts(scheme_t3, *find_triple(scheme_t3, abc))
+        for change in ({}, {(3, 1, 2): 1}, live_cube(sys_)):
+            broken = tensor.copy()
+            for lmn, delta in change.items():
+                broken[lmn] += delta
+            nested = broken.tolist()
+            frozen = tuple(tuple(map(tuple, plane)) for plane in nested)
+            answers = {checker(broken), checker(nested), checker(frozen)}
+            assert len(answers) == 1
+            assert (answers.pop() is None) == (not change)
+
+
+# ------------------------------------- array kernel against the tuple kernel
+
+def test_array_kernel_equals_the_nested_tuple_kernel(scheme_t3, params_t3):
+    """Every ordered triple with base 0 or 57 (2 * 111 * 110 = 24,420),
+    each once as counted and once with 1 to 3 entries moved by -1, +1 or
+    +2 (seeded): the array equals the nested tuple entry for entry, the
+    boundary witness lists are equal and hold Python ints, and the
+    checker names the same first bad row as the row-by-row reference."""
+    import random
+    rng = random.Random(18)
+    get = triples.pattern_checkers(params_t3)
+    old_checkers = {}
+    cells = list(itertools.product(range(5), repeat=3))
+    seen = 0
+    for x in (0, 57):
+        for y, u in itertools.permutations(
+                [z for z in range(112) if z != x], 2):
+            seen += 1
+            abc = triple_pattern(scheme_t3, x, y, u)
+            new = direct_triple_counts(scheme_t3, x, y, u)
+            old = rows_oracle.direct_triple_counts(scheme_t3, x, y, u)
+            assert new.tolist() == [[list(r) for r in p] for p in old]
+            sys_, checker = get(abc)
+            if abc not in old_checkers:
+                old_checkers[abc] = rows_oracle.integer_residual_checker(sys_)
+            broken = new.copy()
+            for lmn in rng.sample(cells, rng.randint(1, 3)):
+                broken[lmn] += rng.choice((-1, 1, 2))
+            for tensor, nested in ((new, old), (broken, broken.tolist())):
+                bad = boundary_violations(abc, tensor)
+                assert bad == rows_oracle.boundary_violations(abc, nested)
+                assert all(type(v) is int for cell, got, want in bad
+                           for v in cell + (got, want))
+                assert checker(tensor) == old_checkers[abc](nested)
+    assert seen == 24420
 
 
 # ------------------------------------------- shared rows against the oracle

@@ -8,6 +8,12 @@ under test with itself. Systems are the same `TripleSystem` type and raise
 the same errors. `widened_system` here still adds the slot-swap symmetry
 rows that `schemeforge.triples` no longer adds, so tests can show that
 they change no solution and build the proof systems that need them.
+
+`direct_triple_counts` and `boundary_violations` are the per-triple
+kernel as it was before the count tensor became one read-only int64
+array: counts as a nested tuple, boundary symbols walked in Python.
+With `integer_residual_checker` (whose check reads a tensor name by
+name) they are the reference for the array kernel.
 """
 
 from __future__ import annotations
@@ -212,3 +218,48 @@ def integer_residual_checker(sys_: TripleSystem):
         return int(bad[0]) if bad.size else None
 
     return check
+
+
+def direct_triple_counts(sch, x: int, y: int, u: int) -> tuple:
+    """Brute-force tensor [l][m][n] over all classes including 0.
+
+    Counts every z in the scheme, so summing the full tensor gives the
+    scheme's size.
+    """
+    if len({x, y, u}) != 3:
+        raise ValueError("x, y, u must be three distinct elements")
+    import numpy as np
+    rel = sch.rel
+    c = sch.classes
+    code = rel[x].astype(np.int64) * c * c + rel[y].astype(np.int64) * c \
+        + rel[u].astype(np.int64)
+    counts = np.bincount(code, minlength=c ** 3).reshape(c, c, c).tolist()
+    return tuple(tuple(map(tuple, plane)) for plane in counts)
+
+
+def boundary_violations(cfg_abc, tensor) -> list:
+    """Check the boundary symbols of a direct-count tensor.
+
+    [0 m n] = delta_mA delta_nC, [l 0 n] = delta_lA delta_nB,
+    [l m 0] = delta_lC delta_mB, and [0 0 n] etc. vanish for distinct
+    base points.
+    """
+    A, B, C = cfg_abc
+    d = len(tensor) - 1
+    bad = []
+    for m in range(d + 1):
+        for n in range(d + 1):
+            want = 1 if (m, n) == (A, C) else 0
+            if tensor[0][m][n] != want:
+                bad.append(((0, m, n), tensor[0][m][n], want))
+    for l in range(1, d + 1):
+        for n in range(d + 1):
+            want = 1 if (l, n) == (A, B) else 0
+            if tensor[l][0][n] != want:
+                bad.append(((l, 0, n), tensor[l][0][n], want))
+    for l in range(1, d + 1):
+        for m in range(1, d + 1):
+            want = 1 if (l, m) == (C, B) else 0
+            if tensor[l][m][0] != want:
+                bad.append(((l, m, 0), tensor[l][m][0], want))
+    return bad
