@@ -197,14 +197,14 @@ def cmd_reconstruct(args) -> int:
 
 # ------------------------------------------------------------ pipeline
 
-def _triple_spot_checks(sch, exhaustive: bool) -> int:
-    """Check counted triples against every equation family.
+def _triple_spot_checks(sch, params, exhaustive: bool) -> int:
+    """Check counted triples against every equation family of `params`.
 
     The default samples 300 element triples with a fixed generator; the
     exhaustive path walks every ordered triple of distinct elements.
     Raises MathFailure at the first inconsistent triple.
     """
-    checkers = pattern_checkers(closed_form_parameters(3))
+    checkers = pattern_checkers(params)
     if exhaustive:
         triples = itertools.permutations(range(sch.size), 3)
     else:
@@ -280,7 +280,7 @@ def cmd_pipeline(args) -> int:
                               f"table {params.p[k][i][j]}")
         passed("counted p matches the exact tables", "triples")
 
-        checked = _triple_spot_checks(sch, args.exhaustive)
+        checked = _triple_spot_checks(sch, params, args.exhaustive)
         passed(f"{checked} triples consistent", "reconstruct")
 
         cliques = all_cliques(sch)
@@ -294,9 +294,12 @@ def cmd_pipeline(args) -> int:
                               f"expected {sch.size // 2}")
         if not verify_dual_hemisystem(sch, cliques, part):
             raise MathFailure("a clique does not split cleanly")
-        parts = {recover_hemisystem(sch, x) for x in range(sch.size)}
-        if len(parts) != 2:
-            raise MathFailure(f"{len(parts)} distinct parts "
+        # rel is symmetric (the scheme stage checked it) and the mask is
+        # reflexive, so its rows split the elements into two parts
+        # exactly when there are two distinct rows
+        parts = len(set(map(bytes, sch.even)))
+        if parts != 2:
+            raise MathFailure(f"{parts} distinct parts "
                               f"from {sch.size} bases")
         passed(f"|U| = {len(part)}, partition consistent from every base",
                None)
@@ -306,7 +309,7 @@ def cmd_pipeline(args) -> int:
         return EXIT_MATH
 
     if args.out:
-        dump_json(reconstruction_to_dict(rec, part), args.out)
+        _emit(dump_json(reconstruction_to_dict(rec, part)), args.out)
     return EXIT_OK
 
 

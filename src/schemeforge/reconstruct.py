@@ -161,7 +161,6 @@ class ReconstructedGQ:
     records the primal reading without re-embedding it in coordinates.
     """
 
-    points: tuple
     lines: tuple          # of Clique, sorted by element tuple
     dual_order: tuple
     primal_order: tuple
@@ -178,9 +177,8 @@ def reconstruct_gq(sch: RelationScheme, cliques) -> ReconstructedGQ:
     if not report.overall:
         name, _, witness = report.failed()[0]
         raise AxiomFailure(f"{name}: {witness}")
-    return ReconstructedGQ(points=gq.points, lines=lines,
-                           dual_order=(t, t * t), primal_order=(t * t, t),
-                           report=report)
+    return ReconstructedGQ(lines=lines, dual_order=(t, t * t),
+                           primal_order=(t * t, t), report=report)
 
 
 # ------------------------------------------------------------ half-partition

@@ -89,8 +89,6 @@ class SchemeParameters:
     d: int
     order: Rat
     t: int | None
-    s: int | None
-    bcoef: int | None
     valencies: tuple
     multiplicities: tuple
     P: tuple   # first eigenmatrix, rows of ints and Fractions
@@ -440,9 +438,8 @@ def closed_form_parameters(t: int) -> SchemeParameters:
          (0, 0, 0, 0)),
     )
     return SchemeParameters(
-        d=4, order=order, t=t, s=s, bcoef=b,
-        valencies=n, multiplicities=m, P=p_mat, Q=q_mat,
-        p=tensor(p_inner, n), q=tensor(q_inner, m))
+        d=4, order=order, t=t, valencies=n, multiplicities=m, P=p_mat,
+        Q=q_mat, p=tensor(p_inner, n), q=tensor(q_inner, m))
 
 
 def derive_parameters(k: KreinArray, t: int | None = None) -> SchemeParameters:
@@ -476,11 +473,8 @@ def derive_parameters(k: KreinArray, t: int | None = None) -> SchemeParameters:
             raise NonIntegral(f"valency {v} is not a positive integer")
     p = intersection_numbers(p_mat, valencies, mults, order)
     q = krein_numbers(q_mat, valencies, mults, order)
-    s = t * t - t + 1 if t is not None else None
-    bcoef = t * (t + 1) // 2 if t is not None else None
-    return SchemeParameters(d=k.d, order=order, t=t, s=s, bcoef=bcoef,
-                            valencies=valencies, multiplicities=mults,
-                            P=p_mat, Q=q_mat, p=p, q=q)
+    return SchemeParameters(d=k.d, order=order, t=t, valencies=valencies,
+                            multiplicities=mults, P=p_mat, Q=q_mat, p=p, q=q)
 
 
 def _whole(x):

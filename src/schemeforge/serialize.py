@@ -226,12 +226,8 @@ def reconstruction_to_dict(rec: ReconstructedGQ, part) -> dict:
 
 # ------------------------------------------------------------ files
 
-def dump_json(data: dict, path=None) -> str:
-    text = json.dumps(data, indent=2)
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    return text
+def dump_json(data: dict) -> str:
+    return json.dumps(data, indent=2)
 
 
 def load_json(path) -> dict:

@@ -8,12 +8,14 @@ sides are ordinary intersection numbers. The system is widened by one
 linear equation per vanishing Krein parameter (Coolsaet and Jurisic), and
 nonnegativity of the symbols then pins many of them to exact values.
 
-Every row and right-hand side is a Python int, so the residual checker
-reads the rows as they are built; a Krein row is its rational equation
-times the lcm of its denominators. Unknowns are ordered lexicographically
-by (l, m, n). The sum, unit and Krein rows do not depend on the pattern
-and are formed once per d and per (Q, tuples), each cached for the last
-key only, so a sweep over t holds one parameter set's rows at a time.
+widened_system is the one builder: it puts the sum rows, the zero rows
+and the Krein rows of one pattern into one TripleSystem. Every row and
+right-hand side is a Python int, so the residual checker reads the rows
+as they are built; a Krein row is its rational equation times the lcm of
+its denominators. Unknowns are ordered lexicographically by (l, m, n).
+The sum, unit and Krein rows do not depend on the pattern and are formed
+once per d and per (Q, tuples), each cached for the last key only, so a
+sweep over t holds one parameter set's rows at a time.
 Solving is exact and stays in ints until the solution is read off: the
 zero rows kill unknowns, elimination sees the live columns (12 to 16 for
 odd t <= 51, against d^3 = 64 names) and the rows that remain distinct
@@ -37,9 +39,8 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
 
@@ -50,10 +51,6 @@ from .scheme_params import SchemeParameters, _cleared_rows
 
 class VacuousConfig(SchemeforgeError, ValueError):
     """No triple realizes the requested relation pattern (p^A_CB = 0)."""
-
-
-class NotVanishing(SchemeforgeError, ValueError):
-    """A Krein-vanishing equation was requested for a nonzero parameter."""
 
 
 class Infeasible(SchemeforgeError, ValueError):
@@ -103,18 +100,11 @@ class TripleSystem:
     rhs: tuple
     kinds: tuple
 
-    def extended(self, new_rows, new_rhs, kind) -> "TripleSystem":
-        return replace(self,
-                       rows=self.rows + tuple(new_rows),
-                       rhs=self.rhs + tuple(new_rhs),
-                       kinds=self.kinds + (kind,) * len(new_rows))
-
 
 @dataclass(frozen=True)
 class TripleSolution:
     """Solution space plus everything nonnegativity managed to pin."""
 
-    config: TripleConfig
     space: AffineSolutionSpace
     forced: dict        # (l, m, n) -> Fraction
     residual_free: tuple  # of (l, m, n) still undetermined
@@ -129,10 +119,10 @@ def _names(d: int) -> tuple:
 
 @functools.lru_cache(maxsize=1)
 def _sum_rows(d: int) -> tuple:
-    """Pattern-free part of every base system with d classes.
+    """Pattern-free part of every system with d classes.
 
     (names, the member indices of each of the 3 d^2 sum rows, the sum rows,
-    the d^3 unit rows), the sum rows in `build_base_system`'s order.
+    the d^3 unit rows), the sum rows in `widened_system`'s order.
     """
     names, rng, step = _names(d), range(d), (d * d, d, 1)
     members = tuple(tuple(r * step[s] + i * step[a] + j * step[b]
@@ -143,36 +133,6 @@ def _sum_rows(d: int) -> tuple:
     rows = tuple(tuple(int(i in mem) for i in width) for mem in members)
     units = tuple(tuple(int(i == v) for i in width) for v in width)
     return names, members, rows, units
-
-
-def build_base_system(cfg: TripleConfig) -> TripleSystem:
-    """Sum equations over the inner symbols, plus forced zero rows.
-
-    Each of the 3 d^2 equations fixes one coordinate pair and sums over the
-    remaining index; the right-hand side subtracts the boundary symbol.
-    A zero right-hand side forces every summand to zero (the symbols are
-    counts), which is emitted as one extra row per unknown involved.
-    The rows depend on d alone and come from `_sum_rows`, cached for the
-    last d only; each pattern forms its right-hand sides and zero rows.
-    """
-    if cfg.is_vacuous:
-        a, b, c = cfg.abc
-        raise VacuousConfig(f"p^{a}_{c}{b} = 0: no ({a},{b},{c}) triple exists")
-    d = cfg.params.d
-    A, B, C = cfg.abc
-    p = cfg.params.p
-    names, members, rows, units = _sum_rows(d)
-    rng = range(1, d + 1)
-    rhs = ([int(p[B][m][n]) - ((m, n) == (A, C)) for m in rng for n in rng]
-           + [int(p[C][l][n]) - ((l, n) == (A, B)) for l in rng for n in rng]
-           + [int(p[A][l][m]) - ((l, m) == (C, B)) for l in rng for m in rng])
-    for value in rhs:
-        if value < 0:
-            raise Inconsistent(f"negative right-hand side {value}")
-    zero = sorted({v for mem, b in zip(members, rhs) if b == 0 for v in mem})
-    return TripleSystem(cfg, names, rows + tuple(units[v] for v in zero),
-                        tuple(rhs) + (0,) * len(zero),
-                        ("sum",) * len(rows) + ("zero",) * len(zero))
 
 
 def vanishing_tuples(params: SchemeParameters) -> tuple:
@@ -205,36 +165,48 @@ def _krein_rows(Q, tuples: tuple) -> tuple:
     return cols, tuple(rows)
 
 
-def add_krein_vanishing(sys_: TripleSystem,
-                        tuples: Iterable | None = None) -> TripleSystem:
-    """One equation per vanishing Krein parameter q^t_rs = 0.
+def widened_system(cfg: TripleConfig) -> TripleSystem:
+    """Sum, zero and Krein rows of one pattern, in that order.
 
+    Each of the 3 d^2 sum equations fixes one coordinate pair and sums
+    over the remaining index; the right-hand side subtracts the boundary
+    symbol. A zero right-hand side forces every summand to zero (the
+    symbols are counts), which is emitted as one zero row per unknown
+    involved. Then comes one row per vanishing Krein parameter
+    q^t_rs = 0, in `vanishing_tuples` order:
     sum_{l,m,n} Q_lr Q_ms Q_nt [l m n] = -(Q_0r Q_As Q_Ct
     + Q_Ar Q_0s Q_Bt + Q_Cr Q_Bs Q_0t), the boundary symbols having been
-    moved to the right-hand side. Explicitly requested tuples are expanded
-    to all their index permutations; by default every ordered tuple with
-    q^t_rs = 0 is used.
+    moved to the right-hand side.
 
-    The products are formed in integers from the columns of den * Q, den
-    the lcm of Q's denominators, so the equation comes out times den^3.
-    Dividing it by g = gcd(den^3, b, *row) leaves the rational equation
-    times the lcm of its own denominators. The rows and g0 come from
-    `_krein_rows`, cached for the last (Q, tuples) only; each pattern
-    forms b and g = gcd(g0, b) and divides again only where g != g0.
+    The Krein products are formed in integers from the columns of den * Q,
+    den the lcm of Q's denominators, so the equation comes out times
+    den^3. Dividing it by g = gcd(den^3, b, *row) leaves the rational
+    equation times the lcm of its own denominators. The pattern-free rows
+    come from `_sum_rows` and `_krein_rows`, each cached for the last key
+    only; each pattern forms its right-hand sides and zero rows, and
+    divides a Krein row again only where g = gcd(g0, b) != g0.
     """
-    cfg = sys_.config
+    if cfg.is_vacuous:
+        a, b, c = cfg.abc
+        raise VacuousConfig(f"p^{a}_{c}{b} = 0: no ({a},{b},{c}) triple exists")
     params = cfg.params
-    if tuples is None:
-        tuples = vanishing_tuples(params)
-    else:
-        tuples = tuple(sorted({p for tup in tuples
-                               for p in itertools.permutations(tup)}))
-    for r, s, t in tuples:
-        if params.q[t][r][s] != 0:
-            raise NotVanishing(f"q^{t}_{r}{s} = {params.q[t][r][s]} != 0")
     A, B, C = cfg.abc
+    p = params.p
+    names, members, sums, units = _sum_rows(params.d)
+    rng = range(1, params.d + 1)
+    rhs = ([int(p[B][m][n]) - ((m, n) == (A, C)) for m in rng for n in rng]
+           + [int(p[C][l][n]) - ((l, n) == (A, B)) for l in rng for n in rng]
+           + [int(p[A][l][m]) - ((l, m) == (C, B)) for l in rng for m in rng])
+    for value in rhs:
+        if value < 0:
+            raise Inconsistent(f"negative right-hand side {value}")
+    zero = sorted({v for mem, b in zip(members, rhs) if b == 0 for v in mem})
+    tuples = vanishing_tuples(params)
+    kinds = (("sum",) * len(sums) + ("zero",) * len(zero)
+             + ("krein",) * len(tuples))
+    rows = [*sums, *(units[v] for v in zero)]
+    rhs += [0] * len(zero)
     cols, krein = _krein_rows(params.Q, tuples)
-    rows, rhs = [], []
     for (r, s, t), (row, g0, reduced) in zip(tuples, krein):
         qr, qs, qt = cols[r], cols[s], cols[t]
         b = -(qr[0] * qs[A] * qt[C] + qr[A] * qs[0] * qt[B]
@@ -242,13 +214,7 @@ def add_krein_vanishing(sys_: TripleSystem,
         g = math.gcd(g0, b)
         rows.append(reduced if g == g0 else tuple(x // g for x in row))
         rhs.append(b // g)
-    return sys_.extended(rows, rhs, "krein")
-
-
-def widened_system(cfg: TripleConfig,
-                   krein_tuples: Iterable | None = None) -> TripleSystem:
-    """Base system plus Krein-vanishing rows."""
-    return add_krein_vanishing(build_base_system(cfg), tuples=krein_tuples)
+    return TripleSystem(cfg, names, tuple(rows), tuple(rhs), kinds)
 
 
 def solve(sys_: TripleSystem) -> TripleSolution:
@@ -305,7 +271,7 @@ def solve(sys_: TripleSystem) -> TripleSolution:
     forced = {nm: x for v, (nm, x) in enumerate(zip(names, space.particular))
               if v not in moving}
     residual = tuple(names[f] for f in space.free_indices)
-    return TripleSolution(sys_.config, space, forced, residual)
+    return TripleSolution(space, forced, residual)
 
 
 def nonneg_force(sys_: TripleSystem, sol: TripleSolution) -> TripleSolution:
@@ -350,7 +316,7 @@ def nonneg_force(sys_: TripleSystem, sol: TripleSolution) -> TripleSolution:
     for nm, val in forced.items():
         if val < 0:
             raise Infeasible(f"{nm} forced to {val} < 0")
-    return TripleSolution(sys_.config, space, dict(forced), residual)
+    return TripleSolution(space, dict(forced), residual)
 
 
 def forced_triple_values(params: SchemeParameters, abc) -> TripleSolution:

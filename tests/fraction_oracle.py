@@ -240,9 +240,8 @@ def closed_form_parameters(t: int) -> SchemeParameters:
          (0, 0, 0, 0)),
     )
     return SchemeParameters(
-        d=4, order=order, t=t, s=s, bcoef=b,
-        valencies=n, multiplicities=m, P=p_mat, Q=q_mat,
-        p=tensor(p_inner, n), q=tensor(q_inner, m))
+        d=4, order=order, t=t, valencies=n, multiplicities=m, P=p_mat,
+        Q=q_mat, p=tensor(p_inner, n), q=tensor(q_inner, m))
 
 
 # `validate` with every check on the Fractions as given; the product P Q is

@@ -9,10 +9,12 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 import schemeforge
-from schemeforge.cli import MAX_ENTRY_BITS, main
+from schemeforge.cli import MAX_ENTRY_BITS, main, parse_krein
+from schemeforge.scheme_params import IrrationalEigenvalue, derive_parameters
 from schemeforge.serialize import gq_to_dict, scheme_to_dict
 
 
@@ -83,6 +85,19 @@ def test_params_refuses_an_entry_with_too_many_bits_at_once(array, position,
     assert time.perf_counter() - start < 1
     assert code == 1
     assert f"entry {position} has more than {MAX_ENTRY_BITS} bits" in err
+
+
+def test_params_names_an_irrational_eigenvalue(capsys):
+    """The pentagon's Krein array {2, 1; 1, 1} has the dual eigenvalues 2
+    and (-1 +- sqrt 5) / 2."""
+    with pytest.raises(IrrationalEigenvalue,
+                       match="only 1 of 3 dual eigenvalues are rational"):
+        derive_parameters(parse_krein("2,1;1,1"))
+    code, out, err = run(["params", "--krein", "2,1;1,1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == ("validation failure: only 1 of 3 dual eigenvalues are "
+                   "rational\n")
 
 
 def test_params_needs_exactly_one_source(capsys):
@@ -320,6 +335,28 @@ def test_pipeline_reports_a_failing_last_stage(monkeypatch, capsys,
     assert not out_file.exists()
 
 
+def test_pipeline_counts_the_parts_of_the_even_mask(monkeypatch, capsys,
+                                                    scheme_t3):
+    """The even-relation mask is doctored into three parts: base 0's part
+    U stays whole, so |U| and the clique split pass, and the other 56
+    elements fall into two parts of 28. The recover stage counts three
+    distinct rows and fails."""
+    from schemeforge.relation_scheme import RelationScheme
+
+    part = scheme_t3.even[0]
+    rest = np.flatnonzero(~part)
+    labels = np.where(part, 0, 1)
+    labels[rest[28:]] = 2
+    three = labels[:, None] == labels[None, :]
+    monkeypatch.setattr(RelationScheme, "even", three)
+    code, out, err = run(["pipeline", "--t", "3"], capsys)
+    assert code == 2
+    lines = out.splitlines()
+    assert all(": PASS (" in line for line in lines[:6])
+    assert lines[6:] == ["recover: FAIL (3 distinct parts from 112 bases)"]
+    assert err == "pipeline failed at stage recover\n"
+
+
 def test_pipeline_prints_the_boundary_witness_of_a_doctored_count(
         monkeypatch, capsys):
     """Two boundary entries of every count are off; the FAIL line names
@@ -351,6 +388,7 @@ class _Enough(Exception):
 def recorded_triples(monkeypatch, scheme, exhaustive, limit=2000):
     """The triples the spot checks visit, stopped after `limit` of them."""
     import schemeforge.cli as cli
+    from schemeforge.scheme_params import closed_form_parameters
 
     seen = []
     real = cli.triple_pattern
@@ -363,7 +401,8 @@ def recorded_triples(monkeypatch, scheme, exhaustive, limit=2000):
 
     monkeypatch.setattr(cli, "triple_pattern", recording)
     try:
-        checked = cli._triple_spot_checks(scheme, exhaustive)
+        checked = cli._triple_spot_checks(scheme, closed_form_parameters(3),
+                                          exhaustive)
     except _Enough:
         checked = None
     return seen, checked

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schemeforge.geometry import (ADD, CONJ, FOURTH, GQ, MUL, Hemisystem,
-                                  NotFound, ProductBound,
+from schemeforge.geometry import (ADD, CONJ, FOURTH, GQ, MUL, EvenOrder,
+                                  Hemisystem, NotFound, ProductBound,
                                   build_hermitian_gq, exact_product,
                                   find_hemisystem, hermitian_coordinates,
                                   hermitian_form, hermitian_value,
@@ -277,3 +277,13 @@ def test_search_failure_is_loud():
                  lines=((3, 4, 5), (6, 7, 8), (1, 4, 7), (2, 5, 8)))
     with pytest.raises(NotFound):
         find_hemisystem(starved)
+
+
+def test_search_refuses_an_even_order():
+    """A hemisystem needs odd t; the grid's dual, GQ(1, 2), has t = 2."""
+    grid = grid_gq()
+    dual = GQ(s=1, t=2, points=tuple(range(6)),
+              lines=tuple(sorted(grid.lines_through)))
+    assert verify_gq(dual).overall
+    with pytest.raises(EvenOrder, match="t = 2"):
+        find_hemisystem(dual)

@@ -7,10 +7,10 @@ import pytest
 
 import clique_oracle as oracle
 from schemeforge.geometry import find_hemisystem
-from schemeforge.reconstruct import (AxiomFailure, NotWellDefined,
-                                     StructureViolation, all_cliques,
-                                     order_from_size, reconstruct_gq,
-                                     recover_hemisystem,
+from schemeforge.reconstruct import (AxiomFailure, NotFamilySize,
+                                     NotWellDefined, StructureViolation,
+                                     all_cliques, order_from_size,
+                                     reconstruct_gq, recover_hemisystem,
                                      verify_dual_hemisystem)
 from schemeforge.relation_scheme import (RelationScheme,
                                          scheme_from_hemisystem)
@@ -19,7 +19,7 @@ from schemeforge.relation_scheme import (RelationScheme,
 def test_order_inversion():
     assert order_from_size(112) == 3
     assert order_from_size((5 ** 3 + 1) * 6) == 5
-    with pytest.raises(ValueError):
+    with pytest.raises(NotFamilySize, match="100 elements"):
         order_from_size(100)
 
 
@@ -110,7 +110,7 @@ def test_reconstructed_quadrangle(scheme_t3, cliques):
     assert rec.dual_order == (3, 9)
     assert rec.primal_order == (9, 3)
     assert rec.report.overall
-    assert len(rec.points) == 112
+    assert {a for c in rec.lines for a in c.elements} == set(range(112))
     assert len(rec.lines) == 280
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from schemeforge.relation_scheme import (NotHemisystem, RelationScheme,
+                                         ShapeMismatch,
                                          scheme_from_hemisystem,
                                          verify_scheme)
 from schemeforge.geometry import Hemisystem
@@ -120,6 +121,13 @@ def test_complete_graph_single_class_scheme():
     counted = verify_scheme(sch)
     assert counted.consistency
     assert counted.p[1][1][1] == n - 2
+
+
+def test_a_table_of_the_wrong_shape_is_refused():
+    table = np.zeros((2, 2), dtype=np.int8)
+    with pytest.raises(ShapeMismatch,
+                       match=r"shape \(2, 2\), expected \(3, 3\)"):
+        RelationScheme(size=3, classes=2, rel=table)
 
 
 def test_indicator_stack_is_cached_and_read_only(scheme_t3):

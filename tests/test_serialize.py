@@ -119,7 +119,7 @@ def test_reconstruction_dict(scheme_t3, cliques):
 
 def test_json_file_round_trip(tmp_path, hemisystem):
     path = tmp_path / "hemi.json"
-    dump_json(hemi_to_dict(hemisystem), path)
+    path.write_text(dump_json(hemi_to_dict(hemisystem)))
     assert load_json(path) == hemi_to_dict(hemisystem)
 
 

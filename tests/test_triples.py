@@ -14,10 +14,9 @@ from schemeforge import triples
 from schemeforge.linalg import Inconsistent, solve_integer
 from schemeforge.scheme_params import closed_form_parameters
 from schemeforge.triples import (CheckerOverflow, HighNullity, Infeasible,
-                                 NotVanishing, TripleConfig, TripleSystem,
-                                 VacuousConfig, add_krein_vanishing,
-                                 boundary_violations, build_base_system,
-                                 direct_triple_counts, forced_triple_values,
+                                 TripleConfig, TripleSystem, VacuousConfig,
+                                 boundary_violations, direct_triple_counts,
+                                 forced_triple_values,
                                  integer_residual_checker, nonneg_force,
                                  solve, triple_pattern, vanishing_tuples,
                                  widened_system)
@@ -56,12 +55,13 @@ def proof_system(t, abc):
     """Sum, symmetry and four-orbit vanishing rows, nothing else.
 
     The slot-swap identities [l m n] = [sigma(l m n)] are not among the
-    triple equations, and `widened_system` does not add them; these
-    systems take them from the row oracle.
+    triple equations, and `widened_system` adds neither them nor Krein
+    rows for chosen tuples; these systems take both from the row oracle.
     """
     cfg = TripleConfig(closed_form_parameters(t), abc)
-    swapped = rows_oracle.add_symmetry(build_base_system(cfg))
-    wide = add_krein_vanishing(swapped, tuples=PROOF_TUPLES)
+    swapped = rows_oracle.add_symmetry(
+        only(widened_system(cfg), ("sum", "zero")))
+    wide = rows_oracle.add_krein_vanishing(swapped, tuples=PROOF_TUPLES)
     return only(wide, ("sum", "symmetry", "krein"))
 
 
@@ -71,21 +71,21 @@ def test_vacuous_symmetric_pattern_at_t3(params_t3):
     cfg = TripleConfig(params_t3, (2, 2, 2))
     assert cfg.is_vacuous
     with pytest.raises(VacuousConfig):
-        build_base_system(cfg)
+        widened_system(cfg)
     with pytest.raises(VacuousConfig):
         forced_triple_values(params_t3, (2, 2, 2))
 
 
 def test_base_system_shape():
     cfg = TripleConfig(closed_form_parameters(7), (2, 2, 2))
-    sys_ = build_base_system(cfg)
+    sys_ = widened_system(cfg)
     assert len(sys_.names) == 64
     assert sum(1 for k in sys_.kinds if k == "sum") == 48
 
 
 def test_zero_rows_single_out_unknowns():
     cfg = TripleConfig(closed_form_parameters(5), (2, 1, 1))
-    sys_ = build_base_system(cfg)
+    sys_ = widened_system(cfg)
     zero_rows = [(row, rhs) for row, rhs, kind
                  in zip(sys_.rows, sys_.rhs, sys_.kinds) if kind == "zero"]
     assert zero_rows
@@ -118,12 +118,12 @@ def test_two_equal_classes_transpose_unknowns():
 
 
 def test_all_distinct_classes_add_nothing():
-    """Widening adds the Krein rows and nothing else, for (1,2,3) and
-    for every other pattern alike."""
+    """Widening adds the Krein rows and nothing else to the row oracle's
+    base system, for (1,2,3) and for every other pattern alike."""
     params = closed_form_parameters(5)
     for abc in patterns(params):
         cfg = TripleConfig(params, abc)
-        base = build_base_system(cfg)
+        base = rows_oracle.build_base_system(cfg)
         wide = widened_system(cfg)
         krein = len(vanishing_tuples(params))
         assert wide.rows[:len(base.rows)] == base.rows
@@ -146,20 +146,6 @@ def test_vanishing_set_contains_the_four_orbits(params_t3):
 
 def test_vanishing_set_size_t3(params_t3):
     assert len(vanishing_tuples(params_t3)) == 32
-
-
-def test_nonvanishing_tuple_rejected():
-    cfg = TripleConfig(closed_form_parameters(5), (2, 2, 2))
-    sys_ = build_base_system(cfg)
-    with pytest.raises(NotVanishing):
-        add_krein_vanishing(sys_, tuples=((2, 2, 2),))
-
-
-def test_vanishing_tuple_accepted():
-    cfg = TripleConfig(closed_form_parameters(5), (2, 2, 2))
-    sys_ = build_base_system(cfg)
-    widened = add_krein_vanishing(sys_, tuples=((1, 1, 3),))
-    assert any(k == "krein" for k in widened.kinds)
 
 
 def direct_krein_rows(sys_, tuples):
@@ -200,19 +186,6 @@ def test_krein_rows_equal_the_direct_products(t):
             *direct_krein_rows(krein, tuples))
 
 
-@pytest.mark.parametrize("requested", [PROOF_TUPLES, ((1, 1, 3),)])
-def test_requested_krein_rows_equal_the_direct_products(requested):
-    tuples = sorted({p for tup in requested
-                     for p in itertools.permutations(tup)})
-    for abc in ((2, 2, 2), (2, 1, 1), (1, 2, 3)):
-        sys_ = build_base_system(TripleConfig(closed_form_parameters(7), abc))
-        krein = only(add_krein_vanishing(sys_, tuples=requested),
-                     ("krein",))
-        assert krein.kinds == ("krein",) * len(tuples)
-        assert (krein.rows, krein.rhs) == reference_integer_rows(
-            *direct_krein_rows(krein, tuples))
-
-
 def test_krein_scaling_clears_the_right_hand_side_denominator():
     """With Q's first row divided by 11 only the right-hand sides gain a
     denominator; the scale must clear it as well."""
@@ -220,8 +193,8 @@ def test_krein_scaling_clears_the_right_hand_side_denominator():
     q = params.Q
     doctored = replace(params, Q=(tuple(Fraction(x, 11) for x in q[0]),)
                        + q[1:])
-    sys_ = build_base_system(TripleConfig(doctored, (2, 1, 1)))
-    krein = only(add_krein_vanishing(sys_), ("krein",))
+    krein = only(widened_system(TripleConfig(doctored, (2, 1, 1))),
+                 ("krein",))
     direct = direct_krein_rows(krein, vanishing_tuples(params))
     assert any(b.denominator % 11 == 0 for b in direct[1])
     assert (krein.rows, krein.rhs) == reference_integer_rows(*direct)
@@ -234,14 +207,12 @@ def assert_int_rows(sys_):
 
 @pytest.mark.parametrize("t", [3, 5, 7])
 def test_every_row_is_built_in_ints(t):
-    """Rows and right-hand sides are ints on both Krein paths; solving
-    still returns Fractions."""
+    """Rows and right-hand sides are ints; solving still returns
+    Fractions."""
     params = closed_form_parameters(t)
     for abc in patterns(params):
-        cfg = TripleConfig(params, abc)
-        sys_ = widened_system(cfg)
+        sys_ = widened_system(TripleConfig(params, abc))
         assert_int_rows(sys_)
-        assert_int_rows(widened_system(cfg, krein_tuples=PROOF_TUPLES))
         space = solve(sys_).space
         assert all(type(x) is Fraction for x in space.particular)
         assert all(type(x) is Fraction for vec in space.basis for x in vec)
@@ -356,11 +327,10 @@ def test_symmetry_rows_change_no_solution():
 def hand_system(rows):
     """A t = 5 system from ({index: coefficient}, rhs) pairs, with every
     unknown from 32 on killed by a zero row."""
-    base = build_base_system(TripleConfig(closed_form_parameters(5),
-                                          (2, 2, 2)))
     rows = list(rows) + [({v: 1}, 0) for v in range(32, 64)]
     return TripleSystem(
-        base.config, base.names,
+        TripleConfig(closed_form_parameters(5), (2, 2, 2)),
+        triples._names(4),
         tuple(tuple(row.get(v, 0) for v in range(64)) for row, _ in rows),
         tuple(b for _, b in rows), ("sum",) * len(rows))
 
@@ -495,7 +465,8 @@ def test_forcing_reports_infeasible_on_a_poisoned_system():
     free = space.free_indices[0]
     pin = [0] * len(sys_.names)
     pin[free] = 1
-    poisoned = sys_.extended([tuple(pin)], [-1], "sum")
+    poisoned = replace(sys_, rows=sys_.rows + (tuple(pin),),
+                       rhs=sys_.rhs + (-1,), kinds=sys_.kinds + ("sum",))
     with pytest.raises(Infeasible):
         nonneg_force(poisoned, solve(poisoned))
 
@@ -509,13 +480,11 @@ def test_forcing_rejects_more_than_one_free_parameter():
 def test_crossed_bounds_name_both_binding_unknowns():
     """[1 1 1] + [1 1 2] = -1 with every other unknown 0: the free [1 1 2]
     must be >= 0 for itself and <= -1 for [1 1 1]."""
-    base = build_base_system(TripleConfig(closed_form_parameters(5),
-                                          (2, 2, 2)))
-    names = base.names
+    names = triples._names(4)
     rows = [tuple(int(nm in ((1, 1, 1), (1, 1, 2))) for nm in names)]
     rows += [tuple(int(nm == other) for nm in names) for other in names[2:]]
-    sys_ = TripleSystem(base.config, names, tuple(rows), (-1,) + (0,) * 62,
-                        ("sum",) * 63)
+    sys_ = TripleSystem(TripleConfig(closed_form_parameters(5), (2, 2, 2)),
+                        names, tuple(rows), (-1,) + (0,) * 62, ("sum",) * 63)
     sol = solve(sys_)
     assert sol.space.dimension == 1
     with pytest.raises(Infeasible, match=r"\(1, 1, 2\).*\(1, 1, 1\)"):
@@ -739,14 +708,6 @@ def test_array_kernel_equals_the_nested_tuple_kernel(scheme_t3, params_t3):
 
 # ------------------------------------------- shared rows against the oracle
 
-def outcome(build, *args):
-    """What `build` returns, or the type and text of the error it raises."""
-    try:
-        return build(*args)
-    except (CheckerOverflow, Inconsistent, NotVanishing) as exc:
-        return type(exc), str(exc)
-
-
 def genuine(sys_):
     """The system without its symmetry rows."""
     return only(sys_, ("sum", "zero", "krein"))
@@ -765,9 +726,8 @@ def test_systems_and_checkers_equal_the_per_pattern_builders():
     """All 799 non-vacuous (t, pattern) systems for odd t <= 51, in the
     order t = 3, 51, 3, 5, ..., 49: the one-entry caches are filled,
     evicted and filled again. Rows, right-hand sides and kinds equal the
-    oracle's without its symmetry rows, field for field, on the default
-    and the requested Krein tuples, and so do the checker's answers and
-    its overflow errors."""
+    oracle's without its symmetry rows, field for field, and so do the
+    checker's answers and its overflow errors."""
     import random
     rng = random.Random(12)
     seen = set()
@@ -779,15 +739,6 @@ def test_systems_and_checkers_equal_the_per_pattern_builders():
             cfg = TripleConfig(params, abc)
             sys_ = widened_system(cfg)
             assert sys_ == genuine(rows_oracle.widened_system(cfg))
-            assert (outcome(widened_system, cfg, PROOF_TUPLES)
-                    == outcome(lambda *args: genuine(
-                        rows_oracle.widened_system(*args)),
-                               cfg, PROOF_TUPLES))
-            assert (outcome(add_krein_vanishing, build_base_system(cfg),
-                            ((2, 2, 2),))
-                    == outcome(rows_oracle.add_krein_vanishing,
-                               rows_oracle.build_base_system(cfg),
-                               ((2, 2, 2),)))
             tensors = [[[[rng.randint(0, order) for _ in range(5)]
                          for _ in range(5)] for _ in range(5)]
                        for _ in range(2)]

@@ -8,6 +8,10 @@ under test with itself. Systems are the same `TripleSystem` type and raise
 the same errors. `widened_system` here still adds the slot-swap symmetry
 rows that `schemeforge.triples` no longer adds, so tests can show that
 they change no solution and build the proof systems that need them.
+`add_krein_vanishing` here also takes chosen Krein tuples, expanded to
+all their permutations, for those proof systems; `schemeforge.triples`
+builds only the full vanishing set, so `NotVanishing`, raised for a
+chosen tuple whose Krein parameter is not 0, lives here.
 
 `direct_triple_counts` and `boundary_violations` are the per-triple
 kernel as it was before the count tensor became one read-only int64
@@ -20,12 +24,24 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 from typing import Iterable
 
+from schemeforge.errors import SchemeforgeError
 from schemeforge.linalg import Inconsistent
-from schemeforge.triples import (CheckerOverflow, NotVanishing, TripleConfig,
-                                 TripleSystem, VacuousConfig,
-                                 vanishing_tuples)
+from schemeforge.triples import (CheckerOverflow, TripleConfig, TripleSystem,
+                                 VacuousConfig, vanishing_tuples)
+
+
+class NotVanishing(SchemeforgeError, ValueError):
+    """A Krein-vanishing equation was requested for a nonzero parameter."""
+
+
+def extended(sys_: TripleSystem, new_rows, new_rhs, kind) -> TripleSystem:
+    """`sys_` with rows of one kind appended."""
+    return replace(sys_, rows=sys_.rows + tuple(new_rows),
+                   rhs=sys_.rhs + tuple(new_rhs),
+                   kinds=sys_.kinds + (kind,) * len(new_rows))
 
 
 def _names(d: int) -> tuple:
@@ -86,7 +102,7 @@ def build_base_system(cfg: TripleConfig) -> TripleSystem:
         row = [0] * len(names)
         row[idx[nm]] = 1
         zrows.append(tuple(row))
-    return sys_.extended(zrows, [0] * len(zrows), "zero")
+    return extended(sys_, zrows, [0] * len(zrows), "zero")
 
 
 def _slot_permutations(abc) -> list:
@@ -132,7 +148,7 @@ def add_symmetry(sys_: TripleSystem) -> TripleSystem:
             row[sys_.names.index(other)] = -1
             rows.append(tuple(row))
             rhs.append(0)
-    return sys_.extended(rows, rhs, "symmetry")
+    return extended(sys_, rows, rhs, "symmetry")
 
 
 def add_krein_vanishing(sys_: TripleSystem,
@@ -178,7 +194,7 @@ def add_krein_vanishing(sys_: TripleSystem,
         g = math.gcd(den3, b, *row)
         rows.append(tuple(x // g for x in row))
         rhs.append(b // g)
-    return sys_.extended(rows, rhs, "krein")
+    return extended(sys_, rows, rhs, "krein")
 
 
 def widened_system(cfg: TripleConfig,
