@@ -20,10 +20,16 @@ Solving is exact and stays in ints until the solution is read off: the
 zero rows kill unknowns, elimination sees the live columns (12 to 16 for
 odd t <= 51, against d^3 = 64 names) and the rows that remain distinct
 up to scale (38 to 44), and a Fraction first appears as an entry of the
-solution space. Forcing is exact too: every system of the family for odd
-t <= 51 has at most one free parameter, and nonnegativity bounds it by a
-ratio test over the solution line. A larger solution space raises
-HighNullity.
+solution space. Most of those rows carry no new information: in 780 of
+the 799 non-vacuous systems for odd t <= 51, 44 rows over 16 live
+columns have rank 15. The elimination keeps its pivot rows reduced and
+tests a row that would be cleared at more pivots than there are kernel
+vectors against that kernel (two int vectors at rank 15, the right-hand
+side's among them), so a row in the span of the earlier ones costs two
+dot products and is never cleared. Forcing is exact too: every system
+of the family for odd t <= 51 has at most one free parameter, and
+nonnegativity bounds it by a ratio test over the solution line. A larger
+solution space raises HighNullity.
 
 Against a concrete scheme, direct_triple_counts returns the counts of one
 triple as a read-only int64 array of shape (c, c, c), c the number of
