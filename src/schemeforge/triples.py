@@ -10,12 +10,11 @@ nonnegativity of the symbols then pins many of them to exact values.
 
 widened_system is the one builder: it puts the sum rows, the zero rows
 and the Krein rows of one pattern into one TripleSystem. Every row and
-right-hand side is a Python int, so the residual checker reads the rows
-as they are built; a Krein row is its rational equation times the lcm of
-its denominators. Unknowns are ordered lexicographically by (l, m, n).
-The sum, unit and Krein rows do not depend on the pattern and are formed
-once per d and per (Q, tuples), each cached for the last key only, so a
-sweep over t holds one parameter set's rows at a time.
+right-hand side is a Python int; a Krein row is its rational equation
+times the lcm of its denominators. Unknowns are ordered lexicographically
+by (l, m, n). The sum, unit and Krein rows do not depend on the pattern
+and are formed once per d and per (Q, tuples), each cached for the last
+key only, so a sweep over t holds one parameter set's rows at a time.
 Solving is exact and stays in ints until the solution is read off: the
 zero rows kill unknowns, elimination sees the live columns (12 to 16 for
 odd t <= 51, against d^3 = 64 names) and the rows that remain distinct
@@ -35,14 +34,22 @@ Against a concrete scheme, direct_triple_counts returns the counts of one
 triple as a read-only int64 array of shape (c, c, c), c the number of
 classes, and that array goes unchanged to boundary_violations (one
 comparison with the expected boundary vector of the pattern) and to the
-residual checker (one int64 matrix-vector product over its inner d^3
-entries). The checker also takes the same entries as nested lists.
+residual checker (one matrix-vector product over its inner d^3 entries).
+The checker also takes the same entries as nested lists. Its product is
+exact: float64, through BLAS, while the matrix-wide bound
+max |a| * d^3 * order + max |b| is below 2^53 (every t = 3 system, about
+10^8), and int64 from there up to 2^63. The family first reaches 2^53 at
+t = 13. Past 2^63 the rows are bounded one by one; the family's first
+row that could wrap int64, for which the checker build raises
+CheckerOverflow, is at t = 25. The checker gathers the rows that the
+caches hold from one int64 copy of them, made when the first checker is
+built after a cache takes a new key, so building or solving a system
+never pays for that copy; only the other rows are converted one by one.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -123,6 +130,44 @@ def _names(d: int) -> tuple:
                  for n in range(1, d + 1))
 
 
+# The rows that `_sum_rows` and `_krein_rows` hold for their last key, by
+# cache ("sum": sum and unit rows, "krein": Krein rows as divided by g0),
+# and under "int64" the copy that `_shared_int64` makes of them.
+_shared = {}
+
+
+def _share(kind: str, rows: tuple) -> None:
+    """Hold `rows` as the `kind` cache's rows; drop the stale int64 copy."""
+    _shared[kind] = rows
+    _shared.pop("int64", None)
+
+
+def _shared_int64(width: int) -> tuple:
+    """(int64 matrix, id(row) -> its index) over the held rows `width` wide.
+
+    Made on the first checker build after either cache takes a new key, so
+    `widened_system` and `solve` never pay for it. The copy holds the rows
+    it was made from, so every id in the map is that of a live row, and it
+    ends in one zero row, the index given to rows that are not held. A
+    cache whose rows are another width, or do not fit int64, is left out.
+    """
+    copy = _shared.get("int64")
+    if copy is None or copy[0] != width:
+        held, mats = [], []
+        for kind in ("sum", "krein"):
+            rows = _shared.get(kind, ())
+            if rows and len(rows[0]) == width:
+                try:
+                    mats.append(np.array(rows, dtype=np.int64))
+                except OverflowError:
+                    continue
+                held.extend(rows)
+        mat = np.concatenate(mats + [np.zeros((1, width), np.int64)])
+        copy = (width, held, mat, {id(row): i for i, row in enumerate(held)})
+        _shared["int64"] = copy
+    return copy[2], copy[3]
+
+
 @functools.lru_cache(maxsize=1)
 def _sum_rows(d: int) -> tuple:
     """Pattern-free part of every system with d classes.
@@ -138,6 +183,7 @@ def _sum_rows(d: int) -> tuple:
     width = range(len(names))
     rows = tuple(tuple(int(i in mem) for i in width) for mem in members)
     units = tuple(tuple(int(i == v) for i in width) for v in width)
+    _share("sum", rows + units)
     return names, members, rows, units
 
 
@@ -168,6 +214,7 @@ def _krein_rows(Q, tuples: tuple) -> tuple:
         row = tuple(x * qt[n] for x in lm for n in rng)
         g0 = math.gcd(den3, *row)
         rows.append((row, g0, tuple(x // g0 for x in row)))
+    _share("krein", tuple(reduced for _, _, reduced in rows))
     return cols, tuple(rows)
 
 
@@ -360,26 +407,34 @@ def direct_triple_counts(sch, x: int, y: int, u: int) -> np.ndarray:
 def integer_residual_checker(sys_: TripleSystem):
     """Precompiled exact residual test for direct-count tensors.
 
-    The int rows become one int64 matrix, so the per-tensor check is a
-    single matrix product. Returns a function mapping a tensor (the
-    (d+1)^3 array of direct_triple_counts, or the same entries as nested
-    lists or tuples) to the index of the first violated row, or None
-    when every equation is satisfied; its inner d^3 entries, read in C
-    order, are the unknowns in `names` order. Raises CheckerOverflow,
-    naming the row, when the int64 product of a row with a count tensor
-    could wrap.
+    The int rows become one matrix, so the per-tensor check is a single
+    matrix product. Returns a function mapping a tensor (the (d+1)^3
+    array of direct_triple_counts, or the same entries as nested lists or
+    tuples) to the index of the first violated row, or None when every
+    equation is satisfied; its inner d^3 entries, read in C order, are the
+    unknowns in `names` order. Raises CheckerOverflow, naming the row,
+    when the int64 product of a row with a count tensor could wrap.
 
-    A count is at most `order`, so every partial sum of row . counts - b
-    lies within sum |a_ij| * order + |b_i|; below 2^63, int64 cannot wrap. All
-    rows are bounded at once by max |a| * width * order + max |b|; only
-    when that reaches 2^63 or an entry does not fit int64 are they
-    tested one by one.
+    The rows that `widened_system` took from the pattern-free caches are
+    gathered from their shared int64 copy (`_shared_int64`) with one
+    fancy index; any other row (a Krein row divided again, a row of a
+    hand-built system or of a system whose cache entry has since been
+    replaced) is converted on its own. A count is at most `order`, so every
+    partial sum of row . counts lies within sum |a_ij| * order, and b_i
+    within |b_i|. All rows are bounded at once by
+    max |a| * width * order + max |b|: below 2^53 the product is summed in
+    float64, at or above it in int64. Only when that bound reaches 2^63 or
+    an entry does not fit int64 are the rows tested one by one.
     """
     order = int(sys_.config.params.order)
     rows, width = sys_.rows, len(sys_.names)
+    shared, index = _shared_int64(width)
+    where = [index.get(id(row), -1) for row in rows]
+    mat = shared[where]
     try:
-        mat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64,
-                          count=len(rows) * width).reshape(len(rows), width)
+        for i, j in enumerate(where):
+            if j < 0:
+                mat[i] = rows[i]
     except OverflowError:
         bound = 2 ** 63
     else:
@@ -391,11 +446,16 @@ def integer_residual_checker(sys_: TripleSystem):
                 raise CheckerOverflow(
                     f"{sys_.kinds[i]} row {i} can overflow int64 on counts "
                     f"up to {order}")
-    vec_rhs = np.array(sys_.rhs, dtype=np.int64)
+    # Every partial sum of mat @ vec is an integer below the bound: below
+    # 2^53 each one is a float64 whatever order BLAS adds in, so the
+    # float64 product is exact; below 2^63 the int64 one cannot wrap.
+    dtype = np.float64 if bound < 2 ** 53 else np.int64
+    mat = mat.astype(dtype, copy=False)
+    rhs = np.array(sys_.rhs, dtype=dtype)
 
     def check(tensor):
-        vec = np.asarray(tensor, dtype=np.int64)[1:, 1:, 1:].reshape(width)
-        bad = mat @ vec != vec_rhs
+        vec = np.asarray(tensor, dtype=dtype)[1:, 1:, 1:].reshape(width)
+        bad = mat @ vec != rhs
         return int(bad.argmax()) if bad.any() else None
 
     return check

@@ -1,5 +1,6 @@
 """Triple intersection systems: widening, solving, forcing, counting."""
 
+import inspect
 import itertools
 import math
 from dataclasses import replace
@@ -704,6 +705,23 @@ def test_checker_refuses_rows_that_can_overflow_int64():
         integer_residual_checker(sys_)
 
 
+def test_checker_names_a_shared_krein_row_past_int64():
+    """At t = 151 four of the cached Krein rows in (1,1,2) have entries
+    past 2^63, so their int64 copy cannot be made; building the checker
+    still raises CheckerOverflow naming the row-by-row test's row."""
+    params = closed_form_parameters(151)
+    sys_ = widened_system(TripleConfig(params, (1, 1, 2)))
+    _, krein = triples._krein_rows(params.Q, vanishing_tuples(params))
+    wide = {id(row) for _, _, row in krein if max(map(abs, row)) >= 2 ** 63}
+    assert sum(id(row) in wide for row in sys_.rows) == 4
+    message = "krein row 96 can overflow int64 on counts up to 523328704"
+    for checker_of in (integer_residual_checker,
+                       rows_oracle.integer_residual_checker):
+        with pytest.raises(CheckerOverflow) as exc:
+            checker_of(sys_)
+        assert str(exc.value) == message
+
+
 def test_distinct_elements_required(scheme_t3):
     with pytest.raises(ValueError):
         direct_triple_counts(scheme_t3, 3, 3, 5)
@@ -861,3 +879,84 @@ def test_checker_names_the_row_at_or_past_the_int64_bound(params_t3, row, b):
             checker_of(sys_)
         assert str(exc.value) == message
 
+
+
+def counts_with(entries):
+    """A 5 x 5 x 5 int64 count tensor, 0 except at the given entries."""
+    tensor = np.zeros((5, 5, 5), dtype=np.int64)
+    for lmn, value in entries.items():
+        tensor[lmn] = value
+    return tensor
+
+
+def product_dtype(checker):
+    """The dtype the checker sums its product in."""
+    return inspect.getclosurevars(checker).nonlocals["dtype"]
+
+
+@pytest.mark.parametrize("bound,dtype", [(2 ** 53 - 1, np.float64),
+                                         (2 ** 53, np.int64)])
+def test_checker_sums_in_float64_below_2_53(params_t3, bound, dtype):
+    """With max |a| * 64 * order + max |b| set to `bound`, the product is
+    float64 exactly when the bound is below 2^53, and a tensor whose row
+    sum is one short of b is caught on either side."""
+    order = int(params_t3.order)
+    a, r = divmod(bound, 65 * order)
+    b = order * a + r
+    sys_ = edge_system(params_t3, padded(0, a, r - 1), b)
+    assert 64 * a * order + b == bound
+    tensor = counts_with({(1, 1, 2): order, (1, 1, 3): 1})
+    checker = integer_residual_checker(sys_)
+    assert product_dtype(checker) is dtype
+    assert checker(tensor) == 1
+    assert rows_oracle.integer_residual_checker(sys_)(tensor) == 1
+
+
+def test_checker_sums_in_int64_where_float64_would_round(params_t3):
+    """row . counts = 2^53 + 1 against b = 2^53: a float64 sum rounds to
+    b and would pass the tensor. The bound is past 2^53, so the checker
+    sums in int64 and reports row 1."""
+    row = padded(0, 2 ** 47, 1)
+    sys_ = edge_system(params_t3, row, 2 ** 53)
+    tensor = counts_with({(1, 1, 2): 64, (1, 1, 3): 1})
+    vec = tensor[1:, 1:, 1:].reshape(64)
+    assert np.array(row, dtype=np.float64) @ vec.astype(np.float64) == 2 ** 53
+    assert sum(a * int(x) for a, x in zip(row, vec)) == 2 ** 53 + 1
+    checker = integer_residual_checker(sys_)
+    assert product_dtype(checker) is np.int64
+    assert checker(tensor) == 1
+
+
+def test_checkers_of_rows_no_cache_holds_match_the_oracle(scheme_t3,
+                                                          params_t3):
+    """Every t = 3 system is built, then one t = 5 system, which replaces
+    the cached Krein rows (d, and so the sum and unit rows, stay). Only
+    then are the t = 3 checkers built, so each converts its Krein rows on
+    its own, and so does a checker for a hand-built copy of the (2,1,1)
+    system, none of whose rows is held. On the counted tensor and on
+    broken ones each names the oracle's first bad row."""
+    def held_kinds(sys_):
+        _, held = triples._shared_int64(64)
+        return {kind for row, kind in zip(sys_.rows, sys_.kinds)
+                if id(row) in held}
+
+    systems = [widened_system(TripleConfig(params_t3, abc))
+               for abc in patterns(params_t3)]
+    assert held_kinds(systems[-1]) == {"sum", "zero", "krein"}
+    widened_system(TripleConfig(closed_form_parameters(5), (2, 1, 1)))
+    two_one_one = systems[patterns(params_t3).index((2, 1, 1))]
+    copy = replace(two_one_one,
+                   rows=tuple(tuple(list(row)) for row in two_one_one.rows))
+    for sys_ in systems + [copy]:
+        checker = integer_residual_checker(sys_)
+        assert held_kinds(sys_) == (set() if sys_ is copy
+                                    else {"sum", "zero"})
+        oracle_checker = rows_oracle.integer_residual_checker(sys_)
+        tensor = direct_triple_counts(
+            scheme_t3, *find_triple(scheme_t3, sys_.config.abc))
+        for change in ({}, {(3, 1, 2): 1}, live_cube(sys_)):
+            broken = tensor.copy()
+            for lmn, delta in change.items():
+                broken[lmn] += delta
+            assert checker(broken) == oracle_checker(broken)
+            assert (checker(broken) is None) == (not change)
