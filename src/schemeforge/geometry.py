@@ -1,15 +1,16 @@
 """Concrete geometry for the order-(9,3) generalized quadrangle.
 
 GF(9) is realized as GF(3)[w]/(w^2+1); an element c0 + c1*w is encoded as
-the integer c0 + 3*c1, so the field fits in lookup tables. Projective
-3-space over the field has 820 points, canonicalized by scaling the first
-nonzero coordinate to 1. The surface x0^4 + x1^4 + x2^4 + x3^4 = 0 (each
-fourth power is the field norm, landing in GF(3)) carries 280 points and
-112 fully-contained projective lines; points and lines form a generalized
-quadrangle of order (9,3). A hemisystem is a set of half the lines meeting
-every point exactly (t+1)/2 times; the search is depth-first over lines
-with exact per-point counters. Every 0/1 matrix product goes through
-exact_product, which sums in float64 under a checked 2^53 bound.
+the integer c0 + 3*c1, and sums of products over coordinates are taken on
+the GF(3) planes c0 and c1. Projective 3-space over the field has 820
+points, canonicalized by scaling the first nonzero coordinate to 1. The
+surface x0^4 + x1^4 + x2^4 + x3^4 = 0 (each fourth power is the field
+norm, landing in GF(3)) carries 280 points and 112 fully-contained
+projective lines; points and lines form a generalized quadrangle of
+order (9,3). A hemisystem is a set of half the lines meeting every point
+exactly (t+1)/2 times; the search is depth-first over lines with exact
+per-point counters. Every 0/1 matrix product goes through exact_product,
+which sums in float32 below 2^24 and float64 below 2^53.
 """
 
 from __future__ import annotations
@@ -38,28 +39,8 @@ class ProductBound(SchemeforgeError, OverflowError):
 
 # ----------------------------------------------------------------- GF(9)
 
-def _build_tables():
-    def enc(c0, c1):
-        return c0 + 3 * c1
-
-    add = [[0] * 9 for _ in range(9)]
-    mul = [[0] * 9 for _ in range(9)]
-    for a in range(9):
-        a0, a1 = a % 3, a // 3
-        for b in range(9):
-            b0, b1 = b % 3, b // 3
-            add[a][b] = enc((a0 + b0) % 3, (a1 + b1) % 3)
-            # (a0 + a1 w)(b0 + b1 w) with w^2 = -1
-            mul[a][b] = enc((a0 * b0 - a1 * b1) % 3, (a0 * b1 + a1 * b0) % 3)
-    # norm a^4 = a * a^3 = (a0^2 + a1^2) mod 3, always in GF(3)
-    fourth = [((a % 3) ** 2 + (a // 3) ** 2) % 3 for a in range(9)]
-    to_t = tuple
-    return (to_t(to_t(r) for r in add), to_t(to_t(r) for r in mul),
-            to_t(fourth))
-
-
-ADD, MUL, FOURTH = _build_tables()
-CONJ = tuple(MUL[a][MUL[a][a]] for a in range(9))   # a^3, conjugate over GF(3)
+# norm a^4 = a * a^3 = (a0^2 + a1^2) mod 3 of a = a0 + a1 w, always in GF(3)
+FOURTH = tuple(((a % 3) ** 2 + (a // 3) ** 2) % 3 for a in range(9))
 
 
 # ------------------------------------------------------------- PG(3, 9)
@@ -113,19 +94,21 @@ class GQ:
     def incidence(self) -> np.ndarray:
         """Integer point x line matrix N, N[p, L] = 1 iff p lies on L."""
         inc = np.zeros((len(self.points), len(self.lines)), dtype=np.int64)
-        for col, line in enumerate(self.lines):
-            inc[list(line), col] = 1
+        sizes = [len(line) for line in self.lines]
+        cols = np.repeat(np.arange(len(sizes)), sizes)
+        inc[[p for line in self.lines for p in line], cols] = 1
         return inc
 
 
 def exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for small integer matrices, summed in float64, as int64.
+    """a @ b for small integer matrices, summed in floats, as int64.
 
     Each entry of the product is a sum of `inner` terms of size at most
     max|a| * max|b|, so every partial sum, in whatever order BLAS adds
-    them, is an integer of size below max|a| * max|b| * inner. Below 2^53
-    every such integer is a float64, so the product is exact; at or above
-    it ProductBound is raised.
+    them, is an integer of size at most bound = max|a| * max|b| * inner.
+    Summed in float32 when bound < 2^24 and in float64 when bound < 2^53,
+    where each type holds every such integer, the product is exact; from
+    2^53 on ProductBound is raised.
     """
     inner = a.shape[-1]
     bound = (int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0))
@@ -133,24 +116,30 @@ def exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if bound >= 2 ** 53:
         raise ProductBound(
             f"{a.shape} x {b.shape} product may reach {bound} >= 2^53")
-    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    dtype = np.float32 if bound < 2 ** 24 else np.float64
+    return (a.astype(dtype) @ b.astype(dtype)).astype(np.int64)
 
 
 def first_true(mask: np.ndarray):
-    """Index tuple of the first True entry in row-major order, else None."""
-    hits = np.argwhere(mask)
-    return tuple(int(i) for i in hits[0]) if hits.size else None
+    """Index tuple of a bool mask's first True entry (row-major), or None."""
+    if not mask.any():
+        return None
+    return tuple(int(i) for i in np.unravel_index(mask.argmax(), mask.shape))
 
 
 def hermitian_form() -> np.ndarray:
-    """uint8 matrix of sum p_i q_i^3 over all pairs of surface points."""
-    add, mul = np.array(ADD, np.uint8), np.array(MUL, np.uint8)
+    """uint8 matrix of sum p_i q_i^3 over all pairs of surface points.
+
+    With x = x0 + x1 w and w^2 = -1 it is sum (p0 q0 + p1 q1) plus
+    w sum (p1 q0 + 2 p0 q1) mod 3: one exact_product each over the eight
+    stacked coordinate planes, every sum at most 64, so uint8 holds it.
+    """
     coords = np.array(hermitian_coordinates(), np.uint8)
-    conj = np.array(CONJ, np.uint8)[coords]
-    form = np.zeros((len(coords), len(coords)), np.uint8)
-    for a, b in zip(coords.T, conj.T):
-        form = add[form, mul[a[:, None], b[None, :]]]
-    return form
+    x0, x1 = coords % 3, coords // 3
+    x = np.hstack([x0, x1])
+    real = exact_product(x, x.T).astype(np.uint8) % 3
+    imag = exact_product(np.hstack([x1, 2 * x0]), x.T).astype(np.uint8) % 3
+    return real + 3 * imag
 
 
 def row_sets(mask: np.ndarray) -> tuple:
@@ -169,7 +158,7 @@ def line_sets(adj: np.ndarray) -> np.ndarray:
     adj[i] & adj[j], and it is taken only from its two smallest points:
     with S[i, j] the number of common neighbours of i and j below j, those
     are the collinear pairs i < j with S[i, j] = 1 (i itself). S is one
-    exact_product of 0/1 matrices with entries at most n, far below 2^53.
+    exact_product of 0/1 matrices with entries at most n, far below 2^24.
     Row L is the mask adj[i] & adj[j] of the L-th line in sorted order of
     its two smallest points; row_sets gives the lines as sorted tuples.
     """
@@ -200,7 +189,7 @@ def verify_gq(gq: GQ) -> ValidationReport:
     line, the points of the line collinear with it: the quadrangle axiom
     asks for exactly one wherever the point is off the line. Both products
     are exact_product calls on 0/1 matrices, so each sum is at most the
-    inner dimension, far below 2^53.
+    inner dimension, far below 2^24.
     """
     checks = []
     inc = gq.incidence

@@ -110,7 +110,7 @@ def all_cliques(sch: RelationScheme) -> tuple:
     the off-diagonal of M^T M must be the indicator of relations {1, 2},
     so each such pair lies in exactly one clique and two cliques share at
     most one element. Every product is an exact_product of 0/1 matrices
-    with sums at most |X|, far below 2^53.
+    with sums at most |X|, far below 2^24.
     """
     half = (order_from_size(sch.size) + 1) // 2
     ones, twos = _indicator(sch, 1), _indicator(sch, 2)

@@ -9,11 +9,11 @@ The table is read-only, so its stack of class indicators is built once,
 cached on the scheme, and shared by every verifier that reads a class;
 so are the even-relation mask that recover_hemisystem reads and the
 premultiplied label planes that triples.direct_triple_counts sums.
-verify_scheme is the counting oracle: one exact integer product per class
-indicator, taken against all indicators side by side, counts every
-intersection number at every pair, and the first pair whose counts differ
-from its class's is reported. The products go through
-geometry.exact_product, which sums in float64 under a checked 2^53 bound.
+verify_scheme is the counting oracle: the exact products A_i A_j of class
+indicators for 1 <= i <= j <= c-2, with A_0 = I, transposes and row sums
+for the rest, count every intersection number at every pair, and the
+first pair whose counts differ from its class's is reported. The products
+go through geometry.exact_product, summed in float32 below 2^24.
 """
 
 from __future__ import annotations
@@ -109,11 +109,13 @@ def verify_scheme(sch: RelationScheme) -> CountedParameters:
     With A_i the 0/1 indicator of class i, the product A_i A_j holds at
     (x, y) the number of z with x ~i z ~j y, so p^k_ij is read at the
     first pair of class k, and the scheme is consistent iff A_i A_j equals
-    p^k_ij at every pair of every class k.  All A_i A_j for one i come
-    from one exact_product of A_i with the n x (classes * n) row of every
-    A_j; each count is at most n, far below the 2^53 bound.  Structural
-    defects (asymmetry, a stray 0 off the diagonal, a nonzero diagonal)
-    are reported the same way, as consistency=false with a witness.
+    p^k_ij at every pair of every class k.  After the structural and
+    valency checks, A_0 = I, A_j A_i = (A_i A_j)^T and sum_j A_i A_j =
+    k_i J fix all products from those with 1 <= i <= j <= c-2, the only
+    n x n ones formed (counts at most n < 2^24); p^k is read from the
+    c x c product at the first pair of class k.  Structural defects
+    (asymmetry, a stray 0 off the diagonal, a nonzero diagonal) are
+    reported the same way, as consistency=false with a witness.
     """
     rel = sch.rel
     n, c = sch.size, sch.classes
@@ -142,18 +144,18 @@ def verify_scheme(sch: RelationScheme) -> CountedParameters:
         return fail(f"valency row of {bad[0]} differs from row of 0")
     valencies = tuple(int(v) for v in counts[0])
 
-    firsts = [first_true(plane) for plane in adj]
     p_rep = np.zeros((c, c, c), dtype=np.int64)
+    for k, plane in enumerate(sch.indicators):
+        hit = first_true(plane)
+        if hit:
+            p_rep[k] = exact_product(adj[:, hit[0]], adj[:, :, hit[1]].T)
     differs = np.zeros((n, n), dtype=bool)
-    # stack[z, j*n + y] = A_j[z, y], so A_i @ stack holds every A_i A_j
-    stack = adj.transpose(1, 0, 2).reshape(n, c * n)
-    for i in range(c):
-        prods = exact_product(adj[i], stack).reshape(n, c, n)
-        prods = prods.transpose(0, 2, 1)   # prods[x, y, j] = (A_i A_j)[x, y]
-        for k, hit in enumerate(firsts):
-            if hit:
-                p_rep[k, i] = prods[hit]
-        differs |= np.any(prods != p_rep[rel, i], axis=2)
+    for i in range(1, c - 1):
+        for j in range(i, c - 1):
+            prod = exact_product(adj[i], adj[j])
+            differs |= prod != p_rep[:, i, j].take(rel)
+            if i != j:   # A_j A_i is the transpose
+                differs |= prod.T != p_rep[:, j, i].take(rel)
     bad = first_true(differs)
     if bad:
         x, y = bad

@@ -8,16 +8,39 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schemeforge.geometry import (ADD, CONJ, FOURTH, GQ, MUL, EvenOrder,
+from schemeforge.geometry import (FOURTH, GQ, EvenOrder,
                                   Hemisystem, NotFound, ProductBound,
                                   build_hermitian_gq, exact_product,
-                                  find_hemisystem, hermitian_coordinates,
+                                  find_hemisystem, first_true,
+                                  hermitian_coordinates,
                                   hermitian_form, hermitian_value,
                                   line_sets, proj_points, row_sets,
                                   verify_gq, verify_hemisystem)
 
 
 # ------------------------------------------------------------ field
+
+def field_tables():
+    """Scalar GF(9) addition and multiplication, a = a0 + a1 w as a0 + 3 a1.
+
+    The reference that the coordinate-plane Hermitian form is checked
+    against, entry by entry.
+    """
+    def enc(c0, c1):
+        return c0 % 3 + 3 * (c1 % 3)
+
+    add = tuple(tuple(enc(a % 3 + b % 3, a // 3 + b // 3) for b in range(9))
+                for a in range(9))
+    # (a0 + a1 w)(b0 + b1 w) with w^2 = -1
+    mul = tuple(tuple(enc((a % 3) * (b % 3) - (a // 3) * (b // 3),
+                          (a % 3) * (b // 3) + (a // 3) * (b % 3))
+                      for b in range(9)) for a in range(9))
+    return add, mul
+
+
+ADD, MUL = field_tables()
+CONJ = tuple(MUL[a][MUL[a][a]] for a in range(9))   # a^3, conjugate over GF(3)
+
 
 def test_field_axioms_exhaustively():
     els = range(9)
@@ -110,6 +133,23 @@ def test_line_sets_of_the_grid_and_its_dual():
     dual = row_sets(line_sets(inc.T @ inc > 0))
     assert dual == tuple(sorted(grid.lines_through))
     assert len(dual) == 9 and all(len(line) == 2 for line in dual)
+
+
+def test_incidence_equals_a_per_line_fill(hermitian_gq):
+    ragged = GQ(s=2, t=1, points=tuple(range(5)),
+                lines=((0, 1, 2), (), (3,), (1, 4)))
+    for gq in (hermitian_gq, ragged, grid_gq()):
+        want = np.zeros((len(gq.points), len(gq.lines)), dtype=np.int64)
+        for col, line in enumerate(gq.lines):
+            want[list(line), col] = 1
+        assert gq.incidence.dtype == np.int64
+        assert np.array_equal(gq.incidence, want)
+
+
+def test_incidence_refuses_an_out_of_range_point():
+    gq = GQ(s=2, t=1, points=tuple(range(3)), lines=((0, 1), (1, 3)))
+    with pytest.raises(IndexError):
+        gq.incidence
 
 
 def test_deleting_a_line_is_detected(hermitian_gq):
@@ -232,6 +272,44 @@ def test_exact_product_bound():
         exact_product(a, b)
     a -= 1
     assert exact_product(a, b).tolist() == [[2 * (big - 1) * big]]
+
+
+def test_exact_product_sums_in_float64_from_2_to_the_24():
+    # bound 2^12 * 2^12 * 2 = 2^25: float32 would round 2^24 + 1 to 2^24
+    a = np.array([[2 ** 12, 1]], dtype=np.int64)
+    assert exact_product(a, a.T).tolist() == [[2 ** 24 + 1]]
+
+
+def test_exact_product_in_float32_just_under_2_to_the_24():
+    # bound 4095 * 4097 = 2^24 - 1, the largest that is summed in float32
+    a = np.array([[4095]], dtype=np.int64)
+    b = np.array([[4097]], dtype=np.int64)
+    assert exact_product(a, b).tolist() == [[2 ** 24 - 1]]
+    assert exact_product(-a, b).tolist() == [[1 - 2 ** 24]]
+
+
+def argwhere_first(mask):
+    hits = np.argwhere(mask)
+    return tuple(int(i) for i in hits[0]) if hits.size else None
+
+
+def bool_masks():
+    shapes = st.lists(st.integers(0, 5), min_size=1, max_size=3)
+    return shapes.flatmap(lambda shape: st.lists(
+        st.booleans(), min_size=int(np.prod(shape)),
+        max_size=int(np.prod(shape))).map(
+            lambda xs: np.array(xs, dtype=bool).reshape(shape)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bool_masks())
+@example(np.zeros((0,), dtype=bool))
+@example(np.zeros((3, 0, 2), dtype=bool))
+@example(np.zeros((2, 3), dtype=bool))
+@example(np.eye(4, dtype=bool)[::-1])
+def test_first_true_equals_the_first_argwhere_hit(mask):
+    assert first_true(mask) == argwhere_first(mask)
+    assert first_true(mask.T) == argwhere_first(mask.T)
 
 
 # ------------------------------------------------------------ hemisystem

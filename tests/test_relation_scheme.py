@@ -1,9 +1,12 @@
 """The concrete 4-class scheme as a counting oracle."""
 
+import random
+
 import numpy as np
 import pytest
 
-from schemeforge.relation_scheme import (NotHemisystem, RelationScheme,
+from schemeforge.relation_scheme import (CountedParameters, NotHemisystem,
+                                         RelationScheme,
                                          ShapeMismatch,
                                          scheme_from_hemisystem,
                                          verify_scheme)
@@ -112,6 +115,75 @@ def test_constancy_witness_with_valencies_kept(scheme_t3):
     assert counted.valencies == (1, 20, 10, 36, 45)
     assert counted.witness == ("pair (0,4) class 2: count at (1,1) is 2, "
                                "expected 1")
+
+
+def all_pairs_verify(sch):
+    """verify_scheme as it formed every A_i A_j, in int64 products.
+
+    Only for tables that pass the structural and valency checks.
+    """
+    rel, n, c = sch.rel, sch.size, sch.classes
+    adj = sch.indicators.astype(np.int64)
+    counts = adj.sum(axis=2).T
+    assert (counts == counts[0]).all()
+    firsts = [np.argwhere(plane) for plane in adj]
+    p_rep = np.zeros((c, c, c), dtype=np.int64)
+    differs = np.zeros((n, n), dtype=bool)
+    for i in range(c):
+        for j in range(c):
+            prod = adj[i] @ adj[j]
+            for k, hits in enumerate(firsts):
+                if hits.size:
+                    p_rep[k, i, j] = prod[tuple(hits[0])]
+            differs |= prod != p_rep[rel, i, j]
+    valencies = tuple(int(v) for v in counts[0])
+    if differs.any():
+        x, y = (int(v) for v in np.argwhere(differs)[0])
+        k = int(rel[x, y])
+        got = adj[:, x] @ adj[:, :, y].T
+        i, j = (int(v) for v in np.argwhere(got != p_rep[k])[0])
+        return CountedParameters(
+            valencies, (), False,
+            f"pair ({x},{y}) class {k}: count at ({i},{j}) is "
+            f"{int(got[i, j])}, expected {int(p_rep[k, i, j])}")
+    p = tuple(tuple(tuple(int(v) for v in row) for row in plane)
+              for plane in p_rep)
+    return CountedParameters(valencies, p, True, None)
+
+
+def two_switch(rel, rng):
+    """Relabel x~y, u~v from a to b and x~v, u~y from b to a, symmetrically.
+
+    Every row keeps its count of each label, so the valencies hold.
+    """
+    n = len(rel)
+    while True:
+        x, u = rng.sample(range(n), 2)
+        a, b = rng.sample(range(1, int(rel.max()) + 1), 2)
+        ys = np.flatnonzero((rel[x] == a) & (rel[u] == b))
+        vs = np.flatnonzero((rel[u] == a) & (rel[x] == b))
+        if ys.size and vs.size:
+            y, v = int(rng.choice(ys)), int(rng.choice(vs))
+            for p, q, label in ((x, y, b), (u, v, b), (x, v, a), (u, y, a)):
+                rel[p, q] = rel[q, p] = label
+            return
+
+
+def hamming_table(d, q):
+    """Hamming distance on q-ary words of length d: a d-class scheme."""
+    words = np.array(np.unravel_index(np.arange(q ** d), (q,) * d)).T
+    return (words[:, None] != words[None]).sum(axis=2).astype(np.int8)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_products_agree_with_all_pairs_on_switched_tables(scheme_t3, seed):
+    rng = random.Random(seed)
+    base = scheme_t3.rel if seed % 4 else hamming_table(3, 3)
+    rel = base.copy()
+    for _ in range(seed % 3):
+        two_switch(rel, rng)
+    sch = RelationScheme(size=len(rel), classes=int(base.max()) + 1, rel=rel)
+    assert verify_scheme(sch) == all_pairs_verify(sch)
 
 
 def test_complete_graph_single_class_scheme():
