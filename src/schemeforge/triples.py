@@ -14,13 +14,19 @@ right-hand side is a Python int; a Krein row is its rational equation
 times the lcm of its denominators. Unknowns are ordered lexicographically
 by (l, m, n). The sum, unit and Krein rows do not depend on the pattern
 and are formed once per d and per (Q, tuples), each cached for the last
-key only, so a sweep over t holds one parameter set's rows at a time.
-Solving is exact and stays in ints until the solution is read off: the
-zero rows kill unknowns, elimination sees the live columns (12 to 16 for
-odd t <= 51, against d^3 = 64 names) and the rows that remain distinct
-up to scale (38 to 44), and a Fraction first appears as an entry of the
+key only, so a sweep over t holds one parameter set's rows at a time;
+the vanishing tuples, and so the Krein key, are found once per params
+object. All the Krein rows are one exact integer outer product of
+columns of den * Q, in int64 while max |den Q_lr|^3 < 2^63 and in Python
+ints from t = 103 on, and only the rows divided by their common factor
+with den^3 are held. Solving is exact and stays in ints until the
+solution is read off: the 3 d - 1 sum rows that are fixed sums of the
+others are checked by their right-hand sides alone and skipped, the zero
+rows kill unknowns, elimination sees the live columns (12 to 16 for odd
+t <= 51, against d^3 = 64 names) and the rows that remain distinct up to
+scale (33 to 39), and a Fraction first appears as an entry of the
 solution space. Most of those rows carry no new information: in 780 of
-the 799 non-vacuous systems for odd t <= 51, 44 rows over 16 live
+the 799 non-vacuous systems for odd t <= 51, 38 or 39 rows over 16 live
 columns have rank 15. The elimination keeps its pivot rows reduced and
 tests a row that would be cleared at more pivots than there are kernel
 vectors against that kernel (two int vectors at rank 15, the right-hand
@@ -44,7 +50,8 @@ row that could wrap int64, for which the checker build raises
 CheckerOverflow, is at t = 25. The checker gathers the rows that the
 caches hold from one int64 copy of them, made when the first checker is
 built after a cache takes a new key, so building or solving a system
-never pays for that copy; only the other rows are converted one by one.
+never pays for that copy; Krein rows formed in int64 give that block as
+it is, and only the other rows are converted one by one.
 """
 
 from __future__ import annotations
@@ -132,13 +139,15 @@ def _names(d: int) -> tuple:
 
 # The rows that `_sum_rows` and `_krein_rows` hold for their last key, by
 # cache ("sum": sum and unit rows, "krein": Krein rows as divided by g0),
-# and under "int64" the copy that `_shared_int64` makes of them.
+# each with its int64 block or None, and under "int64" the copy that
+# `_shared_int64` makes of them.
 _shared = {}
 
 
-def _share(kind: str, rows: tuple) -> None:
-    """Hold `rows` as the `kind` cache's rows; drop the stale int64 copy."""
-    _shared[kind] = rows
+def _share(kind: str, rows: tuple, block=None) -> None:
+    """Hold `rows` as the `kind` cache's rows, with `block` their int64
+    matrix if it is at hand; drop the stale int64 copy."""
+    _shared[kind] = (rows, block)
     _shared.pop("int64", None)
 
 
@@ -146,21 +155,25 @@ def _shared_int64(width: int) -> tuple:
     """(int64 matrix, id(row) -> its index) over the held rows `width` wide.
 
     Made on the first checker build after either cache takes a new key, so
-    `widened_system` and `solve` never pay for it. The copy holds the rows
-    it was made from, so every id in the map is that of a live row, and it
-    ends in one zero row, the index given to rows that are not held. A
-    cache whose rows are another width, or do not fit int64, is left out.
+    `widened_system` and `solve` never pay for it. A cache that holds its
+    int64 block gives it as it is; the other rows are converted here. The
+    copy holds the rows it was made from, so every id in the map is that
+    of a live row, and it ends in one zero row, the index given to rows
+    that are not held. A cache whose rows are another width, or do not fit
+    int64, is left out.
     """
     copy = _shared.get("int64")
     if copy is None or copy[0] != width:
         held, mats = [], []
         for kind in ("sum", "krein"):
-            rows = _shared.get(kind, ())
+            rows, block = _shared.get(kind, ((), None))
             if rows and len(rows[0]) == width:
-                try:
-                    mats.append(np.array(rows, dtype=np.int64))
-                except OverflowError:
-                    continue
+                if block is None:
+                    try:
+                        block = np.array(rows, dtype=np.int64)
+                    except OverflowError:
+                        continue
+                mats.append(block)
                 held.extend(rows)
         mat = np.concatenate(mats + [np.zeros((1, width), np.int64)])
         copy = (width, held, mat, {id(row): i for i, row in enumerate(held)})
@@ -173,7 +186,14 @@ def _sum_rows(d: int) -> tuple:
     """Pattern-free part of every system with d classes.
 
     (names, the member indices of each of the 3 d^2 sum rows, the sum rows,
-    the d^3 unit rows), the sum rows in `widened_system`'s order.
+    the d^3 unit rows, the indices of the 3 d^2 - 3 d + 1 sum rows that
+    span them all), the sum rows in `widened_system`'s order. Each of the
+    three families of d^2 sum rows fixes two slots, so two families share
+    each one-slot margin: summed over m, the rows [. m n] and [l . n] both
+    give the total at slot n, and so on for the other two pairs. Those
+    3 d relations, 3 d - 1 of them independent, leave the rows at rank
+    3 d^2 - 3 d + 1; they give [l . n] at l = d, [l m .] at m = d and
+    [l m .] at l = d as fixed sums of the others.
     """
     names, rng, step = _names(d), range(d), (d * d, d, 1)
     members = tuple(tuple(r * step[s] + i * step[a] + j * step[b]
@@ -183,8 +203,14 @@ def _sum_rows(d: int) -> tuple:
     width = range(len(names))
     rows = tuple(tuple(int(i in mem) for i in width) for mem in members)
     units = tuple(tuple(int(i == v) for i in width) for v in width)
+    # [l . n] at l = d, then [l m .] at l = d or m = d
+    last, d2 = d - 1, d * d
+    dependent = ({d2 + last * d + n for n in rng}
+                 | {2 * d2 + l * d + m for l in rng for m in rng
+                    if last in (l, m)})
+    kept = tuple(i for i in range(len(rows)) if i not in dependent)
     _share("sum", rows + units)
-    return names, members, rows, units
+    return names, members, rows, units, kept
 
 
 def vanishing_tuples(params: SchemeParameters) -> tuple:
@@ -192,30 +218,54 @@ def vanishing_tuples(params: SchemeParameters) -> tuple:
     d = params.d
     rng = range(1, d + 1)
     return tuple((r, s, t) for r in rng for s in rng for t in rng
-                 if params.q[t][r][s] == 0)
+                 if not params.q[t][r][s])
 
 
 @functools.lru_cache(maxsize=1)
-def _krein_rows(Q, tuples: tuple) -> tuple:
+def _krein_block(Q, tuples: tuple) -> tuple:
     """Pattern-free part of the Krein rows for the dual eigenmatrix Q.
 
-    (cols, rows): cols[j] is column j of den * Q; rows[i] is
-    (row, g0, row // g0), row the integers den^3 Q_lr Q_ms Q_nt for
-    tuples[i] = (r, s, t) in `names` order and g0 = gcd(den^3, *row).
+    (cols, g0, rows): cols[j] is column j of den * Q, den the lcm of Q's
+    denominators; rows[i] is the integer row den^3 Q_lr Q_ms Q_nt of
+    tuples[i] = (r, s, t), in `names` order, divided by
+    g0[i] = gcd(den^3, *that row). All the rows are one outer product of
+    three gathers of columns of the inner block of den * Q. It is formed
+    in int64 while max |den Q_lr|^3 < 2^63, and in Python ints (an object
+    array, the same expression) from there: the family first needs those
+    at t = 103, and its rows reach 66 bits at t = 151. Only the divided
+    rows are held, with their int64 block when they were formed in int64;
+    `widened_system` divides a row again by multiplying it by g0 / g.
     """
-    rng = range(1, len(Q))
     den, cleared = _cleared_rows(Q)
-    cols = tuple(zip(*cleared))
+    inner = [row[1:] for row in cleared[1:]]
+    top = max(abs(x) for row in inner for x in row)
+    # every entry is a product of three entries of `inner`, so while
+    # top^3 < 2^63 no int64 product or partial product can wrap
+    dtype = np.int64 if top ** 3 < 2 ** 63 else object
+    qi = np.array(inner, dtype=dtype)
+    r, s, t = np.array(tuples, dtype=np.intp).reshape(-1, 3).T - 1
+    full = (qi[:, r].T[:, :, None, None] * qi[:, s].T[:, None, :, None]
+            * qi[:, t].T[:, None, None, :]).reshape(len(tuples), -1)
     den3 = den ** 3
-    rows = []
-    for r, s, t in tuples:
-        qr, qs, qt = cols[r], cols[s], cols[t]
-        lm = [qr[l] * qs[m] for l in rng for m in rng]
-        row = tuple(x * qt[n] for x in lm for n in rng)
-        g0 = math.gcd(den3, *row)
-        rows.append((row, g0, tuple(x // g0 for x in row)))
-    _share("krein", tuple(reduced for _, _, reduced in rows))
-    return cols, tuple(rows)
+    g0 = [math.gcd(den3, g) for g in np.gcd.reduce(full, axis=1).tolist()]
+    reduced = full // np.array(g0, dtype=dtype)[:, None]
+    rows = tuple(map(tuple, reduced.tolist()))
+    _share("krein", rows, reduced if dtype is np.int64 else None)
+    return tuple(zip(*cleared)), g0, rows
+
+
+# [params, (its vanishing tuples, its `_krein_block`)] for the last params
+# object that `_krein_rows` was asked for; holding it keeps its id unused.
+_krein_last = [None, None]
+
+
+def _krein_rows(params: SchemeParameters) -> tuple:
+    """(tuples, cols, g0, rows): `vanishing_tuples(params)` and the
+    `_krein_block` of Q and those tuples, found once per params object."""
+    if _krein_last[0] is not params:
+        tuples = vanishing_tuples(params)
+        _krein_last[:] = params, (tuples, *_krein_block(params.Q, tuples))
+    return _krein_last[1]
 
 
 def widened_system(cfg: TripleConfig) -> TripleSystem:
@@ -237,7 +287,8 @@ def widened_system(cfg: TripleConfig) -> TripleSystem:
     equation times the lcm of its own denominators. The pattern-free rows
     come from `_sum_rows` and `_krein_rows`, each cached for the last key
     only; each pattern forms its right-hand sides and zero rows, and
-    divides a Krein row again only where g = gcd(g0, b) != g0.
+    divides a Krein row again only where g = gcd(g0, b) != g0, as the held
+    row times g0 / g.
     """
     if cfg.is_vacuous:
         a, b, c = cfg.abc
@@ -245,7 +296,7 @@ def widened_system(cfg: TripleConfig) -> TripleSystem:
     params = cfg.params
     A, B, C = cfg.abc
     p = params.p
-    names, members, sums, units = _sum_rows(params.d)
+    names, members, sums, units, _ = _sum_rows(params.d)
     rng = range(1, params.d + 1)
     rhs = ([int(p[B][m][n]) - ((m, n) == (A, C)) for m in rng for n in rng]
            + [int(p[C][l][n]) - ((l, n) == (A, B)) for l in rng for n in rng]
@@ -254,46 +305,83 @@ def widened_system(cfg: TripleConfig) -> TripleSystem:
         if value < 0:
             raise Inconsistent(f"negative right-hand side {value}")
     zero = sorted({v for mem, b in zip(members, rhs) if b == 0 for v in mem})
-    tuples = vanishing_tuples(params)
+    tuples, cols, g0s, krein = _krein_rows(params)
     kinds = (("sum",) * len(sums) + ("zero",) * len(zero)
              + ("krein",) * len(tuples))
     rows = [*sums, *(units[v] for v in zero)]
     rhs += [0] * len(zero)
-    cols, krein = _krein_rows(params.Q, tuples)
-    for (r, s, t), (row, g0, reduced) in zip(tuples, krein):
+    for (r, s, t), g0, row in zip(tuples, g0s, krein):
         qr, qs, qt = cols[r], cols[s], cols[t]
         b = -(qr[0] * qs[A] * qt[C] + qr[A] * qs[0] * qt[B]
               + qr[C] * qs[B] * qt[0])
         g = math.gcd(g0, b)
-        rows.append(reduced if g == g0 else tuple(x // g for x in row))
+        rows.append(row if g == g0 else tuple(x * (g0 // g) for x in row))
         rhs.append(b // g)
     return TripleSystem(cfg, names, tuple(rows), tuple(rhs), kinds)
+
+
+def _margins_agree(rhs: tuple, d: int) -> bool:
+    """Whether the sum rows' right-hand sides give every one-slot margin
+    alike.
+
+    rhs[:3 d^2] are the three families' right-hand sides, d x d grids over
+    (m, n), (l, n) and (l, m) in `_sum_rows` order: families 0 and 1 both
+    give the total at each n, 0 and 2 at each m, 1 and 2 at each l.
+    """
+    d2 = d * d
+    f0, f1, f2 = (rhs[k * d2:(k + 1) * d2] for k in range(3))
+
+    def by_col(f):
+        return [sum(f[i::d]) for i in range(d)]
+
+    def by_row(f):
+        return [sum(f[i * d:(i + 1) * d]) for i in range(d)]
+
+    return (by_col(f0) == by_col(f1) and by_row(f0) == by_col(f2)
+            and by_row(f1) == by_row(f2))
 
 
 def solve(sys_: TripleSystem) -> TripleSolution:
     """Exact solution space; `forced` holds what linear algebra alone pins.
 
-    A row with one nonzero coefficient and right-hand side 0 kills its
-    unknown. Every row is read at the live unknowns only: rows that become
-    0 = 0 (the killing rows among them) or are a scalar multiple of an
-    earlier row are dropped, and 0 = b with b != 0 raises Inconsistent.
-    The rest, each divided by its gcd, go to `linalg.solve_integer` as
-    int rows. In elimination on all d^3 columns a killed unknown is a
-    pivot whose unit row touches no other column, so the space on the
-    live columns, in their order and expanded back with 0 at the killed
-    unknowns, equals that elimination field for field.
+    When the system opens with the 3 d^2 sum rows of `_sum_rows`, the
+    3 d - 1 of them that are fixed sums of the others are checked by their
+    right-hand sides alone (every one-slot margin must come out alike from
+    both families that give it, else Inconsistent) and then skipped. Each
+    other row is read once: a row with one nonzero coefficient and
+    right-hand side 0 kills its unknown, whatever its kind, and is not read
+    again. The rest are read at the live unknowns only: rows that become
+    0 = 0 or are a scalar multiple of an earlier row are dropped, and
+    0 = b with b != 0 raises Inconsistent. The others, each divided by its
+    gcd, go to `linalg.solve_integer` as int rows. In elimination on all
+    d^3 columns a killed unknown is a pivot whose unit row touches no
+    other column, so the space on the live columns, in their order and
+    expanded back with 0 at the killed unknowns, equals that elimination
+    field for field.
     """
     names = sys_.names
     nvar = len(names)
-    killed = {row.index(sum(row)) for row, b in zip(sys_.rows, sys_.rhs)
-              if not b and row.count(0) == nvar - 1}
+    rows, rhs = sys_.rows, sys_.rhs
+    d = sys_.config.params.d
+    sums, kept = _sum_rows(d)[2::2]
+    if rows[:len(sums)] == sums:
+        if not _margins_agree(rhs, d):
+            raise Inconsistent("system has no solution")
+        rows = [rows[i] for i in kept] + list(rows[len(sums):])
+        rhs = [rhs[i] for i in kept] + list(rhs[len(sums):])
+    killed, rest = set(), []
+    for row, b in zip(rows, rhs):
+        if b or row.count(0) != nvar - 1:
+            rest.append((row, b))
+        else:
+            killed.add(row.index(sum(row)))
     live = [v for v in range(nvar) if v not in killed]
     # itemgetter returns a bare item, not a tuple, for a single index
     pick = (operator.itemgetter(*live) if len(live) > 1
             else lambda row: tuple(row[v] for v in live))
     zeros = (0,) * len(live)
     unique = {}
-    for row, b in zip(sys_.rows, sys_.rhs):
+    for row, b in rest:
         red = pick(row)
         if red == zeros:
             if b:
@@ -305,7 +393,11 @@ def solve(sys_: TripleSystem) -> TripleSolution:
         if red < zeros:
             g = -g
         aug = red + (b,)
-        unique[aug if g == 1 else tuple(x // g for x in aug)] = None
+        if g == -1:
+            aug = tuple(map(operator.neg, aug))
+        elif g != 1:
+            aug = tuple([x // g for x in aug])
+        unique[aug] = None
     reduced = solve_integer(list(unique), len(live))
 
     zero = Fraction(0)
@@ -320,9 +412,11 @@ def solve(sys_: TripleSystem) -> TripleSolution:
         expand(reduced.particular),
         tuple(expand(vec) for vec in reduced.basis),
         tuple(live[j] for j in reduced.free_indices))
-    moving = {live[j] for vec in reduced.basis for j, x in enumerate(vec) if x}
-    forced = {nm: x for v, (nm, x) in enumerate(zip(names, space.particular))
-              if v not in moving}
+    forced = dict(zip(names, space.particular))
+    for vec in reduced.basis:
+        for v, x in zip(live, vec):
+            if x:
+                forced.pop(names[v], None)
     residual = tuple(names[f] for f in space.free_indices)
     return TripleSolution(space, forced, residual)
 

@@ -187,6 +187,53 @@ def test_krein_rows_equal_the_direct_products(t):
             *direct_krein_rows(krein, tuples))
 
 
+def assert_krein_rows_match_the_direct_products(params):
+    """`_krein_rows` against each row's Fraction products: the held row is
+    the rational row times the lcm of its denominators, and that row times
+    g0 is the row times den^3."""
+    tuples, _, g0s, rows = triples._krein_rows(params)
+    assert tuples == vanishing_tuples(params)
+    den = math.lcm(*(x.denominator for row in params.Q for x in row))
+    sys_ = widened_system(TripleConfig(params, (2, 1, 1)))
+    direct = direct_krein_rows(sys_, tuples)[0]
+    assert rows == reference_integer_rows(direct, (0,) * len(direct))[0]
+    assert all(type(x) is int for row in rows for x in row)
+    for g0, row, exact in zip(g0s, rows, direct):
+        assert [x * g0 for x in row] == [x * den ** 3 for x in exact]
+        assert g0 == math.gcd(den ** 3, *(int(x * den ** 3) for x in exact))
+    return rows
+
+
+@pytest.mark.parametrize("t", list(range(3, 52, 2)) + [101, 103, 151])
+def test_krein_rows_equal_a_pure_python_reference(t):
+    """Every odd t <= 51 and both sides of the int64 / Python int switch:
+    at t = 101 every product of three entries of den * Q fits int64 and
+    the int64 block is held for the checker; at t = 103 it may not, and
+    none is held."""
+    rows = assert_krein_rows_match_the_direct_products(
+        closed_form_parameters(t))
+    block = triples._shared["krein"][1]
+    if t <= 101:
+        assert block.dtype == np.int64
+        assert block.tolist() == [list(row) for row in rows]
+    else:
+        assert block is None
+    if t == 151:
+        assert max(abs(x) for row in rows for x in row).bit_length() == 66
+
+
+def test_krein_rows_of_a_doctored_q_equal_a_pure_python_reference():
+    """With Q's first row divided by 11, den gains a factor 11 that only
+    that row needs: every inner entry of den * Q carries it, and g0 takes
+    it up, so the held rows are those of the undoctored Q."""
+    params = closed_form_parameters(7)
+    q = params.Q
+    doctored = replace(params, Q=(tuple(Fraction(x, 11) for x in q[0]),)
+                       + q[1:])
+    rows = assert_krein_rows_match_the_direct_products(doctored)
+    assert rows == triples._krein_rows(params)[3]
+
+
 def test_krein_scaling_clears_the_right_hand_side_denominator():
     """With Q's first row divided by 11 only the right-hand sides gain a
     denominator; the scale must clear it as well."""
@@ -356,15 +403,48 @@ def reduced_rows(monkeypatch, sys_):
     return len(calls[-1][0])
 
 
+def krein_first(sys_):
+    """`sys_` with its Krein rows moved in front of the sum rows, so that
+    `solve` reads every row and skips none of the dependent sum rows."""
+    order = sorted(range(len(sys_.rows)),
+                   key=lambda i: sys_.kinds[i] != "krein")
+    return replace(sys_, rows=tuple(sys_.rows[i] for i in order),
+                   rhs=tuple(sys_.rhs[i] for i in order),
+                   kinds=tuple(sys_.kinds[i] for i in order))
+
+
 @pytest.mark.parametrize("t,abc,rows", [
     (3, (2, 1, 1), 38), (3, (1, 2, 3), 43), (5, (2, 1, 1), 44),
     (5, (2, 2, 2), 38)])
 def test_solve_keeps_one_row_per_scalar_multiple(monkeypatch, t, abc, rows):
-    """Read at the live unknowns, the first three have 45, 50 and 51
-    distinct nonzero rows, of which 7 each are scalar multiples of an
-    earlier one; (2,2,2) has none."""
+    """With every row read (the Krein rows first), at the live unknowns the
+    first three have 45, 50 and 51 distinct nonzero rows, of which 7 each
+    are scalar multiples of an earlier one; (2,2,2) has none."""
+    sys_ = widened_system(TripleConfig(closed_form_parameters(t), abc))
+    assert reduced_rows(monkeypatch, krein_first(sys_)) == rows
+
+
+@pytest.mark.parametrize("t,abc,rows", [
+    (3, (2, 1, 1), 36), (3, (1, 2, 3), 37), (5, (2, 1, 1), 39),
+    (5, (2, 2, 2), 36)])
+def test_solve_skips_the_dependent_sum_rows(monkeypatch, t, abc, rows):
+    """A system that opens with the sum rows hands over the rows above
+    less those of the 11 dependent sum rows that are nonzero and distinct
+    at the live unknowns, and has the same solution."""
     sys_ = widened_system(TripleConfig(closed_form_parameters(t), abc))
     assert reduced_rows(monkeypatch, sys_) == rows
+    assert fields(solve(sys_)) == fields(solve(krein_first(sys_)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_kept_sum_rows_are_a_basis_of_all_of_them(d):
+    """The 3 d^2 - 3 d + 1 kept sum rows are independent and have the rank
+    of all 3 d^2, so the others are fixed sums of them."""
+    sums, kept = triples._sum_rows(d)[2::2]
+    rank = len(oracle.rref_rows([list(map(Fraction, row)) for row in sums]))
+    assert len(oracle.rref_rows([list(map(Fraction, sums[i]))
+                                 for i in kept])) == len(kept) == rank
+    assert rank == 3 * d * d - 3 * d + 1
 
 
 def test_rows_of_either_sign_reduce_to_one(monkeypatch):
@@ -449,6 +529,36 @@ def test_elimination_equals_fraction_rref_on_every_family_system(
         assert pivots == oracle.rref_rows(exact)
         assert [[Fraction(x, row[c]) for x in row]
                 for c, row in zip(pivots, prows)] == exact[:len(pivots)]
+
+
+@pytest.mark.parametrize("row", [28, 29, 30, 31, 35, 39, 43, 44, 45, 46, 47])
+def test_a_dependent_sum_row_off_by_one_is_inconsistent(monkeypatch, row):
+    """1 added to the right-hand side of one of the 11 sum rows that
+    `solve` skips: their margins no longer agree, and `solve` raises
+    Inconsistent before any elimination, as Fraction elimination on all
+    64 columns does."""
+    sys_ = widened_system(TripleConfig(closed_form_parameters(5), (2, 1, 1)))
+    assert row not in triples._sum_rows(4)[4]
+    rhs = list(sys_.rhs)
+    rhs[row] += 1
+    shifted = replace(sys_, rhs=tuple(rhs))
+    with pytest.raises(Inconsistent, match="system has no solution"):
+        reference_solve(shifted)
+    calls = spy_on_elimination(monkeypatch)
+    with pytest.raises(Inconsistent, match="system has no solution"):
+        solve(shifted)
+    assert calls == []
+
+
+def test_a_unit_row_of_any_kind_kills_its_unknown(monkeypatch):
+    """-3 [3] = 0 tagged "krein" kills [3] as a zero row does, so only
+    [3] + [5] = 2, read as [5] = 2, reaches the elimination."""
+    sys_ = hand_system([({3: 1, 5: 1}, 2), ({3: -3}, 0)])
+    sys_ = replace(sys_, kinds=("sum", "krein") + sys_.kinds[2:])
+    sol = assert_matches_reference(sys_)
+    assert sol.forced[sys_.names[3]] == 0
+    assert sol.forced[sys_.names[5]] == 2
+    assert reduced_rows(monkeypatch, sys_) == 1
 
 
 @pytest.mark.parametrize("t,abc", [(3, (2, 1, 1)), (51, (1, 1, 2))])
@@ -711,8 +821,8 @@ def test_checker_names_a_shared_krein_row_past_int64():
     still raises CheckerOverflow naming the row-by-row test's row."""
     params = closed_form_parameters(151)
     sys_ = widened_system(TripleConfig(params, (1, 1, 2)))
-    _, krein = triples._krein_rows(params.Q, vanishing_tuples(params))
-    wide = {id(row) for _, _, row in krein if max(map(abs, row)) >= 2 ** 63}
+    krein = triples._krein_rows(params)[3]
+    wide = {id(row) for row in krein if max(map(abs, row)) >= 2 ** 63}
     assert sum(id(row) in wide for row in sys_.rows) == 4
     message = "krein row 96 can overflow int64 on counts up to 523328704"
     for checker_of in (integer_residual_checker,
