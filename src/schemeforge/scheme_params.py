@@ -1,17 +1,25 @@
 """Association scheme parameters from a Krein array.
 
 The generic pipeline runs Krein array -> eigenvalues of the tridiagonal
-dual intersection matrix L1* (integer Sturm bisection, no characteristic
-polynomial) -> second eigenmatrix Q (rows generated by the three-term dual
-recurrence) -> first eigenmatrix P from the orthogonality relations, in
-integers -> intersection and Krein number tensors (integer numerators
-sum_r w_r M_ri M_rj M_rk over the denominator-cleared matrix, symmetric in
-(i, j, k) and so formed once per unordered triple, then one division per
-entry). For the hemisystem family (one cometric Q-antipodal 4-class
-scheme for each odd t >= 3) the same data is also available in closed
-form; the two routes are independent and cross-check each other.
-`validate` runs its checks on whole-number entries as ints and checks
-P Q = order * I as one integer matrix product.
+dual intersection matrix L1* -> second eigenmatrix Q -> first eigenmatrix
+P from the orthogonality relations -> intersection and Krein number
+tensors, and does each exact step once, in Python ints:
+- the three-term array of L1* is scaled to integers once, straight from
+  the numerators and denominators of the Krein array, and both the
+  eigenvalues and the rows of Q are read off it;
+- the eigenvalues come from integer Sturm bisection (no characteristic
+  polynomial);
+- Q's rows are the three-term recurrence in integers, tested for
+  positivity as ints, with one division per entry;
+- each tensor is one integer sum per unordered triple (i, j, k), C(d + 3, 3)
+  of them, then one division per (k, i <= j): the integrality and sign
+  checks run on that integer quotient, and [k][i][j] and [k][j][i] are
+  the same Fraction.
+For the hemisystem family (one cometric Q-antipodal 4-class scheme for
+each odd t >= 3) the same data is also available in closed form; the two
+routes are independent and cross-check each other. `validate` runs its
+checks on whole-number entries as ints and checks P Q = order * I as one
+integer matrix product.
 
 Conventions: P rows are indexed by eigenspaces and columns by relations,
 Q rows by relations and columns by eigenspaces, so that P Q = order * I.
@@ -32,6 +40,9 @@ from .errors import SchemeforgeError
 
 Rat = Fraction
 
+# Shared by every tensor both routes build; Fractions are immutable.
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
 
 class BadParameter(SchemeforgeError, ValueError):
     """Parameter outside the family's domain (t must be odd and >= 3)."""
@@ -42,7 +53,7 @@ class IrrationalEigenvalue(SchemeforgeError, ValueError):
 
 
 class DegenerateSpectrum(SchemeforgeError, ValueError):
-    """The dual recurrence does not close, or no unique multiplicity row."""
+    """Q has no unique all-positive (multiplicity) row."""
 
 
 class NonIntegral(SchemeforgeError, ValueError):
@@ -138,53 +149,61 @@ def match_family_t(k: KreinArray) -> int | None:
     return t
 
 
-def _three_term(k: KreinArray) -> tuple:
-    """(a*, b*, c*) of L1* = (q^j_{1i})_{j,i}, with b*_d = c*_0 = 0.
+def _scaled_three_term(k: KreinArray) -> tuple:
+    """(D, D a*, D b*, D c*) of L1* = (q^j_{1i})_{j,i}, as int lists.
 
     Row j of the tridiagonal L1* carries c*_j below the diagonal,
-    a*_j = b*_0 - b*_j - c*_j on it and b*_j above it, so every row sums
-    to b*_0.
+    a*_j = b*_0 - b*_j - c*_j on it and b*_j above it (b*_d = c*_0 = 0), so
+    every row sums to b*_0. D is the lcm of the denominators of b* and c*,
+    which a* shares; each entry is scaled from its numerator and
+    denominator, and a* is then formed in ints.
     """
-    b = k.bstar + (Fraction(0),)
-    c = (Fraction(0),) + k.cstar
-    return tuple(k.bstar[0] - b[j] - c[j] for j in range(k.d + 1)), b, c
+    den = math.lcm(*(x.denominator for x in k.bstar + k.cstar))
+    up = [x.numerator * (den // x.denominator) for x in k.bstar] + [0]
+    low = [0] + [x.numerator * (den // x.denominator) for x in k.cstar]
+    return den, [up[0] - b - c for b, c in zip(up, low)], up, low
 
 
-def _scaled_three_term(k: KreinArray) -> tuple:
-    """(D, D a*, D b*, D c*), D the lcm of the denominators of a*, b*, c*."""
-    a, b, c = _three_term(k)
-    den = math.lcm(*(x.denominator for x in a + b + c))
-    return (den,) + tuple([int(x * den) for x in xs] for xs in (a, b, c))
+def _minors(scaled: tuple, x: int) -> list:
+    """p_0(x)..p_{d+1}(x), the leading principal minors of x - D L1*.
+
+    p_{j+1}(x) = (x - D a*_j) p_j - D^2 b*_{j-1} c*_j p_{j-1}, p_0 = 1.
+    """
+    _, diag, up, low = scaled
+    num = [1, x - diag[0]]
+    for j in range(1, len(diag)):
+        num.append((x - diag[j]) * num[j] - up[j - 1] * low[j] * num[j - 1])
+    return num
 
 
-def dual_eigenvalues(k: KreinArray) -> tuple:
-    """The rational eigenvalues of L1*, ascending, by integer Sturm bisection.
+def _scaled_roots(scaled: tuple) -> list:
+    """The integers D theta for the rational eigenvalues theta of L1*,
+    ascending, by integer Sturm bisection.
 
-    With D the lcm of the denominators of a*, b*, c*, the matrix D L1* is
-    integral with a monic integer characteristic polynomial, so a rational
-    eigenvalue is x / D for an integer x. Its leading principal minors
-    p_{j+1}(x) = (x - D a*_j) p_j - D^2 b*_{j-1} c*_j p_{j-1} form a Sturm
-    sequence, since every b*_{j-1} c*_j > 0: the d + 1 eigenvalues are real
-    and simple, and the sign changes of p_0(x)..p_{d+1}(x) count those
-    above x. For each i the bisection finds the least integer x with at
-    most d - i eigenvalues above it, the ceiling of the i-th smallest; it
-    is that eigenvalue exactly when p_{d+1}(x) = 0 and exactly d - i lie
+    D L1* is integral with a monic integer characteristic polynomial, so a
+    rational eigenvalue is x / D for an integer x. The minors p_j(x) form a
+    Sturm sequence, since every b*_{j-1} c*_j > 0: the d + 1 eigenvalues
+    are real and simple, and the sign changes of p_0(x)..p_{d+1}(x) count
+    those above x. For each i the bisection finds the least integer x with
+    at most d - i eigenvalues above it, the ceiling of the i-th smallest;
+    it is that eigenvalue exactly when p_{d+1}(x) = 0 and exactly d - i lie
     above x (otherwise a rational eigenvalue i + 1 within 1 of an
     irrational eigenvalue i would be found twice).
     """
-    d = k.d
-    den, diag, up, low = _scaled_three_term(k)
-    coupling = [0] + [up[j - 1] * low[j] for j in range(1, d + 1)]
+    _, diag, up, low = scaled
+    d = len(diag) - 1
+    # (D a*_j, D^2 b*_{j-1} c*_j) for j = 0..d
+    steps = list(zip(diag, [0] + list(map(operator.mul, up, low[1:]))))
     radius = max(abs(diag[j]) + up[j] + low[j] for j in range(d + 1))
 
     def above(x):
         # (sign changes of p_0(x)..p_{d+1}(x), zeros dropped; p_{d+1}(x))
         changes, positive, prev, cur = 0, True, 0, 1
-        for j in range(d + 1):
-            prev, cur = cur, (x - diag[j]) * cur - coupling[j] * prev
-            if cur:
-                changes += (cur > 0) != positive
-                positive = cur > 0
+        for a, c in steps:
+            prev, cur = cur, (x - a) * cur - c * prev
+            if cur and (cur > 0) != positive:
+                changes += 1
+                positive = not positive
         return changes, cur
 
     roots = []
@@ -198,29 +217,19 @@ def dual_eigenvalues(k: KreinArray) -> tuple:
             else:
                 lo = mid
         if above(hi) == (d - i, 0):
-            roots.append(Fraction(hi, den))
-    return tuple(roots)
+            roots.append(hi)
+    return roots
 
 
-def _dual_row(scaled: tuple, theta: Rat) -> tuple:
-    """One row of Q from the three-term recurrence at dual eigenvalue theta.
+def dual_eigenvalues(k: KreinArray) -> tuple:
+    """The rational eigenvalues of L1*, ascending (see `_scaled_roots`)."""
+    scaled = _scaled_three_term(k)
+    return tuple(Fraction(x, scaled[0]) for x in _scaled_roots(scaled))
 
-    `scaled` is `_scaled_three_term(k)` and x = D theta an integer. Scaled,
-    the recurrence is that of the minors p_j(x) of `dual_eigenvalues`:
-    Q_j = p_j(x) / (D c*_1 ... D c*_j), one division per entry.
-    """
-    den, diag, up, low = scaled
-    d = len(diag) - 1
-    x = theta.numerator * (den // theta.denominator)
-    num = [1, x]
-    for j in range(1, d + 1):
-        num.append((x - diag[j]) * num[j] - up[j - 1] * low[j] * num[j - 1])
-    # terminal consistency: theta must be an actual eigenvalue
-    if num[d + 1] != 0:
-        raise DegenerateSpectrum(
-            f"recurrence does not close at eigenvalue {theta}")
-    scale = itertools.accumulate(low[1:], operator.mul, initial=1)
-    return tuple(map(Fraction, num[:d + 1], scale))
+
+def _column_scales(low: list) -> list:
+    """1, D c*_1, D c*_1 D c*_2, ...: the denominators of Q's columns."""
+    return list(itertools.accumulate(low[1:], operator.mul, initial=1))
 
 
 def dual_eigenmatrix(k: KreinArray) -> tuple:
@@ -230,27 +239,31 @@ def dual_eigenmatrix(k: KreinArray) -> tuple:
     the remaining rows are sorted by dual eigenvalue, descending. Callers
     that know the family reorder them against the closed form. No
     eigenvalue repeats: b*, c* > 0 make the spectrum of L1* simple (see
-    dual_eigenvalues).
+    `_scaled_roots`). The row at a root x is the three-term recurrence
+    scaled, Q_j = p_j(x) / (D c*_1 ... D c*_j) with p_j the minors of
+    `_minors`, which close there by construction; a row is positive when
+    its ints are, and becomes Fractions only then. The order is one
+    Fraction over the last column's denominator.
     """
     d = k.d
-    roots = dual_eigenvalues(k)
+    scaled = _scaled_three_term(k)
+    roots = _scaled_roots(scaled)
     if len(roots) < d + 1:
         raise IrrationalEigenvalue(
             f"only {len(roots)} of {d + 1} dual eigenvalues are rational")
-    scaled = _scaled_three_term(k)
-    rows = {theta: _dual_row(scaled, theta) for theta in roots}
-    positive = [theta for theta, row in rows.items()
-                if all(x > 0 for x in row)]
+    nums = [_minors(scaled, x)[:d + 1] for x in roots]
+    positive = [i for i, num in enumerate(nums) if min(num) > 0]
     if len(positive) != 1:
         raise DegenerateSpectrum(
             f"expected exactly one all-positive row, found {len(positive)}")
-    m_theta = positive[0]
-    mults = rows[m_theta]
-    order = sum(mults, Fraction(0))
-    rest = sorted((theta for theta in roots if theta != m_theta),
-                  reverse=True)
-    q = (mults,) + tuple(rows[t_] for t_ in rest)
-    return q, mults, order
+    scales = _column_scales(scaled[3])
+    top = positive[0]
+    order = Fraction(sum(x * (scales[d] // s)
+                         for x, s in zip(nums[top], scales)), scales[d])
+    # the roots ascend, so the other rows are read back to front
+    q = tuple(tuple(map(Fraction, nums[i], scales))
+              for i in [top] + [i for i in range(d, -1, -1) if i != top])
+    return q, q[0], order
 
 
 def first_eigenmatrix(q: tuple, order: Rat) -> tuple:
@@ -283,38 +296,66 @@ def _cleared_rows(mat: tuple) -> tuple:
 
 
 def _spectral_tensor(mat: tuple, weights: Sequence, norms: Sequence,
-                     order: Rat) -> tuple:
+                     order: Rat, entry) -> tuple:
     """Tensor [k][i][j] = sum_r w_r M_ri M_rj M_rk / (order * norms_k).
 
     With dm the lcm of the denominators of M and dw that of the weights,
     the numerator N_ijk = sum_r (dw w_r)(dm M_ri)(dm M_rj)(dm M_rk) is an
     integer sum, symmetric in (i, j, k), so it is formed once per unordered
-    triple (C(d + 3, 3) of the (d + 1)^3 entries). Each nonzero entry is
-    then one division, N_ijk / (order * dw * dm^3 * norms_k), and a
-    Fraction; the zero entries share one Fraction(0).
+    triple (C(d + 3, 3) of the (d + 1)^3 entries). The entry [k][i][j] is
+    N_ijk top_k / bottom_k, with top_k / bottom_k the reduced
+    1 / (order dw dm^3 norms_k) and bottom_k > 0. `entry(x, bottom_k, k,
+    i, j)` turns the integer x = N_ijk top_k into the entry, or raises; it
+    runs once per (k, i <= j), in [k][i][j] order, and [k][j][i] is the
+    same object. A tensor symmetric in i and j breaks a check first at
+    some i <= j, so raising there names the first breach in index order.
     """
-    rng = range(len(mat))
+    n = len(mat)
+    rng = range(n)
     dm, rows = _cleared_rows(mat)
     dw = math.lcm(*(x.denominator for x in weights))
     cols = list(zip(*rows))
     w = _cleared(weights, dw)
-    num = [[[0] * len(mat) for _ in rng] for _ in rng]
-    for ijk in itertools.combinations_with_replacement(rng, 3):
-        i, j, kk = ijk
-        total = sum(x * y * z * u for x, y, z, u in
-                    zip(w, cols[i], cols[j], cols[kk]))
-        for a, b, c in set(itertools.permutations(ijk)):
-            num[a][b][c] = total
-    scale = order * dw * dm ** 3
-    zero = Fraction(0)
+    wcols = [list(map(operator.mul, w, col)) for col in cols]
+    num = [[[None] * n for _ in rng] for _ in rng]   # [k][i][j], i <= j
+    for a in rng:
+        for b in range(a, n):
+            pair = list(map(operator.mul, cols[a], cols[b]))
+            for c in range(b, n):
+                total = sum(map(operator.mul, wcols[c], pair))
+                num[a][b][c] = num[b][a][c] = num[c][a][b] = total
+    scale = order.numerator * dw * dm ** 3
     out = []
     for kk in rng:
-        den = scale * norms[kk]
-        top, bottom = den.denominator, den.numerator
-        out.append(tuple(tuple(Fraction(num[i][j][kk] * top, bottom)
-                               if num[i][j][kk] else zero
-                               for j in rng) for i in rng))
+        top = order.denominator * norms[kk].denominator
+        bottom = scale * norms[kk].numerator
+        g = math.gcd(top, bottom) if bottom > 0 else -math.gcd(top, bottom)
+        top, bottom = top // g, bottom // g
+        plane = [[None] * n for _ in rng]
+        for i in rng:
+            row = num[kk][i]
+            for j in range(i, n):
+                plane[i][j] = plane[j][i] = entry(row[j] * top, bottom,
+                                                  kk, i, j)
+        out.append(tuple(map(tuple, plane)))
     return tuple(out)
+
+
+def _intersection_entry(x: int, bottom: int, kk, i, j) -> Rat:
+    if not x:
+        return _ZERO
+    whole, rest = divmod(x, bottom)
+    if rest or whole < 0:
+        raise NonIntegral(f"p^{kk}_{i}{j} = {Fraction(x, bottom)} is not "
+                          "a nonnegative integer")
+    return Fraction(whole)
+
+
+def _krein_entry(x: int, bottom: int, kk, i, j) -> Rat:
+    if x < 0:
+        raise NegativeKrein(f"q^{kk}_{i}{j} = {Fraction(x, bottom)} is "
+                            "negative")
+    return Fraction(x, bottom) if x else _ZERO
 
 
 def intersection_numbers(p_mat: tuple, valencies: Sequence,
@@ -322,15 +363,11 @@ def intersection_numbers(p_mat: tuple, valencies: Sequence,
     """Tensor p[k][i][j] via the spectral triple-product identity.
 
     p^k_ij * n_k * order = sum_r m_r P_ri P_rj P_rk. Every entry must be a
-    nonnegative integer; NonIntegral carries the first offending index.
+    nonnegative integer, checked as an integer quotient; NonIntegral
+    carries the first offending index.
     """
-    p = _spectral_tensor(p_mat, multiplicities, valencies, order)
-    for kk, i, j in itertools.product(range(len(p)), repeat=3):
-        val = p[kk][i][j]
-        if val.denominator != 1 or val.numerator < 0:
-            raise NonIntegral(
-                f"p^{kk}_{i}{j} = {val} is not a nonnegative integer")
-    return p
+    return _spectral_tensor(p_mat, multiplicities, valencies, order,
+                            _intersection_entry)
 
 
 def krein_numbers(q_mat: tuple, valencies: Sequence,
@@ -338,13 +375,11 @@ def krein_numbers(q_mat: tuple, valencies: Sequence,
     """Tensor q[k][i][j], the dual of intersection_numbers.
 
     q^k_ij * m_k * order = sum_r n_r Q_ri Q_rj Q_rk. Entries must be
-    nonnegative rationals (integrality is not required).
+    nonnegative rationals (integrality is not required), checked on the
+    sign of the integer numerator.
     """
-    q = _spectral_tensor(q_mat, valencies, multiplicities, order)
-    for kk, i, j in itertools.product(range(len(q)), repeat=3):
-        if q[kk][i][j].numerator < 0:
-            raise NegativeKrein(f"q^{kk}_{i}{j} = {q[kk][i][j]} is negative")
-    return q
+    return _spectral_tensor(q_mat, valencies, multiplicities, order,
+                            _krein_entry)
 
 
 def _closed_form_q(t: int) -> tuple:
@@ -363,79 +398,81 @@ def _closed_form_q(t: int) -> tuple:
 
 
 def closed_form_parameters(t: int) -> SchemeParameters:
-    """The family's parameter set, straight from the closed-form tables."""
+    """The family's parameter set, straight from the closed-form tables.
+
+    At odd t every valency and every p^k_ij is whole, so each half below
+    is an exact integer division and its Fraction needs no gcd. The
+    tensors are built plane by plane from their 4 x 4 inner blocks, with
+    0 and 1 shared.
+    """
     q_mat = _closed_form_q(t)
-    F = Fraction
+    F, Z, I = Fraction, _ZERO, _ONE
     s = t * t - t + 1
     b = t * (t + 1) // 2
-    zero, one = F(0), F(1)
-    n = (one, F((t + 1) * (t * t + 1), 2), F((t - 1) * (t * t + 1), 2),
-         F(t * t * (t * t - 1), 2), F(t * t * (t * t + 1), 2))
+    h = lambda x: F(x // 2)   # x is even
+    n = (I, h((t + 1) * (t * t + 1)), h((t - 1) * (t * t + 1)),
+         h(t * t * (t * t - 1)), h(t * t * (t * t + 1)))
     m = tuple(map(F, q_mat[0]))   # Fractions, as on the generic route
     order = F((t ** 3 + 1) * (t + 1))
     p_mat = (
         (1, n[1], n[2], n[3], n[4]),
-        (1, F(b), F(-(s + 1), 2), F(-b), F(s - 1, 2)),
+        (1, F(b), h(-(s + 1)), F(-b), h(s - 1)),
         (1, 0, F(t - 1), 0, F(-t)),
-        (1, F(-b), F(-(s + 1), 2), F(b), F(s - 1, 2)),
+        (1, F(-b), h(-(s + 1)), F(b), h(s - 1)),
         (1, -n[1], n[2], -n[3], n[4]),
     )
 
-    def tensor(inner, boundary_weights):
-        # inner: 4x4 table for indices 1..4; boundary from the scheme axioms.
-        # Fractions pass through and 0 and 1 are shared: few new Fractions
-        def entry(kk, i, j):
-            if kk == 0:
-                return boundary_weights[i] if i == j else zero
-            if i == 0 or j == 0:
-                return one if kk == i + j else zero
-            v = inner[kk - 1][i - 1][j - 1]
-            if type(v) is F:
-                return v
-            return (zero, one)[v] if v in (0, 1) else F(v)
+    def tensor(inner, weights):
+        # plane 0 is diag(weights) and plane k has 1 at [k][0][k] and
+        # [k][k][0]: the scheme axioms fix the boundary
+        rng = range(5)
+        planes = [tuple(tuple(weights[i] if i == j else Z for j in rng)
+                        for i in rng)]
+        for kk, block in enumerate(inner, 1):
+            edge = tuple(I if j == kk else Z for j in rng)
+            planes.append((edge,) + tuple((edge[i],) + row
+                                          for i, row in enumerate(block, 1)))
+        return tuple(planes)
 
-        return tuple(tuple(tuple(entry(kk, i, j) for j in range(5))
-                           for i in range(5)) for kk in range(5))
-
-    half = lambda x: F(x, 2)
+    tb, bt = F(t * b), F(b * (t - 1))
     p_inner = (
-        ((0, half(t - 1), 0, t * b),
-         (half(t - 1), 0, half(t * (s - 1)), 0),
-         (0, half(t * (s - 1)), 0, half(t * t * (s - 1))),
-         (t * b, 0, half(t * t * (s - 1)), 0)),
-        ((half(t + 1), 0, t * b, 0),
-         (0, half(t - 3), 0, half(t * (s - 1))),
-         (t * b, 0, half(t * t * (s - 3)), 0),
-         (0, half(t * (s - 1)), 0, half(t * t * (s + 1)))),
-        ((0, half(t * t + 1), 0, half(t * (t * t + 1))),
-         (half(t * t + 1), 0, half((t - 2) * (t * t + 1)), 0),
-         (0, half((t - 2) * (t * t + 1)), 0, half((s - 1) * (t * t + 1))),
-         (half(t * (t * t + 1)), 0, half((s - 1) * (t * t + 1)), 0)),
-        ((half((t + 1) ** 2), 0, b * (t - 1), 0),
-         (0, half((t - 1) ** 2), 0, half((t - 1) * (s + 1))),
-         (b * (t - 1), 0, b * (t - 1) ** 2, 0),
-         (0, half((t - 1) * (s + 1)), 0, half((s - 1) * (t * t + 3)))),
+        ((Z, h(t - 1), Z, tb),
+         (h(t - 1), Z, h(t * (s - 1)), Z),
+         (Z, h(t * (s - 1)), Z, h(t * t * (s - 1))),
+         (tb, Z, h(t * t * (s - 1)), Z)),
+        ((h(t + 1), Z, tb, Z),
+         (Z, h(t - 3), Z, h(t * (s - 1))),
+         (tb, Z, h(t * t * (s - 3)), Z),
+         (Z, h(t * (s - 1)), Z, h(t * t * (s + 1)))),
+        ((Z, h(t * t + 1), Z, h(t * (t * t + 1))),
+         (h(t * t + 1), Z, h((t - 2) * (t * t + 1)), Z),
+         (Z, h((t - 2) * (t * t + 1)), Z, h((s - 1) * (t * t + 1))),
+         (h(t * (t * t + 1)), Z, h((s - 1) * (t * t + 1)), Z)),
+        ((h((t + 1) ** 2), Z, bt, Z),
+         (Z, h((t - 1) ** 2), Z, h((t - 1) * (s + 1))),
+         (bt, Z, F(b * (t - 1) ** 2), Z),
+         (Z, h((t - 1) * (s + 1)), Z, h((s - 1) * (t * t + 3)))),
     )
     # q^1..q^3 are tabulated times t; q^4 is tabulated unscaled.
     ot = lambda x: F(x, t)
     q_inner = (
-        ((ot((t - 1) * s - 2 * t), ot(s * s), 0, 0),
-         (ot(s * s), ot((t - 1) * (s + 1) * s), ot(s * s), 0),
-         (0, ot(s * s), ot((t - 1) * s - 2 * t), 1),
-         (0, 0, 1, 0)),
-        ((ot((t - 1) * s), ot((t - 1) ** 2 * (s + 1)), ot((t - 1) * s), 0),
+        ((ot((t - 1) * s - 2 * t), ot(s * s), Z, Z),
+         (ot(s * s), ot((t - 1) * (s + 1) * s), ot(s * s), Z),
+         (Z, ot(s * s), ot((t - 1) * s - 2 * t), I),
+         (Z, Z, I, Z)),
+        ((ot((t - 1) * s), ot((t - 1) ** 2 * (s + 1)), ot((t - 1) * s), Z),
          (ot((t - 1) ** 2 * (s + 1)), ot((t - 1) * (s + 3) * s),
-          ot((t - 1) ** 2 * (s + 1)), 1),
-         (ot((t - 1) * s), ot((t - 1) ** 2 * (s + 1)), ot((t - 1) * s), 0),
-         (0, 1, 0, 0)),
-        ((0, ot(s * s), ot((t - 1) * s - 2 * t), 1),
-         (ot(s * s), ot((t - 1) * (s + 1) * s), ot(s * s), 0),
-         (ot((t - 1) * s - 2 * t), ot(s * s), 0, 0),
-         (1, 0, 0, 0)),
-        ((0, 0, t * s - 1, 0),
-         (0, (s + t) * s, 0, 0),
-         (t * s - 1, 0, 0, 0),
-         (0, 0, 0, 0)),
+          ot((t - 1) ** 2 * (s + 1)), I),
+         (ot((t - 1) * s), ot((t - 1) ** 2 * (s + 1)), ot((t - 1) * s), Z),
+         (Z, I, Z, Z)),
+        ((Z, ot(s * s), ot((t - 1) * s - 2 * t), I),
+         (ot(s * s), ot((t - 1) * (s + 1) * s), ot(s * s), Z),
+         (ot((t - 1) * s - 2 * t), ot(s * s), Z, Z),
+         (I, Z, Z, Z)),
+        ((Z, Z, F(t * s - 1), Z),
+         (Z, F((s + t) * s), Z, Z),
+         (F(t * s - 1), Z, Z, Z),
+         (Z, Z, Z, Z)),
     )
     return SchemeParameters(
         d=4, order=order, t=t, valencies=n, multiplicities=m, P=p_mat,
@@ -446,9 +483,10 @@ def derive_parameters(k: KreinArray, t: int | None = None) -> SchemeParameters:
     """Run the generic pipeline on a Krein array.
 
     When t is given (or the array is recognized as the family array) the Q
-    rows are ordered to match the closed form, which fixes the relation
-    labelling; otherwise the deterministic eigenvalue-descending order is
-    kept. Raises the pipeline's typed errors on infeasible arrays.
+    rows are ordered to match the closed form, each row placed where the
+    closed-form row equal to it sits, which fixes the relation labelling;
+    otherwise the deterministic eigenvalue-descending order is kept.
+    Raises the pipeline's typed errors on infeasible arrays.
     """
     if t is None:
         t = match_family_t(k)
@@ -456,14 +494,13 @@ def derive_parameters(k: KreinArray, t: int | None = None) -> SchemeParameters:
     if order <= 0 or order.denominator != 1:
         raise NonIntegral(f"order {order} is not a positive integer")
     if t is not None:
-        by_row = {row: i for i, row in enumerate(_closed_form_q(t))}
+        table = _closed_form_q(t)
         perm = [None] * (k.d + 1)
         for row in q_mat:
-            ti = by_row.get(row)
-            if ti is None:
+            if row not in table:
                 raise BadParameter(
                     "array is not the family array at t = %d" % t)
-            perm[ti] = row
+            perm[table.index(row)] = row
         q_mat = tuple(perm)
         mults = q_mat[0]
     p_mat = first_eigenmatrix(q_mat, order)
@@ -482,6 +519,29 @@ def _whole(x):
     return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
+def _absolute_bound_breaches(q: tuple, m: tuple):
+    """Witnesses of the absolute bound of Delsarte, Goethals and Seidel,
+    pair by pair (i <= j) in index order.
+
+    The m_k of the k with q^k_ij != 0 sum to at most m_i m_j for i < j,
+    and to at most m_i (m_i + 1) / 2 for i = j.
+    """
+    rng = range(len(m))
+    for i in rng:
+        for j in range(i, len(m)):
+            total = 0
+            for plane, mk in zip(q, m):
+                if plane[i][j]:
+                    total += mk
+            if i != j and total > m[i] * m[j]:
+                yield (f"sum of m_k over q^k_{i}{j} != 0 is {total} > "
+                       f"m_{i} m_{j} = {m[i] * m[j]}")
+            elif i == j and 2 * total > m[i] * (m[i] + 1):
+                bound = _whole(Fraction(m[i] * (m[i] + 1), 2))
+                yield (f"sum of m_k over q^k_{i}{i} != 0 is {total} > "
+                       f"m_{i}(m_{i} + 1)/2 = {bound}")
+
+
 def validate(params: SchemeParameters,
              krein: KreinArray | None = None) -> ValidationReport:
     """Structural sanity of a parameter set, reported check by check.
@@ -492,12 +552,14 @@ def validate(params: SchemeParameters,
     int once; the row sums, weighted symmetry, boundary, integrality and
     size checks then run on ints. An int equals the Fraction it came from,
     compares alike with anything and prints the same ("5" either way), so
-    no outcome or witness changes. The Krein sign is read off numerators,
+    no outcome or witness changes; the multiplicities are read the same
+    way. The Krein sign is read off numerators,
     and P Q = order * I is (D_P P)(D_Q Q) = D_P D_Q order * I, D_P and D_Q
     the lcms of the denominators: one product of int matrices.
     """
     d, q = params.d, params.q
     n = tuple(map(_whole, params.valencies))
+    m = tuple(map(_whole, params.multiplicities))
     p = tuple(tuple(tuple(map(_whole, row)) for row in plane)
               for plane in params.p)
     pairs = list(itertools.product(range(d + 1), repeat=2))
@@ -534,6 +596,7 @@ def validate(params: SchemeParameters,
     check_each("krein_nonnegativity", (
         f"q^{kk}_{i}{j}" for kk, i, j in triples
         if q[kk][i][j].numerator < 0))
+    check_each("absolute_bound", _absolute_bound_breaches(q, m))
 
     if krein is None and params.t is not None:
         krein = hemisystem_krein_array(params.t)
@@ -550,7 +613,7 @@ def validate(params: SchemeParameters,
         for kk, j in pairs if abs(kk - j) > 1 and q[kk][1][j] != 0))
 
     sn = sum(n)
-    sm = sum(map(_whole, params.multiplicities))
+    sm = sum(m)
     check("size_sums", sn == params.order == sm,
           f"sum n = {sn}, sum m = {sm}, order = {params.order}")
 

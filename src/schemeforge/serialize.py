@@ -1,14 +1,23 @@
 """JSON and markdown emitters for the pipeline's file formats.
 
 Rationals travel as exact "p/q" strings, shortened to "p" when the
-denominator is 1; nothing in this module rounds.  The artifact loaders
-check keys, types (JSON integers only), shape and range before building
-anything, and raise BadInput on the first violation.
+denominator is 1; nothing in this module rounds.  An int or a Fraction
+is printed by its own str(), and the markdown tables scale q by t on the
+numerator and denominator, with no Fraction arithmetic.  `dump_json`
+writes the bytes of `json.dumps(data, indent=2)` with a small writer that
+dispatches on type and quotes strings with the standard library's C
+encoder; with an indent, `json.dumps` would run its pure-Python encoder.
+It knows only what the documents hold: str-keyed dicts, lists, strings,
+ints, bools and None.
+The artifact loaders check keys, types (JSON integers only), shape and
+range before building anything, and raise BadInput on the first
+violation.
 """
 
 import json
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import SchemeforgeError
 from .geometry import GQ, Hemisystem
@@ -57,10 +66,24 @@ def _ints(value, what, lo=0, hi=math.inf) -> list:
 
 
 def rat_str(x) -> str:
-    """x as "p/q" in lowest terms, or "p"; ints and Fractions read as is."""
-    if not isinstance(x, (int, Fraction)):
+    """x as "p/q" in lowest terms, or "p"; ints and Fractions read as is.
+
+    str() of an int or a Fraction is already that text; anything else
+    (a bool, a string, a float) is read as a Fraction first.
+    """
+    if type(x) is not Fraction and type(x) is not int:
         x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else str(x)
+    return str(x)
+
+
+def _times_str(t: int, x) -> str:
+    """rat_str(t * x) for an int t and an int or Fraction x = a / b.
+
+    With g = gcd(t, b), t x = (a t/g) / (b/g) is in lowest terms.
+    """
+    g = math.gcd(t, x.denominator)
+    num, den = x.numerator * (t // g), x.denominator // g
+    return f"{num}/{den}" if den != 1 else str(num)
 
 
 def parse_rat(text) -> Fraction:
@@ -70,11 +93,11 @@ def parse_rat(text) -> Fraction:
 
 
 def _rat_rows(mat) -> list:
-    return [[rat_str(x) for x in row] for row in mat]
+    return [list(map(rat_str, row)) for row in mat]
 
 
 def _rat_tensor(tensor) -> list:
-    return [[[rat_str(x) for x in row] for row in plane] for plane in tensor]
+    return [_rat_rows(plane) for plane in tensor]
 
 
 # ------------------------------------------------------------ params
@@ -84,8 +107,8 @@ def params_to_dict(sp: SchemeParameters) -> dict:
         "d": sp.d,
         "t": sp.t,
         "order": rat_str(sp.order),
-        "valencies": [rat_str(x) for x in sp.valencies],
-        "multiplicities": [rat_str(x) for x in sp.multiplicities],
+        "valencies": list(map(rat_str, sp.valencies)),
+        "multiplicities": list(map(rat_str, sp.multiplicities)),
         "P": _rat_rows(sp.P),
         "Q": _rat_rows(sp.Q),
         "p": _rat_tensor(sp.p),
@@ -94,11 +117,12 @@ def params_to_dict(sp: SchemeParameters) -> dict:
 
 
 def _md_table(title: str, rows, row_labels, col_labels) -> list:
+    """A titled table; rows hold the cells' text."""
     out = [f"**{title}**", ""]
-    out.append("| | " + " | ".join(str(c) for c in col_labels) + " |")
+    out.append("| | " + " | ".join(map(str, col_labels)) + " |")
     out.append("|" + "---|" * (len(col_labels) + 1))
     for lbl, row in zip(row_labels, rows):
-        out.append(f"| {lbl} | " + " | ".join(rat_str(x) for x in row) + " |")
+        out.append(f"| {lbl} | " + " | ".join(row) + " |")
     out.append("")
     return out
 
@@ -115,26 +139,26 @@ def params_markdown(sp: SchemeParameters) -> str:
     idx = list(range(1, d + 1))
     head = f"# Scheme parameters (d = {d}"
     head += f", t = {sp.t})" if sp.t is not None else ")"
+    full = list(range(d + 1))
     lines = [head, "", f"Order: {rat_str(sp.order)}", ""]
-    lines += _md_table("Valencies n_i", [sp.valencies], ["n"],
-                       list(range(d + 1)))
-    lines += _md_table("Multiplicities m_i", [sp.multiplicities], ["m"],
-                       list(range(d + 1)))
-    lines += _md_table("First eigenmatrix P", sp.P,
-                       list(range(d + 1)), list(range(d + 1)))
-    lines += _md_table("Second eigenmatrix Q", sp.Q,
-                       list(range(d + 1)), list(range(d + 1)))
+    lines += _md_table("Valencies n_i", _rat_rows([sp.valencies]), ["n"],
+                       full)
+    lines += _md_table("Multiplicities m_i", _rat_rows([sp.multiplicities]),
+                       ["m"], full)
+    lines += _md_table("First eigenmatrix P", _rat_rows(sp.P), full, full)
+    lines += _md_table("Second eigenmatrix Q", _rat_rows(sp.Q), full, full)
     for k in idx:
-        rows = [[sp.p[k][i][j] for j in idx] for i in idx]
+        rows = _rat_rows(row[1:] for row in sp.p[k][1:])
         lines += _md_table(f"p^{k}_ij", rows, idx, idx)
     scaled = sp.t is not None and d > 1
     for k in idx:
         if k < d and scaled:
-            rows = [[sp.t * sp.q[k][i][j] for j in idx] for i in idx]
+            rows = [[_times_str(sp.t, x) for x in row[1:]]
+                    for row in sp.q[k][1:]]
             lines += _md_table(f"t q^{k}_ij (scaled by t = {sp.t})",
                                rows, idx, idx)
         else:
-            rows = [[sp.q[k][i][j] for j in idx] for i in idx]
+            rows = _rat_rows(row[1:] for row in sp.q[k][1:])
             lines += _md_table(f"q^{k}_ij (unscaled)", rows, idx, idx)
     if scaled:
         lines.append("Note: the dual tables mix two conventions on purpose; "
@@ -226,8 +250,47 @@ def reconstruction_to_dict(rec: ReconstructedGQ, part) -> dict:
 
 # ------------------------------------------------------------ files
 
+def _text(x, pad: str) -> str:
+    """The indent=2 JSON text of x; pad is the newline and indent of x's
+    own line."""
+    if isinstance(x, str):
+        return _quote(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = pad + "  "
+        kinds = set(map(type, x))   # lists of str or of int in one call
+        if kinds == {str}:
+            items = map(_quote, x)
+        elif kinds == {int}:
+            items = map(int.__repr__, x)
+        else:
+            items = [_text(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = pad + "  "
+        # _quote raises TypeError on a key that is not a str
+        items = [_quote(key) + ": " + _text(v, inner) for key, v in x.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    raise TypeError(f"Object of type {type(x).__name__} "
+                    "is not JSON serializable")
+
+
 def dump_json(data: dict) -> str:
-    return json.dumps(data, indent=2)
+    """The text of json.dumps(data, indent=2) for the values the documents
+    hold: str-keyed dicts, lists and tuples, str, int, bool and None.
+    Anything else, a float or a non-str key too, raises TypeError."""
+    return _text(data, "\n")
 
 
 def load_json(path) -> dict:

@@ -1,15 +1,17 @@
 """Plain Fraction arithmetic, as a reference for the tests.
 
 `schemeforge.linalg` eliminates in integers, and
-`schemeforge.scheme_params` sums the spectral tensors, runs the dual
-three-term recurrence and checks a parameter set in integers; this module
-keeps the rational Gauss-Jordan elimination, the rational triple sum, the
-rational recurrence, the Fraction-by-Fraction `validate`, the closed-form
-builder and `rat_str` they replaced, so that tests compare the two instead
-of the code under test with itself. Matrices are lists or tuples of rows,
-and `invert` is the reference for the first eigenmatrix. Results are
-built from the same `AffineSolutionSpace`, `SchemeParameters` and
-`ValidationReport` types and raise the same errors.
+`schemeforge.scheme_params` scales the three-term array, sums the
+spectral tensors, runs the dual three-term recurrence and checks a
+parameter set in integers; this module keeps the rational Gauss-Jordan
+elimination, the rational three-term array, triple sum and recurrence,
+the whole derivation built from them, the Fraction-by-Fraction
+`validate`, the closed-form builder and `rat_str` they replaced, so that
+tests compare the two instead of the code under test with itself.
+Matrices are lists or tuples of rows, and `invert` is the reference for
+the first eigenmatrix. Results are built from the same
+`AffineSolutionSpace`, `SchemeParameters` and `ValidationReport` types
+and raise the same errors.
 """
 
 import itertools
@@ -18,9 +20,10 @@ from typing import Sequence
 
 from schemeforge.linalg import AffineSolutionSpace, Inconsistent
 from schemeforge.scheme_params import (BadParameter, DegenerateSpectrum,
-                                       KreinArray, SchemeParameters,
-                                       ValidationReport, _three_term,
-                                       hemisystem_krein_array)
+                                       IrrationalEigenvalue, KreinArray,
+                                       NegativeKrein, NonIntegral,
+                                       SchemeParameters, ValidationReport,
+                                       hemisystem_krein_array, match_family_t)
 
 
 def rref_rows(rows: list) -> tuple:
@@ -105,10 +108,22 @@ def spectral_tensor(mat, weights: Sequence, norms: Sequence,
         for j in rng) for i in rng) for kk in rng)
 
 
+def three_term(k) -> tuple:
+    """(a*, b*, c*) of L1* = (q^j_{1i})_{j,i}, with b*_d = c*_0 = 0.
+
+    Row j of the tridiagonal L1* carries c*_j below the diagonal,
+    a*_j = b*_0 - b*_j - c*_j on it and b*_j above it, so every row sums
+    to b*_0.
+    """
+    b = k.bstar + (Fraction(0),)
+    c = (Fraction(0),) + k.cstar
+    return tuple(k.bstar[0] - b[j] - c[j] for j in range(k.d + 1)), b, c
+
+
 def dual_row(k, theta) -> tuple:
     """One row of Q from the three-term recurrence at dual eigenvalue theta."""
     d = k.d
-    a, b, c = _three_term(k)
+    a, b, c = three_term(k)
     row = [Fraction(1), theta / c[1]]
     for j in range(1, d):
         nxt = ((theta - a[j]) * row[j] - b[j - 1] * row[j - 1]) / c[j + 1]
@@ -118,6 +133,54 @@ def dual_row(k, theta) -> tuple:
         raise DegenerateSpectrum(
             f"recurrence does not close at eigenvalue {theta}")
     return tuple(row)
+
+
+def derive_parameters(k, roots, t=None) -> SchemeParameters:
+    """The generic pipeline in Fractions, from the ascending dual
+    eigenvalues `roots`: Q from `dual_row`, P as order * `invert`(Q), p and
+    q from `spectral_tensor`, each check on the finished Fractions in
+    [k][i][j] order. It raises the same typed errors, with the same
+    messages, as `scheme_params.derive_parameters`.
+    """
+    d = k.d
+    if t is None:
+        t = match_family_t(k)
+    if len(roots) < d + 1:
+        raise IrrationalEigenvalue(
+            f"only {len(roots)} of {d + 1} dual eigenvalues are rational")
+    rows = {theta: dual_row(k, theta) for theta in roots}
+    positive = [theta for theta, row in rows.items()
+                if all(x > 0 for x in row)]
+    if len(positive) != 1:
+        raise DegenerateSpectrum(
+            f"expected exactly one all-positive row, found {len(positive)}")
+    rest = sorted((theta for theta in roots if theta != positive[0]),
+                  reverse=True)
+    q_mat = tuple(rows[theta] for theta in positive + rest)
+    order = sum(q_mat[0], Fraction(0))
+    if order <= 0 or order.denominator != 1:
+        raise NonIntegral(f"order {order} is not a positive integer")
+    if t is not None:
+        table = _closed_form_q(t)
+        if any(row not in table for row in q_mat):
+            raise BadParameter("array is not the family array at t = %d" % t)
+        q_mat = tuple(row for want in table for row in q_mat if row == want)
+    p_mat = tuple(tuple(order * x for x in row) for row in invert(q_mat))
+    valencies, mults = p_mat[0], q_mat[0]
+    for v in valencies:
+        if v.denominator != 1 or v <= 0:
+            raise NonIntegral(f"valency {v} is not a positive integer")
+    p = spectral_tensor(p_mat, mults, valencies, order)
+    for kk, i, j in itertools.product(range(d + 1), repeat=3):
+        if p[kk][i][j].denominator != 1 or p[kk][i][j] < 0:
+            raise NonIntegral(f"p^{kk}_{i}{j} = {p[kk][i][j]} is not a "
+                              "nonnegative integer")
+    q = spectral_tensor(q_mat, valencies, mults, order)
+    for kk, i, j in itertools.product(range(d + 1), repeat=3):
+        if q[kk][i][j] < 0:
+            raise NegativeKrein(f"q^{kk}_{i}{j} = {q[kk][i][j]} is negative")
+    return SchemeParameters(d=d, order=order, t=t, valencies=valencies,
+                            multiplicities=mults, P=p_mat, Q=q_mat, p=p, q=q)
 
 
 def matmul(a, b) -> tuple:
@@ -244,6 +307,23 @@ def closed_form_parameters(t: int) -> SchemeParameters:
         Q=q_mat, p=tensor(p_inner, n), q=tensor(q_inner, m))
 
 
+def absolute_bound_witnesses(q, m):
+    """For each pair i <= j in index order whose multiplicities m_k with
+    q^k_ij != 0 sum to more than m_i m_j (i < j) or m_i (m_i + 1) / 2
+    (i = j), one witness with both sides."""
+    rng = range(len(m))
+    for i, j in itertools.combinations_with_replacement(rng, 2):
+        total = sum((m[kk] for kk in rng if q[kk][i][j] != 0), Fraction(0))
+        if i == j:
+            side = f"m_{i}(m_{i} + 1)/2"
+            bound = Fraction(m[i]) * (m[i] + 1) / 2
+        else:
+            side, bound = f"m_{i} m_{j}", Fraction(m[i]) * m[j]
+        if total > bound:
+            yield (f"sum of m_k over q^k_{i}{j} != 0 is {total} > "
+                   f"{side} = {bound}")
+
+
 # `validate` with every check on the Fractions as given; the product P Q is
 # `matmul` above.
 
@@ -286,6 +366,8 @@ def validate(params: SchemeParameters,
         if p[kk][i][j].denominator != 1 or p[kk][i][j] < 0))
     check_each("krein_nonnegativity", (
         f"q^{kk}_{i}{j}" for kk, i, j in triples if q[kk][i][j] < 0))
+    check_each("absolute_bound",
+               absolute_bound_witnesses(q, params.multiplicities))
 
     if krein is None and params.t is not None:
         krein = hemisystem_krein_array(params.t)

@@ -100,6 +100,21 @@ def test_params_names_an_irrational_eigenvalue(capsys):
                    "rational\n")
 
 
+def test_params_applies_the_absolute_bound(capsys):
+    """The real-MUB arrays at m = 16: w = 9 is kept, w = 10 breaks the
+    absolute bound at the pair (1, 1) and exits 2 after printing."""
+    code, out, err = run(["params", "--krein", "16,15,128/9,1;1,16/9,15,16"],
+                         capsys)
+    assert code == 0 and err == ""
+    code, out, err = run(["params", "--krein", "16,15,72/5,1;1,8/5,15,16"],
+                         capsys)
+    assert code == 2
+    assert json.loads(out)["multiplicities"] == ["1", "16", "150", "144",
+                                                 "9"]
+    assert err == ("validation failed: absolute_bound: sum of m_k over "
+                   "q^k_11 != 0 is 151 > m_1(m_1 + 1)/2 = 136\n")
+
+
 def test_params_needs_exactly_one_source(capsys):
     assert run(["params"], capsys)[0] == 1
     assert run(["params", "--t", "3",

@@ -12,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
+from schemeforge.errors import SchemeforgeError
 from schemeforge.scheme_params import (BadParameter, DegenerateSpectrum,
                                        KreinArray, NegativeKrein, NonIntegral,
-                                       _dual_row, _scaled_three_term,
-                                       _three_term, closed_form_parameters,
+                                       SchemeParameters, _column_scales,
+                                       _minors, _scaled_three_term,
+                                       closed_form_parameters,
                                        derive_parameters, dual_eigenmatrix,
                                        dual_eigenvalues, first_eigenmatrix,
                                        hemisystem_krein_array,
@@ -64,15 +66,18 @@ def test_family_recognition_of_a_huge_b0_is_immediate():
 
 
 def test_tridiagonal_rows_sum_to_b0():
-    a, b, c = _three_term(hemisystem_krein_array(3))
-    assert all(a[j] + b[j] + c[j] == 20 for j in range(5))
+    den, a, b, c = _scaled_three_term(hemisystem_krein_array(3))
+    assert den == 3
+    assert all(a[j] + b[j] + c[j] == den * 20 for j in range(5))
     assert b[4] == c[0] == 0
 
 
 def test_tridiagonal_diagonal_t3():
-    a, _, _ = _three_term(hemisystem_krein_array(3))
-    assert a == (0, 20 - F(49, 3) - 1, 20 - F(14, 3) - F(14, 3),
-                 20 - 1 - F(49, 3), 0)
+    den, a, _, _ = _scaled_three_term(hemisystem_krein_array(3))
+    assert a == [den * x for x in (0, 20 - F(49, 3) - 1,
+                                   20 - F(14, 3) - F(14, 3),
+                                   20 - 1 - F(49, 3), 0)]
+    assert all(type(x) is int for x in a)
 
 
 def test_tridiagonal_spectrum_t3():
@@ -88,7 +93,7 @@ def test_dual_eigenvalues_are_the_closed_form_q_column():
 
 def l1star(k):
     """L1* as row lists: c*_j below, a*_j on and b*_j above the diagonal."""
-    a, b, c = _three_term(k)
+    a, b, c = oracle.three_term(k)
     return [[{j - 1: c[j], j: a[j], j + 1: b[j]}.get(i, F(0))
              for i in range(k.d + 1)] for j in range(k.d + 1)]
 
@@ -124,26 +129,44 @@ def test_dual_eigenvalues_match_a_float_reference(array):
     assert dual_eigenvalues(k) == reference_dual_eigenvalues(k)
 
 
-def dual_row_outcome(row_of, *args):
-    try:
-        return row_of(*args)
-    except DegenerateSpectrum as exc:
-        return str(exc)
-
-
 def assert_dual_rows_match_the_fraction_recurrence(k):
     """At every rational eigenvalue, and at the grid points beside each,
-    the integer recurrence gives the Fraction recurrence's row, or the
-    same DegenerateSpectrum text."""
-    den = _scaled_three_term(k)[0]
+    the minors of the scaled array close exactly where the Fraction
+    recurrence does, and there scale to its row; when every eigenvalue is
+    rational, `dual_eigenmatrix` gives those rows, the multiplicity row
+    first and the rest by eigenvalue descending, or the same
+    DegenerateSpectrum text."""
+    scaled = _scaled_three_term(k)
+    den, scales = scaled[0], _column_scales(scaled[3])
     roots = dual_eigenvalues(k)
+    rows = {}
     for theta in roots + tuple(r + F(s, den) for r in roots for s in (-1, 1)):
-        got = dual_row_outcome(_dual_row, _scaled_three_term(k), theta)
-        assert got == dual_row_outcome(oracle.dual_row, k, theta)
-        if theta in roots:
-            assert all(type(x) is Fraction for x in got)
-        else:
-            assert got == f"recurrence does not close at eigenvalue {theta}"
+        num = _minors(scaled, theta.numerator * (den // theta.denominator))
+        try:
+            rows[theta] = oracle.dual_row(k, theta)
+        except DegenerateSpectrum:
+            assert theta not in roots and num[-1] != 0
+            continue
+        assert num[-1] == 0
+        assert tuple(map(F, num[:-1], scales)) == rows[theta]
+    assert all(theta in rows for theta in roots)
+    if len(roots) < k.d + 1:
+        return
+    positive = [theta for theta in roots if min(rows[theta]) > 0]
+    try:
+        q_mat, mults, order = dual_eigenmatrix(k)
+    except DegenerateSpectrum as exc:
+        assert str(exc) == ("expected exactly one all-positive row, "
+                            f"found {len(positive)}")
+        assert len(positive) != 1
+        return
+    assert len(positive) == 1
+    rest = sorted((theta for theta in roots if theta not in positive),
+                  reverse=True)
+    assert q_mat == tuple(rows[theta] for theta in positive + rest)
+    assert mults == q_mat[0] and order == sum(q_mat[0])
+    assert all(type(x) is Fraction for row in q_mat for x in row)
+    assert type(order) is Fraction
 
 
 @pytest.mark.parametrize("k", [hemisystem_krein_array(t)
@@ -511,3 +534,96 @@ def test_closed_forms_equal_the_entry_by_entry_builder(t):
         assert getattr(got, field.name) == getattr(want, field.name), \
             field.name
     assert all_fraction_entries(got)
+
+
+def mub_array(m, w):
+    """The real-MUB Krein array {m, m-1, m(w-1)/w, 1; 1, m/w, m-1, m}."""
+    return KreinArray.make((m, m - 1, F(m * (w - 1), w), 1),
+                           (1, F(m, w), m - 1, m))
+
+
+def derivation(derive, *args):
+    """The parameter set, or the typed error's class and message."""
+    try:
+        return derive(*args)
+    except SchemeforgeError as exc:
+        return type(exc), str(exc)
+
+
+def assert_derivation_matches_the_fraction_pipeline(k):
+    got = derivation(derive_parameters, k)
+    want = derivation(oracle.derive_parameters, k,
+                      reference_dual_eigenvalues(k))
+    assert got == want
+    if isinstance(got, SchemeParameters):
+        assert type(got.order) is Fraction
+        assert all_fraction_entries(got)
+        assert all(type(x) is Fraction
+                   for mat in (got.P, got.Q) for row in mat for x in row)
+
+
+@pytest.mark.parametrize(
+    "k", [hemisystem_krein_array(t) for t in FAMILY_T]
+    + [hypercube_array(d) for d in range(1, 8)],
+    ids=[f"t={t}" for t in FAMILY_T] + [f"cube{d}" for d in range(1, 8)])
+def test_derivation_matches_the_fraction_pipeline(k):
+    assert_derivation_matches_the_fraction_pipeline(k)
+
+
+@pytest.mark.parametrize("m", [4, 9, 16, 36])
+def test_derivation_matches_the_fraction_pipeline_on_real_mub_arrays(m):
+    for w in range(2, 2 * m + 2):
+        assert_derivation_matches_the_fraction_pipeline(mub_array(m, w))
+
+
+def test_real_mub_array_with_a_half_intersection_number():
+    with pytest.raises(NonIntegral,
+                       match=r"^p\^2_11 = 9/2 is not a nonnegative integer$"):
+        derive_parameters(mub_array(9, 2))
+
+
+def absolute_bound(k):
+    report = validate(derive_parameters(k), k)
+    return dict((name, (ok, witness)) for name, ok, witness in report.checks)[
+        "absolute_bound"]
+
+
+@pytest.mark.parametrize(
+    "k", [hemisystem_krein_array(t) for t in FAMILY_T]
+    + [hypercube_array(d) for d in range(1, 8)],
+    ids=[f"t={t}" for t in FAMILY_T] + [f"cube{d}" for d in range(1, 8)])
+def test_absolute_bound_holds_on_the_family_and_the_hypercubes(k):
+    assert absolute_bound(k) == (True, "")
+
+
+@pytest.mark.parametrize("m", [4, 16, 36])
+def test_absolute_bound_keeps_exactly_the_real_mub_arrays_of_small_w(m):
+    """The bound of Calderbank, Cameron, Kantor and Seidel on real MUBs:
+    w <= m/2 + 1, the only check that fails beyond it."""
+    for w in range(2, 2 * m + 2):
+        k = mub_array(m, w)
+        report = validate(derive_parameters(k), k)
+        failed = [name for name, _, _ in report.failed()]
+        assert failed == ([] if w <= m // 2 + 1 else ["absolute_bound"]), w
+
+
+def test_absolute_bound_names_the_first_failing_pair():
+    assert absolute_bound(mub_array(16, 10)) == (
+        False, "sum of m_k over q^k_11 != 0 is 151 > m_1(m_1 + 1)/2 = 136")
+
+
+def test_absolute_bound_off_the_diagonal(params_t3):
+    """A nonzero q^2_01 puts m_2 = 70 beside m_1 = 20 in the sum for the
+    pair (0, 1), whose bound is m_0 m_1 = 20; the oracle agrees."""
+    assert absolute_bound_of(params_t3) == (True, "")
+    bad = replace(params_t3, q=with_entry(params_t3.q, (2, 0, 1), F(1)))
+    assert absolute_bound_of(bad) == (
+        False, "sum of m_k over q^k_01 != 0 is 90 > m_0 m_1 = 20")
+
+
+def absolute_bound_of(params):
+    report = validate(params, hemisystem_krein_array(3))
+    assert report.checks == oracle.validate(
+        params, hemisystem_krein_array(3)).checks
+    return dict((name, (ok, witness)) for name, ok, witness in report.checks)[
+        "absolute_bound"]

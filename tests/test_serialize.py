@@ -1,6 +1,7 @@
 """Exact JSON round trips, the markdown table emitter and checked loaders."""
 
 import copy
+import json
 from fractions import Fraction
 
 import pytest
@@ -115,6 +116,68 @@ def test_reconstruction_dict(scheme_t3, cliques):
     assert len(data["U"]) == 56
     assert data["dual_order"] == [3, 9]
     assert all(data["checks"].values())
+
+
+# ------------------------------------------------------------ JSON writer
+
+# Strings JSON escapes, non-ASCII text and the forced map's bracket keys.
+json_strings = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(['', '"', '\\', '\\"', '\x00\x1f\n\t\r\x7f',
+                     'caf\u00e9 \u2211 \u4e2d \U0001f600', '[1,1,2]',
+                     '[2,2,2]', 'a, b: c', '{}', '[]', '-14/3', 'null']))
+json_leaves = st.one_of(
+    st.none(), st.booleans(), json_strings,
+    st.integers(-10 ** 40, 10 ** 6), st.integers(-2 ** 70, -2 ** 62))
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=5),
+                            st.dictionaries(json_strings, inner, max_size=5)),
+    max_leaves=25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(json_strings, json_values, max_size=6))
+def test_dump_json_writes_the_bytes_of_json_dumps(data):
+    assert dump_json(data) == json.dumps(data, indent=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(json_values)
+def test_dump_json_writes_any_value_as_json_dumps_does(value):
+    assert dump_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("bad", [{1: "a"}, {None: []}, {"x": 0.5},
+                                 {"x": [float("nan")]}, {"x": Fraction(1, 2)},
+                                 [object()], {"x": {(1, 2): 0}}])
+def test_dump_json_refuses_what_no_document_holds(bad):
+    with pytest.raises(TypeError):
+        dump_json(bad)
+
+
+def cli_documents(params_t3, hermitian_gq, hemisystem, scheme_t3, cliques):
+    """Every kind of document the command line writes."""
+    rec = reconstruct_gq(scheme_t3, cliques)
+    off_family = derive_parameters(KreinArray.make((4, 3, Fraction(8, 3), 1),
+                                                   (1, Fraction(4, 3), 3, 4)))
+    yield params_to_dict(params_t3)
+    yield params_to_dict(off_family)
+    yield triple_to_dict(forced_triple_values(params_t3, (2, 1, 1)))
+    yield triple_to_dict(None)
+    yield gq_to_dict(hermitian_gq)
+    yield hemi_to_dict(hemisystem)
+    yield scheme_to_dict(scheme_t3)
+    yield reconstruction_to_dict(rec, recover_hemisystem(scheme_t3, 0))
+
+
+def test_dump_json_writes_every_cli_document_as_json_dumps_does(
+        params_t3, hermitian_gq, hemisystem, scheme_t3, cliques):
+    docs = list(cli_documents(params_t3, hermitian_gq, hemisystem, scheme_t3,
+                              cliques))
+    assert len(docs) == 8
+    for data in docs:
+        assert dump_json(data) == json.dumps(data, indent=2)
 
 
 def test_json_file_round_trip(tmp_path, hemisystem):
