@@ -36,12 +36,16 @@ of the family for odd t <= 51 has at most one free parameter, and
 nonnegativity bounds it by a ratio test over the solution line. A larger
 solution space raises HighNullity.
 
-Against a concrete scheme, direct_triple_counts returns the counts of one
-triple as a read-only int64 array of shape (c, c, c), c the number of
-classes, and that array goes unchanged to boundary_violations (one
-comparison with the expected boundary vector of the pattern) and to the
-residual checker (one matrix-vector product over its inner d^3 entries).
-The checker also takes the same entries as nested lists. Its product is
+Against a concrete scheme, each triple takes four calls on a few dozen
+entries, so numpy's fixed cost per call, not arithmetic, sets their
+time. triple_pattern reads the three labels as Python ints.
+direct_triple_counts returns the counts as a read-only int64 array of
+shape (c, c, c), c the number of classes, and that array goes unchanged
+to boundary_violations, which compares its boundary entries with the
+pattern's expected vector as bytes when both are int64, and to the
+residual checker, which takes only the inner d^3 entries before casting
+them for one matrix-vector product. The checker also takes the same
+entries as nested lists. Its product is
 exact: float64, through BLAS, while the matrix-wide bound
 max |a| * d^3 * order + max |b| is below 2^53 (every t = 3 system, about
 10^8), and int64 from there up to 2^63. The family first reaches 2^53 at
@@ -476,7 +480,8 @@ def forced_triple_values(params: SchemeParameters, abc) -> TripleSolution:
 def triple_pattern(sch, x: int, y: int, u: int) -> tuple:
     """(A, B, C) for the relations (x,y), (y,u), (u,x)."""
     rel = sch.rel
-    return (int(rel[x, y]), int(rel[y, u]), int(rel[u, x]))
+    # item reads each label as a Python int, not a numpy scalar
+    return (rel.item(x, y), rel.item(y, u), rel.item(u, x))
 
 
 def direct_triple_counts(sch, x: int, y: int, u: int) -> np.ndarray:
@@ -488,13 +493,16 @@ def direct_triple_counts(sch, x: int, y: int, u: int) -> np.ndarray:
     the scheme's size. One bincount over the sum of the scheme's cached
     label planes rel c^2, rel c and rel at rows x, y and u makes it.
     """
-    if len({x, y, u}) != 3:
+    if x == y or y == u or u == x:
         raise ValueError("x, y, u must be three distinct elements")
     c = sch.classes
     planes = sch.label_planes
-    counts = np.bincount(planes[0, x] + planes[1, y] + planes[2, u],
-                         minlength=c ** 3).reshape(c, c, c)
-    counts.setflags(write=False)
+    codes = planes[0, x] + planes[1, y]
+    codes += planes[2, u]
+    # weights, minlength and write passed by position: numpy parses
+    # keywords at a cost comparable to the work on 112 entries
+    counts = np.bincount(codes, None, c ** 3).reshape(c, c, c)
+    counts.setflags(False)
     return counts
 
 
@@ -546,11 +554,14 @@ def integer_residual_checker(sys_: TripleSystem):
     dtype = np.float64 if bound < 2 ** 53 else np.int64
     mat = mat.astype(dtype, copy=False)
     rhs = np.array(sys_.rhs, dtype=dtype)
+    c = sys_.config.params.d + 1
+    inner = np.arange(c ** 3).reshape(c, c, c)[1:, 1:, 1:].ravel()
 
     def check(tensor):
-        vec = np.asarray(tensor, dtype=dtype)[1:, 1:, 1:].reshape(width)
-        bad = mat @ vec != rhs
-        return int(bad.argmax()) if bad.any() else None
+        # only the d^3 inner entries are cast, in `names` order
+        vec = np.asarray(tensor).take(inner).astype(dtype)
+        bad = mat.dot(vec) != rhs
+        return int(bad.argmax()) if np.count_nonzero(bad) else None
 
     return check
 
@@ -582,17 +593,17 @@ def _boundary_cells(c: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=128)
-def _boundary_expected(abc: tuple, c: int) -> np.ndarray:
-    """Read-only int64 vector of the boundary symbols' values for pattern
-    abc, over _boundary_cells(c). 128 entries hold every pattern of a
-    scheme with up to 5 classes."""
+def _boundary_expected(abc: tuple, c: int) -> tuple:
+    """(read-only int64 vector, its bytes) of the boundary symbols' values
+    for pattern abc, over _boundary_cells(c). 128 entries hold every
+    pattern of a scheme with up to 5 classes."""
     A, B, C = abc
     want = np.array([(m, n) == (A, C) if l == 0
                      else (l, n) == (A, B) if m == 0
                      else (l, m) == (C, B)
                      for l, m, n in _boundary_cells(c)[0]], dtype=np.int64)
     want.setflags(write=False)
-    return want
+    return want, want.tobytes()
 
 
 def boundary_violations(cfg_abc, tensor) -> list:
@@ -601,15 +612,20 @@ def boundary_violations(cfg_abc, tensor) -> list:
     [0 m n] = delta_mA delta_nC, [l 0 n] = delta_lA delta_nB,
     [l m 0] = delta_lC delta_mB, and [0 0 n] etc. vanish for distinct
     base points. The boundary entries are compared at once with the
-    expected vector cached per (pattern, c); only on a mismatch are they
-    walked to list each ((l, m, n), count, expected), all Python ints.
+    expected vector cached per (pattern, c): as bytes when they are int64
+    too, where equal bytes are equal values, and entry by entry in any
+    other dtype. Only on a mismatch are they walked to list each
+    ((l, m, n), count, expected), all Python ints.
     """
     counts = np.asarray(tensor)
     c = len(counts)
     cells, flat = _boundary_cells(c)
-    want = _boundary_expected(tuple(cfg_abc), c)
+    want, want_bytes = _boundary_expected(tuple(cfg_abc), c)
     got = counts.take(flat)
-    if not (got != want).any():
+    if got.dtype == want.dtype:
+        if got.tobytes() == want_bytes:
+            return []
+    elif not np.count_nonzero(got != want):
         return []
     return [(cell, int(g), int(w))
             for cell, g, w in zip(cells, got, want) if g != w]

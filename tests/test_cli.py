@@ -396,6 +396,31 @@ def test_pipeline_prints_the_boundary_witness_of_a_doctored_count(
     assert err == "pipeline failed at stage triples\n"
 
 
+def test_pipeline_names_the_pattern_of_a_violated_row(monkeypatch, capsys):
+    """One inner entry of every (2,1,1) count is off by one. The sampled
+    triples hold no (2,1,1); the exhaustive walk starts at (0, 1, 2),
+    which is one. The boundary passes and the FAIL line names the
+    pattern in Python ints, as (2, 1, 1), not as numpy scalars."""
+    import schemeforge.cli as cli
+
+    real = cli.direct_triple_counts
+
+    def doctored(sch, x, y, u):
+        counts = real(sch, x, y, u)
+        if cli.triple_pattern(sch, x, y, u) != (2, 1, 1):
+            return counts
+        counts = counts.copy()
+        counts[3, 1, 2] += 1
+        return counts
+
+    monkeypatch.setattr(cli, "direct_triple_counts", doctored)
+    code, out, err = run(["pipeline", "--t", "3", "--exhaustive"], capsys)
+    assert code == 2
+    assert out.splitlines()[-1] == (
+        "triples: FAIL (triple (0, 1, 2) pattern (2, 1, 1): sum row 1 violated)")
+    assert err == "pipeline failed at stage triples\n"
+
+
 class _Enough(Exception):
     pass
 

@@ -728,6 +728,71 @@ def test_direct_counts_boundary(scheme_t3):
     assert boundary_violations(abc, tensor) == []
 
 
+def test_triple_pattern_is_a_tuple_of_python_ints(scheme_t3):
+    """At 200 seeded triples the pattern is three exact Python ints, the
+    labels of (x,y), (y,u) and (u,x): a numpy scalar would print as
+    np.int8(2) in a failure message."""
+    import random
+    rng = random.Random(25)
+    for _ in range(200):
+        x, y, u = rng.sample(range(112), 3)
+        abc = triple_pattern(scheme_t3, x, y, u)
+        assert type(abc) is tuple
+        assert all(type(v) is int for v in abc)
+        assert abc == tuple(scheme_t3.rel.tolist()[i][j]
+                            for i, j in ((x, y), (y, u), (u, x)))
+
+
+def boundary_variants(tensor, abc):
+    """The boundary of a counted tensor in dtypes other than int64, each
+    as counted and with one boundary entry off.
+
+    A float64 5e-324 has the bytes of the int64 1, so at the three
+    boundary cells that hold 1 it makes the boundary's bytes those of the
+    expected int64 vector, and must be a violation; a float64 1.0 there
+    must not. A bool tensor holds the boundary's 0 and 1 as they are; an
+    object entry past 2^63 fits no int64."""
+    A, B, C = abc
+    ones = ((0, A, C), (A, 0, B), (C, B, 0))
+    floats = tensor.astype(np.float64)
+    tiny = floats.copy()
+    for one in ones:
+        tiny[one] = 5e-324
+    narrow = tensor.astype(np.int32)
+    narrow_off = narrow.copy()
+    narrow_off[0, 0, 1] = 3
+    flags = tensor.astype(bool)
+    flags_off = flags.copy()
+    flags_off[ones[0]] = False
+    huge = tensor.astype(object)
+    huge[0, 1, 1] = 2 ** 63 + 1
+    nested = tensor.tolist()
+    nested_off = tensor.tolist()
+    nested_off[1][0][2] -= 1
+    return (floats, tiny, narrow, narrow_off, flags, flags_off, huge,
+            nested, nested_off)
+
+
+def test_boundary_check_equals_the_oracle_in_any_dtype(scheme_t3, params_t3):
+    """On all 31 non-vacuous t = 3 patterns, tensors of float64, int32,
+    bool and object dtype and nested lists give the row oracle's witness
+    list, its counts read as the Python ints boundary_violations reports:
+    a byte compare that ran across dtypes would pass 5e-324 for 1 and
+    fail 1.0."""
+    assert len(patterns(params_t3)) == 31
+    flagged = 0
+    for abc in patterns(params_t3):
+        tensor = direct_triple_counts(scheme_t3, *find_triple(scheme_t3, abc))
+        for variant in boundary_variants(tensor, abc):
+            bad = boundary_violations(abc, variant)
+            want = rows_oracle.boundary_violations(abc, variant)
+            assert bad == [(cell, int(got), w) for cell, got, w in want]
+            assert all(type(v) is int for cell, got, w in bad
+                       for v in cell + (got, w))
+            flagged += bool(bad)
+    assert flagged == 31 * 5
+
+
 def test_counted_mixed_pattern_values(scheme_t3, params_t3):
     x, y, u = find_triple(scheme_t3, (2, 1, 1))
     tensor = direct_triple_counts(scheme_t3, x, y, u)
@@ -783,13 +848,17 @@ def live_cube(sys_):
 
 
 def test_checker_finds_the_reference_first_bad_row(scheme_t3, params_t3):
+    """On each t = 3 pattern, every one of the 64 inner cells moved by +1
+    and by -1, one at a time, and a cube of moves that no sum row sees."""
     kinds = set()
+    inner = list(itertools.product(range(1, 5), repeat=3))
     for abc in patterns(params_t3):
         sys_ = widened_system(TripleConfig(params_t3, abc))
         checker = integer_residual_checker(sys_)
         tensor = direct_triple_counts(scheme_t3, *find_triple(scheme_t3, abc))
         assert checker(tensor) is None
-        for change in ({(3, 1, 2): 1}, live_cube(sys_)):
+        singles = [{lmn: delta} for lmn in inner for delta in (1, -1)]
+        for change in singles + [live_cube(sys_)]:
             broken = [[list(r) for r in plane] for plane in tensor]
             for (l, m, n), delta in change.items():
                 broken[l][m][n] += delta
@@ -798,6 +867,20 @@ def test_checker_finds_the_reference_first_bad_row(scheme_t3, params_t3):
             assert bad == reference_first_bad_row(sys_, broken)
             kinds.add(sys_.kinds[bad])
     assert kinds == {"sum", "krein"}
+
+
+def test_a_row_of_negative_coefficients_passes_zero_counts(params_t3):
+    """Every product term of an all-negative row with zero counts is
+    -0.0 in float64; the row sum equals its right-hand side 0, so no row
+    is violated, whatever sign of zero BLAS returns."""
+    names = triples._names(params_t3.d)
+    row = tuple(-1 - i for i in range(len(names)))
+    sys_ = TripleSystem(TripleConfig(params_t3, (2, 1, 1)), names,
+                        (row,), (0,), ("krein",))
+    checker = integer_residual_checker(sys_)
+    assert product_dtype(checker) is np.float64
+    assert checker(np.zeros((5, 5, 5), dtype=np.int64)) is None
+    assert checker(counts_with({(4, 4, 4): 1})) == 0
 
 
 @pytest.mark.parametrize("t", [3, 5])
