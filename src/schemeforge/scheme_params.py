@@ -221,12 +221,6 @@ def _scaled_roots(scaled: tuple) -> list:
     return roots
 
 
-def dual_eigenvalues(k: KreinArray) -> tuple:
-    """The rational eigenvalues of L1*, ascending (see `_scaled_roots`)."""
-    scaled = _scaled_three_term(k)
-    return tuple(Fraction(x, scaled[0]) for x in _scaled_roots(scaled))
-
-
 def _column_scales(low: list) -> list:
     """1, D c*_1, D c*_1 D c*_2, ...: the denominators of Q's columns."""
     return list(itertools.accumulate(low[1:], operator.mul, initial=1))

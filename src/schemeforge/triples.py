@@ -13,13 +13,7 @@ and the Krein rows of one pattern into one TripleSystem. Every row and
 right-hand side is a Python int; a Krein row is its rational equation
 times the lcm of its denominators. Unknowns are ordered lexicographically
 by (l, m, n). The sum, unit and Krein rows do not depend on the pattern
-and are formed once per d and per (Q, tuples), each cached for the last
-key only, so a sweep over t holds one parameter set's rows at a time;
-the vanishing tuples, and so the Krein key, are found once per params
-object. All the Krein rows are one exact integer outer product of
-columns of den * Q, in int64 while max |den Q_lr|^3 < 2^63 and in Python
-ints from t = 103 on, and only the rows divided by their common factor
-with den^3 are held. Solving is exact and stays in ints until the
+and are cached (see below). Solving is exact and stays in ints until the
 solution is read off: the 3 d - 1 sum rows that are fixed sums of the
 others are checked by their right-hand sides alone and skipped, the zero
 rows kill unknowns, elimination sees the live columns (12 to 16 for odd
@@ -51,11 +45,15 @@ max |a| * d^3 * order + max |b| is below 2^53 (every t = 3 system, about
 10^8), and int64 from there up to 2^63. The family first reaches 2^53 at
 t = 13. Past 2^63 the rows are bounded one by one; the family's first
 row that could wrap int64, for which the checker build raises
-CheckerOverflow, is at t = 25. The checker gathers the rows that the
-caches hold from one int64 copy of them, made when the first checker is
-built after a cache takes a new key, so building or solving a system
-never pays for that copy; Krein rows formed in int64 give that block as
-it is, and only the other rows are converted one by one.
+CheckerOverflow, is at t = 25.
+
+Three caches hold what patterns share: `_sum_rows` the sum and unit rows
+of the last d, with their int64 block; the store `_last` the last params
+object, its vanishing tuples and Krein rows and, from the first checker
+built for it, one int64 copy of these rows, which building or solving a
+system never pays for; `_boundary` the boundary cells and expected
+values of the last 128 (pattern, c). A sweep over t holds one parameter
+set's rows at a time.
 """
 
 from __future__ import annotations
@@ -141,63 +139,20 @@ def _names(d: int) -> tuple:
                  for n in range(1, d + 1))
 
 
-# The rows that `_sum_rows` and `_krein_rows` hold for their last key, by
-# cache ("sum": sum and unit rows, "krein": Krein rows as divided by g0),
-# each with its int64 block or None, and under "int64" the copy that
-# `_shared_int64` makes of them.
-_shared = {}
-
-
-def _share(kind: str, rows: tuple, block=None) -> None:
-    """Hold `rows` as the `kind` cache's rows, with `block` their int64
-    matrix if it is at hand; drop the stale int64 copy."""
-    _shared[kind] = (rows, block)
-    _shared.pop("int64", None)
-
-
-def _shared_int64(width: int) -> tuple:
-    """(int64 matrix, id(row) -> its index) over the held rows `width` wide.
-
-    Made on the first checker build after either cache takes a new key, so
-    `widened_system` and `solve` never pay for it. A cache that holds its
-    int64 block gives it as it is; the other rows are converted here. The
-    copy holds the rows it was made from, so every id in the map is that
-    of a live row, and it ends in one zero row, the index given to rows
-    that are not held. A cache whose rows are another width, or do not fit
-    int64, is left out.
-    """
-    copy = _shared.get("int64")
-    if copy is None or copy[0] != width:
-        held, mats = [], []
-        for kind in ("sum", "krein"):
-            rows, block = _shared.get(kind, ((), None))
-            if rows and len(rows[0]) == width:
-                if block is None:
-                    try:
-                        block = np.array(rows, dtype=np.int64)
-                    except OverflowError:
-                        continue
-                mats.append(block)
-                held.extend(rows)
-        mat = np.concatenate(mats + [np.zeros((1, width), np.int64)])
-        copy = (width, held, mat, {id(row): i for i, row in enumerate(held)})
-        _shared["int64"] = copy
-    return copy[2], copy[3]
-
-
 @functools.lru_cache(maxsize=1)
 def _sum_rows(d: int) -> tuple:
     """Pattern-free part of every system with d classes.
 
     (names, the member indices of each of the 3 d^2 sum rows, the sum rows,
     the d^3 unit rows, the indices of the 3 d^2 - 3 d + 1 sum rows that
-    span them all), the sum rows in `widened_system`'s order. Each of the
-    three families of d^2 sum rows fixes two slots, so two families share
-    each one-slot margin: summed over m, the rows [. m n] and [l . n] both
-    give the total at slot n, and so on for the other two pairs. Those
-    3 d relations, 3 d - 1 of them independent, leave the rows at rank
-    3 d^2 - 3 d + 1; they give [l . n] at l = d, [l m .] at m = d and
-    [l m .] at l = d as fixed sums of the others.
+    span them all, the sum and unit rows as one read-only int64 block), the
+    sum rows in `widened_system`'s order. Each of the three families of d^2
+    sum rows fixes two slots, so two families share each one-slot margin:
+    summed over m, the rows [. m n] and [l . n] both give the total at slot
+    n, and so on for the other two pairs. Those 3 d relations, 3 d - 1 of
+    them independent, leave the rows at rank 3 d^2 - 3 d + 1; they give [l
+    . n] at l = d, [l m .] at m = d and [l m .] at l = d as fixed sums of
+    the others.
     """
     names, rng, step = _names(d), range(d), (d * d, d, 1)
     members = tuple(tuple(r * step[s] + i * step[a] + j * step[b]
@@ -213,8 +168,9 @@ def _sum_rows(d: int) -> tuple:
                  | {2 * d2 + l * d + m for l in rng for m in rng
                     if last in (l, m)})
     kept = tuple(i for i in range(len(rows)) if i not in dependent)
-    _share("sum", rows + units)
-    return names, members, rows, units, kept
+    block = np.array(rows + units, dtype=np.int64)
+    block.setflags(write=False)
+    return names, members, rows, units, kept, block
 
 
 def vanishing_tuples(params: SchemeParameters) -> tuple:
@@ -225,22 +181,30 @@ def vanishing_tuples(params: SchemeParameters) -> tuple:
                  if not params.q[t][r][s])
 
 
-@functools.lru_cache(maxsize=1)
-def _krein_block(Q, tuples: tuple) -> tuple:
-    """Pattern-free part of the Krein rows for the dual eigenmatrix Q.
+# The store: "params", the last params object `_krein_rows` was asked for
+# (held, so its id stays unused), "krein" and "int64" (see the checker).
+_last = {}
 
-    (cols, g0, rows): cols[j] is column j of den * Q, den the lcm of Q's
-    denominators; rows[i] is the integer row den^3 Q_lr Q_ms Q_nt of
-    tuples[i] = (r, s, t), in `names` order, divided by
-    g0[i] = gcd(den^3, *that row). All the rows are one outer product of
-    three gathers of columns of the inner block of den * Q. It is formed
-    in int64 while max |den Q_lr|^3 < 2^63, and in Python ints (an object
-    array, the same expression) from there: the family first needs those
-    at t = 103, and its rows reach 66 bits at t = 151. Only the divided
-    rows are held, with their int64 block when they were formed in int64;
+
+def _krein_rows(params: SchemeParameters) -> tuple:
+    """Pattern-free part of the Krein rows, formed once per params object.
+
+    (tuples, cols, g0, rows, block): tuples is `vanishing_tuples(params)`;
+    cols[j] is column j of den * Q, den the lcm of Q's denominators;
+    rows[i] is the integer row den^3 Q_lr Q_ms Q_nt of tuples[i] =
+    (r, s, t), in `names` order, divided by g0[i] = gcd(den^3, *that row).
+    All the rows are one outer product of three gathers of columns of the
+    inner block of den * Q. It is formed in int64 while
+    max |den Q_lr|^3 < 2^63, and in Python ints (an object array, the same
+    expression) from there: the family first needs those at t = 103, and
+    its rows reach 66 bits at t = 151. Only the divided rows are held,
+    with their int64 block when they were formed in int64 (else None);
     `widened_system` divides a row again by multiplying it by g0 / g.
     """
-    den, cleared = _cleared_rows(Q)
+    if _last.get("params") is params:
+        return _last["krein"]
+    tuples = vanishing_tuples(params)
+    den, cleared = _cleared_rows(params.Q)
     inner = [row[1:] for row in cleared[1:]]
     top = max(abs(x) for row in inner for x in row)
     # every entry is a product of three entries of `inner`, so while
@@ -254,22 +218,11 @@ def _krein_block(Q, tuples: tuple) -> tuple:
     g0 = [math.gcd(den3, g) for g in np.gcd.reduce(full, axis=1).tolist()]
     reduced = full // np.array(g0, dtype=dtype)[:, None]
     rows = tuple(map(tuple, reduced.tolist()))
-    _share("krein", rows, reduced if dtype is np.int64 else None)
-    return tuple(zip(*cleared)), g0, rows
-
-
-# [params, (its vanishing tuples, its `_krein_block`)] for the last params
-# object that `_krein_rows` was asked for; holding it keeps its id unused.
-_krein_last = [None, None]
-
-
-def _krein_rows(params: SchemeParameters) -> tuple:
-    """(tuples, cols, g0, rows): `vanishing_tuples(params)` and the
-    `_krein_block` of Q and those tuples, found once per params object."""
-    if _krein_last[0] is not params:
-        tuples = vanishing_tuples(params)
-        _krein_last[:] = params, (tuples, *_krein_block(params.Q, tuples))
-    return _krein_last[1]
+    _last.clear()
+    _last.update(params=params, krein=(
+        tuples, tuple(zip(*cleared)), g0, rows,
+        reduced if dtype is np.int64 else None))
+    return _last["krein"]
 
 
 def widened_system(cfg: TripleConfig) -> TripleSystem:
@@ -289,10 +242,10 @@ def widened_system(cfg: TripleConfig) -> TripleSystem:
     den the lcm of Q's denominators, so the equation comes out times
     den^3. Dividing it by g = gcd(den^3, b, *row) leaves the rational
     equation times the lcm of its own denominators. The pattern-free rows
-    come from `_sum_rows` and `_krein_rows`, each cached for the last key
-    only; each pattern forms its right-hand sides and zero rows, and
-    divides a Krein row again only where g = gcd(g0, b) != g0, as the held
-    row times g0 / g.
+    come from `_sum_rows`, cached per d, and `_krein_rows`, held for the
+    last params object; each pattern forms its right-hand sides and zero
+    rows, and divides a Krein row again only where g = gcd(g0, b) != g0,
+    as the held row times g0 / g.
     """
     if cfg.is_vacuous:
         a, b, c = cfg.abc
@@ -300,7 +253,7 @@ def widened_system(cfg: TripleConfig) -> TripleSystem:
     params = cfg.params
     A, B, C = cfg.abc
     p = params.p
-    names, members, sums, units, _ = _sum_rows(params.d)
+    names, members, sums, units = _sum_rows(params.d)[:4]
     rng = range(1, params.d + 1)
     rhs = ([int(p[B][m][n]) - ((m, n) == (A, C)) for m in rng for n in rng]
            + [int(p[C][l][n]) - ((l, n) == (A, B)) for l in rng for n in rng]
@@ -309,7 +262,7 @@ def widened_system(cfg: TripleConfig) -> TripleSystem:
         if value < 0:
             raise Inconsistent(f"negative right-hand side {value}")
     zero = sorted({v for mem, b in zip(members, rhs) if b == 0 for v in mem})
-    tuples, cols, g0s, krein = _krein_rows(params)
+    tuples, cols, g0s, krein, _ = _krein_rows(params)
     kinds = (("sum",) * len(sums) + ("zero",) * len(zero)
              + ("krein",) * len(tuples))
     rows = [*sums, *(units[v] for v in zero)]
@@ -517,22 +470,35 @@ def integer_residual_checker(sys_: TripleSystem):
     unknowns in `names` order. Raises CheckerOverflow, naming the row,
     when the int64 product of a row with a count tensor could wrap.
 
-    The rows that `widened_system` took from the pattern-free caches are
-    gathered from their shared int64 copy (`_shared_int64`) with one
-    fancy index; any other row (a Krein row divided again, a row of a
-    hand-built system or of a system whose cache entry has since been
-    replaced) is converted on its own. A count is at most `order`, so every
-    partial sum of row . counts lies within sum |a_ij| * order, and b_i
-    within |b_i|. All rows are bounded at once by
-    max |a| * width * order + max |b|: below 2^53 the product is summed in
-    float64, at or above it in int64. Only when that bound reaches 2^63 or
-    an entry does not fit int64 are the rows tested one by one.
+    The first checker built for a params object stores the int64 blocks of
+    its sum, unit and int64-formed Krein rows as one matrix, a map from
+    each row's id to its index, and those rows, so every id in the map
+    stays live. Rows the map holds are gathered with one fancy index; any
+    other row (a Krein row divided again, a row of a hand-built system or
+    of a system whose params object the store no longer holds) is converted
+    on its own. A count is at most `order`, so every partial sum of
+    row . counts lies within sum |a_ij| * order, and b_i within |b_i|. All
+    rows are bounded at once by max |a| * width * order + max |b|: below
+    2^53 the product is summed in float64, at or above it in int64. Only
+    when that bound reaches 2^63 or an entry does not fit int64 are the
+    rows tested one by one.
     """
-    order = int(sys_.config.params.order)
+    params = sys_.config.params
+    order = int(params.order)
     rows, width = sys_.rows, len(sys_.names)
-    shared, index = _shared_int64(width)
+    krein = _krein_rows(params)
+    if "int64" not in _last:
+        sums, units, _, block = _sum_rows(params.d)[2:]
+        held, blocks = sums + units, [block]
+        if krein[4] is not None:
+            held += krein[3]
+            blocks.append(krein[4])
+        _last["int64"] = (np.concatenate(blocks),
+                          {id(row): i for i, row in enumerate(held)}, held)
+    mat, index, _ = _last["int64"]
+    # an unheld row takes index -1, a placeholder that the loop overwrites
     where = [index.get(id(row), -1) for row in rows]
-    mat = shared[where]
+    mat = mat[where]
     try:
         for i, j in enumerate(where):
             if j < 0:
@@ -554,7 +520,7 @@ def integer_residual_checker(sys_: TripleSystem):
     dtype = np.float64 if bound < 2 ** 53 else np.int64
     mat = mat.astype(dtype, copy=False)
     rhs = np.array(sys_.rhs, dtype=dtype)
-    c = sys_.config.params.d + 1
+    c = params.d + 1
     inner = np.arange(c ** 3).reshape(c, c, c)[1:, 1:, 1:].ravel()
 
     def check(tensor):
@@ -579,31 +545,27 @@ def pattern_checkers(params: SchemeParameters):
     return get
 
 
-@functools.lru_cache(maxsize=8)
-def _boundary_cells(c: int) -> tuple:
-    """(cells, flat indices): every (l, m, n) of a c^3 tensor with an
-    index 0, in the order boundary_violations reports them."""
+@functools.lru_cache(maxsize=128)
+def _boundary(abc: tuple, c: int) -> tuple:
+    """(cells, flat indices, expected vector, its bytes) for pattern abc
+    in a c^3 tensor: every (l, m, n) with an index 0, in the order
+    boundary_violations reports them, their indices in the flattened
+    tensor, and the read-only int64 vector of the boundary symbols' values
+    there. 128 entries hold every pattern of a scheme with up to 5
+    classes."""
+    A, B, C = abc
     rng, inner = range(c), range(1, c)
     cells = tuple([(0, m, n) for m in rng for n in rng]
                   + [(l, 0, n) for l in inner for n in rng]
                   + [(l, m, 0) for l in inner for m in inner])
     flat = np.array([(l * c + m) * c + n for l, m, n in cells], dtype=np.intp)
-    flat.setflags(write=False)
-    return cells, flat
-
-
-@functools.lru_cache(maxsize=128)
-def _boundary_expected(abc: tuple, c: int) -> tuple:
-    """(read-only int64 vector, its bytes) of the boundary symbols' values
-    for pattern abc, over _boundary_cells(c). 128 entries hold every
-    pattern of a scheme with up to 5 classes."""
-    A, B, C = abc
     want = np.array([(m, n) == (A, C) if l == 0
                      else (l, n) == (A, B) if m == 0
                      else (l, m) == (C, B)
-                     for l, m, n in _boundary_cells(c)[0]], dtype=np.int64)
+                     for l, m, n in cells], dtype=np.int64)
+    flat.setflags(write=False)
     want.setflags(write=False)
-    return want, want.tobytes()
+    return cells, flat, want, want.tobytes()
 
 
 def boundary_violations(cfg_abc, tensor) -> list:
@@ -615,17 +577,16 @@ def boundary_violations(cfg_abc, tensor) -> list:
     expected vector cached per (pattern, c): as bytes when they are int64
     too, where equal bytes are equal values, and entry by entry in any
     other dtype. Only on a mismatch are they walked to list each
-    ((l, m, n), count, expected), all Python ints.
+    ((l, m, n), count, expected): the count as the tensor holds it, read
+    as a Python scalar, and the rest Python ints.
     """
     counts = np.asarray(tensor)
-    c = len(counts)
-    cells, flat = _boundary_cells(c)
-    want, want_bytes = _boundary_expected(tuple(cfg_abc), c)
+    cells, flat, want, want_bytes = _boundary(tuple(cfg_abc), len(counts))
     got = counts.take(flat)
     if got.dtype == want.dtype:
         if got.tobytes() == want_bytes:
             return []
     elif not np.count_nonzero(got != want):
         return []
-    return [(cell, int(g), int(w))
-            for cell, g, w in zip(cells, got, want) if g != w]
+    return [(cell, g, w) for cell, g, w
+            in zip(cells, got.tolist(), want.tolist()) if g != w]

@@ -16,10 +16,11 @@ from schemeforge.errors import SchemeforgeError
 from schemeforge.scheme_params import (BadParameter, DegenerateSpectrum,
                                        KreinArray, NegativeKrein, NonIntegral,
                                        SchemeParameters, _column_scales,
-                                       _minors, _scaled_three_term,
+                                       _minors, _scaled_roots,
+                                       _scaled_three_term,
                                        closed_form_parameters,
                                        derive_parameters, dual_eigenmatrix,
-                                       dual_eigenvalues, first_eigenmatrix,
+                                       first_eigenmatrix,
                                        hemisystem_krein_array,
                                        intersection_numbers, krein_numbers,
                                        match_family_t, validate)
@@ -78,6 +79,13 @@ def test_tridiagonal_diagonal_t3():
                                    20 - F(14, 3) - F(14, 3),
                                    20 - 1 - F(49, 3), 0)]
     assert all(type(x) is int for x in a)
+
+
+def dual_eigenvalues(k):
+    """The rational eigenvalues of L1*, ascending: the integer roots of the
+    scaled array over its scale D."""
+    scaled = _scaled_three_term(k)
+    return tuple(F(x, scaled[0]) for x in _scaled_roots(scaled))
 
 
 def test_tridiagonal_spectrum_t3():

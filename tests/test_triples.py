@@ -191,7 +191,7 @@ def assert_krein_rows_match_the_direct_products(params):
     """`_krein_rows` against each row's Fraction products: the held row is
     the rational row times the lcm of its denominators, and that row times
     g0 is the row times den^3."""
-    tuples, _, g0s, rows = triples._krein_rows(params)
+    tuples, _, g0s, rows, _ = triples._krein_rows(params)
     assert tuples == vanishing_tuples(params)
     den = math.lcm(*(x.denominator for row in params.Q for x in row))
     sys_ = widened_system(TripleConfig(params, (2, 1, 1)))
@@ -208,11 +208,12 @@ def assert_krein_rows_match_the_direct_products(params):
 def test_krein_rows_equal_a_pure_python_reference(t):
     """Every odd t <= 51 and both sides of the int64 / Python int switch:
     at t = 101 every product of three entries of den * Q fits int64 and
-    the int64 block is held for the checker; at t = 103 it may not, and
-    none is held."""
-    rows = assert_krein_rows_match_the_direct_products(
-        closed_form_parameters(t))
-    block = triples._shared["krein"][1]
+    the store holds the int64 block for the checker; at t = 103 it may
+    not, and none is held."""
+    params = closed_form_parameters(t)
+    rows = assert_krein_rows_match_the_direct_products(params)
+    assert triples._last["params"] is params
+    block = triples._last["krein"][4]
     if t <= 101:
         assert block.dtype == np.int64
         assert block.tolist() == [list(row) for row in rows]
@@ -776,21 +777,25 @@ def boundary_variants(tensor, abc):
 def test_boundary_check_equals_the_oracle_in_any_dtype(scheme_t3, params_t3):
     """On all 31 non-vacuous t = 3 patterns, tensors of float64, int32,
     bool and object dtype and nested lists give the row oracle's witness
-    list, its counts read as the Python ints boundary_violations reports:
-    a byte compare that ran across dtypes would pass 5e-324 for 1 and
-    fail 1.0."""
+    list, each count as the tensor holds it: a byte compare that ran
+    across dtypes would pass 5e-324 for 1 and fail 1.0, and a count read
+    as an int would list 5e-324 as 0."""
     assert len(patterns(params_t3)) == 31
     flagged = 0
     for abc in patterns(params_t3):
         tensor = direct_triple_counts(scheme_t3, *find_triple(scheme_t3, abc))
         for variant in boundary_variants(tensor, abc):
             bad = boundary_violations(abc, variant)
-            want = rows_oracle.boundary_violations(abc, variant)
-            assert bad == [(cell, int(got), w) for cell, got, w in want]
+            assert bad == rows_oracle.boundary_violations(abc, variant)
             assert all(type(v) is int for cell, got, w in bad
-                       for v in cell + (got, w))
+                       for v in cell + (w,))
+            assert all(type(got) in (int, float, bool) for _, got, _ in bad)
             flagged += bool(bad)
     assert flagged == 31 * 5
+    A, B, C = abc
+    tiny = tensor.astype(np.float64)
+    tiny[0, A, C] = 5e-324
+    assert boundary_violations(abc, tiny) == [((0, A, C), 5e-324, 1)]
 
 
 def test_counted_mixed_pattern_values(scheme_t3, params_t3):
@@ -1120,21 +1125,38 @@ def test_checker_sums_in_int64_where_float64_would_round(params_t3):
     assert checker(tensor) == 1
 
 
+def test_the_int64_copy_waits_for_the_first_checker_build():
+    """Building and solving every system of a fresh parameter set, as a
+    triple census does, leaves the store without its int64 copy; the
+    first checker build for that params object makes it."""
+    params = closed_form_parameters(5)
+    systems = [widened_system(TripleConfig(params, abc))
+               for abc in patterns(params)]
+    for sys_ in systems:
+        solve(sys_)
+    assert triples._last["params"] is params
+    assert "int64" not in triples._last
+    integer_residual_checker(systems[0])
+    assert "int64" in triples._last
+
+
 def test_checkers_of_rows_no_cache_holds_match_the_oracle(scheme_t3,
                                                           params_t3):
     """Every t = 3 system is built, then one t = 5 system, which replaces
-    the cached Krein rows (d, and so the sum and unit rows, stay). Only
-    then are the t = 3 checkers built, so each converts its Krein rows on
-    its own, and so does a checker for a hand-built copy of the (2,1,1)
-    system, none of whose rows is held. On the counted tensor and on
-    broken ones each names the oracle's first bad row."""
+    the store's params object and its Krein rows (d, and so the sum and
+    unit rows, stay). Only then are the t = 3 checkers built, so each
+    converts its Krein rows on its own, and so does a checker for a
+    hand-built copy of the (2,1,1) system, none of whose rows is held. On
+    the counted tensor and on broken ones each names the oracle's first
+    bad row."""
     def held_kinds(sys_):
-        _, held = triples._shared_int64(64)
+        held = triples._last["int64"][1]
         return {kind for row, kind in zip(sys_.rows, sys_.kinds)
                 if id(row) in held}
 
     systems = [widened_system(TripleConfig(params_t3, abc))
                for abc in patterns(params_t3)]
+    integer_residual_checker(systems[-1])
     assert held_kinds(systems[-1]) == {"sum", "zero", "krein"}
     widened_system(TripleConfig(closed_form_parameters(5), (2, 1, 1)))
     two_one_one = systems[patterns(params_t3).index((2, 1, 1))]
