@@ -9,6 +9,7 @@ import argparse
 import itertools
 import os
 import random
+import re
 import sys
 
 from .errors import SchemeforgeError
@@ -38,6 +39,8 @@ EXIT_MATH = 2
 # as the entries, so a short entry such as 1e4000 would stall it. Family
 # entries for odd t <= 51 have at most 23 bits.
 MAX_ENTRY_BITS = 256
+_EXP_FORM = re.compile(r"\s*[-+]?(?=\d|\.\d)(\d*(?:_\d+)*)"
+                       r"(?:\.(\d+(?:_\d+)*)?)?[eE]([-+]?\d+(?:_\d+)*)\s*")
 
 
 class UsageError(Exception):
@@ -55,16 +58,34 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _parse_entry(text: str):
+    """parse_rat(text), or None when text in Fraction's decimal form with
+    an exponent has more than MAX_ENTRY_BITS bits, seen before 10^E is
+    formed: with E the exponent less the digits after the point, a nonzero
+    mantissa M makes the numerator at least 10^78 > 2^256 if E >= 78, and
+    the denominator above 10^78 if E <= -(len(M) + 78)."""
+    m = _EXP_FORM.fullmatch(text)
+    if m is None:
+        return parse_rat(text)
+    whole, frac, exp = (g.replace("_", "") for g in m.groups(""))
+    # int() on the parts in Fraction's order: an over-long one fails alike
+    mantissa = int(whole or "0") * 10 ** len(frac) + int(frac or "0")
+    e = int(exp) - len(frac)
+    if mantissa and (e >= 78 or e <= -(len(whole) + len(frac) + 78)):
+        return None
+    return parse_rat(text if mantissa else 0)
+
+
 def parse_krein(text: str) -> KreinArray:
     try:
         bs_text, cs_text = text.split(";")
-        bs = tuple(parse_rat(x) for x in bs_text.split(","))
-        cs = tuple(parse_rat(x) for x in cs_text.split(","))
+        bs = tuple(_parse_entry(x) for x in bs_text.split(","))
+        cs = tuple(_parse_entry(x) for x in cs_text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot parse Krein array {text!r}: {exc}")
     for i, x in enumerate(bs + cs, 1):
-        if max(x.numerator.bit_length(),
-               x.denominator.bit_length()) > MAX_ENTRY_BITS:
+        if x is None or max(x.numerator.bit_length(),
+                            x.denominator.bit_length()) > MAX_ENTRY_BITS:
             raise UsageError(f"Krein array entry {i} has more than "
                              f"{MAX_ENTRY_BITS} bits")
     try:
@@ -133,8 +154,7 @@ def cmd_triple(args) -> int:
     try:
         sol = forced_triple_values(params, abc)
     except VacuousConfig:
-        _emit(dump_json(triple_to_dict(None)), args.out)
-        return EXIT_OK
+        sol = None
     _emit(dump_json(triple_to_dict(sol)), args.out)
     return EXIT_OK
 

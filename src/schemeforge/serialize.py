@@ -297,5 +297,5 @@ def load_json(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise BadInput(f"{path}: not a JSON document: {exc}")

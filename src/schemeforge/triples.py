@@ -16,19 +16,19 @@ by (l, m, n). The sum, unit and Krein rows do not depend on the pattern
 and are cached (see below). Solving is exact and stays in ints until the
 solution is read off: the 3 d - 1 sum rows that are fixed sums of the
 others are checked by their right-hand sides alone and skipped, the zero
-rows kill unknowns, elimination sees the live columns (12 to 16 for odd
-t <= 51, against d^3 = 64 names) and the rows that remain distinct up to
-scale (33 to 39), and a Fraction first appears as an entry of the
-solution space. Most of those rows carry no new information: in 780 of
-the 799 non-vacuous systems for odd t <= 51, 38 or 39 rows over 16 live
-columns have rank 15. The elimination keeps its pivot rows reduced and
-tests a row that would be cleared at more pivots than there are kernel
-vectors against that kernel (two int vectors at rank 15, the right-hand
-side's among them), so a row in the span of the earlier ones costs two
-dot products and is never cleared. Forcing is exact too: every system
-of the family for odd t <= 51 has at most one free parameter, and
-nonnegativity bounds it by a ratio test over the solution line. A larger
-solution space raises HighNullity.
+rows kill unknowns, elimination sees the other 69 rows at the live
+columns (12 to 16 for odd t <= 51, against d^3 = 64 names), and a
+Fraction first appears as an entry of the solution space. Most of those
+rows carry no new information: in 780 of the 799 non-vacuous systems for
+odd t <= 51 they have rank 15 over 16 live columns. The elimination
+keeps its pivot rows reduced and tests a row that would be cleared at
+more pivots than there are kernel vectors against that kernel (two int
+vectors at rank 15, the right-hand side's among them), so a row in the
+span of the earlier ones costs two dot products and is never cleared;
+this kernel test is the one filter for such rows. Forcing is exact too:
+every system of the family for odd t <= 51 has at most one free
+parameter, and nonnegativity bounds it by a ratio test over the solution
+line. A larger solution space raises HighNullity.
 
 Against a concrete scheme, each triple takes four calls on a few dozen
 entries, so numpy's fixed cost per call, not arithmetic, sets their
@@ -307,10 +307,10 @@ def solve(sys_: TripleSystem) -> TripleSolution:
     both families that give it, else Inconsistent) and then skipped. Each
     other row is read once: a row with one nonzero coefficient and
     right-hand side 0 kills its unknown, whatever its kind, and is not read
-    again. The rest are read at the live unknowns only: rows that become
-    0 = 0 or are a scalar multiple of an earlier row are dropped, and
-    0 = b with b != 0 raises Inconsistent. The others, each divided by its
-    gcd, go to `linalg.solve_integer` as int rows. In elimination on all
+    again. The rest go to `linalg.solve_integer` as they come, as int rows
+    read at the live unknowns only; its kernel test skips the rows in the
+    span of earlier ones, and a row that becomes 0 = b with b != 0 raises
+    Inconsistent there. In elimination on all
     d^3 columns a killed unknown is a pivot whose unit row touches no
     other column, so the space on the live columns, in their order and
     expanded back with 0 at the killed unknowns, equals that elimination
@@ -336,26 +336,8 @@ def solve(sys_: TripleSystem) -> TripleSolution:
     # itemgetter returns a bare item, not a tuple, for a single index
     pick = (operator.itemgetter(*live) if len(live) > 1
             else lambda row: tuple(row[v] for v in live))
-    zeros = (0,) * len(live)
-    unique = {}
-    for row, b in rest:
-        red = pick(row)
-        if red == zeros:
-            if b:
-                raise Inconsistent("system has no solution")
-            continue
-        # divide by the gcd, first nonzero entry positive: one key per
-        # row up to scale
-        g = math.gcd(b, *red)
-        if red < zeros:
-            g = -g
-        aug = red + (b,)
-        if g == -1:
-            aug = tuple(map(operator.neg, aug))
-        elif g != 1:
-            aug = tuple([x // g for x in aug])
-        unique[aug] = None
-    reduced = solve_integer(list(unique), len(live))
+    reduced = solve_integer([pick(row) + (b,) for row, b in rest],
+                             len(live))
 
     zero = Fraction(0)
 
@@ -369,11 +351,8 @@ def solve(sys_: TripleSystem) -> TripleSolution:
         expand(reduced.particular),
         tuple(expand(vec) for vec in reduced.basis),
         tuple(live[j] for j in reduced.free_indices))
-    forced = dict(zip(names, space.particular))
-    for vec in reduced.basis:
-        for v, x in zip(live, vec):
-            if x:
-                forced.pop(names[v], None)
+    forced = {nm: x for nm, x, *col in zip(names, space.particular,
+                                           *space.basis) if not any(col)}
     residual = tuple(names[f] for f in space.free_indices)
     return TripleSolution(space, forced, residual)
 

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -76,15 +77,31 @@ def test_params_rejects_an_infeasible_array_at_once(array, witness, capsys):
 
 
 @pytest.mark.parametrize("array, position", [
-    ("1e20000,1;1,1", 1), ("1,1;1,1e-4000", 4), ("1,1e78;1,1", 2)])
+    ("1e20000,1;1,1", 1), ("1,1;1,1e-4000", 4), ("1,1e78;1,1", 2),
+    ("1e10000000,1;1,1", 1), ("1,1;1,1e-10000000", 4)])
 def test_params_refuses_an_entry_with_too_many_bits_at_once(array, position,
                                                             capsys):
-    """A short entry with a huge exponent once stalled the bisection."""
+    """A short entry with a huge exponent once stalled the bisection, and
+    before that the forming of 10^exponent."""
     start = time.perf_counter()
     code, _, err = run(["params", "--krein", array], capsys)
     assert time.perf_counter() - start < 1
     assert code == 1
     assert f"entry {position} has more than {MAX_ENTRY_BITS} bits" in err
+
+
+def test_the_widest_entries_that_fit_are_kept():
+    """10^77 and 10^-77 have 256 bits; 10^78 and 10^-78 have 260."""
+    k = parse_krein("1e77,1;1,1e-77")
+    assert k.bstar[0] == 10 ** 77 and k.cstar[1] == Fraction(1, 10 ** 77)
+
+
+def test_params_reads_a_zero_mantissa_as_zero_at_once(capsys):
+    start = time.perf_counter()
+    code, _, err = run(["params", "--krein", "0e-100000000,1;1,1"], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert "Krein array entries must be positive" in err
 
 
 def test_params_names_an_irrational_eigenvalue(capsys):
@@ -310,6 +327,20 @@ def test_loaders_reject_bad_files(tmp_path, capsys, hermitian_gq):
     code, _, err = run(["hemisystem", "--in", str(gq)], capsys)
     assert code == 1
     assert "lines[111][9]" in err
+
+
+def test_a_file_nested_past_the_recursion_limit_is_a_usage_error(
+        tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    src = os.path.dirname(os.path.dirname(schemeforge.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "schemeforge.cli", "hemisystem", "--in",
+         str(deep)], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 1
+    assert "usage error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 PASSED_BUILD_AND_HEMISYSTEM = [

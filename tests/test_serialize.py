@@ -186,6 +186,17 @@ def test_json_file_round_trip(tmp_path, hemisystem):
     assert load_json(path) == hemi_to_dict(hemisystem)
 
 
+@pytest.mark.parametrize("text", ["[" * 100_000, "[" + "7" * 5000 + "]"],
+                         ids=["deep-nesting", "5000-digit-literal"])
+def test_json_files_past_the_decoder_limits_are_bad_input(tmp_path, text):
+    """Nesting past the recursion limit and an integer past Python's
+    int-string limit are malformed input, not internal errors."""
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(BadInput, match="not a JSON document"):
+        load_json(path)
+
+
 # ------------------------------------------------------------ loader checks
 
 GRID_GQ = {"s": 2, "t": 1, "points": 9,
