@@ -287,8 +287,7 @@ def cmd_pipeline(args) -> int:
         passed(f"valencies {counted.valencies}", "parameters")
 
         params = closed_form_parameters(t)
-        if tuple(counted.valencies) != tuple(
-                int(x) for x in params.valencies):
+        if counted.valencies != params.valencies:
             raise MathFailure(f"valencies {counted.valencies} != "
                               f"{params.valencies}")
         if counted.p != params.p:

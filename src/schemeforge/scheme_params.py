@@ -14,12 +14,16 @@ tensors, and does each exact step once, in Python ints:
 - each tensor is one integer sum per unordered triple (i, j, k), C(d + 3, 3)
   of them, then one division per (k, i <= j): the integrality and sign
   checks run on that integer quotient, and [k][i][j] and [k][j][i] are
-  the same Fraction.
+  the same entry.
 For the hemisystem family (one cometric Q-antipodal 4-class scheme for
 each odd t >= 3) the same data is also available in closed form; the two
-routes are independent and cross-check each other. `validate` runs its
-checks on whole-number entries as ints and checks P Q = order * I as one
-integer matrix product.
+routes are independent and cross-check each other. `validate` checks
+P Q = order * I as one integer matrix product.
+
+The order, the valencies, the multiplicities and every p^k_ij of a
+SchemeParameters are Python ints on both routes, each made an int by the
+check that proves it whole; no other module converts them. Every q^k_ij
+is a Fraction.
 
 Conventions: P rows are indexed by eigenspaces and columns by relations,
 Q rows by relations and columns by eigenspaces, so that P Q = order * I.
@@ -40,7 +44,7 @@ from .errors import SchemeforgeError
 
 Rat = Fraction
 
-# Shared by every tensor both routes build; Fractions are immutable.
+# Shared by every Krein tensor both routes build; Fractions are immutable.
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
@@ -98,14 +102,14 @@ class SchemeParameters:
     """Full parameter set of a d-class symmetric scheme."""
 
     d: int
-    order: Rat
+    order: int
     t: int | None
-    valencies: tuple
-    multiplicities: tuple
+    valencies: tuple        # of ints
+    multiplicities: tuple   # of ints
     P: tuple   # first eigenmatrix, rows of ints and Fractions
     Q: tuple   # second eigenmatrix, rows of ints and Fractions
-    p: tuple   # intersection numbers, [k][i][j]
-    q: tuple   # Krein parameters,     [k][i][j]
+    p: tuple   # intersection numbers, [k][i][j], ints
+    q: tuple   # Krein parameters,     [k][i][j], Fractions
 
 
 @dataclass(frozen=True)
@@ -335,14 +339,12 @@ def _spectral_tensor(mat: tuple, weights: Sequence, norms: Sequence,
     return tuple(out)
 
 
-def _intersection_entry(x: int, bottom: int, kk, i, j) -> Rat:
-    if not x:
-        return _ZERO
+def _intersection_entry(x: int, bottom: int, kk, i, j) -> int:
     whole, rest = divmod(x, bottom)
     if rest or whole < 0:
         raise NonIntegral(f"p^{kk}_{i}{j} = {Fraction(x, bottom)} is not "
                           "a nonnegative integer")
-    return Fraction(whole)
+    return whole
 
 
 def _krein_entry(x: int, bottom: int, kk, i, j) -> Rat:
@@ -357,8 +359,8 @@ def intersection_numbers(p_mat: tuple, valencies: Sequence,
     """Tensor p[k][i][j] via the spectral triple-product identity.
 
     p^k_ij * n_k * order = sum_r m_r P_ri P_rj P_rk. Every entry must be a
-    nonnegative integer, checked as an integer quotient; NonIntegral
-    carries the first offending index.
+    nonnegative integer, checked as an integer quotient, which is the
+    entry's int; NonIntegral carries the first offending index.
     """
     return _spectral_tensor(p_mat, multiplicities, valencies, order,
                             _intersection_entry)
@@ -395,57 +397,56 @@ def closed_form_parameters(t: int) -> SchemeParameters:
     """The family's parameter set, straight from the closed-form tables.
 
     At odd t every valency and every p^k_ij is whole, so each half below
-    is an exact integer division and its Fraction needs no gcd. The
-    tensors are built plane by plane from their 4 x 4 inner blocks, with
-    0 and 1 shared.
+    is an exact integer division: n, m, the order, P and p are ints, and
+    q is Fractions. The tensors are built plane by plane from their 4 x 4
+    inner blocks.
     """
     q_mat = _closed_form_q(t)
     F, Z, I = Fraction, _ZERO, _ONE
     s = t * t - t + 1
     b = t * (t + 1) // 2
-    h = lambda x: F(x // 2)   # x is even
-    n = (I, h((t + 1) * (t * t + 1)), h((t - 1) * (t * t + 1)),
-         h(t * t * (t * t - 1)), h(t * t * (t * t + 1)))
-    m = tuple(map(F, q_mat[0]))   # Fractions, as on the generic route
-    order = F((t ** 3 + 1) * (t + 1))
+    n = (1, (t + 1) * (t * t + 1) // 2, (t - 1) * (t * t + 1) // 2,
+         t * t * (t * t - 1) // 2, t * t * (t * t + 1) // 2)
+    m = q_mat[0]
+    order = (t ** 3 + 1) * (t + 1)
     p_mat = (
         (1, n[1], n[2], n[3], n[4]),
-        (1, F(b), h(-(s + 1)), F(-b), h(s - 1)),
-        (1, 0, F(t - 1), 0, F(-t)),
-        (1, F(-b), h(-(s + 1)), F(b), h(s - 1)),
+        (1, b, -(s + 1) // 2, -b, (s - 1) // 2),
+        (1, 0, t - 1, 0, -t),
+        (1, -b, -(s + 1) // 2, b, (s - 1) // 2),
         (1, -n[1], n[2], -n[3], n[4]),
     )
 
-    def tensor(inner, weights):
+    def tensor(inner, weights, zero, one):
         # plane 0 is diag(weights) and plane k has 1 at [k][0][k] and
         # [k][k][0]: the scheme axioms fix the boundary
         rng = range(5)
-        planes = [tuple(tuple(weights[i] if i == j else Z for j in rng)
+        planes = [tuple(tuple(weights[i] if i == j else zero for j in rng)
                         for i in rng)]
         for kk, block in enumerate(inner, 1):
-            edge = tuple(I if j == kk else Z for j in rng)
+            edge = tuple(one if j == kk else zero for j in rng)
             planes.append((edge,) + tuple((edge[i],) + row
                                           for i, row in enumerate(block, 1)))
         return tuple(planes)
 
-    tb, bt = F(t * b), F(b * (t - 1))
+    tb, bt = t * b, b * (t - 1)
     p_inner = (
-        ((Z, h(t - 1), Z, tb),
-         (h(t - 1), Z, h(t * (s - 1)), Z),
-         (Z, h(t * (s - 1)), Z, h(t * t * (s - 1))),
-         (tb, Z, h(t * t * (s - 1)), Z)),
-        ((h(t + 1), Z, tb, Z),
-         (Z, h(t - 3), Z, h(t * (s - 1))),
-         (tb, Z, h(t * t * (s - 3)), Z),
-         (Z, h(t * (s - 1)), Z, h(t * t * (s + 1)))),
-        ((Z, h(t * t + 1), Z, h(t * (t * t + 1))),
-         (h(t * t + 1), Z, h((t - 2) * (t * t + 1)), Z),
-         (Z, h((t - 2) * (t * t + 1)), Z, h((s - 1) * (t * t + 1))),
-         (h(t * (t * t + 1)), Z, h((s - 1) * (t * t + 1)), Z)),
-        ((h((t + 1) ** 2), Z, bt, Z),
-         (Z, h((t - 1) ** 2), Z, h((t - 1) * (s + 1))),
-         (bt, Z, F(b * (t - 1) ** 2), Z),
-         (Z, h((t - 1) * (s + 1)), Z, h((s - 1) * (t * t + 3)))),
+        ((0, (t - 1) // 2, 0, tb),
+         ((t - 1) // 2, 0, t * (s - 1) // 2, 0),
+         (0, t * (s - 1) // 2, 0, t * t * (s - 1) // 2),
+         (tb, 0, t * t * (s - 1) // 2, 0)),
+        (((t + 1) // 2, 0, tb, 0),
+         (0, (t - 3) // 2, 0, t * (s - 1) // 2),
+         (tb, 0, t * t * (s - 3) // 2, 0),
+         (0, t * (s - 1) // 2, 0, t * t * (s + 1) // 2)),
+        ((0, (t * t + 1) // 2, 0, t * (t * t + 1) // 2),
+         ((t * t + 1) // 2, 0, (t - 2) * (t * t + 1) // 2, 0),
+         (0, (t - 2) * (t * t + 1) // 2, 0, (s - 1) * (t * t + 1) // 2),
+         (t * (t * t + 1) // 2, 0, (s - 1) * (t * t + 1) // 2, 0)),
+        (((t + 1) ** 2 // 2, 0, bt, 0),
+         (0, (t - 1) ** 2 // 2, 0, (t - 1) * (s + 1) // 2),
+         (bt, 0, b * (t - 1) ** 2, 0),
+         (0, (t - 1) * (s + 1) // 2, 0, (s - 1) * (t * t + 3) // 2)),
     )
     # q^1..q^3 are tabulated times t; q^4 is tabulated unscaled.
     ot = lambda x: F(x, t)
@@ -470,7 +471,17 @@ def closed_form_parameters(t: int) -> SchemeParameters:
     )
     return SchemeParameters(
         d=4, order=order, t=t, valencies=n, multiplicities=m, P=p_mat,
-        Q=q_mat, p=tensor(p_inner, n), q=tensor(q_inner, m))
+        Q=q_mat, p=tensor(p_inner, n, 0, 1),
+        q=tensor(q_inner, tuple(map(F, m)), Z, I))
+
+
+def _positive_ints(xs, what: str) -> tuple:
+    """The Fractions xs as ints; NonIntegral names the first of them that
+    is not a positive integer."""
+    for x in xs:
+        if x <= 0 or x.denominator != 1:
+            raise NonIntegral(f"{what} {x} is not a positive integer")
+    return tuple(x.numerator for x in xs)
 
 
 def derive_parameters(k: KreinArray, t: int | None = None) -> SchemeParameters:
@@ -480,14 +491,17 @@ def derive_parameters(k: KreinArray, t: int | None = None) -> SchemeParameters:
     rows are ordered to match the closed form, each row placed where the
     closed-form row equal to it sits, which fixes the relation labelling;
     otherwise the deterministic eigenvalue-descending order is kept.
-    Raises the pipeline's typed errors on infeasible arrays.
+    Raises the pipeline's typed errors on infeasible arrays. The order,
+    the multiplicities and the valencies become ints as their checks pass.
     """
     if t is None:
         t = match_family_t(k)
     q_mat, mults, order = dual_eigenmatrix(k)
-    if order <= 0 or order.denominator != 1:
-        raise NonIntegral(f"order {order} is not a positive integer")
+    (order,) = _positive_ints((order,), "order")
+    mults = _positive_ints(mults, "multiplicity")
     if t is not None:
+        # the multiplicity row is the table's only all-positive row, so it
+        # stays first
         table = _closed_form_q(t)
         perm = [None] * (k.d + 1)
         for row in q_mat:
@@ -496,21 +510,12 @@ def derive_parameters(k: KreinArray, t: int | None = None) -> SchemeParameters:
                     "array is not the family array at t = %d" % t)
             perm[table.index(row)] = row
         q_mat = tuple(perm)
-        mults = q_mat[0]
     p_mat = first_eigenmatrix(q_mat, order)
-    valencies = p_mat[0]
-    for v in valencies:
-        if v.denominator != 1 or v <= 0:
-            raise NonIntegral(f"valency {v} is not a positive integer")
+    valencies = _positive_ints(p_mat[0], "valency")
     p = intersection_numbers(p_mat, valencies, mults, order)
     q = krein_numbers(q_mat, valencies, mults, order)
     return SchemeParameters(d=k.d, order=order, t=t, valencies=valencies,
                             multiplicities=mults, P=p_mat, Q=q_mat, p=p, q=q)
-
-
-def _whole(x):
-    """x as an int if it is a Fraction with denominator 1, else x itself."""
-    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
 def _absolute_bound_breaches(q: tuple, m: tuple):
@@ -531,7 +536,7 @@ def _absolute_bound_breaches(q: tuple, m: tuple):
                 yield (f"sum of m_k over q^k_{i}{j} != 0 is {total} > "
                        f"m_{i} m_{j} = {m[i] * m[j]}")
             elif i == j and 2 * total > m[i] * (m[i] + 1):
-                bound = _whole(Fraction(m[i] * (m[i] + 1), 2))
+                bound = Fraction(m[i] * (m[i] + 1), 2)
                 yield (f"sum of m_k over q^k_{i}{i} != 0 is {total} > "
                        f"m_{i}(m_{i} + 1)/2 = {bound}")
 
@@ -542,20 +547,14 @@ def validate(params: SchemeParameters,
 
     A failed check's witness names its first failure in index order.
 
-    Each valency and p^k_ij that is a whole-number Fraction is read as an
-    int once; the row sums, weighted symmetry, boundary, integrality and
-    size checks then run on ints. An int equals the Fraction it came from,
-    compares alike with anything and prints the same ("5" either way), so
-    no outcome or witness changes; the multiplicities are read the same
-    way. The Krein sign is read off numerators,
+    The checks take the entries as given, so a hand-built set whose
+    whole-number entries are Fractions gets the same verdicts and
+    witnesses as its ints would. The Krein sign is read off numerators,
     and P Q = order * I is (D_P P)(D_Q Q) = D_P D_Q order * I, D_P and D_Q
     the lcms of the denominators: one product of int matrices.
     """
-    d, q = params.d, params.q
-    n = tuple(map(_whole, params.valencies))
-    m = tuple(map(_whole, params.multiplicities))
-    p = tuple(tuple(tuple(map(_whole, row)) for row in plane)
-              for plane in params.p)
+    d, n, m = params.d, params.valencies, params.multiplicities
+    p, q = params.p, params.q
     pairs = list(itertools.product(range(d + 1), repeat=2))
     triples = list(itertools.product(range(d + 1), repeat=3))
     checks = []

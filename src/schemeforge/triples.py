@@ -255,9 +255,9 @@ def widened_system(cfg: TripleConfig) -> TripleSystem:
     p = params.p
     names, members, sums, units = _sum_rows(params.d)[:4]
     rng = range(1, params.d + 1)
-    rhs = ([int(p[B][m][n]) - ((m, n) == (A, C)) for m in rng for n in rng]
-           + [int(p[C][l][n]) - ((l, n) == (A, B)) for l in rng for n in rng]
-           + [int(p[A][l][m]) - ((l, m) == (C, B)) for l in rng for m in rng])
+    rhs = ([p[B][m][n] - ((m, n) == (A, C)) for m in rng for n in rng]
+           + [p[C][l][n] - ((l, n) == (A, B)) for l in rng for n in rng]
+           + [p[A][l][m] - ((l, m) == (C, B)) for l in rng for m in rng])
     for value in rhs:
         if value < 0:
             raise Inconsistent(f"negative right-hand side {value}")
@@ -463,7 +463,7 @@ def integer_residual_checker(sys_: TripleSystem):
     rows tested one by one.
     """
     params = sys_.config.params
-    order = int(params.order)
+    order = params.order
     rows, width = sys_.rows, len(sys_.names)
     krein = _krein_rows(params)
     if "int64" not in _last:

@@ -160,6 +160,9 @@ def derive_parameters(k, roots, t=None) -> SchemeParameters:
     order = sum(q_mat[0], Fraction(0))
     if order <= 0 or order.denominator != 1:
         raise NonIntegral(f"order {order} is not a positive integer")
+    for m in q_mat[0]:
+        if m.denominator != 1 or m <= 0:
+            raise NonIntegral(f"multiplicity {m} is not a positive integer")
     if t is not None:
         table = _closed_form_q(t)
         if any(row not in table for row in q_mat):

@@ -67,6 +67,8 @@ def test_params_from_krein_matches_t(tmp_path, capsys):
     ("1000000000000000000000000000000,1,1,1;1,1,1,1",
      "only 1 of 5 dual eigenvalues are rational"),
     ("3,2;1,2", "only 1 of 3 dual eigenvalues are rational"),
+    # order 7 and valencies 1, 5, 1, but multiplicities 1, 7/2, 5/2
+    ("7/2,5/2;1,7/2", "multiplicity 7/2 is not a positive integer"),
 ])
 def test_params_rejects_an_infeasible_array_at_once(array, witness, capsys):
     start = time.perf_counter()

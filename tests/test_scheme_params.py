@@ -297,8 +297,8 @@ def first_breach(tensor, bad):
                  if bad(tensor[kk][i][j])), None)
 
 
-def all_fractions(tensor):
-    return all(type(x) is Fraction
+def all_of_type(kind, tensor):
+    return all(type(x) is kind
                for plane in tensor for row in plane for x in row)
 
 
@@ -311,7 +311,7 @@ def test_intersection_numbers_match_the_fraction_oracle(inputs):
     if breach is None:
         got = intersection_numbers(mat, norms, weights, order)
         assert got == expected
-        assert all_fractions(got)
+        assert all_of_type(int, got)
     else:
         kk, i, j, val = breach
         with pytest.raises(NonIntegral) as exc:
@@ -329,7 +329,7 @@ def test_krein_numbers_match_the_fraction_oracle(inputs):
     if breach is None:
         got = krein_numbers(mat, norms, weights, order)
         assert got == expected
-        assert all_fractions(got)
+        assert all_of_type(Fraction, got)
     else:
         kk, i, j, val = breach
         with pytest.raises(NegativeKrein) as exc:
@@ -524,14 +524,18 @@ def test_validate_matches_the_fraction_oracle_on_changed_sizes(params_t3):
         replace(params_t3, order=params_t3.order + 1), k)
     assert_validate_matches_the_oracle(
         replace(params_t3, order=params_t3.order + F(1, 2)), k)
+    assert_validate_matches_the_oracle(
+        replace(params_t3, multiplicities=(1, F(1, 2))
+                + params_t3.multiplicities[2:]), k)
 
 
-def all_fraction_entries(params):
-    entries = itertools.chain(
-        params.valencies, params.multiplicities,
-        (x for tensor in (params.p, params.q)
-         for plane in tensor for row in plane for x in row))
-    return all(type(x) is Fraction for x in entries)
+def assert_whole_numbers_are_ints(params):
+    """The order, n, m and p are ints; q is Fractions."""
+    assert type(params.order) is int
+    assert all(type(x) is int
+               for x in params.valencies + params.multiplicities)
+    assert all_of_type(int, params.p)
+    assert all_of_type(Fraction, params.q)
 
 
 @pytest.mark.parametrize("t", FAMILY_T)
@@ -541,7 +545,7 @@ def test_closed_forms_equal_the_entry_by_entry_builder(t):
     for field in fields(want):
         assert getattr(got, field.name) == getattr(want, field.name), \
             field.name
-    assert all_fraction_entries(got)
+    assert_whole_numbers_are_ints(got)
 
 
 def mub_array(m, w):
@@ -564,16 +568,18 @@ def assert_derivation_matches_the_fraction_pipeline(k):
                       reference_dual_eigenvalues(k))
     assert got == want
     if isinstance(got, SchemeParameters):
-        assert type(got.order) is Fraction
-        assert all_fraction_entries(got)
+        assert_whole_numbers_are_ints(got)
         assert all(type(x) is Fraction
                    for mat in (got.P, got.Q) for row in mat for x in row)
 
 
 @pytest.mark.parametrize(
     "k", [hemisystem_krein_array(t) for t in FAMILY_T]
-    + [hypercube_array(d) for d in range(1, 8)],
-    ids=[f"t={t}" for t in FAMILY_T] + [f"cube{d}" for d in range(1, 8)])
+    + [hypercube_array(d) for d in range(1, 8)]
+    # order 7 and valencies 1, 5, 1, but multiplicities 1, 7/2, 5/2
+    + [KreinArray.make((F(7, 2), F(5, 2)), (1, F(7, 2)))],
+    ids=[f"t={t}" for t in FAMILY_T] + [f"cube{d}" for d in range(1, 8)]
+    + ["half-multiplicity"])
 def test_derivation_matches_the_fraction_pipeline(k):
     assert_derivation_matches_the_fraction_pipeline(k)
 
