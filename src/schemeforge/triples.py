@@ -8,19 +8,20 @@ sides are ordinary intersection numbers. The system is widened by one
 linear equation per vanishing Krein parameter (Coolsaet and Jurisic), and
 nonnegativity of the symbols then pins many of them to exact values.
 
-widened_system is the one builder: it puts the sum rows, the zero rows
-and the Krein rows of one pattern into one TripleSystem. Every row and
-right-hand side is a Python int; a Krein row is its rational equation
-times the lcm of its denominators. Unknowns are ordered lexicographically
-by (l, m, n). The sum, unit and Krein rows do not depend on the pattern
-and are cached (see below). Solving is exact and stays in ints until the
-solution is read off: the 3 d - 1 sum rows that are fixed sums of the
-others are checked by their right-hand sides alone and skipped, the zero
-rows kill unknowns, elimination sees the other 69 rows at the live
-columns (12 to 16 for odd t <= 51, against d^3 = 64 names), and a
-Fraction first appears as an entry of the solution space. Most of those
-rows carry no new information: in 780 of the 799 non-vacuous systems for
-odd t <= 51 they have rank 15 over 16 live columns. The elimination
+widened_system is the one builder: it stacks the sum rows, the zero
+rows and the Krein rows of one pattern into the one integer matrix of a
+TripleSystem, whose right-hand sides are Python ints; a Krein row is its
+rational equation times the lcm of its denominators. Unknowns are
+ordered lexicographically by (l, m, n). The sum, unit and Krein rows do
+not depend on the pattern and are cached as blocks (see below). Solving
+is exact and stays in ints until the solution is read off: the 3 d - 1
+sum rows that are fixed sums of the others are checked by their
+right-hand sides alone and skipped, the zero rows kill unknowns,
+elimination sees the other 69 rows at the live columns (12 to 16 for
+odd t <= 51, against d^3 = 64 names), and a Fraction first appears as an
+entry of the solution space. Most of those rows carry no new
+information: in 780 of the 799 non-vacuous systems for odd t <= 51 they
+have rank 15 over 16 live columns. The elimination
 keeps its pivot rows reduced and tests a row that would be cleared at
 more pivots than there are kernel vectors against that kernel (two int
 vectors at rank 15, the right-hand side's among them), so a row in the
@@ -39,28 +40,22 @@ to boundary_violations, which compares its boundary entries with the
 pattern's expected vector as bytes when both are int64, and to the
 residual checker, which takes only the inner d^3 entries before casting
 them for one matrix-vector product. The checker also takes the same
-entries as nested lists. Its product is
-exact: float64, through BLAS, while the matrix-wide bound
-max |a| * d^3 * order + max |b| is below 2^53 (every t = 3 system, about
-10^8), and int64 from there up to 2^63. The family first reaches 2^53 at
-t = 13. Past 2^63 the rows are bounded one by one; the family's first
-row that could wrap int64, for which the checker build raises
-CheckerOverflow, is at t = 25.
+entries as nested lists. Its product is exact at every t: float64,
+through BLAS, while the matrix-wide bound max |a| * d^3 * order + max |b|
+is below 2^53 (every t = 3 system, about 10^8), and Python ints (an
+object array) from there. The family first reaches 2^53 at t = 13.
 
-Three caches hold what patterns share: `_sum_rows` the sum and unit rows
-of the last d, with their int64 block; the store `_last` the last params
-object, its vanishing tuples and Krein rows and, from the first checker
-built for it, one int64 copy of these rows, which building or solving a
-system never pays for; `_boundary` the boundary cells and expected
-values of the last 128 (pattern, c). A sweep over t holds one parameter
-set's rows at a time.
+Two caches hold what patterns share: `_sum_rows` the int64 block of the
+sum and unit rows of the last d, and the store `_last` the last params
+object with its vanishing tuples and Krein block. A sweep over t holds
+one parameter set's rows at a time. The lru `_boundary` holds the
+boundary cells and expected values of the last 128 (pattern, c).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -83,10 +78,6 @@ class HighNullity(SchemeforgeError, NotImplementedError):
     """The solution space has more than one free parameter."""
 
 
-class CheckerOverflow(SchemeforgeError, OverflowError):
-    """A row could overflow int64 in the residual checker."""
-
-
 @dataclass(frozen=True)
 class TripleConfig:
     """A relation pattern (A, B, C) over a fixed parameter set."""
@@ -106,19 +97,21 @@ class TripleConfig:
         return self.params.p[a][c][b] == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TripleSystem:
     """Linear equations over the d^3 inner symbols.
 
-    rows[i] is a tuple of int coefficients over `names` and rhs[i] an int;
-    kinds[i] tags where the row came from: "sum" (a sum equation), "zero"
-    (an unknown that a zero sum forces to 0) or "krein" (a vanishing
-    Krein parameter).
+    rows is one read-only 2-D integer ndarray, row i the coefficients of
+    equation i over `names`: int64, or an object array of Python ints
+    where the Krein rows need them (from t = 103 in the family). rhs[i] is
+    a Python int; kinds[i] tags where the row came from: "sum" (a sum
+    equation), "zero" (an unknown that a zero sum forces to 0) or "krein"
+    (a vanishing Krein parameter).
     """
 
     config: TripleConfig
     names: tuple   # of (l, m, n)
-    rows: tuple    # of int coefficient tuples
+    rows: np.ndarray
     rhs: tuple
     kinds: tuple
 
@@ -143,34 +136,31 @@ def _names(d: int) -> tuple:
 def _sum_rows(d: int) -> tuple:
     """Pattern-free part of every system with d classes.
 
-    (names, the member indices of each of the 3 d^2 sum rows, the sum rows,
-    the d^3 unit rows, the indices of the 3 d^2 - 3 d + 1 sum rows that
-    span them all, the sum and unit rows as one read-only int64 block), the
-    sum rows in `widened_system`'s order. Each of the three families of d^2
-    sum rows fixes two slots, so two families share each one-slot margin:
-    summed over m, the rows [. m n] and [l . n] both give the total at slot
-    n, and so on for the other two pairs. Those 3 d relations, 3 d - 1 of
-    them independent, leave the rows at rank 3 d^2 - 3 d + 1; they give [l
-    . n] at l = d, [l m .] at m = d and [l m .] at l = d as fixed sums of
-    the others.
+    (names, the member indices of each of the 3 d^2 sum rows, the indices
+    of the 3 d^2 - 3 d + 1 sum rows that span them all, a read-only int64
+    block of the sum rows, in `widened_system`'s order, then the d^3 unit
+    rows). Each of the three families of d^2 sum rows fixes two slots, so
+    two families share each one-slot margin: summed over m, the rows
+    [. m n] and [l . n] both give the total at slot n, and so on for the
+    other two pairs. Those 3 d relations, 3 d - 1 of them independent,
+    leave the rows at rank 3 d^2 - 3 d + 1; they give [l . n] at l = d,
+    [l m .] at m = d and [l m .] at l = d as fixed sums of the others.
     """
     names, rng, step = _names(d), range(d), (d * d, d, 1)
     members = tuple(tuple(r * step[s] + i * step[a] + j * step[b]
                           for r in rng)
                     for s, a, b in ((0, 1, 2), (1, 0, 2), (2, 0, 1))
                     for i in rng for j in rng)
-    width = range(len(names))
-    rows = tuple(tuple(int(i in mem) for i in width) for mem in members)
-    units = tuple(tuple(int(i == v) for i in width) for v in width)
     # [l . n] at l = d, then [l m .] at l = d or m = d
     last, d2 = d - 1, d * d
     dependent = ({d2 + last * d + n for n in rng}
                  | {2 * d2 + l * d + m for l in rng for m in rng
                     if last in (l, m)})
-    kept = tuple(i for i in range(len(rows)) if i not in dependent)
-    block = np.array(rows + units, dtype=np.int64)
+    kept = tuple(i for i in range(len(members)) if i not in dependent)
+    units = np.eye(len(names), dtype=np.int64)
+    block = np.concatenate((units[np.array(members)].sum(axis=1), units))
     block.setflags(write=False)
-    return names, members, rows, units, kept, block
+    return names, members, kept, block
 
 
 def vanishing_tuples(params: SchemeParameters) -> tuple:
@@ -182,24 +172,24 @@ def vanishing_tuples(params: SchemeParameters) -> tuple:
 
 
 # The store: "params", the last params object `_krein_rows` was asked for
-# (held, so its id stays unused), "krein" and "int64" (see the checker).
+# (held, so its id stays unused), and "krein", its Krein rows.
 _last = {}
 
 
 def _krein_rows(params: SchemeParameters) -> tuple:
     """Pattern-free part of the Krein rows, formed once per params object.
 
-    (tuples, cols, g0, rows, block): tuples is `vanishing_tuples(params)`;
+    (tuples, cols, g0, rows): tuples is `vanishing_tuples(params)`;
     cols[j] is column j of den * Q, den the lcm of Q's denominators;
-    rows[i] is the integer row den^3 Q_lr Q_ms Q_nt of tuples[i] =
-    (r, s, t), in `names` order, divided by g0[i] = gcd(den^3, *that row).
-    All the rows are one outer product of three gathers of columns of the
-    inner block of den * Q. It is formed in int64 while
-    max |den Q_lr|^3 < 2^63, and in Python ints (an object array, the same
-    expression) from there: the family first needs those at t = 103, and
-    its rows reach 66 bits at t = 151. Only the divided rows are held,
-    with their int64 block when they were formed in int64 (else None);
-    `widened_system` divides a row again by multiplying it by g0 / g.
+    rows, a read-only 2-D ndarray, holds in row i the integer row
+    den^3 Q_lr Q_ms Q_nt of tuples[i] = (r, s, t), in `names` order,
+    divided by g0[i] = gcd(den^3, *that row). All the rows are one outer
+    product of three gathers of columns of the inner block of den * Q. It
+    is formed in int64 while max |den Q_lr|^3 < 2^63, and in Python ints
+    (an object array, the same expression) from there: the family first
+    needs those at t = 103, and its rows reach 66 bits at t = 151. Only
+    the divided rows are held; `widened_system` divides a row again by
+    multiplying it by g0 / g.
     """
     if _last.get("params") is params:
         return _last["krein"]
@@ -217,11 +207,10 @@ def _krein_rows(params: SchemeParameters) -> tuple:
     den3 = den ** 3
     g0 = [math.gcd(den3, g) for g in np.gcd.reduce(full, axis=1).tolist()]
     reduced = full // np.array(g0, dtype=dtype)[:, None]
-    rows = tuple(map(tuple, reduced.tolist()))
+    reduced.setflags(write=False)
     _last.clear()
-    _last.update(params=params, krein=(
-        tuples, tuple(zip(*cleared)), g0, rows,
-        reduced if dtype is np.int64 else None))
+    _last.update(params=params,
+                 krein=(tuples, tuple(zip(*cleared)), g0, reduced))
     return _last["krein"]
 
 
@@ -243,9 +232,11 @@ def widened_system(cfg: TripleConfig) -> TripleSystem:
     den^3. Dividing it by g = gcd(den^3, b, *row) leaves the rational
     equation times the lcm of its own denominators. The pattern-free rows
     come from `_sum_rows`, cached per d, and `_krein_rows`, held for the
-    last params object; each pattern forms its right-hand sides and zero
-    rows, and divides a Krein row again only where g = gcd(g0, b) != g0,
-    as the held row times g0 / g.
+    last params object; each pattern forms its right-hand sides and picks
+    its zero rows from the unit rows, and multiplies the Krein block by
+    g0 / g only when some row has g = gcd(g0, b) != g0. One concatenate
+    makes the system's matrix, int64, or Python ints where the Krein
+    block is.
     """
     if cfg.is_vacuous:
         a, b, c = cfg.abc
@@ -253,7 +244,7 @@ def widened_system(cfg: TripleConfig) -> TripleSystem:
     params = cfg.params
     A, B, C = cfg.abc
     p = params.p
-    names, members, sums, units = _sum_rows(params.d)[:4]
+    names, members, _, block = _sum_rows(params.d)
     rng = range(1, params.d + 1)
     rhs = ([p[B][m][n] - ((m, n) == (A, C)) for m in rng for n in rng]
            + [p[C][l][n] - ((l, n) == (A, B)) for l in rng for n in rng]
@@ -262,19 +253,24 @@ def widened_system(cfg: TripleConfig) -> TripleSystem:
         if value < 0:
             raise Inconsistent(f"negative right-hand side {value}")
     zero = sorted({v for mem, b in zip(members, rhs) if b == 0 for v in mem})
-    tuples, cols, g0s, krein, _ = _krein_rows(params)
-    kinds = (("sum",) * len(sums) + ("zero",) * len(zero)
-             + ("krein",) * len(tuples))
-    rows = [*sums, *(units[v] for v in zero)]
+    tuples, cols, g0s, krein = _krein_rows(params)
+    nsum = len(members)
+    kinds = ("sum",) * nsum + ("zero",) * len(zero) + ("krein",) * len(tuples)
     rhs += [0] * len(zero)
-    for (r, s, t), g0, row in zip(tuples, g0s, krein):
+    scale = []
+    for (r, s, t), g0 in zip(tuples, g0s):
         qr, qs, qt = cols[r], cols[s], cols[t]
         b = -(qr[0] * qs[A] * qt[C] + qr[A] * qs[0] * qt[B]
               + qr[C] * qs[B] * qt[0])
         g = math.gcd(g0, b)
-        rows.append(row if g == g0 else tuple(x * (g0 // g) for x in row))
+        scale.append(g0 // g)
         rhs.append(b // g)
-    return TripleSystem(cfg, names, tuple(rows), tuple(rhs), kinds)
+    if scale.count(1) < len(scale):
+        krein = krein * np.array(scale, dtype=krein.dtype)[:, None]
+    rows = np.concatenate((block[:nsum], block[[nsum + v for v in zero]],
+                           krein))
+    rows.setflags(write=False)
+    return TripleSystem(cfg, names, rows, tuple(rhs), kinds)
 
 
 def _margins_agree(rhs: tuple, d: int) -> bool:
@@ -304,14 +300,14 @@ def solve(sys_: TripleSystem) -> TripleSolution:
     When the system opens with the 3 d^2 sum rows of `_sum_rows`, the
     3 d - 1 of them that are fixed sums of the others are checked by their
     right-hand sides alone (every one-slot margin must come out alike from
-    both families that give it, else Inconsistent) and then skipped. Each
-    other row is read once: a row with one nonzero coefficient and
-    right-hand side 0 kills its unknown, whatever its kind, and is not read
-    again. The rest go to `linalg.solve_integer` as they come, as int rows
-    read at the live unknowns only; its kernel test skips the rows in the
-    span of earlier ones, and a row that becomes 0 = b with b != 0 raises
-    Inconsistent there. In elimination on all
-    d^3 columns a killed unknown is a pivot whose unit row touches no
+    both families that give it, else Inconsistent) and then skipped. Of
+    the other rows, one with one nonzero coefficient and right-hand side 0
+    kills its unknown, whatever its kind; one nonzero mask of the matrix
+    finds them and their unknowns. The rest go to `linalg.solve_integer` in their
+    order, read at the live unknowns only, as lists of Python ints; its
+    kernel test skips the rows in the span of earlier ones, and a row that
+    becomes 0 = b with b != 0 raises Inconsistent there. In elimination on
+    all d^3 columns a killed unknown is a pivot whose unit row touches no
     other column, so the space on the live columns, in their order and
     expanded back with 0 at the killed unknowns, equals that elimination
     field for field.
@@ -320,24 +316,21 @@ def solve(sys_: TripleSystem) -> TripleSolution:
     nvar = len(names)
     rows, rhs = sys_.rows, sys_.rhs
     d = sys_.config.params.d
-    sums, kept = _sum_rows(d)[2::2]
-    if rows[:len(sums)] == sums:
+    _, members, kept, block = _sum_rows(d)
+    nsum = len(members)
+    read = range(len(rhs))
+    if np.array_equal(rows[:nsum], block[:nsum]):
         if not _margins_agree(rhs, d):
             raise Inconsistent("system has no solution")
-        rows = [rows[i] for i in kept] + list(rows[len(sums):])
-        rhs = [rhs[i] for i in kept] + list(rhs[len(sums):])
-    killed, rest = set(), []
-    for row, b in zip(rows, rhs):
-        if b or row.count(0) != nvar - 1:
-            rest.append((row, b))
-        else:
-            killed.add(row.index(sum(row)))
-    live = [v for v in range(nvar) if v not in killed]
-    # itemgetter returns a bare item, not a tuple, for a single index
-    pick = (operator.itemgetter(*live) if len(live) > 1
-            else lambda row: tuple(row[v] for v in live))
-    reduced = solve_integer([pick(row) + (b,) for row, b in rest],
-                             len(live))
+        read = [*kept, *range(nsum, len(rhs))]
+    nonzero = rows != 0
+    counts = nonzero.sum(axis=1).tolist()
+    kills = [i for i in read if counts[i] == 1 and not rhs[i]]
+    live = np.flatnonzero(~nonzero[kills].any(axis=0)).tolist()
+    rest = [i for i in read if counts[i] != 1 or rhs[i]]
+    at_live = rows[rest][:, live].tolist()
+    reduced = solve_integer([row + [rhs[i]] for i, row in zip(rest, at_live)],
+                            len(live))
 
     zero = Fraction(0)
 
@@ -441,63 +434,29 @@ def direct_triple_counts(sch, x: int, y: int, u: int) -> np.ndarray:
 def integer_residual_checker(sys_: TripleSystem):
     """Precompiled exact residual test for direct-count tensors.
 
-    The int rows become one matrix, so the per-tensor check is a single
+    The system's matrix, cast once, makes the per-tensor check a single
     matrix product. Returns a function mapping a tensor (the (d+1)^3
     array of direct_triple_counts, or the same entries as nested lists or
     tuples) to the index of the first violated row, or None when every
     equation is satisfied; its inner d^3 entries, read in C order, are the
-    unknowns in `names` order. Raises CheckerOverflow, naming the row,
-    when the int64 product of a row with a count tensor could wrap.
+    unknowns in `names` order.
 
-    The first checker built for a params object stores the int64 blocks of
-    its sum, unit and int64-formed Krein rows as one matrix, a map from
-    each row's id to its index, and those rows, so every id in the map
-    stays live. Rows the map holds are gathered with one fancy index; any
-    other row (a Krein row divided again, a row of a hand-built system or
-    of a system whose params object the store no longer holds) is converted
-    on its own. A count is at most `order`, so every partial sum of
-    row . counts lies within sum |a_ij| * order, and b_i within |b_i|. All
-    rows are bounded at once by max |a| * width * order + max |b|: below
-    2^53 the product is summed in float64, at or above it in int64. Only
-    when that bound reaches 2^63 or an entry does not fit int64 are the
-    rows tested one by one.
+    A count is at most `order`, so every partial sum of row . counts lies
+    within sum |a_ij| * order, and b_i within |b_i|. All rows are bounded
+    at once by max |a| * width * order + max |b|: below 2^53 the product
+    is summed in float64, and from there in Python ints, as an object
+    array.
     """
     params = sys_.config.params
-    order = params.order
-    rows, width = sys_.rows, len(sys_.names)
-    krein = _krein_rows(params)
-    if "int64" not in _last:
-        sums, units, _, block = _sum_rows(params.d)[2:]
-        held, blocks = sums + units, [block]
-        if krein[4] is not None:
-            held += krein[3]
-            blocks.append(krein[4])
-        _last["int64"] = (np.concatenate(blocks),
-                          {id(row): i for i, row in enumerate(held)}, held)
-    mat, index, _ = _last["int64"]
-    # an unheld row takes index -1, a placeholder that the loop overwrites
-    where = [index.get(id(row), -1) for row in rows]
-    mat = mat[where]
-    try:
-        for i, j in enumerate(where):
-            if j < 0:
-                mat[i] = rows[i]
-    except OverflowError:
-        bound = 2 ** 63
-    else:
-        bound = (max(int(mat.max(initial=0)), -int(mat.min(initial=0)))
-                 * width * order + max(map(abs, sys_.rhs), default=0))
-    if bound >= 2 ** 63:
-        for i, (row, b) in enumerate(zip(rows, sys_.rhs)):
-            if sum(map(abs, row)) * order + abs(b) >= 2 ** 63:
-                raise CheckerOverflow(
-                    f"{sys_.kinds[i]} row {i} can overflow int64 on counts "
-                    f"up to {order}")
+    rows = sys_.rows
+    bound = (max(int(rows.max(initial=0)), -int(rows.min(initial=0)))
+             * len(sys_.names) * params.order
+             + max(map(abs, sys_.rhs), default=0))
     # Every partial sum of mat @ vec is an integer below the bound: below
     # 2^53 each one is a float64 whatever order BLAS adds in, so the
-    # float64 product is exact; below 2^63 the int64 one cannot wrap.
-    dtype = np.float64 if bound < 2 ** 53 else np.int64
-    mat = mat.astype(dtype, copy=False)
+    # float64 product is exact; from there Python ints sum exactly.
+    dtype = np.float64 if bound < 2 ** 53 else object
+    mat = rows.astype(dtype)
     rhs = np.array(sys_.rhs, dtype=dtype)
     c = params.d + 1
     inner = np.arange(c ** 3).reshape(c, c, c)[1:, 1:, 1:].ravel()

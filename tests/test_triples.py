@@ -3,6 +3,7 @@
 import inspect
 import itertools
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -14,13 +15,13 @@ import triple_rows_oracle as rows_oracle
 from schemeforge import linalg, triples
 from schemeforge.linalg import Inconsistent, solve_integer
 from schemeforge.scheme_params import closed_form_parameters
-from schemeforge.triples import (CheckerOverflow, HighNullity, Infeasible,
-                                 TripleConfig, TripleSystem, VacuousConfig,
-                                 boundary_violations, direct_triple_counts,
-                                 forced_triple_values,
+from schemeforge.triples import (HighNullity, Infeasible, TripleConfig,
+                                 VacuousConfig, boundary_violations,
+                                 direct_triple_counts, forced_triple_values,
                                  integer_residual_checker, nonneg_force,
                                  solve, triple_pattern, vanishing_tuples,
                                  widened_system)
+from triple_rows_oracle import system
 
 PROOF_TUPLES = ((1, 1, 3), (1, 1, 4), (1, 4, 2), (1, 4, 4))
 
@@ -35,17 +36,25 @@ def patterns(params):
 def only(sys_, kinds):
     """The rows of `sys_` whose kind is in `kinds`, in their order."""
     keep = [i for i, k in enumerate(sys_.kinds) if k in kinds]
-    return TripleSystem(sys_.config, sys_.names,
-                        tuple(sys_.rows[i] for i in keep),
-                        tuple(sys_.rhs[i] for i in keep),
-                        tuple(sys_.kinds[i] for i in keep))
+    return system(sys_.config, sys_.names, sys_.rows[keep],
+                  [sys_.rhs[i] for i in keep], [sys_.kinds[i] for i in keep])
+
+
+def assert_same_system(sys_, ref):
+    """Equal systems, field by field, the rows entry for entry."""
+    assert sys_.config == ref.config
+    assert sys_.names == ref.names
+    assert sys_.rows.tolist() == ref.rows.tolist()
+    assert sys_.rhs == ref.rhs
+    assert sys_.kinds == ref.kinds
 
 
 def residuals(sys_, tensor):
     """(kind, row index, residual) of each row a count tensor violates."""
     vec = [tensor[l][m][n] for l, m, n in sys_.names]
     out = []
-    for i, (row, b, kind) in enumerate(zip(sys_.rows, sys_.rhs, sys_.kinds)):
+    for i, (row, b, kind) in enumerate(zip(sys_.rows.tolist(), sys_.rhs,
+                                           sys_.kinds)):
         res = sum(a * x for a, x in zip(row, vec)) - b
         if res:
             out.append((kind, i, res))
@@ -127,7 +136,7 @@ def test_all_distinct_classes_add_nothing():
         base = rows_oracle.build_base_system(cfg)
         wide = widened_system(cfg)
         krein = len(vanishing_tuples(params))
-        assert wide.rows[:len(base.rows)] == base.rows
+        assert wide.rows[:len(base.rows)].tolist() == base.rows.tolist()
         assert wide.kinds == base.kinds + ("krein",) * krein
 
 
@@ -164,15 +173,16 @@ def direct_krein_rows(sys_, tuples):
 
 
 def reference_integer_rows(rows, rhs):
-    """Each row and its right-hand side times their lcm, via Fraction."""
+    """Each row (a list) and its right-hand side times their lcm, via
+    Fraction."""
     out_rows, out_rhs = [], []
     for row, b in zip(rows, rhs):
         denom = 1
         for c in row + (b,):
             denom = denom * c.denominator // math.gcd(denom, c.denominator)
-        out_rows.append(tuple(int(c * denom) for c in row))
+        out_rows.append([int(c * denom) for c in row])
         out_rhs.append(int(b * denom))
-    return tuple(out_rows), tuple(out_rhs)
+    return out_rows, tuple(out_rhs)
 
 
 @pytest.mark.parametrize("t", [3, 5, 7])
@@ -183,7 +193,7 @@ def test_krein_rows_equal_the_direct_products(t):
     tuples = vanishing_tuples(params)
     for abc in patterns(params):
         krein = only(widened_system(TripleConfig(params, abc)), ("krein",))
-        assert (krein.rows, krein.rhs) == reference_integer_rows(
+        assert (krein.rows.tolist(), krein.rhs) == reference_integer_rows(
             *direct_krein_rows(krein, tuples))
 
 
@@ -191,7 +201,9 @@ def assert_krein_rows_match_the_direct_products(params):
     """`_krein_rows` against each row's Fraction products: the held row is
     the rational row times the lcm of its denominators, and that row times
     g0 is the row times den^3."""
-    tuples, _, g0s, rows, _ = triples._krein_rows(params)
+    tuples, _, g0s, block = triples._krein_rows(params)
+    assert block.ndim == 2 and not block.flags.writeable
+    rows = block.tolist()
     assert tuples == vanishing_tuples(params)
     den = math.lcm(*(x.denominator for row in params.Q for x in row))
     sys_ = widened_system(TripleConfig(params, (2, 1, 1)))
@@ -208,17 +220,13 @@ def assert_krein_rows_match_the_direct_products(params):
 def test_krein_rows_equal_a_pure_python_reference(t):
     """Every odd t <= 51 and both sides of the int64 / Python int switch:
     at t = 101 every product of three entries of den * Q fits int64 and
-    the store holds the int64 block for the checker; at t = 103 it may
-    not, and none is held."""
+    the store holds an int64 block; at t = 103 it may not, and the block
+    holds Python ints."""
     params = closed_form_parameters(t)
     rows = assert_krein_rows_match_the_direct_products(params)
     assert triples._last["params"] is params
-    block = triples._last["krein"][4]
-    if t <= 101:
-        assert block.dtype == np.int64
-        assert block.tolist() == [list(row) for row in rows]
-    else:
-        assert block is None
+    block = triples._last["krein"][3]
+    assert block.dtype == (np.int64 if t <= 101 else object)
     if t == 151:
         assert max(abs(x) for row in rows for x in row).bit_length() == 66
 
@@ -232,7 +240,7 @@ def test_krein_rows_of_a_doctored_q_equal_a_pure_python_reference():
     doctored = replace(params, Q=(tuple(Fraction(x, 11) for x in q[0]),)
                        + q[1:])
     rows = assert_krein_rows_match_the_direct_products(doctored)
-    assert rows == triples._krein_rows(params)[3]
+    assert rows == triples._krein_rows(params)[3].tolist()
 
 
 def test_krein_scaling_clears_the_right_hand_side_denominator():
@@ -246,25 +254,40 @@ def test_krein_scaling_clears_the_right_hand_side_denominator():
                  ("krein",))
     direct = direct_krein_rows(krein, vanishing_tuples(params))
     assert any(b.denominator % 11 == 0 for b in direct[1])
-    assert (krein.rows, krein.rhs) == reference_integer_rows(*direct)
-
-
-def assert_int_rows(sys_):
-    assert all(type(c) is int for row in sys_.rows for c in row)
-    assert all(type(b) is int for b in sys_.rhs)
+    assert (krein.rows.tolist(), krein.rhs) == reference_integer_rows(*direct)
 
 
 @pytest.mark.parametrize("t", [3, 5, 7])
 def test_every_row_is_built_in_ints(t):
-    """Rows and right-hand sides are ints; solving still returns
-    Fractions."""
+    """Rows are an int64 matrix and right-hand sides Python ints; solving
+    still returns Fractions."""
     params = closed_form_parameters(t)
     for abc in patterns(params):
         sys_ = widened_system(TripleConfig(params, abc))
-        assert_int_rows(sys_)
+        assert sys_.rows.dtype == np.int64
+        assert all(type(b) is int for b in sys_.rhs)
         space = solve(sys_).space
         assert all(type(x) is Fraction for x in space.particular)
         assert all(type(x) is Fraction for vec in space.basis for x in vec)
+
+
+@pytest.mark.parametrize("t", [3, 101, 103, 151])
+def test_rows_are_one_read_only_integer_matrix(t):
+    """A system's rows are one read-only 2-D ndarray, int64 up to t = 101
+    and Python ints in an object array from t = 103, equal entry for entry
+    to the row oracle's rows; right-hand sides, kinds and names are equal
+    field by field."""
+    params = closed_form_parameters(t)
+    for abc in [(2, 1, 1), (1, 1, 2), (4, 4, 4)]:
+        cfg = TripleConfig(params, abc)
+        sys_ = widened_system(cfg)
+        rows = sys_.rows
+        assert isinstance(rows, np.ndarray)
+        assert rows.shape == (len(sys_.rhs), 64)
+        assert not rows.flags.writeable
+        assert rows.dtype == (np.int64 if t <= 101 else object)
+        assert all(type(x) is int for x in rows.flat) == (t > 101)
+        assert_same_system(sys_, genuine(rows_oracle.widened_system(cfg)))
 
 
 # ------------------------------------------------------------ solving
@@ -305,7 +328,8 @@ def test_dependency_identity(t):
 def reference_solve(sys_):
     """Fraction elimination on all 64 columns: (space, forced, free
     names)."""
-    space = oracle.solve_linear(sys_.rows, sys_.rhs, len(sys_.names))
+    space = oracle.solve_linear(sys_.rows.tolist(), sys_.rhs,
+                                len(sys_.names))
     forced = {nm: space.particular[v] for v, nm in enumerate(sys_.names)
               if all(vec[v] == 0 for vec in space.basis)}
     return space, forced, tuple(sys_.names[f] for f in space.free_indices)
@@ -378,11 +402,10 @@ def hand_system(rows):
     """A t = 5 system from ({index: coefficient}, rhs) pairs, with every
     unknown from 32 on killed by a zero row."""
     rows = list(rows) + [({v: 1}, 0) for v in range(32, 64)]
-    return TripleSystem(
-        TripleConfig(closed_form_parameters(5), (2, 2, 2)),
-        triples._names(4),
-        tuple(tuple(row.get(v, 0) for v in range(64)) for row, _ in rows),
-        tuple(b for _, b in rows), ("sum",) * len(rows))
+    return system(TripleConfig(closed_form_parameters(5), (2, 2, 2)),
+                  triples._names(4),
+                  [[row.get(v, 0) for v in range(64)] for row, _ in rows],
+                  [b for _, b in rows], ("sum",) * len(rows))
 
 
 def spy_on_elimination(monkeypatch) -> list:
@@ -410,9 +433,9 @@ def krein_first(sys_):
     `solve` reads every row and skips none of the dependent sum rows."""
     order = sorted(range(len(sys_.rows)),
                    key=lambda i: sys_.kinds[i] != "krein")
-    return replace(sys_, rows=tuple(sys_.rows[i] for i in order),
-                   rhs=tuple(sys_.rhs[i] for i in order),
-                   kinds=tuple(sys_.kinds[i] for i in order))
+    return system(sys_.config, sys_.names, sys_.rows[order],
+                  [sys_.rhs[i] for i in order],
+                  [sys_.kinds[i] for i in order])
 
 
 @pytest.mark.parametrize("t,abc", [
@@ -431,7 +454,8 @@ def test_solve_skips_the_dependent_sum_rows(monkeypatch, t, abc):
 def test_kept_sum_rows_are_a_basis_of_all_of_them(d):
     """The 3 d^2 - 3 d + 1 kept sum rows are independent and have the rank
     of all 3 d^2, so the others are fixed sums of them."""
-    sums, kept = triples._sum_rows(d)[2::2]
+    _, members, kept, block = triples._sum_rows(d)
+    sums = block[:len(members)].tolist()
     rank = len(oracle.rref_rows([list(map(Fraction, row)) for row in sums]))
     assert len(oracle.rref_rows([list(map(Fraction, sums[i]))
                                  for i in kept])) == len(kept) == rank
@@ -528,10 +552,10 @@ def test_a_dependent_sum_row_off_by_one_is_inconsistent(monkeypatch, row):
     Inconsistent before any elimination, as Fraction elimination on all
     64 columns does."""
     sys_ = widened_system(TripleConfig(closed_form_parameters(5), (2, 1, 1)))
-    assert row not in triples._sum_rows(4)[4]
+    assert row not in triples._sum_rows(4)[2]
     rhs = list(sys_.rhs)
     rhs[row] += 1
-    shifted = replace(sys_, rhs=tuple(rhs))
+    shifted = system(sys_.config, sys_.names, sys_.rows, rhs, sys_.kinds)
     with pytest.raises(Inconsistent, match="system has no solution"):
         reference_solve(shifted)
     calls = spy_on_elimination(monkeypatch)
@@ -544,7 +568,8 @@ def test_a_unit_row_of_any_kind_kills_its_unknown(monkeypatch):
     """-3 [3] = 0 tagged "krein" kills [3] as a zero row does, so only
     [3] + [5] = 2, read as [5] = 2, reaches the elimination."""
     sys_ = hand_system([({3: 1, 5: 1}, 2), ({3: -3}, 0)])
-    sys_ = replace(sys_, kinds=("sum", "krein") + sys_.kinds[2:])
+    sys_ = system(sys_.config, sys_.names, sys_.rows, sys_.rhs,
+                  ("sum", "krein") + sys_.kinds[2:])
     sol = assert_matches_reference(sys_)
     assert sol.forced[sys_.names[3]] == 0
     assert sol.forced[sys_.names[5]] == 2
@@ -563,7 +588,7 @@ def test_a_late_inconsistent_krein_row_is_caught(monkeypatch, t, abc):
     last = max(i for i, kind in enumerate(sys_.kinds) if kind == "krein")
     rhs = list(sys_.rhs)
     rhs[last] += 1
-    shifted = replace(sys_, rhs=tuple(rhs))
+    shifted = system(sys_.config, sys_.names, sys_.rows, rhs, sys_.kinds)
     with pytest.raises(Inconsistent, match="system has no solution"):
         reference_solve(shifted)
     calls = spy_on_elimination(monkeypatch)
@@ -634,8 +659,8 @@ def test_forcing_reports_infeasible_on_a_poisoned_system():
     free = space.free_indices[0]
     pin = [0] * len(sys_.names)
     pin[free] = 1
-    poisoned = replace(sys_, rows=sys_.rows + (tuple(pin),),
-                       rhs=sys_.rhs + (-1,), kinds=sys_.kinds + ("sum",))
+    poisoned = system(cfg, sys_.names, sys_.rows.tolist() + [pin],
+                      sys_.rhs + (-1,), sys_.kinds + ("sum",))
     with pytest.raises(Infeasible):
         nonneg_force(poisoned, solve(poisoned))
 
@@ -652,8 +677,8 @@ def test_crossed_bounds_name_both_binding_unknowns():
     names = triples._names(4)
     rows = [tuple(int(nm in ((1, 1, 1), (1, 1, 2))) for nm in names)]
     rows += [tuple(int(nm == other) for nm in names) for other in names[2:]]
-    sys_ = TripleSystem(TripleConfig(closed_form_parameters(5), (2, 2, 2)),
-                        names, tuple(rows), (-1,) + (0,) * 62, ("sum",) * 63)
+    sys_ = system(TripleConfig(closed_form_parameters(5), (2, 2, 2)),
+                  names, rows, (-1,) + (0,) * 62, ("sum",) * 63)
     sol = solve(sys_)
     assert sol.space.dimension == 1
     with pytest.raises(Infeasible, match=r"\(1, 1, 2\).*\(1, 1, 1\)"):
@@ -722,7 +747,6 @@ def test_triple_pattern_is_a_tuple_of_python_ints(scheme_t3):
     """At 200 seeded triples the pattern is three exact Python ints, the
     labels of (x,y), (y,u) and (u,x): a numpy scalar would print as
     np.int8(2) in a failure message."""
-    import random
     rng = random.Random(25)
     for _ in range(200):
         x, y, u = rng.sample(range(112), 3)
@@ -797,7 +821,6 @@ def test_counted_mixed_pattern_values(scheme_t3, params_t3):
 
 
 def test_counts_satisfy_every_widened_equation(scheme_t3, params_t3):
-    import random
     rng = random.Random(3)
     systems = {}
     for _ in range(40):
@@ -810,7 +833,6 @@ def test_counts_satisfy_every_widened_equation(scheme_t3, params_t3):
 
 
 def test_integer_checker_agrees_with_exact_residuals(scheme_t3, params_t3):
-    import random
     rng = random.Random(4)
     x, y, u = find_triple(scheme_t3, (2, 1, 1))
     sys_ = widened_system(TripleConfig(params_t3, (2, 1, 1)))
@@ -869,8 +891,8 @@ def test_a_row_of_negative_coefficients_passes_zero_counts(params_t3):
     is violated, whatever sign of zero BLAS returns."""
     names = triples._names(params_t3.d)
     row = tuple(-1 - i for i in range(len(names)))
-    sys_ = TripleSystem(TripleConfig(params_t3, (2, 1, 1)), names,
-                        (row,), (0,), ("krein",))
+    sys_ = system(TripleConfig(params_t3, (2, 1, 1)), names, [row], (0,),
+                  ("krein",))
     checker = integer_residual_checker(sys_)
     assert product_dtype(checker) is np.float64
     assert checker(np.zeros((5, 5, 5), dtype=np.int64)) is None
@@ -879,34 +901,68 @@ def test_a_row_of_negative_coefficients_passes_zero_counts(params_t3):
 
 @pytest.mark.parametrize("t", [3, 5])
 def test_checkers_fit_int64_for_small_t(t):
+    """Every t = 3 and t = 5 checker sums in float64, exactly."""
     params = closed_form_parameters(t)
     for abc in patterns(params):
-        integer_residual_checker(widened_system(TripleConfig(params, abc)))
+        checker = integer_residual_checker(
+            widened_system(TripleConfig(params, abc)))
+        assert product_dtype(checker) is np.float64
 
 
-def test_checker_refuses_rows_that_can_overflow_int64():
-    """Every count is at most the scheme's order; at t = 51 a scaled
-    Krein row times counts of that size can pass 2^63."""
-    sys_ = widened_system(TripleConfig(closed_form_parameters(51), (1, 1, 2)))
-    with pytest.raises(CheckerOverflow, match="krein row 96"):
-        integer_residual_checker(sys_)
+def particular_tensor(sys_):
+    """A 5 x 5 x 5 tensor whose inner entries are `solve`'s particular
+    solution, an integer vector in the family, and whose boundary is 0."""
+    vec = solve(sys_).space.particular
+    assert all(x.denominator == 1 for x in vec)
+    tensor = np.zeros((5, 5, 5), dtype=np.int64)
+    tensor[1:, 1:, 1:] = np.array([int(x) for x in vec]).reshape(4, 4, 4)
+    return tensor
+
+
+@pytest.mark.parametrize("t", [25, 51, 151])
+def test_checker_names_the_oracle_row_on_near_solutions(t):
+    """(1,1,2) at t = 25, 51 and 151, where a Krein row times counts up to
+    the order can pass 2^63: the checker sums in Python ints, passes the
+    particular solution and, with one entry moved (seeded), names the
+    oracle's first bad row."""
+    params = closed_form_parameters(t)
+    sys_ = widened_system(TripleConfig(params, (1, 1, 2)))
+    assert any(sum(map(abs, row)) * params.order + abs(b) >= 2 ** 63
+               for row, b in zip(sys_.rows.tolist(), sys_.rhs))
+    checker = integer_residual_checker(sys_)
+    assert product_dtype(checker) is object
+    reference = rows_oracle.integer_residual_checker(sys_)
+    tensor = particular_tensor(sys_)
+    assert checker(tensor) is reference(tensor) is None
+    rng = random.Random(t)
+    for _ in range(20):
+        moved = tensor.copy()
+        moved[tuple(rng.randint(1, 4) for _ in range(3))] += rng.choice(
+            (-2, -1, 1, 3))
+        bad = checker(moved)
+        assert bad is not None
+        assert bad == reference(moved)
 
 
 def test_checker_names_a_shared_krein_row_past_int64():
-    """At t = 151 four of the cached Krein rows in (1,1,2) have entries
-    past 2^63, so their int64 copy cannot be made; building the checker
-    still raises CheckerOverflow naming the row-by-row test's row."""
+    """At t = 151 four of the Krein rows, which (1,1,2) shares with every
+    pattern, have entries past 2^63, so the system's rows are Python
+    ints. The particular solution moved by a cube that no sum
+    row sees is caught first at one of those rows, which the checker names
+    as the oracle does."""
     params = closed_form_parameters(151)
     sys_ = widened_system(TripleConfig(params, (1, 1, 2)))
-    krein = triples._krein_rows(params)[3]
-    wide = {id(row) for row in krein if max(map(abs, row)) >= 2 ** 63}
-    assert sum(id(row) in wide for row in sys_.rows) == 4
-    message = "krein row 96 can overflow int64 on counts up to 523328704"
-    for checker_of in (integer_residual_checker,
-                       rows_oracle.integer_residual_checker):
-        with pytest.raises(CheckerOverflow) as exc:
-            checker_of(sys_)
-        assert str(exc.value) == message
+    assert sys_.rows.dtype == object
+    wide = [i for i, row in enumerate(sys_.rows.tolist())
+            if max(map(abs, row)) >= 2 ** 63]
+    assert len(wide) == 4
+    assert {sys_.kinds[i] for i in wide} == {"krein"}
+    moved = particular_tensor(sys_)
+    for (l, m, n), delta in live_cube(sys_).items():
+        moved[l, m, n] += delta
+    bad = integer_residual_checker(sys_)(moved)
+    assert bad in wide
+    assert bad == rows_oracle.integer_residual_checker(sys_)(moved)
 
 
 def test_distinct_elements_required(scheme_t3):
@@ -950,7 +1006,6 @@ def test_array_kernel_equals_the_nested_tuple_kernel(scheme_t3, params_t3):
     +2 (seeded): the array equals the nested tuple entry for entry, the
     boundary witness lists are equal and hold Python ints, and the
     checker names the same first bad row as the row-by-row reference."""
-    import random
     rng = random.Random(18)
     get = triples.pattern_checkers(params_t3)
     old_checkers = {}
@@ -986,38 +1041,27 @@ def genuine(sys_):
     return only(sys_, ("sum", "zero", "krein"))
 
 
-def checker_outcome(checker_of, sys_, tensors):
-    """First bad row of each tensor, or the CheckerOverflow text."""
-    try:
-        checker = checker_of(sys_)
-    except CheckerOverflow as exc:
-        return str(exc)
-    return [checker(tensor) for tensor in tensors]
-
-
 def test_systems_and_checkers_equal_the_per_pattern_builders():
     """All 799 non-vacuous (t, pattern) systems for odd t <= 51, in the
     order t = 3, 51, 3, 5, ..., 49: the one-entry caches are filled,
     evicted and filled again. Rows, right-hand sides and kinds equal the
-    oracle's without its symmetry rows, field for field, and so do the
-    checker's answers and its overflow errors."""
-    import random
+    oracle's without its symmetry rows, field for field, and the checker
+    names the oracle's first bad row on random tensors."""
     rng = random.Random(12)
     seen = set()
     for t in [3, 51, 3] + list(range(5, 51, 2)):
         params = closed_form_parameters(t)
-        order = int(params.order)
         for abc in patterns(params):
             seen.add((t, abc))
             cfg = TripleConfig(params, abc)
             sys_ = widened_system(cfg)
-            assert sys_ == genuine(rows_oracle.widened_system(cfg))
-            tensors = [[[[rng.randint(0, order) for _ in range(5)]
-                         for _ in range(5)] for _ in range(5)]
-                       for _ in range(2)]
-            assert (checker_outcome(integer_residual_checker, sys_, tensors)
-                    == checker_outcome(rows_oracle.integer_residual_checker,
-                                       sys_, tensors))
+            assert_same_system(sys_, genuine(rows_oracle.widened_system(cfg)))
+            checker = integer_residual_checker(sys_)
+            reference = rows_oracle.integer_residual_checker(sys_)
+            for _ in range(2):
+                tensor = [[[rng.randint(0, params.order) for _ in range(5)]
+                           for _ in range(5)] for _ in range(5)]
+                assert checker(tensor) == reference(tensor)
     assert len(seen) == 799
 
 
@@ -1025,8 +1069,8 @@ def edge_system(params, row, b):
     """A unit row on [1 1 1], then `row` with right-hand side b."""
     names = triples._names(params.d)
     unit = (1,) + (0,) * (len(names) - 1)
-    return TripleSystem(TripleConfig(params, (2, 1, 1)), names,
-                        (unit, tuple(row)), (0, b), ("sum", "krein"))
+    return system(TripleConfig(params, (2, 1, 1)), names, [unit, row],
+                  (0, b), ("sum", "krein"))
 
 
 def padded(*entries):
@@ -1034,16 +1078,18 @@ def padded(*entries):
 
 
 def test_checker_accepts_a_row_one_below_the_int64_bound(params_t3):
-    """sum |a| * order + |b| = 2^63 - 1 passes the exact row test, though
-    the matrix-wide bound fails."""
-    order = int(params_t3.order)
+    """sum |a| * order + |b| = 2^63 - 1: the matrix-wide bound is past
+    2^53, so the checker sums in Python ints, and it answers as the
+    oracle does."""
+    order = params_t3.order
     a, b = divmod(2 ** 63 - 1, 2 * order)
     sys_ = edge_system(params_t3, padded(0, a, -a), -b)
     assert 2 * a * order + b == 2 ** 63 - 1
     checker = integer_residual_checker(sys_)
+    assert product_dtype(checker) is object
     zeros = [[[0] * 5 for _ in range(5)] for _ in range(5)]
     assert checker(zeros) == (1 if b else None)
-    rows_oracle.integer_residual_checker(sys_)
+    assert checker(zeros) == rows_oracle.integer_residual_checker(sys_)(zeros)
 
 
 @pytest.mark.parametrize("row,b", [
@@ -1055,16 +1101,19 @@ def test_checker_accepts_a_row_one_below_the_int64_bound(params_t3):
 ])
 def test_checker_names_the_row_at_or_past_the_int64_bound(params_t3, row, b):
     """At exactly 2^63, and for entries that int64 cannot hold at all or
-    whose absolute value it cannot hold, CheckerOverflow names row 1
-    (never numpy's plain OverflowError), as the row-by-row test does."""
-    assert int(params_t3.order) == 112
+    whose absolute value it cannot hold, the system's rows are Python ints
+    where needed and the checker sums in Python ints: on counts 1 at
+    [1 1 2] and [1 1 3] it names row 1, and on zero counts it passes
+    exactly when b = 0, as the row-by-row oracle does."""
+    assert params_t3.order == 112
     sys_ = edge_system(params_t3, row, b)
-    message = "krein row 1 can overflow int64 on counts up to 112"
-    for checker_of in (integer_residual_checker,
-                       rows_oracle.integer_residual_checker):
-        with pytest.raises(CheckerOverflow) as exc:
-            checker_of(sys_)
-        assert str(exc.value) == message
+    checker = integer_residual_checker(sys_)
+    reference = rows_oracle.integer_residual_checker(sys_)
+    assert product_dtype(checker) is object
+    ones = counts_with({(1, 1, 2): 1, (1, 1, 3): 1})
+    assert checker(ones) == reference(ones) == 1
+    zeros = counts_with({})
+    assert checker(zeros) == reference(zeros) == (1 if b else None)
 
 
 
@@ -1082,12 +1131,13 @@ def product_dtype(checker):
 
 
 @pytest.mark.parametrize("bound,dtype", [(2 ** 53 - 1, np.float64),
-                                         (2 ** 53, np.int64)])
+                                         (2 ** 53, object)])
 def test_checker_sums_in_float64_below_2_53(params_t3, bound, dtype):
     """With max |a| * 64 * order + max |b| set to `bound`, the product is
-    float64 exactly when the bound is below 2^53, and a tensor whose row
-    sum is one short of b is caught on either side."""
-    order = int(params_t3.order)
+    float64 exactly when the bound is below 2^53, and Python ints from
+    there, and a tensor whose row sum is one short of b is caught on
+    either side."""
+    order = params_t3.order
     a, r = divmod(bound, 65 * order)
     b = order * a + r
     sys_ = edge_system(params_t3, padded(0, a, r - 1), b)
@@ -1099,10 +1149,10 @@ def test_checker_sums_in_float64_below_2_53(params_t3, bound, dtype):
     assert rows_oracle.integer_residual_checker(sys_)(tensor) == 1
 
 
-def test_checker_sums_in_int64_where_float64_would_round(params_t3):
+def test_checker_sums_in_python_ints_where_float64_would_round(params_t3):
     """row . counts = 2^53 + 1 against b = 2^53: a float64 sum rounds to
     b and would pass the tensor. The bound is past 2^53, so the checker
-    sums in int64 and reports row 1."""
+    sums in Python ints and reports row 1, as the oracle does."""
     row = padded(0, 2 ** 47, 1)
     sys_ = edge_system(params_t3, row, 2 ** 53)
     tensor = counts_with({(1, 1, 2): 64, (1, 1, 3): 1})
@@ -1110,51 +1160,27 @@ def test_checker_sums_in_int64_where_float64_would_round(params_t3):
     assert np.array(row, dtype=np.float64) @ vec.astype(np.float64) == 2 ** 53
     assert sum(a * int(x) for a, x in zip(row, vec)) == 2 ** 53 + 1
     checker = integer_residual_checker(sys_)
-    assert product_dtype(checker) is np.int64
+    assert product_dtype(checker) is object
     assert checker(tensor) == 1
-
-
-def test_the_int64_copy_waits_for_the_first_checker_build():
-    """Building and solving every system of a fresh parameter set, as a
-    triple census does, leaves the store without its int64 copy; the
-    first checker build for that params object makes it."""
-    params = closed_form_parameters(5)
-    systems = [widened_system(TripleConfig(params, abc))
-               for abc in patterns(params)]
-    for sys_ in systems:
-        solve(sys_)
-    assert triples._last["params"] is params
-    assert "int64" not in triples._last
-    integer_residual_checker(systems[0])
-    assert "int64" in triples._last
+    assert rows_oracle.integer_residual_checker(sys_)(tensor) == 1
 
 
 def test_checkers_of_rows_no_cache_holds_match_the_oracle(scheme_t3,
                                                           params_t3):
     """Every t = 3 system is built, then one t = 5 system, which replaces
     the store's params object and its Krein rows (d, and so the sum and
-    unit rows, stay). Only then are the t = 3 checkers built, so each
-    converts its Krein rows on its own, and so does a checker for a
-    hand-built copy of the (2,1,1) system, none of whose rows is held. On
-    the counted tensor and on broken ones each names the oracle's first
-    bad row."""
-    def held_kinds(sys_):
-        held = triples._last["int64"][1]
-        return {kind for row, kind in zip(sys_.rows, sys_.kinds)
-                if id(row) in held}
-
+    unit rows, stay). Only then are the t = 3 checkers built, and a
+    checker for a hand-built copy of the (2,1,1) system. On the counted
+    tensor and on broken ones each names the oracle's first bad row."""
     systems = [widened_system(TripleConfig(params_t3, abc))
                for abc in patterns(params_t3)]
-    integer_residual_checker(systems[-1])
-    assert held_kinds(systems[-1]) == {"sum", "zero", "krein"}
     widened_system(TripleConfig(closed_form_parameters(5), (2, 1, 1)))
     two_one_one = systems[patterns(params_t3).index((2, 1, 1))]
-    copy = replace(two_one_one,
-                   rows=tuple(tuple(list(row)) for row in two_one_one.rows))
+    copy = system(two_one_one.config, two_one_one.names,
+                  two_one_one.rows.tolist(), two_one_one.rhs,
+                  two_one_one.kinds)
     for sys_ in systems + [copy]:
         checker = integer_residual_checker(sys_)
-        assert held_kinds(sys_) == (set() if sys_ is copy
-                                    else {"sum", "zero"})
         oracle_checker = rows_oracle.integer_residual_checker(sys_)
         tensor = direct_triple_counts(
             scheme_t3, *find_triple(scheme_t3, sys_.config.abc))

@@ -1,13 +1,16 @@
 """The triple-system builders as they were before the shared rows.
 
 `schemeforge.triples` forms the pattern-free sum, unit and Krein rows once
-per parameter set and builds each residual checker with array operations;
-this module keeps the per-pattern builders and the row-by-row overflow
-guard they replaced, so that tests compare the two instead of the code
-under test with itself. Systems are the same `TripleSystem` type and raise
-the same errors. `widened_system` here still adds the slot-swap symmetry
-rows that `schemeforge.triples` no longer adds, so tests can show that
-they change no solution and build the proof systems that need them.
+per parameter set, stacks them into one integer matrix and builds each
+residual checker with array operations; this module keeps the
+per-pattern builders and a residual checker that sums row by row in
+Python ints, so that tests compare the two instead of the code under
+test with itself. Systems are the same
+`TripleSystem` type and raise the same errors; `system`, the one place
+in the tests that makes a system, turns its rows into the matrix.
+`widened_system` here still adds the slot-swap symmetry rows that
+`schemeforge.triples` no longer adds, so tests can show that they change
+no solution and build the proof systems that need them.
 `add_krein_vanishing` here also takes chosen Krein tuples, expanded to
 all their permutations, for those proof systems; `schemeforge.triples`
 builds only the full vanishing set, so `NotVanishing`, raised for a
@@ -24,24 +27,39 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import replace
+import operator
 from typing import Iterable
+
+import numpy as np
 
 from schemeforge.errors import SchemeforgeError
 from schemeforge.linalg import Inconsistent
-from schemeforge.triples import (CheckerOverflow, TripleConfig, TripleSystem,
-                                 VacuousConfig, vanishing_tuples)
+from schemeforge.triples import (TripleConfig, TripleSystem, VacuousConfig,
+                                 vanishing_tuples)
 
 
 class NotVanishing(SchemeforgeError, ValueError):
     """A Krein-vanishing equation was requested for a nonzero parameter."""
 
 
+def system(cfg: TripleConfig, names, rows, rhs, kinds) -> TripleSystem:
+    """A TripleSystem whose rows, integer sequences or an ndarray, become
+    the read-only 2-D matrix that `widened_system` makes: int64 where every
+    entry fits, else an object array of Python ints."""
+    try:
+        mat = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        mat = np.array(rows, dtype=object)
+    mat = mat.reshape(len(rhs), len(names))
+    mat.setflags(write=False)
+    return TripleSystem(cfg, tuple(names), mat, tuple(rhs), tuple(kinds))
+
+
 def extended(sys_: TripleSystem, new_rows, new_rhs, kind) -> TripleSystem:
     """`sys_` with rows of one kind appended."""
-    return replace(sys_, rows=sys_.rows + tuple(new_rows),
-                   rhs=sys_.rhs + tuple(new_rhs),
-                   kinds=sys_.kinds + (kind,) * len(new_rows))
+    return system(sys_.config, sys_.names, sys_.rows.tolist() + list(new_rows),
+                  sys_.rhs + tuple(new_rhs),
+                  sys_.kinds + (kind,) * len(new_rows))
 
 
 def _names(d: int) -> tuple:
@@ -96,7 +114,7 @@ def build_base_system(cfg: TripleConfig) -> TripleSystem:
             emit([(l, m, r) for r in rng],
                  int(p[A][l][m]) - (1 if (l, m) == (C, B) else 0))
 
-    sys_ = TripleSystem(cfg, names, tuple(rows), tuple(rhs), tuple(kinds))
+    sys_ = system(cfg, names, rows, rhs, kinds)
     zrows = []
     for nm in sorted(set(zero_rows)):
         row = [0] * len(names)
@@ -205,33 +223,21 @@ def widened_system(cfg: TripleConfig,
 
 
 def integer_residual_checker(sys_: TripleSystem):
-    """Precompiled exact residual test for direct-count tensors.
+    """Exact residual test for direct-count tensors, row by row in Python
+    ints.
 
-    The int rows become one int64 matrix, so the per-tensor check is a
-    single matrix product. Returns a function mapping a tensor to the
-    index of the first violated row, or None when every equation is
-    satisfied. Raises CheckerOverflow, naming the row, when the int64
-    product of a row with a count tensor could wrap.
+    Returns a function mapping a tensor to the index of the first violated
+    row, or None when every equation is satisfied; each count is read as
+    a Python int, so no sum can round or wrap.
     """
-    import numpy as np
-    order = int(sys_.config.params.order)
-    for i, (row, b) in enumerate(zip(sys_.rows, sys_.rhs)):
-        # A count is at most `order`, so every partial sum of row . counts
-        # and the residual row . counts - b lie within
-        # sum |a_ij| * order + |b_i|; below 2^63, int64 cannot wrap.
-        if sum(map(abs, row)) * order + abs(b) >= 2 ** 63:
-            raise CheckerOverflow(
-                f"{sys_.kinds[i]} row {i} can overflow int64 on counts up "
-                f"to {order}")
-    mat = np.array(sys_.rows, dtype=np.int64)
-    vec_rhs = np.array(sys_.rhs, dtype=np.int64)
-    names = sys_.names
+    rows, names = sys_.rows.tolist(), sys_.names
 
     def check(tensor):
-        vec = np.fromiter((tensor[l][m][n] for l, m, n in names),
-                          dtype=np.int64, count=len(names))
-        bad = np.nonzero(mat @ vec - vec_rhs)[0]
-        return int(bad[0]) if bad.size else None
+        vec = [int(tensor[l][m][n]) for l, m, n in names]
+        for i, (row, b) in enumerate(zip(rows, sys_.rhs)):
+            if sum(map(operator.mul, row, vec)) != b:
+                return i
+        return None
 
     return check
 
@@ -244,7 +250,6 @@ def direct_triple_counts(sch, x: int, y: int, u: int) -> tuple:
     """
     if len({x, y, u}) != 3:
         raise ValueError("x, y, u must be three distinct elements")
-    import numpy as np
     rel = sch.rel
     c = sch.classes
     code = rel[x].astype(np.int64) * c * c + rel[y].astype(np.int64) * c \
