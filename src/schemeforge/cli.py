@@ -20,15 +20,16 @@ from .reconstruct import (all_cliques, recover_hemisystem, reconstruct_gq,
 from .relation_scheme import scheme_from_hemisystem, verify_scheme
 from .scheme_params import (BadParameter, KreinArray, closed_form_parameters,
                             derive_parameters, hemisystem_krein_array,
-                            match_family_t, validate)
+                            validate)
 from .serialize import (BadInput, dump_json, gq_from_dict, gq_to_dict,
                         hemi_from_dict, hemi_to_dict, load_json,
                         params_markdown, params_to_dict, parse_rat,
                         reconstruction_to_dict, scheme_from_dict,
                         scheme_to_dict, triple_to_dict)
-from .triples import (VacuousConfig, boundary_violations,
+from .triples import (TripleConfig, VacuousConfig, boundary_violations,
                       direct_triple_counts, forced_triple_values,
-                      pattern_checkers, triple_pattern)
+                      integer_residual_checker, triple_pattern,
+                      widened_system)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -124,7 +125,7 @@ def cmd_params(args) -> int:
             params = derive_parameters(k, args.t)
         else:
             k = parse_krein(args.krein)
-            params = derive_parameters(k, match_family_t(k))
+            params = derive_parameters(k)
     except BadParameter as exc:
         raise UsageError(str(exc))
 
@@ -222,9 +223,10 @@ def _triple_spot_checks(sch, params, exhaustive: bool) -> int:
 
     The default samples 300 element triples with a fixed generator; the
     exhaustive path walks every ordered triple of distinct elements.
-    Raises MathFailure at the first inconsistent triple.
+    Raises MathFailure at the first inconsistent triple. Each pattern's
+    row kinds and checker are built once; its system is not kept.
     """
-    checkers = pattern_checkers(params)
+    checkers = {}
     if exhaustive:
         triples = itertools.permutations(range(sch.size), 3)
     else:
@@ -237,11 +239,14 @@ def _triple_spot_checks(sch, params, exhaustive: bool) -> int:
         bad = boundary_violations(abc, tensor)
         if bad:
             raise MathFailure(f"triple {(x, y, u)}: boundary: {bad[0]}")
-        sys_, checker = checkers(abc)
+        if abc not in checkers:
+            sys_ = widened_system(TripleConfig(params, abc))
+            checkers[abc] = (sys_.kinds, integer_residual_checker(sys_))
+        kinds, checker = checkers[abc]
         bad_row = checker(tensor)
         if bad_row is not None:
             raise MathFailure(f"triple {(x, y, u)} pattern {abc}: "
-                              f"{sys_.kinds[bad_row]} row {bad_row} "
+                              f"{kinds[bad_row]} row {bad_row} "
                               f"violated")
         if abc == (2, 1, 1):
             v112, v221 = int(tensor[1, 1, 2]), int(tensor[2, 2, 1])

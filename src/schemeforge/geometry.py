@@ -2,13 +2,14 @@
 
 GF(9) is realized as GF(3)[w]/(w^2+1); an element c0 + c1*w is encoded as
 the integer c0 + 3*c1, and sums of products over coordinates are taken on
-the GF(3) planes c0 and c1. Projective 3-space over the field has 820
-points, canonicalized by scaling the first nonzero coordinate to 1. The
-surface x0^4 + x1^4 + x2^4 + x3^4 = 0 (each fourth power is the field
-norm, landing in GF(3)) carries 280 points and 112 fully-contained
-projective lines; points and lines form a generalized quadrangle of
-order (9,3). A hemisystem is a set of half the lines meeting every point
-exactly (t+1)/2 times; the search is depth-first over lines with exact
+the GF(3) planes c0 and c1. The surface x0^4 + x1^4 + x2^4 + x3^4 = 0
+carries 280 of the 820 points of projective 3-space over the field: one
+numpy array holds all 820, first nonzero coordinate scaled to 1, and
+keeps those whose coordinate norms c0^2 + c1^2 (the fourth powers, in
+GF(3)) sum to 0 mod 3. The surface holds 112 fully-contained projective
+lines; points and lines form a generalized quadrangle of order (9,3).
+A hemisystem is a set of half the lines meeting every point exactly
+(t+1)/2 times; the search is depth-first over lines with exact
 per-point counters. Every 0/1 matrix product goes through exact_product,
 which sums in float32 below 2^24 and float64 below 2^53.
 """
@@ -37,38 +38,29 @@ class ProductBound(SchemeforgeError, OverflowError):
     """An integer matrix product could leave float64's exact range."""
 
 
-# ----------------------------------------------------------------- GF(9)
-
-# norm a^4 = a * a^3 = (a0^2 + a1^2) mod 3 of a = a0 + a1 w, always in GF(3)
-FOURTH = tuple(((a % 3) ** 2 + (a // 3) ** 2) % 3 for a in range(9))
-
-
-# ------------------------------------------------------------- PG(3, 9)
+# ------------------------------------------------------ Hermitian surface
 
 @lru_cache(maxsize=1)
-def proj_points() -> tuple:
-    """All 820 points of PG(3,9), first nonzero coordinate normalized to 1."""
-    pts = []
+def hermitian_coordinates() -> np.ndarray:
+    """The 280 points of the surface, a read-only (280, 4) int64 array.
+
+    Points of PG(3,9) have their first nonzero coordinate scaled to 1 and
+    are ordered by its position, then by the coordinates after it read
+    as a base-9 number, first coordinate lowest. The fourth power of
+    c0 + c1 w is its norm c0^2 + c1^2, so a point lies on the surface
+    when the norms of its coordinates sum to 0 mod 3.
+    """
+    blocks = []
     for lead in range(4):
-        head = (0,) * lead + (1,)
         free = 3 - lead
-        for rest in range(9 ** free):
-            tail = []
-            r = rest
-            for _ in range(free):
-                tail.append(r % 9)
-                r //= 9
-            pts.append(head + tuple(tail))
-    return tuple(pts)
-
-
-def hermitian_value(point) -> int:
-    return sum(FOURTH[x] for x in point) % 3
-
-
-@lru_cache(maxsize=1)
-def hermitian_coordinates() -> tuple:
-    return tuple(p for p in proj_points() if hermitian_value(p) == 0)
+        tails = np.arange(9 ** free)[:, None] // 9 ** np.arange(free) % 9
+        heads = np.zeros((len(tails), lead + 1), np.int64)
+        heads[:, lead] = 1
+        blocks.append(np.hstack([heads, tails]))
+    pts = np.concatenate(blocks)
+    coords = pts[((pts % 3) ** 2 + (pts // 3) ** 2).sum(axis=1) % 3 == 0]
+    coords.setflags(write=False)
+    return coords
 
 
 # ------------------------------------------------------------------- GQ
@@ -134,7 +126,7 @@ def hermitian_form() -> np.ndarray:
     w sum (p1 q0 + 2 p0 q1) mod 3: one exact_product each over the eight
     stacked coordinate planes, every sum at most 64, so uint8 holds it.
     """
-    coords = np.array(hermitian_coordinates(), np.uint8)
+    coords = hermitian_coordinates().astype(np.uint8)
     x0, x1 = coords % 3, coords // 3
     x = np.hstack([x0, x1])
     real = exact_product(x, x.T).astype(np.uint8) % 3

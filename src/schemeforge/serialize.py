@@ -207,7 +207,7 @@ def hemi_from_dict(data: dict) -> Hemisystem:
 
 def scheme_to_dict(sch: RelationScheme) -> dict:
     return {"size": sch.size, "classes": sch.classes,
-            "rel": [[int(x) for x in row] for row in sch.rel]}
+            "rel": sch.rel.tolist()}
 
 
 def scheme_from_dict(data: dict) -> RelationScheme:

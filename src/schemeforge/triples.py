@@ -470,19 +470,6 @@ def integer_residual_checker(sys_: TripleSystem):
     return check
 
 
-def pattern_checkers(params: SchemeParameters):
-    """abc -> (widened system, integer residual checker), built once each."""
-    cache = {}
-
-    def get(abc):
-        if abc not in cache:
-            sys_ = widened_system(TripleConfig(params, abc))
-            cache[abc] = (sys_, integer_residual_checker(sys_))
-        return cache[abc]
-
-    return get
-
-
 @functools.lru_cache(maxsize=128)
 def _boundary(abc: tuple, c: int) -> tuple:
     """(cells, flat indices, expected vector, its bytes) for pattern abc
@@ -512,19 +499,16 @@ def boundary_violations(cfg_abc, tensor) -> list:
     [0 m n] = delta_mA delta_nC, [l 0 n] = delta_lA delta_nB,
     [l m 0] = delta_lC delta_mB, and [0 0 n] etc. vanish for distinct
     base points. The boundary entries are compared at once with the
-    expected vector cached per (pattern, c): as bytes when they are int64
-    too, where equal bytes are equal values, and entry by entry in any
-    other dtype. Only on a mismatch are they walked to list each
-    ((l, m, n), count, expected): the count as the tensor holds it, read
-    as a Python scalar, and the rest Python ints.
+    expected vector cached per (pattern, c), as bytes when they are int64
+    too, where equal bytes are equal values. Otherwise, in any dtype,
+    they are walked to list each ((l, m, n), count, expected) that
+    differs: the count as the tensor holds it, read as a Python scalar,
+    and the rest Python ints.
     """
     counts = np.asarray(tensor)
     cells, flat, want, want_bytes = _boundary(tuple(cfg_abc), len(counts))
     got = counts.take(flat)
-    if got.dtype == want.dtype:
-        if got.tobytes() == want_bytes:
-            return []
-    elif not np.count_nonzero(got != want):
+    if got.dtype == want.dtype and got.tobytes() == want_bytes:
         return []
     return [(cell, g, w) for cell, g, w
             in zip(cells, got.tolist(), want.tolist()) if g != w]

@@ -8,13 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schemeforge.geometry import (FOURTH, GQ, EvenOrder,
-                                  Hemisystem, NotFound, ProductBound,
-                                  build_hermitian_gq, exact_product,
-                                  find_hemisystem, first_true,
-                                  hermitian_coordinates,
-                                  hermitian_form, hermitian_value,
-                                  line_sets, proj_points, row_sets,
+from schemeforge.geometry import (GQ, EvenOrder, Hemisystem, NotFound,
+                                  ProductBound, build_hermitian_gq,
+                                  exact_product, find_hemisystem,
+                                  first_true, hermitian_coordinates,
+                                  hermitian_form, line_sets, row_sets,
                                   verify_gq, verify_hemisystem)
 
 
@@ -60,38 +58,62 @@ def test_field_axioms_exhaustively():
                 assert MUL[a][ADD[b][c]] == ADD[MUL[a][b]][MUL[a][c]]
 
 
-def test_fourth_power_is_the_norm_map():
-    for a in range(9):
-        x2 = MUL[a][a]
-        assert FOURTH[a] == MUL[x2][x2]
-        assert FOURTH[a] in (0, 1, 2)
-
-
 def test_cube_is_the_conjugation():
     for a in range(9):
+        a2 = MUL[a][a]
         assert CONJ[CONJ[a]] == a
-        assert MUL[a][CONJ[a]] == FOURTH[a]
+        assert MUL[a][CONJ[a]] == MUL[a2][a2]
         for b in range(9):
             assert CONJ[MUL[a][b]] == MUL[CONJ[a]][CONJ[b]]
             assert CONJ[ADD[a][b]] == ADD[CONJ[a]][CONJ[b]]
     assert [a for a in range(9) if CONJ[a] == a] == [0, 1, 2]
 
 
-# ------------------------------------------------------------ projective space
+# ------------------------------------------------------------ the surface
 
-def test_projective_point_count():
-    pts = proj_points()
-    assert len(pts) == 820
-    for p in pts:
-        lead = next(x for x in p if x != 0)
-        assert lead == 1
+def canonical(point):
+    """The first nonzero coordinate is 1."""
+    return next(x for x in point if x != 0) == 1
 
 
-def test_surface_membership_examples():
-    assert hermitian_value((1, 0, 0, 0)) != 0
+def on_surface(point):
+    """x0^4 + x1^4 + x2^4 + x3^4 = 0, by the scalar tables."""
+    total = 0
+    for x in point:
+        x2 = MUL[x][x]
+        total = ADD[total][MUL[x2][x2]]
+    return total == 0
+
+
+def test_surface_array_is_read_only_with_280_rows():
     coords = hermitian_coordinates()
-    assert len(coords) == 280
-    assert all(hermitian_value(p) == 0 for p in coords)
+    assert coords.shape == (280, 4)
+    assert not coords.flags.writeable
+    with pytest.raises(ValueError):
+        coords[0, 0] = 0
+
+
+def test_surface_rows_are_canonical_points_on_the_surface():
+    for point in hermitian_coordinates().tolist():
+        assert canonical(point)
+        assert on_surface(point)
+
+
+def test_surface_rows_follow_the_lead_then_the_base_9_tail():
+    """Ordered by the position of the leading 1, then by the coordinates
+    after it read as a base-9 number, first coordinate lowest."""
+    keys = []
+    for point in hermitian_coordinates().tolist():
+        lead = next(i for i, x in enumerate(point) if x != 0)
+        tail = sum(x * 9 ** i for i, x in enumerate(point[lead + 1:]))
+        keys.append((lead, tail))
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_surface_rows_are_every_canonical_surface_point():
+    found = {point for point in itertools.product(range(9), repeat=4)
+             if any(point) and canonical(point) and on_surface(point)}
+    assert set(map(tuple, hermitian_coordinates().tolist())) == found
 
 
 # ------------------------------------------------------------ quadrangle
@@ -205,7 +227,7 @@ def test_collinear_means_orthogonal(hermitian_gq):
     The vectorized form matrix equals the scalar table fold on every
     ordered pair, the diagonal included.
     """
-    coords = hermitian_coordinates()
+    coords = hermitian_coordinates().tolist()
     joins = (hermitian_gq.incidence @ hermitian_gq.incidence.T).tolist()
     matrix = hermitian_form()
     assert matrix.shape == (len(coords), len(coords))

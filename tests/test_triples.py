@@ -1007,8 +1007,7 @@ def test_array_kernel_equals_the_nested_tuple_kernel(scheme_t3, params_t3):
     boundary witness lists are equal and hold Python ints, and the
     checker names the same first bad row as the row-by-row reference."""
     rng = random.Random(18)
-    get = triples.pattern_checkers(params_t3)
-    old_checkers = {}
+    checkers = {}
     cells = list(itertools.product(range(5), repeat=3))
     seen = 0
     for x in (0, 57):
@@ -1019,9 +1018,11 @@ def test_array_kernel_equals_the_nested_tuple_kernel(scheme_t3, params_t3):
             new = direct_triple_counts(scheme_t3, x, y, u)
             old = rows_oracle.direct_triple_counts(scheme_t3, x, y, u)
             assert new.tolist() == [[list(r) for r in p] for p in old]
-            sys_, checker = get(abc)
-            if abc not in old_checkers:
-                old_checkers[abc] = rows_oracle.integer_residual_checker(sys_)
+            if abc not in checkers:
+                sys_ = widened_system(TripleConfig(params_t3, abc))
+                checkers[abc] = (integer_residual_checker(sys_),
+                                 rows_oracle.integer_residual_checker(sys_))
+            checker, reference = checkers[abc]
             broken = new.copy()
             for lmn in rng.sample(cells, rng.randint(1, 3)):
                 broken[lmn] += rng.choice((-1, 1, 2))
@@ -1030,7 +1031,7 @@ def test_array_kernel_equals_the_nested_tuple_kernel(scheme_t3, params_t3):
                 assert bad == rows_oracle.boundary_violations(abc, nested)
                 assert all(type(v) is int for cell, got, want in bad
                            for v in cell + (got, want))
-                assert checker(tensor) == old_checkers[abc](nested)
+                assert checker(tensor) == reference(nested)
     assert seen == 24420
 
 

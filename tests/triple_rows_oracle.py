@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from typing import Iterable
 
 import numpy as np
@@ -228,14 +227,18 @@ def integer_residual_checker(sys_: TripleSystem):
 
     Returns a function mapping a tensor to the index of the first violated
     row, or None when every equation is satisfied; each count is read as
-    a Python int, so no sum can round or wrap.
+    a Python int, so no sum can round or wrap. A row is read as its
+    nonzero (index, coefficient) pairs: most rows are sum or unit rows
+    with four or one of them.
     """
-    rows, names = sys_.rows.tolist(), sys_.names
+    rows = [[(j, a) for j, a in enumerate(row) if a]
+            for row in sys_.rows.tolist()]
+    names = sys_.names
 
     def check(tensor):
         vec = [int(tensor[l][m][n]) for l, m, n in names]
         for i, (row, b) in enumerate(zip(rows, sys_.rhs)):
-            if sum(map(operator.mul, row, vec)) != b:
+            if sum([a * vec[j] for j, a in row]) != b:
                 return i
         return None
 
