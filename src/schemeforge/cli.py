@@ -318,10 +318,9 @@ def cmd_pipeline(args) -> int:
                               f"expected {sch.size // 2}")
         if not verify_dual_hemisystem(sch, cliques, part):
             raise MathFailure("a clique does not split cleanly")
-        # rel is symmetric (the scheme stage checked it) and the mask is
-        # reflexive, so its rows split the elements into two parts
-        # exactly when there are two distinct rows
-        parts = len(set(map(bytes, sch.even)))
+        # every base reproduces its own part, so the parts split the
+        # elements; a base that does not fails with its witness
+        parts = len({recover_hemisystem(sch, x) for x in range(sch.size)})
         if parts != 2:
             raise MathFailure(f"{parts} distinct parts "
                               f"from {sch.size} bases")

@@ -8,10 +8,11 @@ numpy array holds all 820, first nonzero coordinate scaled to 1, and
 keeps those whose coordinate norms c0^2 + c1^2 (the fourth powers, in
 GF(3)) sum to 0 mod 3. The surface holds 112 fully-contained projective
 lines; points and lines form a generalized quadrangle of order (9,3).
-A hemisystem is a set of half the lines meeting every point exactly
-(t+1)/2 times; the search is depth-first over lines with exact
-per-point counters. Every 0/1 matrix product goes through exact_product,
-which sums in float32 below 2^24 and float64 below 2^53.
+The axioms are self-dual, so verify_gq checks its pairs on the Gram
+matrix of the smaller side. A hemisystem is a set of half the lines
+meeting every point exactly (t+1)/2 times; the search is depth-first over
+lines with exact per-point counters. Every 0/1 matrix product goes through
+exact_product, which sums in float32 below 2^24 and float64 below 2^53.
 """
 
 from __future__ import annotations
@@ -179,9 +180,12 @@ def verify_gq(gq: GQ) -> ValidationReport:
     K = N N^T (diagonal zeroed) counts the lines joining two points, so a
     unique joining line is K <= 1, and (K > 0) N counts, for a point and a
     line, the points of the line collinear with it: the quadrangle axiom
-    asks for exactly one wherever the point is off the line. Both products
-    are exact_product calls on 0/1 matrices, so each sum is at most the
-    inner dimension, far below 2^24.
+    asks for exactly one wherever the point is off the line. Two points
+    share two lines iff two lines share two points, so with fewer lines
+    than points M = N^T N (diagonal zeroed) decides: if M <= 1, N (M > 0)
+    counts the same off the line, and K is formed only for a witness.
+    Every product is an exact_product of 0/1 matrices, so each sum is at
+    most the inner dimension, far below 2^24.
     """
     checks = []
     inc = gq.incidence
@@ -202,17 +206,23 @@ def verify_gq(gq: GQ) -> ValidationReport:
     checks.append(("lines_per_point", bad is None,
                    None if bad is None else f"point {bad[0]}"))
 
-    joins = exact_product(inc, inc.T)
-    np.fill_diagonal(joins, 0)
-    bad = first_true(joins > 1)
+    meets = exact_product(inc.T, inc) if n_lines < n_pts else None
+    if meets is not None:
+        np.fill_diagonal(meets, 0)
     witness = None
-    if bad:
-        a, b = bad
-        first, second = np.flatnonzero(inc[a] & inc[b])[:2]
-        witness = f"points {a},{b} on lines {first},{second}"
+    if meets is not None and meets.max(initial=0) <= 1:
+        connectors = exact_product(inc, np.minimum(meets, 1, out=meets))
+    else:
+        joins = exact_product(inc, inc.T)
+        np.fill_diagonal(joins, 0)
+        bad = first_true(joins > 1)
+        if bad:
+            a, b = bad
+            first, second = np.flatnonzero(inc[a] & inc[b])[:2]
+            witness = f"points {a},{b} on lines {first},{second}"
+        connectors = exact_product(np.minimum(joins, 1, out=joins), inc)
     checks.append(("unique_joining_line", witness is None, witness))
 
-    connectors = exact_product(np.minimum(joins, 1, out=joins), inc)
     bad = first_true((connectors != 1) & (inc == 0))
     witness = None if bad is None else (
         f"point {bad[0]}, line {bad[1]}: {connectors[bad]} connectors")

@@ -5,7 +5,8 @@ under relations {0, 1, 2} are the common neighbourhoods of their 1- or
 2-related pairs; they behave as the points of the dual geometry, and the
 incidence structure they form is a generalized quadrangle of order
 (t, t^2).  The half-partition reappears as the even-relation
-neighborhood of any single element.  Every operation here both
+neighborhood of any single element, and one product of that mask with
+itself checks the reading from every base.  Every operation here both
 constructs and checks: a failed characterization is reported with a
 witness, never smoothed over.
 """
@@ -186,21 +187,19 @@ def reconstruct_gq(sch: RelationScheme, cliques) -> ReconstructedGQ:
 def recover_hemisystem(sch: RelationScheme, x: int) -> tuple:
     """The half-partition part containing x, checked for independence.
 
-    The part is x's row of the scheme's cached even-relation mask
+    The part is x's row of the scheme's even-relation mask
     (RelationScheme.even). Every element of the returned set must
     reproduce the same set when used as the base; otherwise the
     characterization fails for this scheme and the offending base is
-    reported.
+    reported. RelationScheme.even_parts checks every base at once.
     """
-    even = sch.even
-    part = np.flatnonzero(even[x])
-    bad = first_true(np.any(even[part] != even[x], axis=1))
-    if bad:
-        y = int(part[bad[0]])
+    parts, strays = sch.even_parts
+    y = strays[x]
+    if y >= 0:
         raise NotWellDefined(
-            f"base {x} gives a {len(part)}-set but base {y} inside "
-            f"it gives a different {int(even[y].sum())}-set")
-    return tuple(part.tolist())
+            f"base {x} gives a {len(parts[x])}-set but base {y} inside "
+            f"it gives a different {len(parts[y])}-set")
+    return parts[x]
 
 
 def verify_dual_hemisystem(sch: RelationScheme, cliques, part) -> bool:

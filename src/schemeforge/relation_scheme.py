@@ -7,8 +7,10 @@ for intersecting lines in different halves, 2 for intersecting in the same
 half, 3 for disjoint in different halves, 4 for disjoint in the same half.
 The table is read-only, so its stack of class indicators is built once,
 cached on the scheme, and shared by every verifier that reads a class;
-so are the even-relation mask that recover_hemisystem reads and the
-premultiplied label planes that triples.direct_triple_counts sums.
+so are the even-relation mask, its rows with the first member whose row
+differs (even_parts, which recover_hemisystem reads for every base at
+once), and the premultiplied label planes that
+triples.direct_triple_counts sums.
 verify_scheme is the counting oracle: the exact products A_i A_j of class
 indicators for 1 <= i <= j <= c-2, with A_0 = I, transposes and row sums
 for the rest, count every intersection number at every pair, and the
@@ -24,7 +26,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SchemeforgeError
-from .geometry import GQ, Hemisystem, exact_product, first_true, quota_witness
+from .geometry import (GQ, Hemisystem, exact_product, first_true,
+                       quota_witness, row_sets)
 
 
 class NotHemisystem(SchemeforgeError, ValueError):
@@ -65,6 +68,22 @@ class RelationScheme:
         np.fill_diagonal(mask, True)
         mask.setflags(write=False)
         return mask
+
+    @cached_property
+    def even_parts(self) -> tuple:
+        """(parts, strays): each element's row of even, and its first
+        member whose row differs from it (-1 if none), as int tuples.
+
+        E E^T counts |row x & row y| in one exact_product, at most n, so
+        rows x and y are equal iff it equals both row sizes.
+        """
+        even = self.even
+        common = exact_product(even, even.T)
+        sizes = even.sum(axis=1)
+        differs = even & ((common != sizes[:, None])
+                          | (common != sizes[None, :]))
+        strays = np.where(differs.any(axis=1), differs.argmax(axis=1), -1)
+        return row_sets(even), tuple(strays.tolist())
 
     @cached_property
     def label_planes(self) -> np.ndarray:

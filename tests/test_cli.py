@@ -388,7 +388,7 @@ def test_pipeline_counts_the_parts_of_the_even_mask(monkeypatch, capsys,
     """The even-relation mask is doctored into three parts: base 0's part
     U stays whole, so |U| and the clique split pass, and the other 56
     elements fall into two parts of 28. The recover stage counts three
-    distinct rows and fails."""
+    distinct parts and fails."""
     from schemeforge.relation_scheme import RelationScheme
 
     part = scheme_t3.even[0]
@@ -402,6 +402,28 @@ def test_pipeline_counts_the_parts_of_the_even_mask(monkeypatch, capsys,
     lines = out.splitlines()
     assert all(": PASS (" in line for line in lines[:6])
     assert lines[6:] == ["recover: FAIL (3 distinct parts from 112 bases)"]
+    assert err == "pipeline failed at stage recover\n"
+
+
+def test_pipeline_names_a_bad_base_outside_the_first_part(monkeypatch,
+                                                          capsys, scheme_t3):
+    """Base 0's part U stays whole, but one element a outside it loses
+    another element b of the rest from its row. The recover stage checks
+    every base: the first outside U holds a, whose row differs."""
+    from schemeforge.relation_scheme import RelationScheme
+
+    part = scheme_t3.even[0]
+    a, b = np.flatnonzero(~part)[[1, 2]]
+    mask = part[:, None] == part[None, :]
+    mask[a, b] = False
+    monkeypatch.setattr(RelationScheme, "even", mask)
+    code, out, err = run(["pipeline", "--t", "3"], capsys)
+    assert code == 2
+    lines = out.splitlines()
+    assert all(": PASS (" in line for line in lines[:6])
+    x = np.flatnonzero(~part)[0]
+    assert lines[6:] == [f"recover: FAIL (base {x} gives a 56-set but "
+                         f"base {a} inside it gives a different 55-set)"]
     assert err == "pipeline failed at stage recover\n"
 
 

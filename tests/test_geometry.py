@@ -209,6 +209,91 @@ def test_witnesses_of_a_doubled_joining_line():
         "one_connector", False, "point 0, line 4: 2 connectors")
 
 
+def point_side_pair_checks(gq):
+    """The two pair checks read off K = N N^T, with K's witness walk: the
+    reference that verify_gq must match from whichever side it decides."""
+    inc = gq.incidence
+    joins = inc @ inc.T
+    np.fill_diagonal(joins, 0)
+    bad = first_true(joins > 1)
+    witness = None
+    if bad:
+        a, b = bad
+        first, second = np.flatnonzero(inc[a] & inc[b])[:2]
+        witness = f"points {a},{b} on lines {first},{second}"
+    connectors = np.minimum(joins, 1) @ inc
+    bad = first_true((connectors != 1) & (inc == 0))
+    return (("unique_joining_line", witness is None, witness),
+            ("one_connector", bad is None, None if bad is None else
+             f"point {bad[0]}, line {bad[1]}: {connectors[bad]} connectors"))
+
+
+def grid_dual():
+    grid = grid_gq()
+    return GQ(s=1, t=2, points=tuple(range(6)),
+              lines=tuple(sorted(grid.lines_through)))
+
+
+@st.composite
+def incidence_structures(draw):
+    """Random point-line structures on up to 9 points, and the grid (more
+    points than lines) or its dual (fewer) with a line doubled or dropped,
+    or one point of a line moved off it."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 9))
+        lines = draw(st.lists(st.sets(st.integers(0, n - 1), max_size=4),
+                              max_size=12))
+        return GQ(s=2, t=1, points=tuple(range(n)),
+                  lines=tuple(tuple(sorted(line)) for line in lines))
+    base = draw(st.sampled_from([grid_gq(), grid_dual()]))
+    lines = list(base.lines)
+    i = draw(st.integers(0, len(lines) - 1))
+    how = draw(st.sampled_from(["keep", "double", "drop", "move"]))
+    if how == "double":
+        lines.append(lines[i])
+    elif how == "drop":
+        del lines[i]
+    elif how == "move":
+        p = draw(st.sampled_from(lines[i]))
+        q = draw(st.sampled_from([x for x in base.points
+                                  if x not in lines[i]]))
+        lines[i] = tuple(sorted(set(lines[i]) - {p} | {q}))
+    return GQ(s=base.s, t=base.t, points=base.points,
+              lines=tuple(sorted(lines)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(incidence_structures())
+def test_pair_checks_equal_the_point_side_reference(gq):
+    assert verify_gq(gq).checks[3:] == point_side_pair_checks(gq)
+
+
+def test_pair_checks_of_the_examples_equal_the_point_side_reference(
+        hermitian_gq):
+    clique_dual = GQ(s=3, t=9, points=tuple(range(112)),
+                     lines=tuple(sorted(hermitian_gq.lines_through)))
+    for gq in (hermitian_gq, clique_dual, grid_gq(), grid_dual()):
+        report = verify_gq(gq)
+        assert report.overall
+        assert report.checks[3:] == point_side_pair_checks(gq)
+
+
+def test_the_hermitian_axioms_form_no_point_gram_matrix(hermitian_gq,
+                                                       monkeypatch):
+    """280 points, 112 lines: both pair checks are decided on the lines."""
+    import schemeforge.geometry as geometry
+    shapes = []
+    real = geometry.exact_product
+
+    def spy(a, b):
+        shapes.append((a.shape, b.shape))
+        return real(a, b)
+
+    monkeypatch.setattr(geometry, "exact_product", spy)
+    assert verify_gq(hermitian_gq).overall
+    assert shapes == [((112, 280), (280, 112)), ((280, 112), (112, 112))]
+
+
 def test_incidence_products_mark_collinear_pairs(hermitian_gq):
     inc = hermitian_gq.incidence
     joins = inc @ inc.T

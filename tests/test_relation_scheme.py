@@ -4,13 +4,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schemeforge.relation_scheme import (CountedParameters, NotHemisystem,
                                          RelationScheme,
                                          ShapeMismatch,
                                          scheme_from_hemisystem,
                                          verify_scheme)
-from schemeforge.geometry import Hemisystem
+from schemeforge.geometry import Hemisystem, first_true
 
 
 def test_requires_a_real_hemisystem(hermitian_gq, hemisystem):
@@ -223,8 +225,11 @@ def test_even_mask_and_label_planes_are_cached_and_read_only(scheme_t3):
     planes = scheme_t3.label_planes
     assert planes.shape == (3, 112, 112)
     assert np.array_equal(planes, [25 * rel, 5 * rel, rel])
-    for cached, name in ((even, "even"), (planes, "label_planes")):
+    parts = scheme_t3.even_parts
+    for cached, name in ((even, "even"), (planes, "label_planes"),
+                         (parts, "even_parts")):
         assert getattr(scheme_t3, name) is cached
+    for cached in (even, planes):
         with pytest.raises(ValueError):
             cached[0, 1] = 0
 
@@ -237,3 +242,41 @@ def test_even_mask_reads_missing_classes_as_false():
     assert np.array_equal(RelationScheme(6, 5, rel).even, (rel > 0) | eye)
     assert np.array_equal(RelationScheme(6, 3, rel).even, (rel == 2) | eye)
     assert np.array_equal(RelationScheme(6, 2, rel).even, eye)
+
+
+def per_base_recovery(even, x):
+    """x's row of the even mask and its first member whose row differs,
+    or -1: the comparison recover_hemisystem once made for each base."""
+    part = np.flatnonzero(even[x])
+    bad = first_true(np.any(even[part] != even[x], axis=1))
+    return tuple(part.tolist()), -1 if bad is None else int(part[bad[0]])
+
+
+@st.composite
+def label_tables(draw):
+    """Symmetric tables of 2-5 classes on up to 12 elements: random labels,
+    or same-part pairs 2 or 4 and cross pairs 1 or 3 over a random
+    partition, some pairs then relabelled at random."""
+    classes, n = draw(st.integers(2, 5)), draw(st.integers(1, 12))
+    labels = st.integers(0, classes - 1)
+    rel = np.array(draw(st.lists(st.lists(labels, min_size=n, max_size=n),
+                                 min_size=n, max_size=n)), dtype=np.int8)
+    if classes == 5 and draw(st.booleans()):
+        part = np.array(draw(st.lists(st.integers(0, 2), min_size=n,
+                                      max_size=n)))
+        same = part[:, None] == part[None, :]
+        noise = np.array(draw(st.lists(st.integers(0, 3), min_size=n * n,
+                                       max_size=n * n))).reshape(n, n) == 0
+        rel = np.where(noise, rel,
+                       np.where(same, 2, 1) + 2 * (rel % 2)).astype(np.int8)
+    rel = np.triu(rel, 1)
+    return RelationScheme(n, classes, rel + rel.T)
+
+
+@settings(max_examples=300, deadline=None)
+@given(label_tables())
+def test_even_parts_equal_the_per_base_recovery(sch):
+    parts, strays = sch.even_parts
+    assert len(parts) == len(strays) == sch.size
+    for x in range(sch.size):
+        assert (parts[x], strays[x]) == per_base_recovery(sch.even, x)
