@@ -12,8 +12,10 @@ import random
 import re
 import sys
 
+import numpy as np
+
 from .errors import SchemeforgeError
-from .geometry import (NotFound, build_hermitian_gq, find_hemisystem,
+from .geometry import (build_hermitian_gq, find_hemisystem, first_true,
                        verify_gq, verify_hemisystem)
 from .reconstruct import (all_cliques, recover_hemisystem, reconstruct_gq,
                           verify_dual_hemisystem)
@@ -89,10 +91,7 @@ def parse_krein(text: str) -> KreinArray:
                             x.denominator.bit_length()) > MAX_ENTRY_BITS:
             raise UsageError(f"Krein array entry {i} has more than "
                              f"{MAX_ENTRY_BITS} bits")
-    try:
-        return KreinArray.make(bs, cs)
-    except BadParameter as exc:
-        raise UsageError(str(exc))
+    return KreinArray.make(bs, cs)
 
 
 def parse_abc(text: str) -> tuple:
@@ -119,15 +118,12 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_params(args) -> int:
     if (args.t is None) == (args.krein is None):
         raise UsageError("give exactly one of --t or --krein")
-    try:
-        if args.t is not None:
-            k = hemisystem_krein_array(args.t)
-            params = derive_parameters(k, args.t)
-        else:
-            k = parse_krein(args.krein)
-            params = derive_parameters(k)
-    except BadParameter as exc:
-        raise UsageError(str(exc))
+    if args.t is not None:
+        k = hemisystem_krein_array(args.t)
+        params = derive_parameters(k, args.t)
+    else:
+        k = parse_krein(args.krein)
+        params = derive_parameters(k)
 
     if args.format == "md":
         _emit(params_markdown(params), args.out)
@@ -148,10 +144,7 @@ def cmd_triple(args) -> int:
     if args.abc is None:
         raise UsageError("--abc is required")
     abc = parse_abc(args.abc)
-    try:
-        params = closed_form_parameters(args.t)
-    except BadParameter as exc:
-        raise UsageError(str(exc))
+    params = closed_form_parameters(args.t)
     try:
         sol = forced_triple_values(params, abc)
     except VacuousConfig:
@@ -162,70 +155,99 @@ def cmd_triple(args) -> int:
 
 def cmd_build_gq(args) -> int:
     gq = build_hermitian_gq()
-    report = verify_gq(gq)
     _emit(dump_json(gq_to_dict(gq)), args.out)
-    if not report.overall:
-        name, _, witness = report.failed()[0]
-        raise MathFailure(f"GQ verification failed: {name}: {witness}")
+    _check_gq(gq)
     return EXIT_OK
 
 
 def cmd_hemisystem(args) -> int:
     gq = (gq_from_dict(load_json(args.infile[0])) if args.infile
           else build_hermitian_gq())
-    try:
-        hemi = find_hemisystem(gq, args.seed)
-    except NotFound as exc:
-        raise MathFailure(str(exc))
+    hemi = find_hemisystem(gq, args.seed)
     _emit(dump_json(hemi_to_dict(hemi)), args.out)
-    if not verify_hemisystem(gq, hemi):
-        raise MathFailure("search result fails the per-point quota")
+    _check_hemisystem(gq, hemi)
     return EXIT_OK
+
+
+def _built_scheme(seed):
+    gq = build_hermitian_gq()
+    return scheme_from_hemisystem(gq, find_hemisystem(gq, seed))
 
 
 def cmd_scheme(args) -> int:
     if args.infile:
-        gq = gq_from_dict(load_json(args.infile[0]))
-        hemi = hemi_from_dict(load_json(args.infile[1]))
+        sch = scheme_from_hemisystem(gq_from_dict(load_json(args.infile[0])),
+                                     hemi_from_dict(load_json(args.infile[1])))
     else:
-        gq = build_hermitian_gq()
-        hemi = find_hemisystem(gq, args.seed)
-    sch = scheme_from_hemisystem(gq, hemi)
-    counted = verify_scheme(sch)
+        sch = _built_scheme(args.seed)
     _emit(dump_json(scheme_to_dict(sch)), args.out)
-    if not counted.consistency:
-        raise MathFailure(f"scheme inconsistency: {counted.witness}")
+    _consistent(sch)
     return EXIT_OK
 
 
 def cmd_reconstruct(args) -> int:
-    if args.infile:
-        sch = scheme_from_dict(load_json(args.infile[0]))
-        counted = verify_scheme(sch)
-        if not counted.consistency:
-            raise MathFailure(f"scheme inconsistency: {counted.witness}")
-    else:
-        gq = build_hermitian_gq()
-        sch = scheme_from_hemisystem(gq, find_hemisystem(gq, args.seed))
+    sch = (scheme_from_dict(load_json(args.infile[0])) if args.infile
+           else _built_scheme(args.seed))
+    _consistent(sch)
     cliques = all_cliques(sch)
     rec = reconstruct_gq(sch, cliques)
     part = recover_hemisystem(sch, 0)
     _emit(dump_json(reconstruction_to_dict(rec, part)), args.out)
-    if not verify_dual_hemisystem(sch, cliques, part):
-        raise MathFailure("recovered set does not split every clique")
+    _check_partition(sch, cliques, part)
     return EXIT_OK
 
 
-# ------------------------------------------------------------ pipeline
+# ------------------------------------------------------------ checks
+# Each artifact's check, shared by its command and `pipeline`: it returns
+# the stage's PASS note, or raises MathFailure with the witness.
 
-def _triple_spot_checks(sch, params, exhaustive: bool) -> int:
-    """Check counted triples against every equation family of `params`.
+def _check_gq(gq) -> str:
+    report = verify_gq(gq)
+    if not report.overall:
+        name, _, wit = report.failed()[0]
+        raise MathFailure(f"{name}: {wit}")
+    return f"{len(gq.points)} points, {len(gq.lines)} lines"
 
-    The default samples 300 element triples with a fixed generator; the
-    exhaustive path walks every ordered triple of distinct elements.
-    Raises MathFailure at the first inconsistent triple. Each pattern's
-    row kinds and checker are built once; its system is not kept.
-    """
+
+def _check_hemisystem(gq, hemi) -> str:
+    if not verify_hemisystem(gq, hemi):
+        raise MathFailure("quota check failed")
+    if not verify_hemisystem(gq, hemi.complement(gq)):
+        raise MathFailure("complement fails the quota")
+    return f"{len(hemi.lines)} lines, complement verified"
+
+
+def _consistent(sch):
+    """verify_scheme's counts, or MathFailure with its witness."""
+    counted = verify_scheme(sch)
+    if not counted.consistency:
+        raise MathFailure(str(counted.witness))
+    return counted
+
+
+def check_scheme(sch, params, exhaustive: bool = False):
+    """Yield the PASS notes of the scheme, parameters and triples stages:
+    the table is a scheme, its counted p is params.p (so its valencies are
+    p^0_ii = k_i), and its counted triples meet the boundary and every
+    equation family of their pattern: 300 triples from a fixed generator,
+    or every ordered triple with `exhaustive`. In the family (params.t
+    set), each (2,1,1) triple has [1 1 2] = (t-1)/2 and [2 2 1] = (t-3)/2.
+    Raises MathFailure at the first witness; reads no geometry."""
+    if sch.classes != params.d + 1:
+        raise MathFailure(f"the table has {sch.classes} classes, the "
+                          f"parameters {params.d + 1}")
+    counted = _consistent(sch)
+    yield f"valencies {counted.valencies}"
+
+    bad = first_true(np.not_equal(counted.p, params.p))
+    if bad:
+        k, i, j = bad
+        raise MathFailure(f"p^{k}_{i}{j}: counted {counted.p[k][i][j]}, "
+                          f"table {params.p[k][i][j]}")
+    yield "counted p matches the exact tables"
+
+    lemma = None if params.t is None else ((params.t - 1) // 2,
+                                           (params.t - 3) // 2)
     checkers = {}
     if exhaustive:
         triples = itertools.permutations(range(sch.size), 3)
@@ -248,12 +270,50 @@ def _triple_spot_checks(sch, params, exhaustive: bool) -> int:
             raise MathFailure(f"triple {(x, y, u)} pattern {abc}: "
                               f"{kinds[bad_row]} row {bad_row} "
                               f"violated")
-        if abc == (2, 1, 1):
-            v112, v221 = int(tensor[1, 1, 2]), int(tensor[2, 2, 1])
-            if v112 != 1 or v221 != 0:
-                raise MathFailure(f"triple {(x, y, u)}: [1 1 2] = {v112}, "
-                                  f"[2 2 1] = {v221}, expected 1 and 0")
-    return checked
+        if abc == (2, 1, 1) and lemma is not None:
+            got = int(tensor[1, 1, 2]), int(tensor[2, 2, 1])
+            if got != lemma:
+                raise MathFailure(f"triple {(x, y, u)}: [1 1 2] = {got[0]}, "
+                                  f"[2 2 1] = {got[1]}, expected "
+                                  f"{lemma[0]} and {lemma[1]}")
+    yield f"{checked} triples consistent"
+
+
+def _check_partition(sch, cliques, part) -> str:
+    if len(part) != sch.size // 2:
+        raise MathFailure(f"|U| = {len(part)}, expected {sch.size // 2}")
+    if not verify_dual_hemisystem(sch, cliques, part):
+        raise MathFailure("a clique does not split cleanly")
+    # every base reproduces its own part, so the parts split the
+    # elements; a base that does not fails with its witness
+    parts = len({recover_hemisystem(sch, x) for x in range(sch.size)})
+    if parts != 2:
+        raise MathFailure(f"{parts} distinct parts from {sch.size} bases")
+    return f"|U| = {len(part)}, partition consistent from every base"
+
+
+# ------------------------------------------------------------ pipeline
+
+STAGES = ("build-gq", "hemisystem", "scheme", "parameters", "triples",
+          "reconstruct", "recover")
+
+
+def _stage_notes(t: int, args):
+    """The PASS note of each of STAGES in turn; raises at the first
+    failure. The reconstruction goes to --out once every stage passed."""
+    gq = build_hermitian_gq()
+    yield _check_gq(gq)
+    hemi = find_hemisystem(gq, args.seed)
+    yield _check_hemisystem(gq, hemi)
+    sch = scheme_from_hemisystem(gq, hemi)
+    yield from check_scheme(sch, closed_form_parameters(t), args.exhaustive)
+    cliques = all_cliques(sch)
+    rec = reconstruct_gq(sch, cliques)
+    yield f"{len(cliques)} cliques, dual order {rec.dual_order}"
+    part = recover_hemisystem(sch, 0)
+    yield _check_partition(sch, cliques, part)
+    if args.out:
+        _emit(dump_json(reconstruction_to_dict(rec, part)), args.out)
 
 
 def cmd_pipeline(args) -> int:
@@ -261,78 +321,15 @@ def cmd_pipeline(args) -> int:
     if t != 3:
         raise UsageError("the concrete pipeline is built at t = 3; "
                          "use params/triple for other t")
-
-    stage = "build-gq"
-
-    def passed(note, next_stage):
-        nonlocal stage
-        print(f"{stage}: PASS ({note})")
-        stage = next_stage
-
+    passed = 0
     try:
-        gq = build_hermitian_gq()
-        report = verify_gq(gq)
-        if not report.overall:
-            name, _, wit = report.failed()[0]
-            raise MathFailure(f"{name}: {wit}")
-        passed(f"{len(gq.points)} points, {len(gq.lines)} lines",
-               "hemisystem")
-
-        hemi = find_hemisystem(gq, args.seed)
-        if not verify_hemisystem(gq, hemi):
-            raise MathFailure("quota check failed")
-        if not verify_hemisystem(gq, hemi.complement(gq)):
-            raise MathFailure("complement fails the quota")
-        passed(f"{len(hemi.lines)} lines, complement verified", "scheme")
-
-        sch = scheme_from_hemisystem(gq, hemi)
-        counted = verify_scheme(sch)
-        if not counted.consistency:
-            raise MathFailure(str(counted.witness))
-        passed(f"valencies {counted.valencies}", "parameters")
-
-        params = closed_form_parameters(t)
-        if counted.valencies != params.valencies:
-            raise MathFailure(f"valencies {counted.valencies} != "
-                              f"{params.valencies}")
-        if counted.p != params.p:
-            k, i, j = next((k, i, j) for k, plane in enumerate(params.p)
-                           for i, row in enumerate(plane)
-                           for j, v in enumerate(row)
-                           if counted.p[k][i][j] != v)
-            raise MathFailure(f"p^{k}_{i}{j}: counted {counted.p[k][i][j]}, "
-                              f"table {params.p[k][i][j]}")
-        passed("counted p matches the exact tables", "triples")
-
-        checked = _triple_spot_checks(sch, params, args.exhaustive)
-        passed(f"{checked} triples consistent", "reconstruct")
-
-        cliques = all_cliques(sch)
-        rec = reconstruct_gq(sch, cliques)
-        passed(f"{len(cliques)} cliques, dual order {rec.dual_order}",
-               "recover")
-
-        part = recover_hemisystem(sch, 0)
-        if len(part) != sch.size // 2:
-            raise MathFailure(f"|U| = {len(part)}, "
-                              f"expected {sch.size // 2}")
-        if not verify_dual_hemisystem(sch, cliques, part):
-            raise MathFailure("a clique does not split cleanly")
-        # every base reproduces its own part, so the parts split the
-        # elements; a base that does not fails with its witness
-        parts = len({recover_hemisystem(sch, x) for x in range(sch.size)})
-        if parts != 2:
-            raise MathFailure(f"{parts} distinct parts "
-                              f"from {sch.size} bases")
-        passed(f"|U| = {len(part)}, partition consistent from every base",
-               None)
+        for note in _stage_notes(t, args):
+            print(f"{STAGES[passed]}: PASS ({note})")
+            passed += 1
     except SchemeforgeError as exc:
-        print(f"{stage}: FAIL ({exc})")
-        print(f"pipeline failed at stage {stage}", file=sys.stderr)
+        print(f"{STAGES[passed]}: FAIL ({exc})")
+        print(f"pipeline failed at stage {STAGES[passed]}", file=sys.stderr)
         return EXIT_MATH
-
-    if args.out:
-        _emit(dump_json(reconstruction_to_dict(rec, part)), args.out)
     return EXIT_OK
 
 
@@ -401,7 +398,7 @@ def main(argv=None) -> int:
         # devnull so that the interpreter's last flush does not fail.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except (UsageError, BadInput, OSError) as exc:
+    except (UsageError, BadInput, BadParameter, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SchemeforgeError as exc:

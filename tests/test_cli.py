@@ -15,7 +15,9 @@ import pytest
 
 import schemeforge
 from schemeforge.cli import MAX_ENTRY_BITS, main, parse_krein
-from schemeforge.scheme_params import IrrationalEigenvalue, derive_parameters
+from schemeforge.relation_scheme import CountedParameters
+from schemeforge.scheme_params import (IrrationalEigenvalue, ValidationReport,
+                                       derive_parameters)
 from schemeforge.serialize import gq_to_dict, scheme_to_dict
 
 
@@ -364,6 +366,28 @@ def test_pipeline_reports_the_failing_stage(monkeypatch, capsys):
     assert err == "pipeline failed at stage scheme\n"
 
 
+def test_pipeline_names_the_first_p_entry_off_the_tables(monkeypatch, capsys,
+                                                        params_t3):
+    """The tables are doctored at p^1_12 alone; the parameters stage names
+    that entry with both values."""
+    import dataclasses
+
+    import schemeforge.cli as cli
+
+    p = np.array(params_t3.p)
+    p[1, 1, 2] += 1
+    doctored = dataclasses.replace(params_t3, p=tuple(
+        tuple(tuple(map(int, row)) for row in plane) for plane in p))
+    monkeypatch.setattr(cli, "closed_form_parameters", lambda t: doctored)
+    code, out, err = run(["pipeline", "--t", "3"], capsys)
+    assert code == 2
+    counted = params_t3.p[1][1][2]
+    assert out.splitlines() == PASSED_BUILD_AND_HEMISYSTEM + [
+        "scheme: PASS (valencies (1, 20, 10, 36, 45))",
+        f"parameters: FAIL (p^1_12: counted {counted}, table {counted + 1})"]
+    assert err == "pipeline failed at stage parameters\n"
+
+
 def test_pipeline_reports_a_failing_last_stage(monkeypatch, capsys,
                                                tmp_path):
     import schemeforge.cli as cli
@@ -403,6 +427,54 @@ def test_pipeline_counts_the_parts_of_the_even_mask(monkeypatch, capsys,
     assert all(": PASS (" in line for line in lines[:6])
     assert lines[6:] == ["recover: FAIL (3 distinct parts from 112 bases)"]
     assert err == "pipeline failed at stage recover\n"
+
+
+def test_reconstruct_counts_the_parts_of_the_even_mask(monkeypatch, capsys,
+                                                       scheme_t3):
+    """The reconstruct command runs the recover stage's checks: with the
+    mask doctored into three parts as above, it writes U, then fails."""
+    from schemeforge.relation_scheme import RelationScheme
+
+    part = scheme_t3.even[0]
+    labels = np.where(part, 0, 1)
+    labels[np.flatnonzero(~part)[28:]] = 2
+    monkeypatch.setattr(RelationScheme, "even",
+                        labels[:, None] == labels[None, :])
+    code, out, err = run(["reconstruct"], capsys)
+    assert code == 2
+    assert len(json.loads(out)["U"]) == 56
+    assert err == "validation failure: 3 distinct parts from 112 bases\n"
+
+
+@pytest.mark.parametrize("command, key, check, verdict, failure", [
+    ("build-gq", "points", "verify_gq", ValidationReport.from_checks(
+        [("axiom", False, "planted witness")]), "axiom: planted witness"),
+    ("scheme", "rel", "verify_scheme", CountedParameters(
+        (), (), False, "planted witness"), "planted witness")])
+def test_artifact_commands_write_then_fail_as_the_pipeline_stage(
+        monkeypatch, capsys, command, key, check, verdict, failure):
+    """Each artifact is written before its check, and a failed check is
+    reported with the pipeline stage's text."""
+    import schemeforge.cli as cli
+
+    monkeypatch.setattr(cli, check, lambda artifact: verdict)
+    code, out, err = run([command], capsys)
+    assert code == 2
+    assert key in json.loads(out)
+    assert err == f"validation failure: {failure}\n"
+
+
+def test_hemisystem_checks_the_complement(monkeypatch, capsys):
+    """The hemisystem command runs the pipeline stage's checks; a
+    complement that fails the quota is reported after the lines."""
+    from schemeforge.geometry import Hemisystem
+
+    monkeypatch.setattr(Hemisystem, "complement",
+                        lambda self, gq: Hemisystem(self.lines[1:]))
+    code, out, err = run(["hemisystem"], capsys)
+    assert code == 2
+    assert len(json.loads(out)["lines"]) == 56
+    assert err == "validation failure: complement fails the quota\n"
 
 
 def test_pipeline_names_a_bad_base_outside_the_first_part(monkeypatch,
@@ -481,7 +553,8 @@ class _Enough(Exception):
 
 
 def recorded_triples(monkeypatch, scheme, exhaustive, limit=2000):
-    """The triples the spot checks visit, stopped after `limit` of them."""
+    """The triples the triples stage visits, stopped after `limit` of
+    them, and the count that its note reports."""
     import schemeforge.cli as cli
     from schemeforge.scheme_params import closed_form_parameters
 
@@ -496,8 +569,9 @@ def recorded_triples(monkeypatch, scheme, exhaustive, limit=2000):
 
     monkeypatch.setattr(cli, "triple_pattern", recording)
     try:
-        checked = cli._triple_spot_checks(scheme, closed_form_parameters(3),
-                                          exhaustive)
+        *_, note = cli.check_scheme(scheme, closed_form_parameters(3),
+                                    exhaustive)
+        checked = int(note.split()[0])
     except _Enough:
         checked = None
     return seen, checked

@@ -885,6 +885,41 @@ def test_checker_finds_the_reference_first_bad_row(scheme_t3, params_t3):
     assert kinds == {"sum", "krein"}
 
 
+def integer_kernel(sys_):
+    """The solution space of sys_'s rows with a zero right-hand side, as
+    integer vectors."""
+    space = solve_integer([row + [0] for row in sys_.rows.tolist()],
+                          len(sys_.names))
+    return [np.array([int(x * math.lcm(*(y.denominator for y in vec)))
+                      for x in vec]) for vec in space.basis]
+
+
+def test_checker_finds_the_reference_first_bad_krein_row(scheme_t3,
+                                                         params_t3):
+    """On each of the 31 non-vacuous t = 3 patterns, a count tensor, which
+    every row holds, plus an integer vector that every sum and zero row
+    annihilates and some Krein row does not. The checker and the row
+    oracle name the same first violated row: the first Krein row, as on
+    the sum and zero rows' solution space the Krein rows have rank 1 at
+    t = 3, led by that row."""
+    seen = 0
+    for abc in patterns(params_t3):
+        sys_ = widened_system(TripleConfig(params_t3, abc))
+        checker = integer_residual_checker(sys_)
+        reference = rows_oracle.integer_residual_checker(sys_)
+        krein = only(sys_, ("krein",)).rows
+        move = next(vec for vec in integer_kernel(only(sys_, ("sum", "zero")))
+                    if krein.dot(vec).any())
+        tensor = direct_triple_counts(scheme_t3, *find_triple(scheme_t3, abc))
+        assert checker(tensor) is None and reference(tensor) is None
+        broken = tensor.copy()
+        broken[1:, 1:, 1:] += move.reshape(4, 4, 4)
+        bad = checker(broken)
+        assert bad == reference(broken) == sys_.kinds.index("krein")
+        seen += 1
+    assert seen == 31
+
+
 def test_a_row_of_negative_coefficients_passes_zero_counts(params_t3):
     """Every product term of an all-negative row with zero counts is
     -0.0 in float64; the row sum equals its right-hand side 0, so no row
