@@ -88,9 +88,14 @@ def _kernel(cols, prows, free) -> list:
     return kernel
 
 
-def _rref_rows(rows, width: int) -> tuple:
+def _rref_rows(rows, width: int, start=((), ())) -> tuple:
     """Integer RREF of int rows of `width` entries: (pivot columns, pivot
     rows).
+
+    `start` is a state to go on from: the (pivot columns, pivot rows) of an
+    earlier call on rows of the same width, or any reduced rows in that
+    form. Its lists are copied, not changed, and the result is that of one
+    call on the earlier rows followed by `rows`.
 
     The rows are inserted one at a time into a reduced echelon form kept
     sorted by pivot column. Each is cleared at the pivot columns where it
@@ -107,8 +112,9 @@ def _rref_rows(rows, width: int) -> tuple:
     and the column order, so they are those of elimination over the
     rationals.
     """
-    cols, prows, kernel = [], [], None
-    free = list(range(width))
+    cols, prows, kernel = list(start[0]), list(start[1]), None
+    held = set(cols)
+    free = [j for j in range(width) if j not in held]
     for row in rows:
         hits = width - row.count(0) - sum(1 for f in free if row[f])
         if len(free) < hits:
@@ -134,10 +140,13 @@ def _rref_rows(rows, width: int) -> tuple:
     return tuple(cols), prows
 
 
-def solve_integer(rows: list, ncols: int) -> AffineSolutionSpace:
+def solve_integer(rows: list, ncols: int,
+                  start=((), ())) -> AffineSolutionSpace:
     """Solve the int augmented rows [a | b] over ncols unknowns exactly.
 
-    Each row holds ncols + 1 ints; `_rref_rows` eliminates them. Raises
+    Each row holds ncols + 1 ints; `_rref_rows` eliminates them, going on
+    from `start`, reduced rows of the same system that it holds already
+    (none by default). Raises
     Inconsistent when no solution exists, that is when the right-hand-side
     column becomes a pivot; a row that the kernel test skips is consistent
     with the rows before it. Free variables are the non-pivot
@@ -145,7 +154,7 @@ def solve_integer(rows: list, ncols: int) -> AffineSolutionSpace:
     Fraction is formed only for a nonzero entry of the space, as a
     quotient by its row's pivot.
     """
-    pivots, rows = _rref_rows(rows, ncols + 1)
+    pivots, rows = _rref_rows(rows, ncols + 1, start)
     if pivots and pivots[-1] == ncols:
         raise Inconsistent("system has no solution")
     zero = Fraction(0)

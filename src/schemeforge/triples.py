@@ -16,20 +16,25 @@ ordered lexicographically by (l, m, n). The sum, unit and Krein rows do
 not depend on the pattern and are cached as blocks (see below). Solving
 is exact and stays in ints until the solution is read off: the 3 d - 1
 sum rows that are fixed sums of the others are checked by their
-right-hand sides alone and skipped, the zero rows kill unknowns,
-elimination sees the other 69 rows at the live columns (12 to 16 for
-odd t <= 51, against d^3 = 64 names), and a Fraction first appears as an
-entry of the solution space. Most of those rows carry no new
-information: in 780 of the 799 non-vacuous systems for odd t <= 51 they
-have rank 15 over 16 live columns. The elimination
-keeps its pivot rows reduced and tests a row that would be cleared at
-more pivots than there are kernel vectors against that kernel (two int
-vectors at rank 15, the right-hand side's among them), so a row in the
-span of the earlier ones costs two dot products and is never cleared;
-this kernel test is the one filter for such rows. Forcing is exact too:
-every system of the family for odd t <= 51 has at most one free
-parameter, and nonnegativity bounds it by a ratio test over the solution
-line. A larger solution space raises HighNullity.
+right-hand sides alone and skipped, and the zero rows kill unknowns.
+The other 3 d^2 - 3 d + 1 sum rows, read at the live columns (12 to 16
+for odd t <= 51, against d^3 = 64 names), depend on the pattern only
+through which columns are live, so their echelon is reduced once per
+set of live columns and cached; a solve checks its right-hand sides
+against the echelon's null combinations and starts the elimination from
+it. The elimination then sees only the 32 Krein rows, and a Fraction
+first appears as an entry of the solution space. Most rows carry no new
+information: in 780 of the 799 non-vacuous systems for odd t <= 51 the
+37 kept sum rows have rank 14 over 16 live columns, and the Krein rows
+add one. The elimination keeps its pivot rows reduced and tests a row
+that would be cleared at more pivots than there are kernel vectors
+against that kernel (two int vectors at rank 15, the right-hand side's
+among them), so a row in the span of the earlier ones costs two dot
+products and is never cleared; this kernel test is the one filter for
+such rows. Forcing is exact too: every system of the family for odd
+t <= 51 has at most one free parameter, and nonnegativity bounds it by
+a ratio test over the solution line, in integer cross products. A
+larger solution space raises HighNullity.
 
 Against a concrete scheme, each triple takes four calls on a few dozen
 entries, so numpy's fixed cost per call, not arithmetic, sets their
@@ -45,9 +50,13 @@ through BLAS, while the matrix-wide bound max |a| * d^3 * order + max |b|
 is below 2^53 (every t = 3 system, about 10^8), and Python ints (an
 object array) from there. The family first reaches 2^53 at t = 13.
 
-Two caches hold what patterns share: `_sum_rows` the int64 block of the
-sum and unit rows of the last d, and the store `_last` the last params
-object with its vanishing tuples and Krein block. A sweep over t holds
+Three caches hold what patterns share: `_sum_rows` the int64 block of
+the sum and unit rows of the last d; the lru `_sum_echelon` the reduced
+kept sum rows, with the combinations of them that make each reduced
+row, for the last 128 (d, live columns); and the store `_last` the last
+params object with its vanishing tuples and Krein block. The 799 family
+systems for odd t <= 51 meet 17 live sets, 4 of them 780 times, and one
+echelon takes well under a millisecond to build. A sweep over t holds
 one parameter set's rows at a time. The lru `_boundary` holds the
 boundary cells and expected values of the last 128 (pattern, c).
 """
@@ -62,7 +71,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import SchemeforgeError
-from .linalg import AffineSolutionSpace, Inconsistent, solve_integer
+from .linalg import (AffineSolutionSpace, Inconsistent, _rref_rows,
+                     solve_integer)
 from .scheme_params import SchemeParameters, _cleared_rows
 
 
@@ -161,6 +171,37 @@ def _sum_rows(d: int) -> tuple:
     block = np.concatenate((units[np.array(members)].sum(axis=1), units))
     block.setflags(write=False)
     return names, members, kept, block
+
+
+@functools.lru_cache(maxsize=128)
+def _sum_echelon(d: int, live: tuple) -> tuple:
+    """The kept sum rows of `_sum_rows(d)` at the columns `live`, reduced.
+
+    (pivot columns, coefficient rows, combinations, limit). `_rref_rows`
+    reduces the rows [a_i | e_i], a_i kept sum row i at the live columns
+    and e_i the i-th unit vector over the kept rows. A row of the result
+    whose pivot lies among the live columns is [c | y] with c = y A, A the
+    kept rows at the live columns: its c is a coefficient row, and the c
+    rows are the kept rows' integer RREF. A row with its pivot past them
+    is [0 | y]: y A = 0, a null combination. `combinations` is the
+    read-only int64 matrix of every y, the coefficient rows' first, and
+    `limit` the largest |b| for which its product with a vector of
+    right-hand sides cannot wrap int64: max |y| * len(kept) * limit < 2^63.
+    Over the 799 family systems for odd t <= 51 there are 17 live sets,
+    and every y has entries in {-1, 0, 1}.
+    """
+    _, _, kept, block = _sum_rows(d)
+    n, k = len(live), len(kept)
+    at_live = block[list(kept)][:, list(live)].tolist()
+    cols, prows = _rref_rows([row + [0] * i + [1] + [0] * (k - 1 - i)
+                              for i, row in enumerate(at_live)], n + k)
+    rank = sum(c < n for c in cols)
+    ys = [row[n:] for row in prows]
+    limit = (2 ** 63 - 1) // (max(abs(x) for y in ys for x in y) * k)
+    combos = np.array(ys, dtype=np.int64)
+    combos.setflags(write=False)
+    return (cols[:rank], tuple(tuple(row[:n]) for row in prows[:rank]),
+            combos, limit)
 
 
 def vanishing_tuples(params: SchemeParameters) -> tuple:
@@ -297,20 +338,26 @@ def _margins_agree(rhs: tuple, d: int) -> bool:
 def solve(sys_: TripleSystem) -> TripleSolution:
     """Exact solution space; `forced` holds what linear algebra alone pins.
 
-    When the system opens with the 3 d^2 sum rows of `_sum_rows`, the
-    3 d - 1 of them that are fixed sums of the others are checked by their
-    right-hand sides alone (every one-slot margin must come out alike from
-    both families that give it, else Inconsistent) and then skipped. Of
-    the other rows, one with one nonzero coefficient and right-hand side 0
-    kills its unknown, whatever its kind; one nonzero mask of the matrix
-    finds them and their unknowns. The rest go to `linalg.solve_integer` in their
-    order, read at the live unknowns only, as lists of Python ints; its
-    kernel test skips the rows in the span of earlier ones, and a row that
-    becomes 0 = b with b != 0 raises Inconsistent there. In elimination on
-    all d^3 columns a killed unknown is a pivot whose unit row touches no
-    other column, so the space on the live columns, in their order and
-    expanded back with 0 at the killed unknowns, equals that elimination
-    field for field.
+    A row with one nonzero coefficient and right-hand side 0 kills its
+    unknown, whatever its kind; one nonzero mask of the matrix finds them
+    and their unknowns, and the other unknowns are live. When the system
+    opens with the 3 d^2 sum rows of `_sum_rows`, the 3 d - 1 of them that
+    are fixed sums of the others are checked by their right-hand sides
+    alone (every one-slot margin must come out alike from both families
+    that give it, else Inconsistent). The kept ones are read from their
+    cached echelon at the live columns, `_sum_echelon`: every null
+    combination y of them must give y . b = 0 on their right-hand sides
+    b, else Inconsistent, and each coefficient row c, made by its y, is
+    the reduced row [c | y . b] that the elimination starts from. The rows
+    after the sum block that kill nothing go to `linalg.solve_integer` in
+    their order, read at the live unknowns only, as lists of Python ints;
+    a system that does not open with the sum block hands it every row
+    that kills nothing, from an empty start. Its kernel test skips the
+    rows in the span of earlier ones, and a row that becomes 0 = b with
+    b != 0 raises Inconsistent there. In elimination on all d^3 columns a
+    killed unknown is a pivot whose unit row touches no other column, so
+    the space on the live columns, in their order and expanded back with
+    0 at the killed unknowns, equals that elimination field for field.
     """
     names = sys_.names
     nvar = len(names)
@@ -318,19 +365,31 @@ def solve(sys_: TripleSystem) -> TripleSolution:
     d = sys_.config.params.d
     _, members, kept, block = _sum_rows(d)
     nsum = len(members)
-    read = range(len(rhs))
-    if np.array_equal(rows[:nsum], block[:nsum]):
-        if not _margins_agree(rhs, d):
-            raise Inconsistent("system has no solution")
-        read = [*kept, *range(nsum, len(rhs))]
+    opens = np.array_equal(rows[:nsum], block[:nsum])
+    if opens and not _margins_agree(rhs, d):
+        raise Inconsistent("system has no solution")
     nonzero = rows != 0
     counts = nonzero.sum(axis=1).tolist()
-    kills = [i for i in read if counts[i] == 1 and not rhs[i]]
-    live = np.flatnonzero(~nonzero[kills].any(axis=0)).tolist()
-    rest = [i for i in read if counts[i] != 1 or rhs[i]]
-    at_live = rows[rest][:, live].tolist()
+    kills = [i for i, n in enumerate(counts) if n == 1 and not rhs[i]]
+    live = tuple(np.flatnonzero(~nonzero[kills].any(axis=0)).tolist())
+    first, start = 0, ((), ())
+    if opens:
+        first = nsum
+        cols, coef, combos, limit = _sum_echelon(d, live)
+        b = [rhs[i] for i in kept]
+        # every entry of combos @ b is a sum of len(kept) products of at
+        # most max |y| * max |b|: below 2^63 while max |b| <= limit, and in
+        # Python ints (object arrays) from there
+        if max(map(abs, b), default=0) > limit:
+            combos, b = combos.astype(object), np.array(b, dtype=object)
+        yb = (combos @ b).tolist()
+        if any(yb[len(cols):]):
+            raise Inconsistent("system has no solution")
+        start = (cols, [[*row, v] for row, v in zip(coef, yb)])
+    rest = [i for i in range(first, len(rhs)) if counts[i] != 1 or rhs[i]]
+    at_live = rows[rest][:, list(live)].tolist()
     reduced = solve_integer([row + [rhs[i]] for i, row in zip(rest, at_live)],
-                            len(live))
+                            len(live), start)
 
     zero = Fraction(0)
 
@@ -371,26 +430,35 @@ def nonneg_force(sys_: TripleSystem, sol: TripleSolution) -> TripleSolution:
         (b,) = space.basis
         p = space.particular
         support = [v for v, bv in enumerate(b) if bv]
-        lo = hi = None   # (bound on lam, index of the unknown that sets it)
+        # the tightest bound -p_v / b_v on lam from below and from above,
+        # as (numerator, positive denominator, v); two bounds compare by
+        # integer cross products
+        lo = hi = None
         for v in support:
-            bound = -p[v] / b[v]
-            if b[v] > 0:
-                if lo is None or bound > lo[0]:
-                    lo = (bound, v)
-            elif hi is None or bound < hi[0]:
-                hi = (bound, v)
-        if hi is not None and lo[0] > hi[0]:
-            free = names[space.free_indices[0]]
-            raise Infeasible(
-                f"{names[lo[1]]} >= 0 needs {free} >= {lo[0]} but "
-                f"{names[hi[1]]} >= 0 needs {free} <= {hi[0]}")
-        if hi is not None and lo[0] == hi[0]:
-            forced = dict(zip(names, p))
-            for v in support:
-                forced[names[v]] = p[v] + lo[0] * b[v]
-            residual = ()
+            pv, bv = p[v], b[v]
+            num = -pv.numerator * bv.denominator
+            den = pv.denominator * bv.numerator
+            if den > 0:
+                if lo is None or num * lo[1] > lo[0] * den:
+                    lo = (num, den, v)
+            elif hi is None or num * hi[1] > hi[0] * den:
+                hi = (-num, -den, v)
+        if hi is not None:
+            gap = lo[0] * hi[1] - hi[0] * lo[1]
+            if gap > 0:
+                free = names[space.free_indices[0]]
+                raise Infeasible(
+                    f"{names[lo[2]]} >= 0 needs {free} >= "
+                    f"{Fraction(lo[0], lo[1])} but {names[hi[2]]} >= 0 "
+                    f"needs {free} <= {Fraction(hi[0], hi[1])}")
+            if gap == 0:
+                lam = Fraction(lo[0], lo[1])
+                forced = dict(zip(names, p))
+                for v in support:
+                    forced[names[v]] = p[v] + lam * b[v]
+                residual = ()
     for nm, val in forced.items():
-        if val < 0:
+        if val.numerator < 0:
             raise Infeasible(f"{nm} forced to {val} < 0")
     return TripleSolution(space, dict(forced), residual)
 

@@ -1,5 +1,6 @@
 """Exact solution spaces of integer linear systems."""
 
+import copy
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
+from schemeforge import linalg
 from schemeforge.linalg import Inconsistent, solve_integer
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -150,3 +152,19 @@ def test_wide_dependent_systems_match_fraction_elimination(system):
     assert got == outcome(oracle.solve_linear, m, b, ncols)
     if got is not Inconsistent:
         assert only_fractions(got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems() | wide_systems(), st.data())
+def test_elimination_goes_on_from_an_earlier_state(system, data):
+    """Reducing the first rows, then the rest from that state, gives the
+    pivot columns and rows of reducing them all in one call, and leaves
+    the state it started from as it was."""
+    m, b, ncols = system
+    rows = [cleared(list(row) + [x]) for row, x in zip(m, b)]
+    split = data.draw(st.integers(0, len(rows)))
+    start = linalg._rref_rows(rows[:split], ncols + 1)
+    held = copy.deepcopy(start)
+    assert (linalg._rref_rows(rows[split:], ncols + 1, start=start)
+            == linalg._rref_rows(rows, ncols + 1))
+    assert start == held

@@ -14,7 +14,8 @@ import fraction_oracle as oracle
 import triple_rows_oracle as rows_oracle
 from schemeforge import linalg, triples
 from schemeforge.linalg import Inconsistent, solve_integer
-from schemeforge.scheme_params import closed_form_parameters
+from schemeforge.scheme_params import (KreinArray, closed_form_parameters,
+                                       derive_parameters)
 from schemeforge.triples import (HighNullity, Infeasible, TripleConfig,
                                  VacuousConfig, boundary_violations,
                                  direct_triple_counts, forced_triple_values,
@@ -409,13 +410,13 @@ def hand_system(rows):
 
 
 def spy_on_elimination(monkeypatch) -> list:
-    """The (rows, ncols) of every call `solve` makes to the elimination,
-    appended to the list returned."""
+    """The (rows, ncols, start) of every call `solve` makes to the
+    elimination, appended to the list returned."""
     calls = []
 
-    def spy(rows, ncols):
-        calls.append((rows, ncols))
-        return solve_integer(rows, ncols)
+    def spy(rows, ncols, start):
+        calls.append((rows, ncols, start))
+        return solve_integer(rows, ncols, start)
 
     monkeypatch.setattr(triples, "solve_integer", spy)
     return calls
@@ -426,6 +427,31 @@ def reduced_rows(monkeypatch, sys_):
     calls = spy_on_elimination(monkeypatch)
     solve(sys_)
     return len(calls[-1][0])
+
+
+def live_columns(sys_) -> list:
+    """The unknowns that no row with one nonzero entry and right-hand
+    side 0 kills, in order."""
+    killed = {int(np.flatnonzero(row)[0])
+              for row, b in zip(sys_.rows, sys_.rhs)
+              if not b and np.count_nonzero(row) == 1}
+    return [v for v in range(len(sys_.names)) if v not in killed]
+
+
+def kept_sum_rows(sys_) -> list:
+    """The kept sum rows of `sys_` at its live columns, each with its
+    right-hand side appended."""
+    live = live_columns(sys_)
+    return [sys_.rows[i, live].tolist() + [sys_.rhs[i]]
+            for i in triples._sum_rows(sys_.config.params.d)[2]]
+
+
+def family_systems():
+    """The 799 non-vacuous widened systems for odd t <= 51."""
+    for t in range(3, 52, 2):
+        params = closed_form_parameters(t)
+        for abc in patterns(params):
+            yield widened_system(TripleConfig(params, abc))
 
 
 def krein_first(sys_):
@@ -441,13 +467,22 @@ def krein_first(sys_):
 @pytest.mark.parametrize("t,abc", [
     (3, (2, 1, 1)), (3, (1, 2, 3)), (5, (2, 1, 1)), (5, (2, 2, 2))])
 def test_solve_skips_the_dependent_sum_rows(monkeypatch, t, abc):
-    """A system that opens with the sum rows hands over 3 d - 1 = 11 rows
-    fewer than the same system with every row read (the Krein rows
-    first), and has the same solution."""
+    """A system that opens with the sum rows hands the elimination no sum
+    row, dependent or kept: only its Krein rows at the live columns, the
+    zero rows having killed their unknowns. The elimination starts from
+    the cached echelon of the kept sum rows instead. The same system with
+    the Krein rows first is read row by row, from an empty start, and has
+    the same solution."""
     sys_ = widened_system(TripleConfig(closed_form_parameters(t), abc))
-    assert (reduced_rows(monkeypatch, krein_first(sys_))
-            - reduced_rows(monkeypatch, sys_)) == 11
-    assert fields(solve(sys_)) == fields(solve(krein_first(sys_)))
+    calls = spy_on_elimination(monkeypatch)
+    sol = solve(sys_)
+    ((rows, ncols, start),) = calls
+    live = live_columns(sys_)
+    assert rows == [sys_.rows[i, live].tolist() + [sys_.rhs[i]]
+                    for i, kind in enumerate(sys_.kinds) if kind == "krein"]
+    assert ncols == len(live) and start[0]
+    assert fields(sol) == fields(solve(krein_first(sys_)))
+    assert calls[-1][2] == ((), ())
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -527,22 +562,113 @@ def test_a_system_whose_rows_all_reduce_away_is_solved():
 
 def test_elimination_equals_fraction_rref_on_every_family_system(
         monkeypatch):
-    """All 799 non-vacuous (t, pattern) systems for odd t <= 51: on the
-    rows `solve` hands over, `_rref_rows` finds the pivot columns of
-    Gauss-Jordan over Fraction, and each of its rows divided by its pivot
-    is that elimination's row."""
+    """All 799 non-vacuous (t, pattern) systems for odd t <= 51: going on
+    from the cached echelon that `solve` starts from, `_rref_rows` on the
+    rows `solve` hands over finds the pivot columns of Gauss-Jordan over
+    Fraction on the kept sum rows at the live columns followed by those
+    rows, and each of its rows divided by its pivot is that elimination's
+    row."""
     calls = spy_on_elimination(monkeypatch)
-    for t in range(3, 52, 2):
-        params = closed_form_parameters(t)
-        for abc in patterns(params):
-            solve(widened_system(TripleConfig(params, abc)))
-    assert len(calls) == 799
-    for rows, ncols in calls:
-        pivots, prows = linalg._rref_rows(rows, ncols + 1)
-        exact = [list(map(Fraction, row)) for row in rows]
+    for seen, sys_ in enumerate(family_systems(), 1):
+        solve(sys_)
+        rows, ncols, start = calls[-1]
+        pivots, prows = linalg._rref_rows(rows, ncols + 1, start)
+        exact = [list(map(Fraction, row))
+                 for row in kept_sum_rows(sys_) + rows]
         assert pivots == oracle.rref_rows(exact)
         assert [[Fraction(x, row[c]) for x in row]
                 for c, row in zip(pivots, prows)] == exact[:len(pivots)]
+    assert len(calls) == seen == 799
+
+
+def test_cached_echelon_equals_the_fraction_rref_of_every_family_live_set():
+    """The 799 family systems meet 17 live sets, 4 of them 780 times. At
+    each, the cached echelon's coefficient rows are the Fraction RREF of
+    the kept sum rows at the live columns, each up to its pivot entry and
+    the combination y of kept rows that makes it; the other combinations
+    annihilate the kept rows and span what does. Every y has entries in
+    {-1, 0, 1}."""
+    counts = {}
+    for sys_ in family_systems():
+        live = tuple(live_columns(sys_))
+        counts[live] = counts.get(live, 0) + 1
+    assert len(counts) == 17
+    assert sum(sorted(counts.values())[-4:]) == 780
+    _, _, kept, block = triples._sum_rows(4)
+    for live in counts:
+        a = block[list(kept)][:, live].tolist()
+        cols, coef, combos, _ = triples._sum_echelon(4, live)
+        exact = [list(map(Fraction, row)) for row in a]
+        assert cols == oracle.rref_rows(exact)
+        assert [[Fraction(x, row[c]) for x in row]
+                for c, row in zip(cols, coef)] == exact[:len(cols)]
+        ys = combos.tolist()
+        assert set(np.unique(combos).tolist()) <= {-1, 0, 1}
+        products = [[sum(y * row[j] for y, row in zip(ys_row, a))
+                     for j in range(len(live))] for ys_row in ys]
+        assert products == ([list(row) for row in coef]
+                            + [[0] * len(live)] * (len(kept) - len(cols)))
+        nulls = [list(map(Fraction, y)) for y in ys[len(cols):]]
+        assert len(oracle.rref_rows(nulls)) == len(kept) - len(cols)
+
+
+def test_a_killed_kept_sum_row_off_by_one_is_inconsistent(monkeypatch):
+    """t = 3, (2,1,1): 1 added to the right-hand sides of the three sum
+    rows through the killed unknown [2 2 2], all of them kept rows with
+    right-hand side 0, so all their members are killed. The margins still
+    agree, as if [2 2 2] were 1, and only a null combination of the kept
+    sum rows sees that 0 = 1. `solve` raises Inconsistent before any
+    elimination, as Fraction elimination on all 64 columns does."""
+    sys_ = widened_system(TripleConfig(closed_form_parameters(3), (2, 1, 1)))
+    v = sys_.names.index((2, 2, 2))
+    assert v not in live_columns(sys_)
+    _, members, kept, _ = triples._sum_rows(4)
+    through = [i for i, mem in enumerate(members) if v in mem]
+    assert len(through) == 3 and set(through) <= set(kept)
+    rhs = list(sys_.rhs)
+    for i in through:
+        assert rhs[i] == 0
+        rhs[i] = 1
+    shifted = system(sys_.config, sys_.names, sys_.rows, rhs, sys_.kinds)
+    assert triples._margins_agree(shifted.rhs, 4)
+    with pytest.raises(Inconsistent, match="system has no solution"):
+        reference_solve(shifted)
+    calls = spy_on_elimination(monkeypatch)
+    with pytest.raises(Inconsistent, match="system has no solution"):
+        solve(shifted)
+    assert calls == []
+
+
+def hamming_params(d, q):
+    """H(d, q) is self-dual: its Krein array is its intersection array
+    {(d-i)(q-1); i}."""
+    return derive_parameters(KreinArray.make(
+        [(d - i) * (q - 1) for i in range(d)], range(1, d + 1)))
+
+
+@pytest.mark.parametrize("d,q", [(3, 2), (3, 3), (4, 3), (3, 4)])
+def test_hamming_systems_match_elimination_on_every_column(d, q):
+    """Off the family, at d = 3 and d = 4: every non-vacuous pattern's
+    widened system solves, on a cold echelon cache and again on a warm
+    one, to the integer elimination of all its rows on all d^3 columns
+    from an empty start, field for field. (That elimination is checked
+    against Fraction Gauss-Jordan in test_linalg; the Fraction oracle
+    itself takes about 10 s on the 52 systems of H(4, 3).)"""
+    params = hamming_params(d, q)
+    for abc in patterns(params):
+        sys_ = widened_system(TripleConfig(params, abc))
+        space = solve_integer([row + [b] for row, b
+                               in zip(sys_.rows.tolist(), sys_.rhs)], d ** 3)
+        triples._sum_echelon.cache_clear()
+        for info in ("misses", "hits"):
+            sol = solve(sys_)
+            assert getattr(triples._sum_echelon.cache_info(), info) == 1
+            assert sol.space == space
+            assert sol.forced == {nm: x for nm, x, *col
+                                  in zip(sys_.names, space.particular,
+                                         *space.basis) if not any(col)}
+            assert sol.residual_free == tuple(sys_.names[f]
+                                              for f in space.free_indices)
 
 
 @pytest.mark.parametrize("row", [28, 29, 30, 31, 35, 39, 43, 44, 45, 46, 47])
@@ -582,7 +708,9 @@ def test_a_late_inconsistent_krein_row_is_caught(monkeypatch, t, abc):
     reaches the elimination last, when the rows before it already have
     the rank of the whole system, so only the kernel vector of the
     right-hand-side column can tell it is not in their span. `solve`
-    raises Inconsistent, as Fraction elimination on all 64 columns does."""
+    raises Inconsistent, as Fraction elimination on all 64 columns does.
+    The rows before it are the kept sum rows, which the elimination holds
+    as their cached echelon, and the Krein rows handed over before it."""
     sys_ = widened_system(TripleConfig(closed_form_parameters(t), abc))
     dimension = solve(sys_).space.dimension
     last = max(i for i, kind in enumerate(sys_.kinds) if kind == "krein")
@@ -594,17 +722,21 @@ def test_a_late_inconsistent_krein_row_is_caught(monkeypatch, t, abc):
     calls = spy_on_elimination(monkeypatch)
     with pytest.raises(Inconsistent, match="system has no solution"):
         solve(shifted)
-    rows, ncols = calls[-1]
+    rows, ncols, _ = calls[-1]
     assert len(oracle.rref_rows([list(map(Fraction, row))
-                                 for row in rows[:-1]])) == ncols - dimension
+                                 for row in kept_sum_rows(shifted)
+                                 + rows[:-1]])) == ncols - dimension
 
 
 @pytest.mark.parametrize("t,abc,bound", [
-    (3, (2, 1, 1), 42), (5, (2, 2, 2), 42), (51, (1, 1, 2), 57)])
+    (3, (2, 1, 1), 18), (5, (2, 2, 2), 18), (51, (1, 1, 2), 21)])
 def test_rows_in_the_span_are_not_cleared(monkeypatch, t, abc, bound):
     """Clearing every row took 160, 156 and 205 `_combine` calls on these
-    systems; with the redundant Krein rows skipped by the kernel test it
-    takes 42, 42 and 57."""
+    systems, and 42, 42 and 57 with the redundant Krein rows skipped by
+    the kernel test. With the echelon of the sum rows cached (the first
+    solve builds it, uncounted), the Krein rows take 18, 18 and 21."""
+    sys_ = widened_system(TripleConfig(closed_form_parameters(t), abc))
+    solve(sys_)
     calls = []
     combine = linalg._combine
 
@@ -613,7 +745,7 @@ def test_rows_in_the_span_are_not_cleared(monkeypatch, t, abc, bound):
         return combine(*args)
 
     monkeypatch.setattr(linalg, "_combine", counting)
-    solve(widened_system(TripleConfig(closed_form_parameters(t), abc)))
+    solve(sys_)
     assert len(calls) <= bound
 
 
