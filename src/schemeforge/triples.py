@@ -14,27 +14,21 @@ TripleSystem, whose right-hand sides are Python ints; a Krein row is its
 rational equation times the lcm of its denominators. Unknowns are
 ordered lexicographically by (l, m, n). The sum, unit and Krein rows do
 not depend on the pattern and are cached as blocks (see below). Solving
-is exact and stays in ints until the solution is read off: the 3 d - 1
-sum rows that are fixed sums of the others are checked by their
-right-hand sides alone and skipped, and the zero rows kill unknowns.
-The other 3 d^2 - 3 d + 1 sum rows, read at the live columns (12 to 16
-for odd t <= 51, against d^3 = 64 names), depend on the pattern only
-through which columns are live, so their echelon is reduced once per
-set of live columns and cached; a solve checks its right-hand sides
-against the echelon's null combinations and starts the elimination from
-it. The elimination then sees only the 32 Krein rows, and a Fraction
-first appears as an entry of the solution space. Most rows carry no new
-information: in 780 of the 799 non-vacuous systems for odd t <= 51 the
-37 kept sum rows have rank 14 over 16 live columns, and the Krein rows
-add one. The elimination keeps its pivot rows reduced and tests a row
-that would be cleared at more pivots than there are kernel vectors
-against that kernel (two int vectors at rank 15, the right-hand side's
-among them), so a row in the span of the earlier ones costs two dot
-products and is never cleared; this kernel test is the one filter for
-such rows. Forcing is exact too: every system of the family for odd
-t <= 51 has at most one free parameter, and nonnegativity bounds it by
-a ratio test over the solution line, in integer cross products. A
-larger solution space raises HighNullity.
+is exact and stays in ints until the solution is read off. The zero
+rows kill unknowns, and the rows that kill nothing, read at the live
+columns (12 to 16 for odd t <= 51, against d^3 = 64 names), make the
+live coefficient matrix A, whatever their order or kinds. A's reduced
+rows, with the combination of A's rows behind each, are built once per
+matrix and cached, so a solve of a matrix met before runs no
+elimination: it forms the reduced rows' right-hand sides from its own,
+reads the space off, and checks the particular solution against every
+row of A. The 799 non-vacuous systems for odd t <= 51 meet 113 such
+matrices. Most rows carry no new information: in 780 of those systems
+the sum rows have rank 14 over 16 live columns, and the Krein rows add
+one. Forcing is exact too: every system of the family for odd t <= 51
+has at most one free parameter, and nonnegativity bounds it by a ratio
+test over the solution line, in integer cross products. A larger
+solution space raises HighNullity.
 
 Against a concrete scheme, each triple takes four calls on a few dozen
 entries, so numpy's fixed cost per call, not arithmetic, sets their
@@ -51,28 +45,28 @@ is below 2^53 (every t = 3 system, about 10^8), and Python ints (an
 object array) from there. The family first reaches 2^53 at t = 13.
 
 Three caches hold what patterns share: `_sum_rows` the int64 block of
-the sum and unit rows of the last d; the lru `_sum_echelon` the reduced
-kept sum rows, with the combinations of them that make each reduced
-row, for the last 128 (d, live columns); and the store `_last` the last
-params object with its vanishing tuples and Krein block. The 799 family
-systems for odd t <= 51 meet 17 live sets, 4 of them 780 times, and one
-echelon takes well under a millisecond to build. A sweep over t holds
-one parameter set's rows at a time. The lru `_boundary` holds the
-boundary cells and expected values of the last 128 (pattern, c).
+the sum and unit rows of the last d; the lru `_echelon` the reduced rows
+of the last 128 live coefficient matrices, with the combinations of
+rows that make them; and the store `_last` the last params object with
+its vanishing tuples and Krein block. An echelon entry takes a few
+milliseconds to build and about 20 kB to hold, its key included, so the
+113 family matrices fit. A sweep over t holds one parameter set's rows
+at a time. The lru `_boundary` holds the boundary cells and expected
+values of the last 128 (pattern, c).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import SchemeforgeError
-from .linalg import (AffineSolutionSpace, Inconsistent, _rref_rows,
-                     solve_integer)
+from .linalg import AffineSolutionSpace, Inconsistent, _rref_rows, _space
 from .scheme_params import SchemeParameters, _cleared_rows
 
 
@@ -146,62 +140,50 @@ def _names(d: int) -> tuple:
 def _sum_rows(d: int) -> tuple:
     """Pattern-free part of every system with d classes.
 
-    (names, the member indices of each of the 3 d^2 sum rows, the indices
-    of the 3 d^2 - 3 d + 1 sum rows that span them all, a read-only int64
-    block of the sum rows, in `widened_system`'s order, then the d^3 unit
-    rows). Each of the three families of d^2 sum rows fixes two slots, so
-    two families share each one-slot margin: summed over m, the rows
-    [. m n] and [l . n] both give the total at slot n, and so on for the
-    other two pairs. Those 3 d relations, 3 d - 1 of them independent,
-    leave the rows at rank 3 d^2 - 3 d + 1; they give [l . n] at l = d,
-    [l m .] at m = d and [l m .] at l = d as fixed sums of the others.
+    (names, the member indices of each of the 3 d^2 sum rows, a read-only
+    int64 block of the sum rows, in `widened_system`'s order, then the d^3
+    unit rows). Each of the three families of d^2 sum rows fixes two
+    slots, so two families share each one-slot margin; those 3 d
+    relations, 3 d - 1 of them independent, leave the sum rows at rank
+    3 d^2 - 3 d + 1.
     """
     names, rng, step = _names(d), range(d), (d * d, d, 1)
     members = tuple(tuple(r * step[s] + i * step[a] + j * step[b]
                           for r in rng)
                     for s, a, b in ((0, 1, 2), (1, 0, 2), (2, 0, 1))
                     for i in rng for j in rng)
-    # [l . n] at l = d, then [l m .] at l = d or m = d
-    last, d2 = d - 1, d * d
-    dependent = ({d2 + last * d + n for n in rng}
-                 | {2 * d2 + l * d + m for l in rng for m in rng
-                    if last in (l, m)})
-    kept = tuple(i for i in range(len(members)) if i not in dependent)
     units = np.eye(len(names), dtype=np.int64)
     block = np.concatenate((units[np.array(members)].sum(axis=1), units))
     block.setflags(write=False)
-    return names, members, kept, block
+    return names, members, block
 
 
 @functools.lru_cache(maxsize=128)
-def _sum_echelon(d: int, live: tuple) -> tuple:
-    """The kept sum rows of `_sum_rows(d)` at the columns `live`, reduced.
+def _echelon(data, shape: tuple) -> tuple:
+    """The reduced rows of one live coefficient matrix A, with the
+    combination of A's rows behind each.
 
-    (pivot columns, coefficient rows, combinations, limit). `_rref_rows`
-    reduces the rows [a_i | e_i], a_i kept sum row i at the live columns
-    and e_i the i-th unit vector over the kept rows. A row of the result
-    whose pivot lies among the live columns is [c | y] with c = y A, A the
-    kept rows at the live columns: its c is a coefficient row, and the c
-    rows are the kept rows' integer RREF. A row with its pivot past them
-    is [0 | y]: y A = 0, a null combination. `combinations` is the
-    read-only int64 matrix of every y, the coefficient rows' first, and
-    `limit` the largest |b| for which its product with a vector of
-    right-hand sides cannot wrap int64: max |y| * len(kept) * limit < 2^63.
-    Over the 799 family systems for odd t <= 51 there are 17 live sets,
-    and every y has entries in {-1, 0, 1}.
+    A has `shape`; `data` is its int64 bytes, or the flat tuple of its
+    entries when they are Python ints (an object array's bytes would be
+    pointers, not values). `_rref_rows` reduces the rows [a_i | e_i], a_i
+    row i of A and e_i the i-th unit vector over A's rows, pivoting only
+    among A's columns. Returns (pivot columns, coefficient rows,
+    combinations): the coefficient rows c are A's integer RREF, each an
+    integer multiple of the RREF row, and the combination y behind c,
+    held as (row indices, multipliers) where it is nonzero, gives
+    c = y A. A row that clears to zero on A's columns is a null
+    combination and is dropped. The 799 family systems for odd t <= 51
+    meet 113 matrices A.
     """
-    _, _, kept, block = _sum_rows(d)
-    n, k = len(live), len(kept)
-    at_live = block[list(kept)][:, list(live)].tolist()
+    k, n = shape
+    flat = (np.frombuffer(data, dtype=np.int64) if isinstance(data, bytes)
+            else np.array(data, dtype=object))
+    a = flat.reshape(shape).tolist()
     cols, prows = _rref_rows([row + [0] * i + [1] + [0] * (k - 1 - i)
-                              for i, row in enumerate(at_live)], n + k)
-    rank = sum(c < n for c in cols)
-    ys = [row[n:] for row in prows]
-    limit = (2 ** 63 - 1) // (max(abs(x) for y in ys for x in y) * k)
-    combos = np.array(ys, dtype=np.int64)
-    combos.setflags(write=False)
-    return (cols[:rank], tuple(tuple(row[:n]) for row in prows[:rank]),
-            combos, limit)
+                              for i, row in enumerate(a)], n)
+    ys = [[(i, x) for i, x in enumerate(row[n:]) if x] for row in prows]
+    return (cols, tuple(tuple(row[:n]) for row in prows),
+            tuple(tuple(zip(*y)) for y in ys))
 
 
 def vanishing_tuples(params: SchemeParameters) -> tuple:
@@ -285,7 +267,7 @@ def widened_system(cfg: TripleConfig) -> TripleSystem:
     params = cfg.params
     A, B, C = cfg.abc
     p = params.p
-    names, members, _, block = _sum_rows(params.d)
+    names, members, block = _sum_rows(params.d)
     rng = range(1, params.d + 1)
     rhs = ([p[B][m][n] - ((m, n) == (A, C)) for m in rng for n in rng]
            + [p[C][l][n] - ((l, n) == (A, B)) for l in rng for n in rng]
@@ -314,82 +296,48 @@ def widened_system(cfg: TripleConfig) -> TripleSystem:
     return TripleSystem(cfg, names, rows, tuple(rhs), kinds)
 
 
-def _margins_agree(rhs: tuple, d: int) -> bool:
-    """Whether the sum rows' right-hand sides give every one-slot margin
-    alike.
-
-    rhs[:3 d^2] are the three families' right-hand sides, d x d grids over
-    (m, n), (l, n) and (l, m) in `_sum_rows` order: families 0 and 1 both
-    give the total at each n, 0 and 2 at each m, 1 and 2 at each l.
-    """
-    d2 = d * d
-    f0, f1, f2 = (rhs[k * d2:(k + 1) * d2] for k in range(3))
-
-    def by_col(f):
-        return [sum(f[i::d]) for i in range(d)]
-
-    def by_row(f):
-        return [sum(f[i * d:(i + 1) * d]) for i in range(d)]
-
-    return (by_col(f0) == by_col(f1) and by_row(f0) == by_col(f2)
-            and by_row(f1) == by_row(f2))
-
-
 def solve(sys_: TripleSystem) -> TripleSolution:
     """Exact solution space; `forced` holds what linear algebra alone pins.
 
     A row with one nonzero coefficient and right-hand side 0 kills its
     unknown, whatever its kind; one nonzero mask of the matrix finds them
-    and their unknowns, and the other unknowns are live. When the system
-    opens with the 3 d^2 sum rows of `_sum_rows`, the 3 d - 1 of them that
-    are fixed sums of the others are checked by their right-hand sides
-    alone (every one-slot margin must come out alike from both families
-    that give it, else Inconsistent). The kept ones are read from their
-    cached echelon at the live columns, `_sum_echelon`: every null
-    combination y of them must give y . b = 0 on their right-hand sides
-    b, else Inconsistent, and each coefficient row c, made by its y, is
-    the reduced row [c | y . b] that the elimination starts from. The rows
-    after the sum block that kill nothing go to `linalg.solve_integer` in
-    their order, read at the live unknowns only, as lists of Python ints;
-    a system that does not open with the sum block hands it every row
-    that kills nothing, from an empty start. Its kernel test skips the
-    rows in the span of earlier ones, and a row that becomes 0 = b with
-    b != 0 raises Inconsistent there. In elimination on all d^3 columns a
-    killed unknown is a pivot whose unit row touches no other column, so
-    the space on the live columns, in their order and expanded back with
-    0 at the killed unknowns, equals that elimination field for field.
+    and their unknowns, and the other unknowns are live. The rows that
+    kill nothing, read at the live columns, are the matrix A, whatever
+    their order or kinds; its reduced rows and the combination y of A's
+    rows behind each come from the cache `_echelon`, keyed by A's
+    contents, so a solve of a matrix met before runs no elimination. Each
+    reduced row c gets the right-hand side y . b, in Python ints, and
+    `linalg._space` reads the space off. The particular solution, scaled
+    to integers, must satisfy every row of A, else Inconsistent. In
+    elimination on all d^3 columns a killed unknown is a pivot whose unit
+    row touches no other column, so the space on the live columns, in
+    their order and expanded back with 0 at the killed unknowns, equals
+    that elimination field for field.
     """
     names = sys_.names
     nvar = len(names)
     rows, rhs = sys_.rows, sys_.rhs
-    d = sys_.config.params.d
-    _, members, kept, block = _sum_rows(d)
-    nsum = len(members)
-    opens = np.array_equal(rows[:nsum], block[:nsum])
-    if opens and not _margins_agree(rhs, d):
-        raise Inconsistent("system has no solution")
     nonzero = rows != 0
     counts = nonzero.sum(axis=1).tolist()
     kills = [i for i, n in enumerate(counts) if n == 1 and not rhs[i]]
     live = tuple(np.flatnonzero(~nonzero[kills].any(axis=0)).tolist())
-    first, start = 0, ((), ())
-    if opens:
-        first = nsum
-        cols, coef, combos, limit = _sum_echelon(d, live)
-        b = [rhs[i] for i in kept]
-        # every entry of combos @ b is a sum of len(kept) products of at
-        # most max |y| * max |b|: below 2^63 while max |b| <= limit, and in
-        # Python ints (object arrays) from there
-        if max(map(abs, b), default=0) > limit:
-            combos, b = combos.astype(object), np.array(b, dtype=object)
-        yb = (combos @ b).tolist()
-        if any(yb[len(cols):]):
-            raise Inconsistent("system has no solution")
-        start = (cols, [[*row, v] for row, v in zip(coef, yb)])
-    rest = [i for i in range(first, len(rhs)) if counts[i] != 1 or rhs[i]]
-    at_live = rows[rest][:, list(live)].tolist()
-    reduced = solve_integer([row + [rhs[i]] for i, row in zip(rest, at_live)],
-                            len(live), start)
+    rest = [i for i, n in enumerate(counts) if n != 1 or rhs[i]]
+    a = rows[np.ix_(rest, live)]
+    data = a.tobytes() if a.dtype != object else tuple(a.ravel().tolist())
+    pivots, coef, ys = _echelon(data, a.shape)
+    b = [rhs[i] for i in rest]
+    n = len(live)
+    reduced = [[*c, sum(x * b[i] for i, x in zip(*y))]
+               for c, y in zip(coef, ys)]
+    # the particular solution times the lcm of the pivots it divides by
+    scale = math.lcm(*[row[pc] for row, pc in zip(reduced, pivots) if row[n]])
+    scaled = [0] * n
+    for row, pc in zip(reduced, pivots):
+        scaled[pc] = row[n] * scale // row[pc]
+    if any(sum(map(operator.mul, row, scaled)) != scale * bi
+           for row, bi in zip(a.tolist(), b)):
+        raise Inconsistent("system has no solution")
+    on_live = _space(pivots, reduced, n)
 
     zero = Fraction(0)
 
@@ -400,9 +348,9 @@ def solve(sys_: TripleSystem) -> TripleSolution:
         return tuple(out)
 
     space = AffineSolutionSpace(
-        expand(reduced.particular),
-        tuple(expand(vec) for vec in reduced.basis),
-        tuple(live[j] for j in reduced.free_indices))
+        expand(on_live.particular),
+        tuple(expand(vec) for vec in on_live.basis),
+        tuple(live[j] for j in on_live.free_indices))
     forced = {nm: x for nm, x, *col in zip(names, space.particular,
                                            *space.basis) if not any(col)}
     residual = tuple(names[f] for f in space.free_indices)

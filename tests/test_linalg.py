@@ -1,6 +1,5 @@
 """Exact solution spaces of integer linear systems."""
 
-import copy
 import math
 from fractions import Fraction
 
@@ -120,8 +119,7 @@ def wide_systems(draw):
     """(rows, rhs, ncols) of up to 12 columns and nullity 0 to 2: up to
     ncols - nullity freely drawn int rows, then more rows that are small
     int combinations of them. In half the systems one of those has its
-    right-hand side shifted off the combination. Rows that arrive once
-    most pivots are held reach the kernel test."""
+    right-hand side shifted off the combination."""
     ncols = draw(st.integers(1, 12))
     nfree = ncols - draw(st.integers(0, min(2, ncols)))
     small = st.integers(-3, 3)
@@ -144,9 +142,8 @@ def wide_systems(draw):
 @given(wide_systems())
 def test_wide_dependent_systems_match_fraction_elimination(system):
     """Most rows of these systems lie in the span of earlier ones, as in
-    the triple systems: solve_integer, skipping them by the kernel test,
-    gives Gauss-Jordan's space over Fraction, or Inconsistent where it
-    does."""
+    the triple systems: solve_integer, clearing them to nothing, gives
+    Gauss-Jordan's space over Fraction, or Inconsistent where it does."""
     m, b, ncols = system
     got = outcome(solve, m, b, ncols)
     assert got == outcome(oracle.solve_linear, m, b, ncols)
@@ -155,16 +152,25 @@ def test_wide_dependent_systems_match_fraction_elimination(system):
 
 
 @settings(max_examples=200, deadline=None)
-@given(systems() | wide_systems(), st.data())
-def test_elimination_goes_on_from_an_earlier_state(system, data):
-    """Reducing the first rows, then the rest from that state, gives the
-    pivot columns and rows of reducing them all in one call, and leaves
-    the state it started from as it was."""
+@given(systems() | wide_systems())
+def test_elimination_carries_the_columns_past_width(system):
+    """Rows [a_i | e_i], e_i the i-th unit vector over the rows, reduced
+    on their first ncols + 1 columns only: the pivots, and the first
+    ncols + 1 entries of each row divided by its pivot entry, are those
+    of reducing the rows [a_i] alone, and the rest of each row is the
+    combination y of the input rows that makes its first part."""
     m, b, ncols = system
     rows = [cleared(list(row) + [x]) for row, x in zip(m, b)]
-    split = data.draw(st.integers(0, len(rows)))
-    start = linalg._rref_rows(rows[:split], ncols + 1)
-    held = copy.deepcopy(start)
-    assert (linalg._rref_rows(rows[split:], ncols + 1, start=start)
-            == linalg._rref_rows(rows, ncols + 1))
-    assert start == held
+    k = len(rows)
+    pivots, prows = linalg._rref_rows(
+        [row + [int(i == j) for j in range(k)] for i, row in enumerate(rows)],
+        ncols + 1)
+    alone = linalg._rref_rows(rows, ncols + 1)
+    assert pivots == alone[0]
+    assert ([[Fraction(x, row[c]) for x in row[:ncols + 1]]
+             for c, row in zip(pivots, prows)]
+            == [[Fraction(x, row[c]) for x in row]
+                for c, row in zip(*alone)])
+    for row in prows:
+        assert [sum(y * r[j] for y, r in zip(row[ncols + 1:], rows))
+                for j in range(ncols + 1)] == row[:ncols + 1]

@@ -346,10 +346,15 @@ def assert_matches_reference(sys_):
 
 
 def differential_system(t, abc, form):
-    if form == "widened":
-        return widened_system(TripleConfig(closed_form_parameters(t), abc))
-    sys_ = proof_system(t, abc)
-    return sys_ if form == "proof" else only(sys_, ("symmetry",))
+    if form in ("proof", "symmetry"):
+        sys_ = proof_system(t, abc)
+        return sys_ if form == "proof" else only(sys_, ("symmetry",))
+    sys_ = widened_system(TripleConfig(closed_form_parameters(t), abc))
+    if form == "krein-first":
+        return krein_first(sys_)
+    if form == "reversed":
+        return reordered(sys_, reversed(range(len(sys_.rows))))
+    return only(sys_, ("sum", "zero")) if form == "sum-zero" else sys_
 
 
 @pytest.mark.parametrize("t,abc,form,dimension", [
@@ -357,13 +362,17 @@ def differential_system(t, abc, form):
     (3, (4, 4, 4), "widened", 1), (5, (2, 2, 2), "widened", 0),
     (5, (2, 1, 1), "widened", 1), (5, (4, 4, 4), "widened", 1),
     (7, (2, 2, 2), "proof", 6), (7, (2, 1, 1), "proof", 9),
-    (7, (2, 2, 2), "symmetry", 20)])
+    (7, (2, 2, 2), "symmetry", 20),
+    (3, (2, 1, 1), "krein-first", 0), (3, (2, 1, 1), "reversed", 0),
+    (3, (2, 1, 1), "sum-zero", 1),
+    (51, (1, 1, 2), "krein-first", 1), (51, (1, 1, 2), "reversed", 1),
+    (51, (1, 1, 2), "sum-zero", 2)])
 def test_solve_matches_64_column_elimination(t, abc, form, dimension):
     """Elimination on the live columns gives the 64-column result, field
-    for field; the many-free-column systems pin the free index order.
-    The widened (2,1,1) and (1,2,3) systems reduce to rows that are
-    scalar multiples of each other, which the elimination drops as rows
-    in the span of the ones before them."""
+    for field, whatever the order or kinds of the rows; the
+    many-free-column systems pin the free index order. The widened
+    (2,1,1) and (1,2,3) systems reduce to rows that are scalar multiples
+    of each other, which the elimination drops."""
     sys_ = differential_system(t, abc, form)
     sol = assert_matches_reference(sys_)
     assert sol.space.dimension == dimension
@@ -409,26 +418,6 @@ def hand_system(rows):
                   [b for _, b in rows], ("sum",) * len(rows))
 
 
-def spy_on_elimination(monkeypatch) -> list:
-    """The (rows, ncols, start) of every call `solve` makes to the
-    elimination, appended to the list returned."""
-    calls = []
-
-    def spy(rows, ncols, start):
-        calls.append((rows, ncols, start))
-        return solve_integer(rows, ncols, start)
-
-    monkeypatch.setattr(triples, "solve_integer", spy)
-    return calls
-
-
-def reduced_rows(monkeypatch, sys_):
-    """How many rows `solve` hands to the elimination."""
-    calls = spy_on_elimination(monkeypatch)
-    solve(sys_)
-    return len(calls[-1][0])
-
-
 def live_columns(sys_) -> list:
     """The unknowns that no row with one nonzero entry and right-hand
     side 0 kills, in order."""
@@ -438,12 +427,24 @@ def live_columns(sys_) -> list:
     return [v for v in range(len(sys_.names)) if v not in killed]
 
 
-def kept_sum_rows(sys_) -> list:
-    """The kept sum rows of `sys_` at its live columns, each with its
-    right-hand side appended."""
-    live = live_columns(sys_)
-    return [sys_.rows[i, live].tolist() + [sys_.rhs[i]]
-            for i in triples._sum_rows(sys_.config.params.d)[2]]
+def live_matrix(sys_) -> tuple:
+    """(A, b, the cached entry of A): A the rows of `sys_` that kill
+    nothing at its live columns, as an ndarray, and b their right-hand
+    sides."""
+    rest = [i for i, (row, x) in enumerate(zip(sys_.rows, sys_.rhs))
+            if x or np.count_nonzero(row) != 1]
+    a = sys_.rows[np.ix_(rest, live_columns(sys_))]
+    data = a.tobytes() if a.dtype != object else tuple(a.ravel().tolist())
+    return a, [sys_.rhs[i] for i in rest], triples._echelon(data, a.shape)
+
+
+def dependent_sum_rows(d) -> set:
+    """The 3 d - 1 sum rows that are fixed sums of the others: [l . n] at
+    l = d, then [l m .] at l = d or m = d."""
+    last, d2 = d - 1, d * d
+    return ({d2 + last * d + n for n in range(d)}
+            | {2 * d2 + l * d + m for l in range(d) for m in range(d)
+               if last in (l, m)})
 
 
 def family_systems():
@@ -454,43 +455,44 @@ def family_systems():
             yield widened_system(TripleConfig(params, abc))
 
 
-def krein_first(sys_):
-    """`sys_` with its Krein rows moved in front of the sum rows, so that
-    `solve` reads every row and skips none of the dependent sum rows."""
-    order = sorted(range(len(sys_.rows)),
-                   key=lambda i: sys_.kinds[i] != "krein")
+def reordered(sys_, order):
+    """`sys_` with its rows in `order`."""
+    order = list(order)
     return system(sys_.config, sys_.names, sys_.rows[order],
                   [sys_.rhs[i] for i in order],
                   [sys_.kinds[i] for i in order])
 
 
+def krein_first(sys_):
+    """`sys_` with its Krein rows moved in front of the sum rows."""
+    return reordered(sys_, sorted(range(len(sys_.rows)),
+                                  key=lambda i: sys_.kinds[i] != "krein"))
+
+
 @pytest.mark.parametrize("t,abc", [
     (3, (2, 1, 1)), (3, (1, 2, 3)), (5, (2, 1, 1)), (5, (2, 2, 2))])
-def test_solve_skips_the_dependent_sum_rows(monkeypatch, t, abc):
-    """A system that opens with the sum rows hands the elimination no sum
-    row, dependent or kept: only its Krein rows at the live columns, the
-    zero rows having killed their unknowns. The elimination starts from
-    the cached echelon of the kept sum rows instead. The same system with
-    the Krein rows first is read row by row, from an empty start, and has
-    the same solution."""
+def test_solve_skips_the_dependent_sum_rows(t, abc):
+    """The 3 d - 1 sum rows that are fixed sums of the others carry
+    nothing: without them, with the Krein rows first or with every row
+    reversed, the system has the same solution, field for field, as
+    Fraction elimination on all 64 columns gives."""
     sys_ = widened_system(TripleConfig(closed_form_parameters(t), abc))
-    calls = spy_on_elimination(monkeypatch)
-    sol = solve(sys_)
-    ((rows, ncols, start),) = calls
-    live = live_columns(sys_)
-    assert rows == [sys_.rows[i, live].tolist() + [sys_.rhs[i]]
-                    for i, kind in enumerate(sys_.kinds) if kind == "krein"]
-    assert ncols == len(live) and start[0]
-    assert fields(sol) == fields(solve(krein_first(sys_)))
-    assert calls[-1][2] == ((), ())
+    dependent = dependent_sum_rows(4)
+    sol = assert_matches_reference(sys_)
+    for other in (reordered(sys_, [i for i in range(len(sys_.rows))
+                                   if i not in dependent]),
+                  krein_first(sys_),
+                  reordered(sys_, reversed(range(len(sys_.rows))))):
+        assert fields(solve(other)) == fields(sol)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_kept_sum_rows_are_a_basis_of_all_of_them(d):
     """The 3 d^2 - 3 d + 1 kept sum rows are independent and have the rank
     of all 3 d^2, so the others are fixed sums of them."""
-    _, members, kept, block = triples._sum_rows(d)
+    _, members, block = triples._sum_rows(d)
     sums = block[:len(members)].tolist()
+    kept = [i for i in range(len(sums)) if i not in dependent_sum_rows(d)]
     rank = len(oracle.rref_rows([list(map(Fraction, row)) for row in sums]))
     assert len(oracle.rref_rows([list(map(Fraction, sums[i]))
                                  for i in kept])) == len(kept) == rank
@@ -560,83 +562,78 @@ def test_a_system_whose_rows_all_reduce_away_is_solved():
     assert not any(sol.space.particular)
 
 
-def test_elimination_equals_fraction_rref_on_every_family_system(
-        monkeypatch):
-    """All 799 non-vacuous (t, pattern) systems for odd t <= 51: going on
-    from the cached echelon that `solve` starts from, `_rref_rows` on the
-    rows `solve` hands over finds the pivot columns of Gauss-Jordan over
-    Fraction on the kept sum rows at the live columns followed by those
-    rows, and each of its rows divided by its pivot is that elimination's
-    row."""
-    calls = spy_on_elimination(monkeypatch)
+def test_elimination_equals_fraction_rref_on_every_family_system():
+    """The 799 non-vacuous (t, pattern) systems for odd t <= 51 meet 113
+    live coefficient matrices A, and `solve` builds one cached entry for
+    each. On every system, Gauss-Jordan over Fraction on the rows [A | b]
+    finds the entry's pivot columns, and each coefficient row c with the
+    right-hand side y . b appended, divided by its pivot, is that
+    elimination's row."""
+    triples._echelon.cache_clear()
+    seen = 0
     for seen, sys_ in enumerate(family_systems(), 1):
         solve(sys_)
-        rows, ncols, start = calls[-1]
-        pivots, prows = linalg._rref_rows(rows, ncols + 1, start)
-        exact = [list(map(Fraction, row))
-                 for row in kept_sum_rows(sys_) + rows]
+        a, b, (pivots, coef, ys) = live_matrix(sys_)
+        exact = [list(map(Fraction, row)) + [Fraction(x)]
+                 for row, x in zip(a.tolist(), b)]
         assert pivots == oracle.rref_rows(exact)
-        assert [[Fraction(x, row[c]) for x in row]
-                for c, row in zip(pivots, prows)] == exact[:len(pivots)]
-    assert len(calls) == seen == 799
+        assert [[Fraction(x, c[p]) for x in (*c, sum(
+                    m * b[i] for i, m in zip(*y)))]
+                for p, c, y in zip(pivots, coef, ys)] == exact[:len(pivots)]
+    info = triples._echelon.cache_info()
+    assert seen == 799 and info.misses == info.currsize == 113
 
 
 def test_cached_echelon_equals_the_fraction_rref_of_every_family_live_set():
-    """The 799 family systems meet 17 live sets, 4 of them 780 times. At
-    each, the cached echelon's coefficient rows are the Fraction RREF of
-    the kept sum rows at the live columns, each up to its pivot entry and
-    the combination y of kept rows that makes it; the other combinations
-    annihilate the kept rows and span what does. Every y has entries in
-    {-1, 0, 1}."""
-    counts = {}
+    """Each of the 113 cached entries the family systems meet, one per
+    live coefficient matrix A: its pivot columns are those of Gauss-Jordan
+    over Fraction on A, each coefficient row c divided by its pivot is
+    that elimination's row, and its combination y of A's rows gives
+    c = y A."""
+    triples._echelon.cache_clear()
+    matrices = {}
     for sys_ in family_systems():
-        live = tuple(live_columns(sys_))
-        counts[live] = counts.get(live, 0) + 1
-    assert len(counts) == 17
-    assert sum(sorted(counts.values())[-4:]) == 780
-    _, _, kept, block = triples._sum_rows(4)
-    for live in counts:
-        a = block[list(kept)][:, live].tolist()
-        cols, coef, combos, _ = triples._sum_echelon(4, live)
+        a = live_matrix(sys_)[0]
+        matrices[a.tobytes(), a.shape] = sys_
+    assert len(matrices) == triples._echelon.cache_info().misses == 113
+    for sys_ in matrices.values():
+        a, _, (pivots, coef, ys) = live_matrix(sys_)
+        a = a.tolist()
         exact = [list(map(Fraction, row)) for row in a]
-        assert cols == oracle.rref_rows(exact)
+        assert pivots == oracle.rref_rows(exact)
         assert [[Fraction(x, row[c]) for x in row]
-                for c, row in zip(cols, coef)] == exact[:len(cols)]
-        ys = combos.tolist()
-        assert set(np.unique(combos).tolist()) <= {-1, 0, 1}
-        products = [[sum(y * row[j] for y, row in zip(ys_row, a))
-                     for j in range(len(live))] for ys_row in ys]
-        assert products == ([list(row) for row in coef]
-                            + [[0] * len(live)] * (len(kept) - len(cols)))
-        nulls = [list(map(Fraction, y)) for y in ys[len(cols):]]
-        assert len(oracle.rref_rows(nulls)) == len(kept) - len(cols)
+                for c, row in zip(pivots, coef)] == exact[:len(pivots)]
+        for c, y in zip(coef, ys):
+            assert [sum(x * a[i][j] for i, x in zip(*y))
+                    for j in range(len(c))] == list(c)
+    assert triples._echelon.cache_info().misses == 113
 
 
-def test_a_killed_kept_sum_row_off_by_one_is_inconsistent(monkeypatch):
+def test_a_killed_kept_sum_row_off_by_one_is_inconsistent():
     """t = 3, (2,1,1): 1 added to the right-hand sides of the three sum
-    rows through the killed unknown [2 2 2], all of them kept rows with
-    right-hand side 0, so all their members are killed. The margins still
-    agree, as if [2 2 2] were 1, and only a null combination of the kept
-    sum rows sees that 0 = 1. `solve` raises Inconsistent before any
-    elimination, as Fraction elimination on all 64 columns does."""
+    rows through the killed unknown [2 2 2], all of them kept rows (none
+    a fixed sum of the others) with right-hand side 0, so all their
+    members are killed and at the live columns each reads 0 = 1. `solve`
+    raises Inconsistent, cold and again with the entry of its live matrix
+    cached, as Fraction elimination on all 64 columns does."""
     sys_ = widened_system(TripleConfig(closed_form_parameters(3), (2, 1, 1)))
     v = sys_.names.index((2, 2, 2))
     assert v not in live_columns(sys_)
-    _, members, kept, _ = triples._sum_rows(4)
+    members = triples._sum_rows(4)[1]
     through = [i for i, mem in enumerate(members) if v in mem]
-    assert len(through) == 3 and set(through) <= set(kept)
+    assert len(through) == 3 and not set(through) & dependent_sum_rows(4)
     rhs = list(sys_.rhs)
     for i in through:
         assert rhs[i] == 0
         rhs[i] = 1
     shifted = system(sys_.config, sys_.names, sys_.rows, rhs, sys_.kinds)
-    assert triples._margins_agree(shifted.rhs, 4)
     with pytest.raises(Inconsistent, match="system has no solution"):
         reference_solve(shifted)
-    calls = spy_on_elimination(monkeypatch)
-    with pytest.raises(Inconsistent, match="system has no solution"):
-        solve(shifted)
-    assert calls == []
+    triples._echelon.cache_clear()
+    for _ in range(2):
+        with pytest.raises(Inconsistent, match="system has no solution"):
+            solve(shifted)
+    assert triples._echelon.cache_info().hits == 1
 
 
 def hamming_params(d, q):
@@ -646,23 +643,23 @@ def hamming_params(d, q):
         [(d - i) * (q - 1) for i in range(d)], range(1, d + 1)))
 
 
-@pytest.mark.parametrize("d,q", [(3, 2), (3, 3), (4, 3), (3, 4)])
+@pytest.mark.parametrize("d,q", [(3, 2), (3, 3), (4, 3), (3, 4), (4, 2)])
 def test_hamming_systems_match_elimination_on_every_column(d, q):
     """Off the family, at d = 3 and d = 4: every non-vacuous pattern's
-    widened system solves, on a cold echelon cache and again on a warm
-    one, to the integer elimination of all its rows on all d^3 columns
-    from an empty start, field for field. (That elimination is checked
-    against Fraction Gauss-Jordan in test_linalg; the Fraction oracle
-    itself takes about 10 s on the 52 systems of H(4, 3).)"""
+    widened system solves, on a cold cache and again on a warm one, to
+    the integer elimination of all its rows on all d^3 columns, field for
+    field. (That elimination is checked against Fraction Gauss-Jordan in
+    test_linalg; the Fraction oracle itself takes about 10 s on the 52
+    systems of H(4, 3).)"""
     params = hamming_params(d, q)
     for abc in patterns(params):
         sys_ = widened_system(TripleConfig(params, abc))
         space = solve_integer([row + [b] for row, b
                                in zip(sys_.rows.tolist(), sys_.rhs)], d ** 3)
-        triples._sum_echelon.cache_clear()
+        triples._echelon.cache_clear()
         for info in ("misses", "hits"):
             sol = solve(sys_)
-            assert getattr(triples._sum_echelon.cache_info(), info) == 1
+            assert getattr(triples._echelon.cache_info(), info) == 1
             assert sol.space == space
             assert sol.forced == {nm: x for nm, x, *col
                                   in zip(sys_.names, space.particular,
@@ -672,71 +669,78 @@ def test_hamming_systems_match_elimination_on_every_column(d, q):
 
 
 @pytest.mark.parametrize("row", [28, 29, 30, 31, 35, 39, 43, 44, 45, 46, 47])
-def test_a_dependent_sum_row_off_by_one_is_inconsistent(monkeypatch, row):
-    """1 added to the right-hand side of one of the 11 sum rows that
-    `solve` skips: their margins no longer agree, and `solve` raises
-    Inconsistent before any elimination, as Fraction elimination on all
-    64 columns does."""
+def test_a_dependent_sum_row_off_by_one_is_inconsistent(row):
+    """1 added to the right-hand side of one of the 11 sum rows that are
+    fixed sums of the others: `solve` raises Inconsistent, cold and again
+    with the entry of its live matrix cached, as Fraction elimination on
+    all 64 columns does."""
     sys_ = widened_system(TripleConfig(closed_form_parameters(5), (2, 1, 1)))
-    assert row not in triples._sum_rows(4)[2]
+    assert row in dependent_sum_rows(4)
     rhs = list(sys_.rhs)
     rhs[row] += 1
     shifted = system(sys_.config, sys_.names, sys_.rows, rhs, sys_.kinds)
     with pytest.raises(Inconsistent, match="system has no solution"):
         reference_solve(shifted)
-    calls = spy_on_elimination(monkeypatch)
-    with pytest.raises(Inconsistent, match="system has no solution"):
-        solve(shifted)
-    assert calls == []
+    triples._echelon.cache_clear()
+    for _ in range(2):
+        with pytest.raises(Inconsistent, match="system has no solution"):
+            solve(shifted)
+    assert triples._echelon.cache_info().hits == 1
 
 
-def test_a_unit_row_of_any_kind_kills_its_unknown(monkeypatch):
+def test_a_unit_row_of_any_kind_kills_its_unknown():
     """-3 [3] = 0 tagged "krein" kills [3] as a zero row does, so only
-    [3] + [5] = 2, read as [5] = 2, reaches the elimination."""
+    [3] + [5] = 2, read as [5] = 2, is left to solve; tagged "zero", it
+    gives the same solution."""
     sys_ = hand_system([({3: 1, 5: 1}, 2), ({3: -3}, 0)])
-    sys_ = system(sys_.config, sys_.names, sys_.rows, sys_.rhs,
-                  ("sum", "krein") + sys_.kinds[2:])
-    sol = assert_matches_reference(sys_)
+    tagged = system(sys_.config, sys_.names, sys_.rows, sys_.rhs,
+                    ("sum", "krein") + sys_.kinds[2:])
+    sol = assert_matches_reference(tagged)
     assert sol.forced[sys_.names[3]] == 0
     assert sol.forced[sys_.names[5]] == 2
-    assert reduced_rows(monkeypatch, sys_) == 1
+    assert 3 not in live_columns(tagged)
+    assert len(live_matrix(tagged)[0]) == 1
+    zero = system(sys_.config, sys_.names, sys_.rows, sys_.rhs,
+                  ("sum", "zero") + sys_.kinds[2:])
+    assert fields(solve(zero)) == fields(sol)
 
 
 @pytest.mark.parametrize("t,abc", [(3, (2, 1, 1)), (51, (1, 1, 2))])
-def test_a_late_inconsistent_krein_row_is_caught(monkeypatch, t, abc):
-    """1 added to the right-hand side of the last Krein row: that row
-    reaches the elimination last, when the rows before it already have
-    the rank of the whole system, so only the kernel vector of the
-    right-hand-side column can tell it is not in their span. `solve`
-    raises Inconsistent, as Fraction elimination on all 64 columns does.
-    The rows before it are the kept sum rows, which the elimination holds
-    as their cached echelon, and the Krein rows handed over before it."""
+def test_a_late_inconsistent_krein_row_is_caught(t, abc):
+    """1 added to the right-hand side of the last Krein row: the rows
+    before it already have the rank of the whole system at the live
+    columns, so only its right-hand side is off, and the perturbed system
+    has the live matrix of the unperturbed one. `solve` reads the cached
+    entry, runs no elimination, and raises Inconsistent, as Fraction
+    elimination on all 64 columns does."""
     sys_ = widened_system(TripleConfig(closed_form_parameters(t), abc))
+    triples._echelon.cache_clear()
     dimension = solve(sys_).space.dimension
     last = max(i for i, kind in enumerate(sys_.kinds) if kind == "krein")
+    a = live_matrix(sys_)[0].tolist()
+    assert a[-1] == sys_.rows[last, live_columns(sys_)].tolist()
+    assert len(oracle.rref_rows([list(map(Fraction, row))
+                                 for row in a[:-1]])) == len(a[0]) - dimension
     rhs = list(sys_.rhs)
     rhs[last] += 1
     shifted = system(sys_.config, sys_.names, sys_.rows, rhs, sys_.kinds)
     with pytest.raises(Inconsistent, match="system has no solution"):
         reference_solve(shifted)
-    calls = spy_on_elimination(monkeypatch)
     with pytest.raises(Inconsistent, match="system has no solution"):
         solve(shifted)
-    rows, ncols, _ = calls[-1]
-    assert len(oracle.rref_rows([list(map(Fraction, row))
-                                 for row in kept_sum_rows(shifted)
-                                 + rows[:-1]])) == ncols - dimension
+    info = triples._echelon.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
-@pytest.mark.parametrize("t,abc,bound", [
-    (3, (2, 1, 1), 18), (5, (2, 2, 2), 18), (51, (1, 1, 2), 21)])
-def test_rows_in_the_span_are_not_cleared(monkeypatch, t, abc, bound):
+@pytest.mark.parametrize("t,abc", [
+    (3, (2, 1, 1)), (5, (2, 2, 2)), (51, (1, 1, 2))])
+def test_a_warm_solve_makes_no_combine_call(monkeypatch, t, abc):
     """Clearing every row took 160, 156 and 205 `_combine` calls on these
-    systems, and 42, 42 and 57 with the redundant Krein rows skipped by
-    the kernel test. With the echelon of the sum rows cached (the first
-    solve builds it, uncounted), the Krein rows take 18, 18 and 21."""
-    sys_ = widened_system(TripleConfig(closed_form_parameters(t), abc))
-    solve(sys_)
+    systems. Once the first solve has built the entry of the live
+    matrix, a second solve of the same system, or of a fresh build of it,
+    clears no row at all."""
+    cfg = TripleConfig(closed_form_parameters(t), abc)
+    sol = solve(widened_system(cfg))
     calls = []
     combine = linalg._combine
 
@@ -745,8 +749,97 @@ def test_rows_in_the_span_are_not_cleared(monkeypatch, t, abc, bound):
         return combine(*args)
 
     monkeypatch.setattr(linalg, "_combine", counting)
-    solve(sys_)
-    assert len(calls) <= bound
+    assert fields(solve(widened_system(cfg))) == fields(sol)
+    assert calls == []
+
+
+@pytest.mark.parametrize("t", [103, 151])
+def test_object_rows_solve_alike_cold_and_warm(t):
+    """From t = 103 the rows are Python ints in an object array, and the
+    cache key is their values: a cold solve, then a warm solve of a fresh
+    build of the same system, each equal Fraction elimination on all 64
+    columns, field for field."""
+    cfg = TripleConfig(closed_form_parameters(t), (2, 1, 1))
+    triples._echelon.cache_clear()
+    for info in ("misses", "hits"):
+        sys_ = widened_system(cfg)
+        assert sys_.rows.dtype == object
+        assert_matches_reference(sys_)
+        assert getattr(triples._echelon.cache_info(), info) == 1
+
+
+def test_systems_one_krein_entry_apart_share_no_entry():
+    """Two t = 151 systems whose live matrices differ in one Krein entry
+    past 2^63, by 1: each solve misses the cache and leaves its own
+    entry, and each agrees with Fraction elimination on all 64 columns."""
+    sys_ = widened_system(TripleConfig(closed_form_parameters(151),
+                                       (2, 1, 1)))
+    live = live_columns(sys_)
+    i, j = next((i, j) for i, kind in enumerate(sys_.kinds) for j in live
+                if kind == "krein" and abs(sys_.rows[i, j]) > 2 ** 63)
+    rows = sys_.rows.copy()
+    rows[i, j] += 1
+    other = system(sys_.config, sys_.names, rows, sys_.rhs, sys_.kinds)
+    triples._echelon.cache_clear()
+    for one in (sys_, other):
+        got = outcome(solve, one)
+        ref = outcome(reference_solve, one)
+        assert (ref is Inconsistent if got is Inconsistent
+                else (got.space, got.forced, got.residual_free) == ref)
+    info = triples._echelon.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 0, 2)
+
+
+def outcome(fn, *args):
+    """The result, or Inconsistent if that is raised."""
+    try:
+        return fn(*args)
+    except Inconsistent:
+        return Inconsistent
+
+
+def certified(a, b, y, c, v, value) -> bool:
+    """Whether the integer combination y, (row index, multiplier) pairs,
+    of the rows a with right-hand sides b proves that unknown v is value:
+    y a = c e_v and y . b = c value, with c != 0. Integer products and
+    comparisons only."""
+    combo = [sum(x * a[i][j] for i, x in y) for j in range(len(a[0]))]
+    return (c != 0 and combo == [c * (j == v) for j in range(len(combo))]
+            and sum(x * b[i] for i, x in y) == c * value)
+
+
+def certificates(sys_):
+    """(A, b, [(y, c, v, name)]): one certificate per live unknown that
+    linear algebra pins, read off the cached entry: the reduced row with
+    pivot v and no other nonzero is c e_v, and its combination is y."""
+    a, b, (pivots, coef, ys) = live_matrix(sys_)
+    live = live_columns(sys_)
+    return a.tolist(), b, [(list(zip(*y)), row[v], v, sys_.names[live[v]])
+                           for v, row, y in zip(pivots, coef, ys)
+                           if row.count(0) == len(row) - 1]
+
+
+@pytest.mark.parametrize("source", ["family", "H(3,3)", "H(4,3)"])
+def test_linearly_forced_values_have_integer_certificates(source):
+    """Every live unknown that `solve` pins has a certificate that the
+    integer checker accepts, and every pinned live unknown is covered;
+    with any one multiplier of y raised by 1 the checker refuses it."""
+    if source == "family":
+        systems = list(family_systems())
+    else:
+        params = hamming_params(*map(int, source[2:-1].split(",")))
+        systems = [widened_system(TripleConfig(params, abc))
+                   for abc in patterns(params)]
+    for sys_ in systems:
+        sol = solve(sys_)
+        a, b, certs = certificates(sys_)
+        live = {sys_.names[v] for v in live_columns(sys_)}
+        assert {name for *_, name in certs} == live & set(sol.forced)
+        for y, c, v, name in certs:
+            assert certified(a, b, y, c, v, sol.forced[name])
+            for k, (i, x) in enumerate(y):
+                assert not certified(a, b, y[:k] + [(i, x + 1)] + y[k + 1:],
+                                     c, v, sol.forced[name])
 
 
 # ------------------------------------------------------------ forcing
