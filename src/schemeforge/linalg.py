@@ -2,13 +2,14 @@
 
 There is one elimination routine, an integer reduced row echelon form
 (`_rref_rows`), and one place that reads a solution space off its pivots
-(`_space`); `solve_integer` is the two in a row. Callers such as the
-triple solver hand over int rows; a Fraction appears only when an entry
-of the result is divided by its row's pivot. `_rref_rows` pivots only
-among the first `width` columns and carries the rest along, so rows with
-a unit vector appended come out with the combination of input rows
-behind each reduced row. All operations are pure and exact; no floating
-point is used anywhere.
+(`_space`). Callers such as the triple solver hand over int rows; a
+Fraction appears only when an entry of the result is divided by its
+row's pivot. `_rref_rows` pivots only among the first `width` columns
+and carries the rest along, so rows with a unit vector appended come out
+with the combination of input rows behind each reduced row, and behind
+each row that cleared to zero: those null combinations are a basis of
+the left null space, and decide whether a right-hand side is consistent.
+All operations are pure and exact; no floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -63,22 +64,25 @@ def _combine(row, prow, c: int) -> list:
 
 def _rref_rows(rows, width: int) -> tuple:
     """Integer RREF of int rows on their first `width` columns: (pivot
-    columns, pivot rows).
+    columns, pivot rows, null rows).
 
     The rows are inserted one at a time into a reduced echelon form kept
     sorted by pivot column. Each is cleared at the pivot columns where it
-    is nonzero, one `_combine` per column, made primitive, and dropped if
-    it became zero on its first `width` entries; else its leading column
-    is cleared from the pivot rows and it is inserted there. Entries past
-    `width` are carried along by every combination and never pivot: with
-    a unit vector appended to each row, they record which combination of
-    the input rows each output row is. Row r comes out as an integer
-    multiple of row r of the RREF: dividing it by its entry in column
-    pivots[r] gives that row. The RREF and its pivot columns depend only
-    on the row space and the column order, so they are those of
-    elimination over the rationals.
+    is nonzero, one `_combine` per column, and made primitive. A row that
+    became zero on its first `width` entries goes to the null rows; else
+    its leading column is cleared from the pivot rows and it is inserted
+    there. Entries past `width` are carried along by every combination
+    and never pivot: with a unit vector appended to each row, they record
+    which combination of the input rows each output row is. A null row's
+    combination z has z A = 0 (A the input rows' first `width` columns),
+    is nonzero at its own row and 0 at every later one, so the null
+    rows' combinations are a basis of A's left null space. Row r of the
+    pivot rows is an integer multiple of row r of the RREF: dividing it
+    by its entry in column pivots[r] gives that row. The RREF and its
+    pivot columns depend only on the row space and the column order, so
+    they are those of elimination over the rationals.
     """
-    cols, prows = [], []
+    cols, prows, nulls = [], [], []
     for row in rows:
         for c, prow in zip(cols, prows):
             if row[c]:
@@ -86,6 +90,7 @@ def _rref_rows(rows, width: int) -> tuple:
         row = _primitive(row)
         c = next((j for j in range(width) if row[j]), None)
         if c is None:
+            nulls.append(row)
             continue
         for k, prow in enumerate(prows):
             if prow[c]:
@@ -93,7 +98,7 @@ def _rref_rows(rows, width: int) -> tuple:
         k = bisect.bisect(cols, c)
         cols.insert(k, c)
         prows.insert(k, row)
-    return tuple(cols), prows
+    return tuple(cols), prows, nulls
 
 
 def _space(pivots, rows, ncols: int) -> AffineSolutionSpace:
@@ -122,16 +127,3 @@ def _space(pivots, rows, ncols: int) -> AffineSolutionSpace:
         basis.append(tuple(vec))
     return AffineSolutionSpace(tuple(particular), tuple(basis), free)
 
-
-def solve_integer(rows: list, ncols: int) -> AffineSolutionSpace:
-    """Solve the int augmented rows [a | b] over ncols unknowns exactly.
-
-    Each row holds ncols + 1 ints; `_rref_rows` eliminates them on all
-    ncols + 1 columns, and `_space` reads the space off. Raises
-    Inconsistent when no solution exists, that is when the right-hand-side
-    column becomes a pivot.
-    """
-    pivots, rows = _rref_rows(rows, ncols + 1)
-    if pivots and pivots[-1] == ncols:
-        raise Inconsistent("system has no solution")
-    return _space(pivots, rows, ncols)

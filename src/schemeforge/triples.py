@@ -18,11 +18,13 @@ is exact and stays in ints until the solution is read off. The zero
 rows kill unknowns, and the rows that kill nothing, read at the live
 columns (12 to 16 for odd t <= 51, against d^3 = 64 names), make the
 live coefficient matrix A, whatever their order or kinds. A's reduced
-rows, with the combination of A's rows behind each, are built once per
-matrix and cached, so a solve of a matrix met before runs no
-elimination: it forms the reduced rows' right-hand sides from its own,
-reads the space off, and checks the particular solution against every
-row of A. The 799 non-vacuous systems for odd t <= 51 meet 113 such
+rows, with the combination of A's rows behind each, and the null
+combinations z (z A = 0, a basis of A's left null space) are built once
+per matrix and cached, so a solve of a matrix met before runs no
+elimination. The system is consistent iff every z has z . b = 0, and a
+z with z . b != 0 is the certificate that it is not; else the solve
+forms the reduced rows' right-hand sides from its own and reads the
+space off. The 799 non-vacuous systems for odd t <= 51 meet 113 such
 matrices. Most rows carry no new information: in 780 of those systems
 the sum rows have rank 14 over 16 live columns, and the Krein rows add
 one. Forcing is exact too: every system of the family for odd t <= 51
@@ -47,19 +49,18 @@ object array) from there. The family first reaches 2^53 at t = 13.
 Three caches hold what patterns share: `_sum_rows` the int64 block of
 the sum and unit rows of the last d; the lru `_echelon` the reduced rows
 of the last 128 live coefficient matrices, with the combinations of
-rows that make them; and the store `_last` the last params object with
-its vanishing tuples and Krein block. An echelon entry takes a few
-milliseconds to build and about 20 kB to hold, its key included, so the
-113 family matrices fit. A sweep over t holds one parameter set's rows
-at a time. The lru `_boundary` holds the boundary cells and expected
-values of the last 128 (pattern, c).
+rows that make them and the null combinations; and the store `_last`
+the last params object with its vanishing tuples and Krein block. An
+echelon entry takes a few milliseconds to build and about 32 kB to
+hold, its key included, so the 113 family matrices fit. A sweep over t
+holds one parameter set's rows at a time. The lru `_boundary` holds the
+boundary cells and expected values of the last 128 (pattern, c).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -161,29 +162,39 @@ def _sum_rows(d: int) -> tuple:
 @functools.lru_cache(maxsize=128)
 def _echelon(data, shape: tuple) -> tuple:
     """The reduced rows of one live coefficient matrix A, with the
-    combination of A's rows behind each.
+    combination of A's rows behind each, and the null combinations.
 
     A has `shape`; `data` is its int64 bytes, or the flat tuple of its
     entries when they are Python ints (an object array's bytes would be
     pointers, not values). `_rref_rows` reduces the rows [a_i | e_i], a_i
     row i of A and e_i the i-th unit vector over A's rows, pivoting only
     among A's columns. Returns (pivot columns, coefficient rows,
-    combinations): the coefficient rows c are A's integer RREF, each an
-    integer multiple of the RREF row, and the combination y behind c,
-    held as (row indices, multipliers) where it is nonzero, gives
-    c = y A. A row that clears to zero on A's columns is a null
-    combination and is dropped. The 799 family systems for odd t <= 51
-    meet 113 matrices A.
+    combinations, null combinations): the coefficient rows c are A's
+    integer RREF, each an integer multiple of the RREF row, and the
+    combination y behind c gives c = y A; each row that clears to zero
+    on A's columns leaves a null combination z, z A = 0, and the z's are
+    a basis of A's left null space. Each y and z is held as (row
+    indices, multipliers) where it is nonzero, equal multipliers and
+    multiplier tuples as one object: 3.6 MB, not 4.7, for the 113
+    entries of the 799 family systems for odd t <= 51 (tracemalloc).
     """
     k, n = shape
     flat = (np.frombuffer(data, dtype=np.int64) if isinstance(data, bytes)
             else np.array(data, dtype=object))
     a = flat.reshape(shape).tolist()
-    cols, prows = _rref_rows([row + [0] * i + [1] + [0] * (k - 1 - i)
-                              for i, row in enumerate(a)], n)
-    ys = [[(i, x) for i, x in enumerate(row[n:]) if x] for row in prows]
+    cols, prows, nulls = _rref_rows(
+        [row + [0] * i + [1] + [0] * (k - 1 - i) for i, row in enumerate(a)],
+        n)
+
+    canon = {}
+
+    def sparse(row):
+        pairs = [(i, canon.setdefault(x, x)) for i, x in enumerate(row[n:])
+                 if x]
+        return tuple(canon.setdefault(part, part) for part in zip(*pairs))
+
     return (cols, tuple(tuple(row[:n]) for row in prows),
-            tuple(tuple(zip(*y)) for y in ys))
+            tuple(map(sparse, prows)), tuple(map(sparse, nulls)))
 
 
 def vanishing_tuples(params: SchemeParameters) -> tuple:
@@ -303,16 +314,17 @@ def solve(sys_: TripleSystem) -> TripleSolution:
     unknown, whatever its kind; one nonzero mask of the matrix finds them
     and their unknowns, and the other unknowns are live. The rows that
     kill nothing, read at the live columns, are the matrix A, whatever
-    their order or kinds; its reduced rows and the combination y of A's
-    rows behind each come from the cache `_echelon`, keyed by A's
-    contents, so a solve of a matrix met before runs no elimination. Each
-    reduced row c gets the right-hand side y . b, in Python ints, and
-    `linalg._space` reads the space off. The particular solution, scaled
-    to integers, must satisfy every row of A, else Inconsistent. In
-    elimination on all d^3 columns a killed unknown is a pivot whose unit
-    row touches no other column, so the space on the live columns, in
-    their order and expanded back with 0 at the killed unknowns, equals
-    that elimination field for field.
+    their order or kinds. Its reduced rows, the combination y of A's rows
+    behind each, and the null combinations z, a basis of A's left null
+    space, come from the cache `_echelon`, keyed by A's contents, so a
+    solve of a matrix met before runs no elimination. By the Fredholm
+    alternative the right-hand sides b have a solution iff every z has
+    z . b = 0, checked in Python ints, else Inconsistent. Each reduced
+    row c gets the right-hand side y . b and `linalg._space` reads the
+    space off. In elimination on all d^3 columns a killed unknown is a pivot
+    whose unit row touches no other column, so the space on the live
+    columns, in their order and expanded back with 0 at the killed
+    unknowns, equals that elimination field for field.
     """
     names = sys_.names
     nvar = len(names)
@@ -324,20 +336,13 @@ def solve(sys_: TripleSystem) -> TripleSolution:
     rest = [i for i, n in enumerate(counts) if n != 1 or rhs[i]]
     a = rows[np.ix_(rest, live)]
     data = a.tobytes() if a.dtype != object else tuple(a.ravel().tolist())
-    pivots, coef, ys = _echelon(data, a.shape)
+    pivots, coef, ys, zs = _echelon(data, a.shape)
     b = [rhs[i] for i in rest]
-    n = len(live)
+    if any(sum(x * b[i] for i, x in zip(*z)) for z in zs):
+        raise Inconsistent("system has no solution")
     reduced = [[*c, sum(x * b[i] for i, x in zip(*y))]
                for c, y in zip(coef, ys)]
-    # the particular solution times the lcm of the pivots it divides by
-    scale = math.lcm(*[row[pc] for row, pc in zip(reduced, pivots) if row[n]])
-    scaled = [0] * n
-    for row, pc in zip(reduced, pivots):
-        scaled[pc] = row[n] * scale // row[pc]
-    if any(sum(map(operator.mul, row, scaled)) != scale * bi
-           for row, bi in zip(a.tolist(), b)):
-        raise Inconsistent("system has no solution")
-    on_live = _space(pivots, reduced, n)
+    on_live = _space(pivots, reduced, len(live))
 
     zero = Fraction(0)
 

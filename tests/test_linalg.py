@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
+from integer_reference import solve_integer
 from schemeforge import linalg
-from schemeforge.linalg import Inconsistent, solve_integer
+from schemeforge.linalg import Inconsistent
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 entries = st.one_of(st.integers(-5, 5), rationals)
@@ -158,19 +159,23 @@ def test_elimination_carries_the_columns_past_width(system):
     on their first ncols + 1 columns only: the pivots, and the first
     ncols + 1 entries of each row divided by its pivot entry, are those
     of reducing the rows [a_i] alone, and the rest of each row is the
-    combination y of the input rows that makes its first part."""
+    combination y of the input rows that makes its first part. Each row
+    that clears to zero leaves a combination z with z A = 0, A the input
+    rows, and there are rows(A) - rank(A) of them."""
     m, b, ncols = system
     rows = [cleared(list(row) + [x]) for row, x in zip(m, b)]
     k = len(rows)
-    pivots, prows = linalg._rref_rows(
+    pivots, prows, nulls = linalg._rref_rows(
         [row + [int(i == j) for j in range(k)] for i, row in enumerate(rows)],
         ncols + 1)
-    alone = linalg._rref_rows(rows, ncols + 1)
-    assert pivots == alone[0]
+    alone, alone_rows, _ = linalg._rref_rows(rows, ncols + 1)
+    assert pivots == alone
     assert ([[Fraction(x, row[c]) for x in row[:ncols + 1]]
              for c, row in zip(pivots, prows)]
             == [[Fraction(x, row[c]) for x in row]
-                for c, row in zip(*alone)])
-    for row in prows:
+                for c, row in zip(alone, alone_rows)])
+    for row in prows + nulls:
         assert [sum(y * r[j] for y, r in zip(row[ncols + 1:], rows))
                 for j in range(ncols + 1)] == row[:ncols + 1]
+    assert all(not any(row[:ncols + 1]) for row in nulls)
+    assert len(nulls) == k - len(pivots)

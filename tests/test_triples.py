@@ -12,8 +12,9 @@ import pytest
 
 import fraction_oracle as oracle
 import triple_rows_oracle as rows_oracle
+from integer_reference import solve_integer
 from schemeforge import linalg, triples
-from schemeforge.linalg import Inconsistent, solve_integer
+from schemeforge.linalg import Inconsistent
 from schemeforge.scheme_params import (KreinArray, closed_form_parameters,
                                        derive_parameters)
 from schemeforge.triples import (HighNullity, Infeasible, TripleConfig,
@@ -573,7 +574,7 @@ def test_elimination_equals_fraction_rref_on_every_family_system():
     seen = 0
     for seen, sys_ in enumerate(family_systems(), 1):
         solve(sys_)
-        a, b, (pivots, coef, ys) = live_matrix(sys_)
+        a, b, (pivots, coef, ys, _) = live_matrix(sys_)
         exact = [list(map(Fraction, row)) + [Fraction(x)]
                  for row, x in zip(a.tolist(), b)]
         assert pivots == oracle.rref_rows(exact)
@@ -589,7 +590,8 @@ def test_cached_echelon_equals_the_fraction_rref_of_every_family_live_set():
     live coefficient matrix A: its pivot columns are those of Gauss-Jordan
     over Fraction on A, each coefficient row c divided by its pivot is
     that elimination's row, and its combination y of A's rows gives
-    c = y A."""
+    c = y A. Its null combinations z have z A = 0 in integers, and there
+    are rows(A) - rank(A) of them."""
     triples._echelon.cache_clear()
     matrices = {}
     for sys_ in family_systems():
@@ -597,7 +599,7 @@ def test_cached_echelon_equals_the_fraction_rref_of_every_family_live_set():
         matrices[a.tobytes(), a.shape] = sys_
     assert len(matrices) == triples._echelon.cache_info().misses == 113
     for sys_ in matrices.values():
-        a, _, (pivots, coef, ys) = live_matrix(sys_)
+        a, _, (pivots, coef, ys, zs) = live_matrix(sys_)
         a = a.tolist()
         exact = [list(map(Fraction, row)) for row in a]
         assert pivots == oracle.rref_rows(exact)
@@ -606,6 +608,10 @@ def test_cached_echelon_equals_the_fraction_rref_of_every_family_live_set():
         for c, y in zip(coef, ys):
             assert [sum(x * a[i][j] for i, x in zip(*y))
                     for j in range(len(c))] == list(c)
+        for z in zs:
+            assert [sum(x * a[i][j] for i, x in zip(*z))
+                    for j in range(len(a[0]))] == [0] * len(a[0])
+        assert len(zs) == len(a) - len(pivots)
     assert triples._echelon.cache_info().misses == 113
 
 
@@ -812,7 +818,7 @@ def certificates(sys_):
     """(A, b, [(y, c, v, name)]): one certificate per live unknown that
     linear algebra pins, read off the cached entry: the reduced row with
     pivot v and no other nonzero is c e_v, and its combination is y."""
-    a, b, (pivots, coef, ys) = live_matrix(sys_)
+    a, b, (pivots, coef, ys, _) = live_matrix(sys_)
     live = live_columns(sys_)
     return a.tolist(), b, [(list(zip(*y)), row[v], v, sys_.names[live[v]])
                            for v, row, y in zip(pivots, coef, ys)
@@ -840,6 +846,53 @@ def test_linearly_forced_values_have_integer_certificates(source):
             for k, (i, x) in enumerate(y):
                 assert not certified(a, b, y[:k] + [(i, x + 1)] + y[k + 1:],
                                      c, v, sol.forced[name])
+
+
+def refuted(a, b, z) -> bool:
+    """Whether the integer combination z, (row index, multiplier) pairs,
+    of the rows a with right-hand sides b proves that they have no
+    solution: z a = 0 and z . b != 0. Integer products and comparisons
+    only."""
+    return (all(sum(x * a[i][j] for i, x in z) == 0
+                for j in range(len(a[0])))
+            and sum(x * b[i] for i, x in z) != 0)
+
+
+def test_rejections_have_integer_certificates():
+    """1 added to each right-hand side in turn of one family system each at
+    t = 3, 51 and 103 (where the rows are Python ints), and of every
+    H(3,3) system: each perturbed system that `solve` rejects, over sum,
+    zero and Krein rows, has a cached null combination z that the integer
+    checker accepts. With one multiplier of z set to 0, or raised by 1
+    where z has more than one, the checker refuses it; a one-entry z is a
+    zero row of A, which any nonzero multiple refutes as well."""
+    systems = [widened_system(TripleConfig(closed_form_parameters(t), abc))
+               for t, abc in ((3, (2, 1, 1)), (51, (1, 1, 2)),
+                              (103, (2, 1, 1)))]
+    params = hamming_params(3, 3)
+    systems += [widened_system(TripleConfig(params, abc))
+                for abc in patterns(params)]
+    kinds = set()
+    for sys_ in systems:
+        for row, kind in enumerate(sys_.kinds):
+            rhs = list(sys_.rhs)
+            rhs[row] += 1
+            shifted = system(sys_.config, sys_.names, sys_.rows, rhs,
+                             sys_.kinds)
+            if outcome(solve, shifted) is not Inconsistent:
+                continue
+            kinds.add(kind)
+            a, b, entry = live_matrix(shifted)
+            a = a.tolist()
+            certs = [z for z in (list(zip(*z)) for z in entry[3])
+                     if refuted(a, b, z)]
+            assert certs
+            z = certs[0]
+            for k, (i, x) in enumerate(z):
+                assert not refuted(a, b, z[:k] + [(i, 0)] + z[k + 1:])
+                if len(z) > 1:
+                    assert not refuted(a, b, z[:k] + [(i, x + 1)] + z[k + 1:])
+    assert kinds == {"sum", "zero", "krein"}
 
 
 # ------------------------------------------------------------ forcing
